@@ -14,7 +14,7 @@ Schema::
                   | {"family": "uniform", "n": <int>}
                   | {"family": "geometric", "n": <int>, "beta": <num>},
       "options":  {"mode": "float"|"exact", "tie_tol": <num>,
-                   "memo_cap": <int>, "parallel": <bool>}   (optional)
+                   "memo_cap": <int>}   (optional)
     }
 
 ``{"known": lam}`` desugars to a unit point mass at lam; the flag recording
@@ -119,10 +119,9 @@ def _parse_options(node, force_mode: Optional[str]) -> SolverOptions:
     try:
         tie_tol = float(_number(node.get("tie_tol", 1e-11), False, "options.tie_tol"))
         memo_cap = int(node.get("memo_cap", SolverOptions().memo_cap))
-        parallel = bool(node.get("parallel", False))
     except (TypeError, ValueError) as e:
         raise ConfigError(f"options: {e}") from e
-    return SolverOptions(mode=mode, tie_tol=tie_tol, memo_cap=memo_cap, parallel=parallel)
+    return SolverOptions(mode=mode, tie_tol=tie_tol, memo_cap=memo_cap)
 
 
 def parse_instance(doc: dict, *, force_mode: Optional[str] = None) -> InstanceConfig:

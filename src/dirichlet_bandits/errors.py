@@ -22,7 +22,7 @@ class InvalidParameterError(BanditError):
 
 
 class ResourceBudgetExceededError(BanditError):
-    """The solver memo table grew past its configured cap."""
+    """The solver's count lattice is larger than its configured state budget."""
 
 
 class TooLargeError(BanditError):

@@ -32,7 +32,7 @@ from .errors import (
     NotRegularError,
 )
 from .measures import DiscreteMeasure, mean, posterior_update, to_float
-from .solver import _coerce_discount, stopping_value
+from .solver import stopping_value
 
 DEFAULT_TOL = 1e-9
 #: Residual of the defining equation is expected below this (one order looser
@@ -54,7 +54,7 @@ class IndexResult:
     residual: float
 
 
-def _validated_float_inputs(arm: DiscreteMeasure, A: DiscountSeq, tol: float):
+def _validated_float_arm(arm: DiscreteMeasure, A: DiscountSeq, tol: float):
     if tol <= 0:
         raise InvalidParameterError(f"tolerance must be positive, got {tol}")
     if len(A.values) == 0 or A.tails[0] <= 0:
@@ -63,7 +63,7 @@ def _validated_float_inputs(arm: DiscreteMeasure, A: DiscountSeq, tol: float):
         raise NotRegularError(
             "break-even quantities are only defined for regular discount sequences"
         )
-    return to_float(arm), _coerce_discount(A, exact=False)
+    return to_float(arm)
 
 
 def break_even_value(
@@ -76,17 +76,17 @@ def break_even_value(
     the mean; the value never exceeds the best possible observation per
     pull, which caps it at the top of the support.
     """
-    arm_f, A_f = _validated_float_inputs(arm, A, tol)
-    T1 = A_f.tails[0]
+    arm_f = _validated_float_arm(arm, A, tol)
+    T1 = float(A.tails[0])
     evals = 0
 
     def crossed(lam: float) -> bool:
         # The stopping-form value equals lam * T1 bit for bit wherever
         # retirement is optimal, so this predicate is free of the rounding
-        # noise a max-of-two-recursions objective would carry.
+        # noise a max of two pull-first payoffs would carry.
         nonlocal evals
         evals += 1
-        return stopping_value(arm_f, lam, A_f) - lam * T1 <= 0.0
+        return stopping_value(arm_f, lam, A) - lam * T1 <= 0.0
 
     lo = mean(arm_f)
     hi = arm_f.max_location
@@ -103,7 +103,7 @@ def break_even_value(
             else:
                 lo = mid
     val = hi
-    residual = abs(stopping_value(arm_f, val, A_f) - val * T1)
+    residual = abs(stopping_value(arm_f, val, A) - val * T1)
     return IndexResult(val, (lo, hi), evals, residual)
 
 
@@ -130,9 +130,9 @@ def break_even_observation(
         raise NonPositiveDiscountError(
             "break-even observation requires strictly positive discount weights"
         )
-    arm_f, A_f = _validated_float_inputs(arm, A, tol)
-    base = break_even_value(arm_f, A_f, tol)
-    A1 = drop_first(A_f)
+    arm_f = _validated_float_arm(arm, A, tol)
+    base = break_even_value(arm_f, A, tol)
+    A1 = drop_first(A)
     probes: list[tuple[float, float]] = []
 
     def h(x: float) -> float:

@@ -1,26 +1,40 @@
-"""Backward-induction evaluation of finite-horizon Dirichlet bandits.
+"""Backward induction for finite-horizon Dirichlet bandits over the count lattice.
 
 The solver never materializes posterior measures.  Observations are drawn
 from the current predictive, whose support never leaves the root atom set,
 so every posterior reachable from a root instance is that root's base
-measure plus an integer number of unit point masses per atom slot.  States
-are therefore identified by two integer count vectors, which collapses
-exponentially many observation histories onto a small lattice and is the
-solver's core performance lever.
+measure plus an integer number of unit point masses per atom slot.  A state
+is therefore one count vector per arm, and stage t holds the states whose
+counts total t.
+
+For an arm with s atoms, level k of its lattice lists the count vectors
+totalling k in rank order, and a child table maps each vector and atom j to
+the rank of the vector with one more count at j.  These tables depend on
+(s, k) only and are built on first use.  One bottom-up pass runs from the
+last stage to the first; stage t of the two-armed pass splits into blocks
+of k1 counts on arm 1 and t - k1 on arm 2, and pulling either arm is a
+gather from a next-stage block plus a weighted sum over its atoms
+(``_pull``).  The one-armed stopping form is the same pass over the unknown
+arm alone, against retirement at ``lam * T_t``.  Float mode runs on float64
+arrays and exact mode on object arrays of Fraction, through the same code.
 
 Stages with zero discount weight still consume a stage and still update the
 posterior of the pulled arm: with general nonnegative discounting the
 optimal policy may pull purely for information, so no stage is skipped.
+
+The lattice-state budget ``memo_cap`` (overridden by BANDIT_MEMO_CAP) is
+compared with the closed-form lattice size before anything is allocated.
 """
 from __future__ import annotations
 
-import math
 import os
-import zlib
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
-from typing import Optional
+from math import comb
+from typing import NamedTuple, Optional
+
+import numpy as np
 
 from .discount import DiscountSeq, is_regular
 from .errors import InvalidParameterError, ResourceBudgetExceededError
@@ -48,17 +62,11 @@ class BanditState:
 
 @dataclass(frozen=True)
 class SolverOptions:
-    """Arithmetic mode and resource knobs for a solve.
-
-    A single solve is evaluated sequentially (which trivially satisfies the
-    determinism contract); ``parallel`` is honoured one level up, across
-    instances in sweeps and verification suites.
-    """
+    """Arithmetic mode, tie tolerance and lattice-state budget of a solve."""
 
     mode: str = "float"  # "float" | "exact"
     tie_tol: float = 1e-11
     memo_cap: int = 50_000_000
-    parallel: bool = False
 
     @property
     def exact(self) -> bool:
@@ -71,10 +79,9 @@ EXACT_OPTIONS = SolverOptions(mode="exact")
 
 @dataclass(frozen=True)
 class StateKey:
-    """Canonical identity of a DP node: root instance id plus the number of
-    added unit masses per atom slot of each arm."""
+    """Identity of a lattice node: the number of added unit masses per atom
+    slot of each arm, and the stage (their total)."""
 
-    base_id: int
     counts1: tuple[int, ...]
     counts2: tuple[int, ...]
     stage: int
@@ -105,152 +112,188 @@ class PolicyNode:
     branches: tuple[tuple[Numeric, "PolicyNode"], ...]
 
 
-def _effective_memo_cap(options: SolverOptions) -> int:
+def _make_report(w1, w2, tie_tol) -> ValueReport:
+    diff = w1 - w2
+    action = Action.TIE if abs(diff) <= tie_tol else Action.ARM1 if diff > 0 else Action.ARM2
+    return ValueReport(w1 if w1 >= w2 else w2, w1, w2, action)
+
+
+def _checked_options(options: Optional[SolverOptions]) -> SolverOptions:
+    opts = options or DEFAULT_OPTIONS
+    if opts.mode not in ("float", "exact"):
+        raise InvalidParameterError(f"unknown arithmetic mode {opts.mode!r}")
+    return opts
+
+
+def _check_budget(atoms: int, n: int, options: SolverOptions) -> None:
+    """Refuse a pass whose lattice -- count vectors over ``atoms`` slots
+    totalling less than ``n``, C(n - 1 + atoms, atoms) of them -- exceeds
+    the memo cap."""
     env = os.environ.get(MEMO_CAP_ENV)
-    if env is not None:
-        try:
-            return int(env)
-        except ValueError as e:
-            raise InvalidParameterError(f"bad {MEMO_CAP_ENV} value {env!r}") from e
-    return options.memo_cap
+    try:
+        cap = options.memo_cap if env is None else int(env)
+    except ValueError as e:
+        raise InvalidParameterError(f"bad {MEMO_CAP_ENV} value {env!r}") from e
+    states = comb(n - 1 + atoms, atoms) if n > 0 else 0
+    if states > cap:
+        raise ResourceBudgetExceededError(f"lattice of {states} states exceeds the cap of {cap}")
 
 
-def _coerce_discount(A: DiscountSeq, exact: bool) -> DiscountSeq:
-    if len(A.values) == 0:
-        return A
-    if exact and A.exact:
-        return A
-    if not exact and not A.exact and isinstance(A.values[0], float):
-        return A
-    # Rebuild tails in the target arithmetic; skips make_discount validation
-    # because drop_first suffixes may legitimately have zero total.
-    from .discount import _tail_sums
+class _Lattice(NamedTuple):
+    """Levels 0..depth of the s-atom count lattice; level k holds the count
+    vectors totalling k in rank order and occupies rows start[k]:start[k+1]
+    of ``counts``.  ``child[k]`` (levels below depth) maps row i of level k
+    and atom j to the rank of counts + e_j within level k + 1."""
 
-    if exact:
-        vals = tuple(v if isinstance(v, Fraction) else Fraction(v) for v in A.values)
-    else:
-        vals = tuple(float(v) for v in A.values)
-    return DiscountSeq(vals, _tail_sums(vals, exact))
+    counts: np.ndarray
+    start: list[int]
+    child: list[np.ndarray]
+
+
+#: Lattices by number of atoms, deepened on demand.
+_LATTICES: dict[int, _Lattice] = {}
+
+
+def _rank(counts: np.ndarray) -> np.ndarray:
+    """Lexicographic rank of each count vector (last axis) among those with
+    the same total and length.
+
+    The vectors before c are those agreeing with c on slots 0..i-1 and
+    smaller at slot i; with r_i = c_i + ... + c_{s-1} and m = s - 1 - i
+    there are C(r_i + m, m) - C(r_{i+1} + m, m) of them for each i.
+    """
+    s = counts.shape[-1]
+    rest = np.cumsum(counts[..., ::-1], axis=-1)[..., ::-1]
+    binom = np.ones((s, int(rest.max(initial=0)) + 1), dtype=np.int64)
+    for m in range(1, s):
+        binom[m] = np.cumsum(binom[m - 1])  # binom[m, r] = C(r + m, m)
+    m = np.arange(s - 1, 0, -1)
+    return (binom[m, rest[..., :-1]] - binom[m, rest[..., 1:]]).sum(axis=-1)
+
+
+def _lattice(s: int, n: int) -> _Lattice:
+    """The s-atom lattice with child tables for levels 0..n-1 at least."""
+    lat = _LATTICES.get(s) or _Lattice(np.zeros((1, s), np.int64), [0, 1], [])
+    if len(lat.child) < n:
+        unit = np.eye(s, dtype=np.int64)
+        counts, start, child = [lat.counts], list(lat.start), list(lat.child)
+        last = lat.counts[start[-2]:]
+        while len(child) < n:
+            bumped = last[:, None, :] + unit
+            child.append(_rank(bumped))
+            last = np.empty((comb(len(child) + s - 1, s - 1), s), np.int64)
+            last[child[-1].ravel()] = bumped.reshape(-1, s)
+            counts.append(last)
+            start.append(start[-1] + len(last))
+        lat = _LATTICES[s] = _Lattice(np.concatenate(counts), start, child)
+        for table in (lat.counts, *child):
+            table.flags.writeable = False  # shared by every later solve
+    return lat
+
+
+class _ArmRows:
+    """One arm's posterior on levels 0..n-1 of its lattice, in the solve's
+    arithmetic: ``p[k]`` holds the predictive probabilities of each count
+    vector at level k (one row per rank), ``mean[k]`` the posterior means as
+    a column; ``start`` and ``child`` come from the lattice."""
+
+    def __init__(self, measure: DiscreteMeasure, n: int, exact: bool):
+        measure = to_exact(measure) if exact else to_float(measure)
+        self.dtype = object if exact else np.float64
+        self.locs = measure.locations
+        self.atoms = len(self.locs)
+        lat = _lattice(self.atoms, n)
+        self.start = lat.start
+        self.child = lat.child
+        counts = lat.counts[: lat.start[n]]
+        base = np.array(measure.weights, dtype=self.dtype)
+        p = (base + counts) / (measure.total_mass + counts.sum(axis=1, keepdims=True))
+        mean = p @ np.array(self.locs, dtype=self.dtype)
+        bounds = list(zip(lat.start[:n], lat.start[1 : n + 1]))
+        self.p = [p[i:j] for i, j in bounds]
+        self.mean = [mean[i:j, None] for i, j in bounds]
+
+    def zeros(self, k: int, width: int) -> np.ndarray:
+        """Terminal values of the level-k states, ``width`` columns."""
+        return np.zeros((self.start[k + 1] - self.start[k], width), self.dtype)
+
+
+def _pull(a_t, arm: _ArmRows, k: int, nxt: np.ndarray) -> np.ndarray:
+    """Payoff of pulling ``arm`` at its level k and continuing optimally:
+    a_t times the posterior mean plus the predictive expectation of the
+    next-stage values ``nxt``, whose rows are the arm's level k + 1 and
+    whose columns are states of the other arm (one column in a stopping
+    pass)."""
+    gathered = nxt[arm.child[k]]  # (P, s, columns)
+    return a_t * arm.mean[k] + np.matmul(arm.p[k][:, None, :], gathered)[:, 0]
+
+
+def _numbers(values, exact: bool) -> list:
+    return [Fraction(v) if exact else float(v) for v in values]
 
 
 class BanditSolver:
-    """Memoized depth-first evaluator for one root instance.
+    """One bottom-up pass over the count lattice of a two-armed instance.
 
-    The memo maps ``(counts1, counts2)`` to the node value; the stage is the
-    count total.  Values are deterministic functions of the key, so the
-    table may be shared freely.
+    ``w1[t][k1]`` and ``w2[t][k1]`` hold the pull-first payoffs of the
+    stage-t states with k1 counts on arm 1, rows ranking arm 1's count
+    vector and columns arm 2's; reports, policy trees and simulations are
+    lookups into them.
     """
 
     def __init__(self, state: BanditState, options: Optional[SolverOptions] = None):
-        opts = options or DEFAULT_OPTIONS
-        if opts.mode not in ("float", "exact"):
-            raise InvalidParameterError(f"unknown arithmetic mode {opts.mode!r}")
-        exact = opts.exact
-        arm1 = to_exact(state.arm1) if exact else to_float(state.arm1)
-        arm2 = to_exact(state.arm2) if exact else to_float(state.arm2)
-        disc = _coerce_discount(state.discount, exact)
+        opts = _checked_options(options)
+        n = len(state.discount.values)
+        _check_budget(len(state.arm1.atoms) + len(state.arm2.atoms), n, opts)
+        a = _numbers(state.discount.values, opts.exact)
         self.options = opts
-        self._exact = exact
-        self._a = disc.values
-        self._n = len(disc.values)
-        self._locs = (arm1.locations, arm2.locations)
-        self._bw = (arm1.weights, arm2.weights)
-        self._mass = (arm1.total_mass, arm2.total_mass)
-        self._zero = Fraction(0) if exact else 0.0
-        self._memo: dict = {}
-        self._cap = _effective_memo_cap(opts)
-        self._tie = opts.tie_tol
-        self._base_id = zlib.crc32(repr((arm1.atoms, arm2.atoms, disc.values)).encode())
-        self._z1 = (0,) * len(arm1.atoms)
-        self._z2 = (0,) * len(arm2.atoms)
-
-    @property
-    def horizon(self) -> int:
-        return self._n
-
-    @property
-    def discounts(self) -> tuple[Numeric, ...]:
-        return self._a
-
-    def root_counts(self) -> tuple[tuple[int, ...], tuple[int, ...]]:
-        return self._z1, self._z2
-
-    def state_key(self, counts1=None, counts2=None) -> StateKey:
-        c1 = self._z1 if counts1 is None else tuple(counts1)
-        c2 = self._z2 if counts2 is None else tuple(counts2)
-        return StateKey(self._base_id, c1, c2, sum(c1) + sum(c2))
+        self.horizon = n
+        self.arms = rows1, rows2 = (
+            _ArmRows(state.arm1, n, opts.exact), _ArmRows(state.arm2, n, opts.exact)
+        )
+        self.w1, self.w2 = [None] * n, [None] * n
+        nxt = [rows1.zeros(k1, rows2.start[n - k1 + 1] - rows2.start[n - k1])
+               for k1 in range(n + 1)]
+        for t in reversed(range(n)):
+            self.w1[t] = [_pull(a[t], rows1, k1, nxt[k1 + 1]) for k1 in range(t + 1)]
+            self.w2[t] = [_pull(a[t], rows2, t - k1, nxt[k1].T).T for k1 in range(t + 1)]
+            nxt = list(map(np.maximum, self.w1[t], self.w2[t]))
 
     def report(self, counts1=None, counts2=None) -> ValueReport:
         """Value report at a reachable node (default: the root)."""
-        c1 = self._z1 if counts1 is None else tuple(counts1)
-        c2 = self._z2 if counts2 is None else tuple(counts2)
-        stage = sum(c1) + sum(c2)
-        if stage >= self._n:
-            z = self._zero
+        c1 = (0,) * self.arms[0].atoms if counts1 is None else tuple(counts1)
+        c2 = (0,) * self.arms[1].atoms if counts2 is None else tuple(counts2)
+        k1 = sum(c1)
+        t = k1 + sum(c2)
+        if t >= self.horizon:
+            z = Fraction(0) if self.options.exact else 0.0
             return ValueReport(z, z, z, Action.TIE)
-        w1 = self._pull(c1, c2, stage, 0)
-        w2 = self._pull(c1, c2, stage, 1)
-        return self._make_report(w1, w2)
+        at = (int(_rank(np.array(c1))), int(_rank(np.array(c2)))) if t else (0, 0)
+        return _make_report(
+            self.w1[t][k1].item(at), self.w2[t][k1].item(at), self.options.tie_tol
+        )
 
-    def posterior_rows(self, arm: int, counts) -> tuple[tuple, list, Numeric]:
-        """Locations, posterior weights, and mass of one arm at given counts."""
-        if arm not in (1, 2):
-            raise InvalidParameterError(f"arm must be 1 or 2, got {arm}")
-        locs = self._locs[arm - 1]
-        bw = self._bw[arm - 1]
-        weights = [bw[j] + counts[j] for j in range(len(locs))]
-        return locs, weights, self._mass[arm - 1] + sum(counts)
-
-    def _make_report(self, w1, w2) -> ValueReport:
-        diff = w1 - w2
-        if abs(diff) <= self._tie:
-            action = Action.TIE
-        elif diff > 0:
-            action = Action.ARM1
-        else:
-            action = Action.ARM2
-        return ValueReport(w1 if w1 >= w2 else w2, w1, w2, action)
-
-    def _value(self, c1, c2, stage):
-        if stage == self._n:
-            return self._zero
-        memo = self._memo
-        key = (c1, c2)
-        v = memo.get(key)
-        if v is None:
-            w1 = self._pull(c1, c2, stage, 0)
-            w2 = self._pull(c1, c2, stage, 1)
-            v = w1 if w1 >= w2 else w2
-            if len(memo) >= self._cap:
-                raise ResourceBudgetExceededError(
-                    f"memo table exceeded cap of {self._cap} entries"
+    def policy_tables(self):
+        """Optimal play as lookups over each arm's count vectors, the levels
+        below the horizon stacked into one table of rows per arm (row 0 is
+        the root's): ``pulls_arm2[row1, row2]`` (ties go to arm 1), and per
+        arm the predictive CDF, shape (atoms, rows), the row reached by
+        observing each atom, shape (rows, atoms), and the atom locations."""
+        n = self.horizon
+        start1, start2 = (rows.start for rows in self.arms)
+        pulls_arm2 = np.zeros((start1[n], start2[n]), dtype=bool)
+        for t in range(n):
+            for k1 in range(t + 1):
+                k2 = t - k1
+                pulls_arm2[start1[k1] : start1[k1 + 1], start2[k2] : start2[k2 + 1]] = (
+                    self.w1[t][k1] - self.w2[t][k1] < -self.options.tie_tol
                 )
-            memo[key] = v
-        return v
-
-    def _pull(self, c1, c2, stage, arm):
-        """Payoff of pulling ``arm`` now and continuing optimally.
-
-        Equals  a_t * (posterior mean)  plus the predictive expectation of
-        the child values; both are fused into one weighted sum normalized
-        once per node.
-        """
-        locs = self._locs[arm]
-        bw = self._bw[arm]
-        counts = c1 if arm == 0 else c2
-        a_t = self._a[stage]
-        mass = self._mass[arm] + sum(counts)
-        nxt = stage + 1
-        terms = []
-        for j in range(len(locs)):
-            child = counts[:j] + (counts[j] + 1,) + counts[j + 1 :]
-            if arm == 0:
-                cv = self._value(child, c2, nxt)
-            else:
-                cv = self._value(c1, child, nxt)
-            terms.append((bw[j] + counts[j]) * (a_t * locs[j] + cv))
-        total = sum(terms) if self._exact else math.fsum(terms)
-        return total / mass
+        return pulls_arm2, [
+            (np.cumsum(np.concatenate(rows.p), axis=1).T.copy(),
+             np.concatenate([rows.start[k + 1] + c for k, c in enumerate(rows.child[:n])]),
+             np.array(rows.locs))
+            for rows in self.arms
+        ]
 
 
 def value(state: BanditState, options: Optional[SolverOptions] = None) -> ValueReport:
@@ -267,105 +310,56 @@ def policy_tree(
     Each node's action agrees with :func:`value` at that node; branches
     enumerate the selected arm's predictive support.
     """
-    solver = BanditSolver(state, options)
-    n = solver.horizon
+    n = len(state.discount.values)
     if depth < 1 or depth > n:
         raise InvalidParameterError(f"policy depth must be in [1, {n}], got {depth}")
-
-    def build(c1, c2, stage):
-        rep = solver.report(c1, c2)
-        branches = ()
-        if stage + 1 < depth:
-            arm = 1 if rep.action is Action.ARM2 else 0
-            counts = c1 if arm == 0 else c2
-            out = []
-            for j, loc in enumerate(solver._locs[arm]):
+    solver = BanditSolver(state, options)
+    # Expand stage by stage, then assemble the nodes from the deepest up.
+    frontier = [((0,) * solver.arms[0].atoms, (0,) * solver.arms[1].atoms)]
+    stages = []
+    for stage in range(depth):
+        stages.append([(c1, c2, solver.report(c1, c2)) for c1, c2 in frontier])
+        frontier = []
+        for c1, c2, rep in stages[-1]:
+            arm2 = rep.action is Action.ARM2
+            counts = c2 if arm2 else c1
+            for j in range(len(counts)):
                 child = counts[:j] + (counts[j] + 1,) + counts[j + 1 :]
-                if arm == 0:
-                    out.append((loc, build(child, c2, stage + 1)))
-                else:
-                    out.append((loc, build(c1, child, stage + 1)))
-            branches = tuple(out)
-        return PolicyNode(solver.state_key(c1, c2), rep.action, rep, branches)
+                frontier.append((c1, child) if arm2 else (child, c2))
+    nodes: list[PolicyNode] = []
+    for stage in reversed(range(depth)):
+        kids = iter(nodes)
+        nodes = []
+        for c1, c2, rep in stages[stage]:
+            locs = solver.arms[1 if rep.action is Action.ARM2 else 0].locs
+            branches = tuple((loc, next(kids)) for loc in locs) if stage + 1 < depth else ()
+            nodes.append(PolicyNode(StateKey(c1, c2, stage), rep.action, rep, branches))
+    return nodes[0]
 
-    z1, z2 = solver.root_counts()
-    return build(z1, z2, 0)
 
+def _stopping_pass(arm: _ArmRows, lam, a, tails):
+    """Stopping form of the one-armed bandit under regular discounting.
 
-class _StoppingSolver:
-    """Pruned recursion for the one-armed bandit under regular discounting.
-
-    The problem is an optimal stopping problem: once the known arm is
-    optimal it stays optimal, so each node compares pulling the unknown arm
-    against retiring for ``lam * T_stage``.  Only the unknown arm's counts
-    enter the state, which shrinks the lattice dramatically.  Whenever
-    retirement is optimal the node value *is* the retirement expression, so
-    the root value equals ``lam * T_1`` bit for bit -- the property the
-    break-even bisection relies on.
+    Once the known arm is optimal it stays optimal, so each state compares
+    pulling the unknown arm with retiring for ``lam * T_t``.  Where
+    retirement wins the value *is* the retirement expression, so the root
+    value equals ``lam * T_1`` bit for bit -- the property the break-even
+    bisection relies on.  Returns the root's pull payoff and value.
     """
+    v = arm.zeros(len(a), 1)
+    pull = v
+    for t in reversed(range(len(a))):
+        pull = _pull(a[t], arm, t, v)
+        retire = lam * tails[t]
+        v = np.where(pull >= retire, pull, retire)
+    return pull.item(0), v.item(0)
 
-    def __init__(self, arm: DiscreteMeasure, lam, A: DiscountSeq, opts: SolverOptions):
-        exact = opts.exact
-        arm_c = to_exact(arm) if exact else to_float(arm)
-        disc = _coerce_discount(A, exact)
-        self._exact = exact
-        self._lam = Fraction(lam) if exact else float(lam)
-        self._a = disc.values
-        self._tails = disc.tails
-        self._n = len(disc.values)
-        self._locs = arm_c.locations
-        self._bw = arm_c.weights
-        self._mass = arm_c.total_mass
-        self._zero = Fraction(0) if exact else 0.0
-        self._cap = _effective_memo_cap(opts)
-        self._memo: dict = {}
-        self._z = (0,) * len(arm_c.atoms)
 
-    def pull(self, counts, stage):
-        a_t = self._a[stage]
-        bw = self._bw
-        locs = self._locs
-        mass = self._mass + sum(counts)
-        nxt = stage + 1
-        terms = []
-        for j in range(len(locs)):
-            child = counts[:j] + (counts[j] + 1,) + counts[j + 1 :]
-            terms.append((bw[j] + counts[j]) * (a_t * locs[j] + self.rec(child, nxt)))
-        total = sum(terms) if self._exact else math.fsum(terms)
-        return total / mass
-
-    def rec(self, counts, stage):
-        if stage == self._n:
-            return self._zero
-        memo = self._memo
-        key = (counts, stage)
-        v = memo.get(key)
-        if v is None:
-            p = self.pull(counts, stage)
-            r = self._lam * self._tails[stage]
-            v = p if p >= r else r
-            if len(memo) >= self._cap:
-                raise ResourceBudgetExceededError(
-                    f"memo table exceeded cap of {self._cap} entries"
-                )
-            memo[key] = v
-        return v
-
-    def root_value(self):
-        return self.rec(self._z, 0)
-
-    def report(self, tie_tol) -> ValueReport:
-        z = self._z
-        w1 = self.pull(z, 0)
-        w2 = self._a[0] * self._lam + self.rec(z, 1)
-        diff = w1 - w2
-        if abs(diff) <= tie_tol:
-            action = Action.TIE
-        elif diff > 0:
-            action = Action.ARM1
-        else:
-            action = Action.ARM2
-        return ValueReport(w1 if w1 >= w2 else w2, w1, w2, action)
+def _stopping_inputs(arm, lam, A, opts):
+    n, exact = len(A.values), opts.exact
+    _check_budget(len(arm.atoms), n, opts)
+    lam = Fraction(lam) if exact else float(lam)
+    return _ArmRows(arm, n, exact), lam, _numbers(A.values, exact), _numbers(A.tails, exact)
 
 
 def value_one_armed(
@@ -377,18 +371,21 @@ def value_one_armed(
     """Value of the one-armed bandit against a known arm paying ``lam``.
 
     Equals :func:`value` with a point mass at ``lam`` as arm 2; with a
-    regular discount sequence the pruned stopping recursion is used instead
-    of the two-armed lattice.
+    regular discount sequence the stopping pass over the unknown arm is
+    used instead of the two-armed lattice.
     """
-    opts = options or DEFAULT_OPTIONS
-    n = len(A.values)
-    if n == 0:
+    opts = _checked_options(options)
+    if len(A.values) == 0:
         zero = Fraction(0) if opts.exact else 0.0
         return ValueReport(zero, zero, zero, Action.TIE)
     if not is_regular(A):
         known = point_mass(lam, exact=opts.exact)
         return value(BanditState(arm, known, A), opts)
-    return _StoppingSolver(arm, lam, A, opts).report(opts.tie_tol)
+    rows, lam, a, tails = _stopping_inputs(arm, lam, A, opts)
+    w1 = _stopping_pass(rows, lam, a, tails)[0]
+    # Retiring first leaves the stopping problem one stage shorter.
+    w2 = a[0] * lam + _stopping_pass(rows, lam, a[1:], tails[1:])[1]
+    return _make_report(w1, w2, opts.tie_tol)
 
 
 def stopping_value(
@@ -397,18 +394,18 @@ def stopping_value(
     A: DiscountSeq,
     options: Optional[SolverOptions] = None,
 ):
-    """Root value of the stopping-form recursion (regular discounts only).
+    """Root value of the stopping-form pass (regular discounts only).
 
     Mathematically equal to ``value_one_armed(...).w``; numerically it
     reproduces ``lam * T_1`` exactly whenever immediate retirement is
     optimal, which makes it the preferred objective for root-finding on the
     retirement boundary.
     """
-    opts = options or DEFAULT_OPTIONS
+    opts = _checked_options(options)
     if len(A.values) == 0:
         return Fraction(0) if opts.exact else 0.0
     if not is_regular(A):
         raise InvalidParameterError(
             "the stopping-form value requires a regular discount sequence"
         )
-    return _StoppingSolver(arm, lam, A, opts).root_value()
+    return _stopping_pass(*_stopping_inputs(arm, lam, A, opts))[1]

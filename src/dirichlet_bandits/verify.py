@@ -16,7 +16,7 @@ from __future__ import annotations
 import math
 import time
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from functools import partial
 
@@ -45,7 +45,6 @@ from .measures import (
 )
 from .oracle import brute_force_value
 from .solver import (
-    Action,
     BanditSolver,
     BanditState,
     DEFAULT_OPTIONS,
@@ -542,7 +541,7 @@ def check_strict_weight_gaps(
 
 
 def check_oracle_equivalence(gen=None, trials=None, *, tol=1e-10, jobs=1) -> SuiteReport:
-    """Memoized solver agrees with the exhaustive history-tree oracle."""
+    """Lattice solver agrees with the exhaustive history-tree oracle."""
     gen = gen or InstanceGen()
     trials = trials or DEFAULT_TRIALS["oracle"]
     worker = partial(_oracle_margin, gen, tol=tol)
@@ -599,77 +598,37 @@ def simulate_policy(
 ) -> tuple[float, float]:
     """Estimate the value by simulating optimal play.
 
-    At each stage the action comes from the solver's report at the current
-    posterior, the pulled arm's observation is drawn from its predictive
-    (ties break toward arm 1), and discounted payoffs accumulate.  Returns
-    (mean, standard error); deterministic given the seed.
+    At each stage the action is looked up in the solver's policy tables at
+    the current posterior, the pulled arm's observation is drawn from its
+    predictive (ties break toward arm 1), and discounted payoffs accumulate.
+    Returns (mean, standard error); deterministic given the seed.
     """
     if trials < 1:
         raise InvalidParameterError("trials must be at least 1")
     opts = options or DEFAULT_OPTIONS
     if opts.exact:
-        opts = SolverOptions("float", opts.tie_tol, opts.memo_cap, opts.parallel)
+        opts = replace(opts, mode="float")
     n = len(state.discount.values)
     if n == 0:
         return 0.0, 0.0
-    solver = BanditSolver(state, opts)
-    a = [float(v) for v in solver.discounts]
-
-    node_of: dict = {}
-    locs_tab: list = []
-    cum_tab: list = []
-    kids_tab: list = []
-
-    def build(c1, c2, stage):
-        key = (c1, c2)
-        if key in node_of:
-            return node_of[key]
-        idx = len(locs_tab)
-        node_of[key] = idx
-        locs_tab.append(None)
-        cum_tab.append(None)
-        kids_tab.append(None)
-        if stage < n:
-            rep = solver.report(c1, c2)
-            arm = 2 if rep.action is Action.ARM2 else 1
-            counts = c1 if arm == 1 else c2
-            locs, weights, mass = solver.posterior_rows(arm, counts)
-            kids = []
-            for j in range(len(locs)):
-                child = counts[:j] + (counts[j] + 1,) + counts[j + 1 :]
-                if arm == 1:
-                    kids.append(build(child, c2, stage + 1))
-                else:
-                    kids.append(build(c1, child, stage + 1))
-            cum = np.cumsum(np.asarray([float(w) for w in weights])) / float(mass)
-            cum[-1] = 1.0
-            locs_tab[idx] = np.asarray([float(x) for x in locs])
-            cum_tab[idx] = cum
-            kids_tab[idx] = np.asarray(kids, dtype=np.int64)
-        else:
-            locs_tab[idx] = np.zeros(0)
-            cum_tab[idx] = np.ones(1)
-            kids_tab[idx] = np.zeros(0, dtype=np.int64)
-        return idx
-
-    z1, z2 = solver.root_counts()
-    root = build(z1, z2, 0)
-
+    pulls_arm2, arms = BanditSolver(state, opts).policy_tables()
     rng = np.random.default_rng(seed)
-    cur = np.full(trials, root, dtype=np.int64)
+    # Each trial's current row in both arms' tables; int32 keeps a large
+    # sample's working arrays small.
+    row = np.zeros((2, trials), dtype=np.int32)
     payoff = np.zeros(trials)
     for t in range(n):
+        a_t = float(state.discount.values[t])
         u = rng.random(trials)
-        obs = np.empty(trials)
-        nxt = np.empty(trials, dtype=np.int64)
-        for node in np.unique(cur):
-            mask = cur == node
-            k = np.searchsorted(cum_tab[node], u[mask], side="right")
-            np.clip(k, 0, len(cum_tab[node]) - 1, out=k)
-            obs[mask] = locs_tab[node][k]
-            nxt[mask] = kids_tab[node][k]
-        payoff += a[t] * obs
-        cur = nxt
+        arm2 = pulls_arm2[row[0], row[1]]
+        for (cdf, child, locs), arm_row, pulled in zip(arms, row, (~arm2, arm2)):
+            g, v = arm_row[pulled], u[pulled]
+            # The observed atom is the number of CDF steps at or below u.
+            j = np.zeros(len(g), dtype=np.int32)
+            for c in cdf[:-1]:
+                j += c[g] <= v
+            payoff[pulled] += a_t * locs[j]
+            arm_row[pulled] = child[g, j]
     mean_v = float(payoff.mean())
     if trials == 1 or payoff.min() == payoff.max():
         return mean_v, 0.0  # a constant sample has zero standard error

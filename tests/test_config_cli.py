@@ -5,7 +5,7 @@ from pathlib import Path
 
 import pytest
 
-from dirichlet_bandits import ConfigError, load_instance
+from dirichlet_bandits import ConfigError, SolverOptions, load_instance
 from dirichlet_bandits.cli import main
 from dirichlet_bandits.solver import MEMO_CAP_ENV
 
@@ -41,12 +41,14 @@ class TestConfig:
             {
                 "arm1": {"atoms": [{"location": 0.1, "weight": 1}]},
                 "discount": {"values": [0.3]},
-                "options": {"mode": "exact"},
+                # Unknown option keys, such as "parallel", are ignored.
+                "options": {"mode": "exact", "parallel": True},
             },
         )
         cfg = load_instance(path)
         assert cfg.arm1.atoms[0][0] == Fraction(1, 10)
         assert cfg.discount.values[0] == Fraction(3, 10)
+        assert cfg.options == SolverOptions(mode="exact")
 
     def test_fraction_strings(self, tmp_path):
         path = write(
@@ -143,6 +145,18 @@ class TestCliIndices:
 
     def test_lambda_accepts_known_arm2(self, capsys):
         assert main(["lambda", WORKED]) == 0
+
+    def test_lambda_long_horizon(self, tmp_path, capsys):
+        path = write(
+            tmp_path,
+            "long.json",
+            {"arm1": {"atoms": [{"location": 0, "weight": 1}, {"location": 1, "weight": 1}]},
+             "discount": {"family": "uniform", "n": 600}},
+        )
+        assert main(["lambda", path]) == 0
+        captured = capsys.readouterr()
+        assert captured.out.startswith("lambda = ")
+        assert captured.err == ""
 
     def test_breakeven(self, capsys):
         assert main(["breakeven", ONE_ARMED]) == 0

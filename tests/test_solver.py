@@ -1,4 +1,5 @@
-"""Two-armed value recursion, one-armed pruning, policy trees."""
+"""Two-armed lattice pass, one-armed stopping form, policy trees."""
+import time
 from fractions import Fraction
 
 import pytest
@@ -18,6 +19,7 @@ from dirichlet_bandits import (
     policy_tree,
     scale_locations,
     shift,
+    stopping_value,
     value,
     value_one_armed,
 )
@@ -164,6 +166,23 @@ def test_memo_cap_raises(monkeypatch):
     assert value(state, SolverOptions(memo_cap=3)).w > 0
 
 
+def test_oversized_lattice_refused_before_allocation():
+    # C(207, 8), about 7e13 states: refused up front, not after filling memory.
+    arm = make_measure([(0, 1), (0.25, 1), (0.5, 1), (1, 1)])
+    t0 = time.perf_counter()
+    with pytest.raises(ResourceBudgetExceededError):
+        value(BanditState(arm, arm, make_uniform(200)))
+    assert time.perf_counter() - t0 < 1.0
+
+
+def test_long_horizon_two_armed_matches_stopping_form():
+    A = make_uniform(200)
+    rep = value(BanditState(COIN, point_mass(0.5), A))
+    assert rep.action is Action.ARM1
+    assert rep.w > 0.5 * A.total
+    assert rep.w == pytest.approx(value_one_armed(COIN, 0.5, A).w, abs=1e-9)
+
+
 def test_zero_discount_stage_still_worth_exploring():
     # First pull pays nothing but reveals information worth having.
     arm = make_measure([(0, 0.2), (1, 0.2)])
@@ -208,6 +227,13 @@ class TestOneArmed:
             assert pruned.w == pytest.approx(full.w, abs=1e-12)
             assert pruned.w1 == pytest.approx(full.w1, abs=1e-12)
             assert pruned.w2 == pytest.approx(full.w2, abs=1e-12)
+
+    def test_long_horizon(self):
+        A = make_uniform(1000)
+        rep = value_one_armed(COIN, 0.5, A)
+        assert rep.action is Action.ARM1
+        assert 0.5 * A.total < rep.w < A.total
+        assert rep.w == stopping_value(COIN, 0.5, A)
 
     def test_non_regular_falls_back_to_full_recursion(self):
         A = make_discount([1, 0, 1])

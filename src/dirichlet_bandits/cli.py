@@ -5,7 +5,8 @@ Results go to stdout, diagnostics to stderr.  Exit codes:
 
     0  success (verify: zero violations)
     1  verify found violations
-    2  configuration/usage errors (bad config, unknown suite, bad grid)
+    2  configuration/usage errors (bad config, unknown suite, bad grid,
+       trial count below 1, unwritable --out file)
     3  solver resource budget exceeded
     4  discount sequence not regular where an index computation needs one
     5  precondition failure (one-armed command on a two-armed config,
@@ -28,6 +29,7 @@ from .errors import (
     ConfigError,
     DegenerateHorizonError,
     HorizonTooShortError,
+    InvalidParameterError,
     NonPositiveDiscountError,
     NotRegularError,
     ResourceBudgetExceededError,
@@ -35,14 +37,7 @@ from .errors import (
 from .index import break_even_observation, break_even_value, index_sweep, sweep_csv
 from .measures import mean_preserving_spread, predictive, scale, shift
 from .solver import PolicyNode, policy_tree, value
-from .verify import (
-    DEFAULT_TRIALS,
-    InstanceGen,
-    REPORT_ONLY_SUITES,
-    SUITE_ORDER,
-    format_reports,
-    run_suites,
-)
+from .verify import InstanceGen, REPORT_ONLY_SUITES, SUITE_ORDER, format_reports, run_suites
 
 SWEEP_PARAMS = ("mass", "spread", "shift")
 
@@ -98,46 +93,34 @@ def _one_armed_config(path, exact=False) -> InstanceConfig:
     return cfg
 
 
-def _cmd_lambda(args) -> int:
+def _cmd_index(search, key, args) -> int:
     cfg = _one_armed_config(args.config)
-    res = break_even_value(cfg.arm1, cfg.discount, args.tol)
-    print(f"lambda = {_fmt(res.value)}")
+    res = search(cfg.arm1, cfg.discount, args.tol)
+    print(f"{key} = {_fmt(res.value)}")
     print(f"bracket = [{_fmt(res.bracket[0])}, {_fmt(res.bracket[1])}]")
     print(f"iterations = {res.iterations}")
     print(f"residual = {_fmt(res.residual)}")
     return 0
 
 
-def _cmd_breakeven(args) -> int:
-    cfg = _one_armed_config(args.config)
-    res = break_even_observation(cfg.arm1, cfg.discount, args.tol)
-    print(f"b = {_fmt(res.value)}")
-    print(f"bracket = [{_fmt(res.bracket[0])}, {_fmt(res.bracket[1])}]")
-    print(f"iterations = {res.iterations}")
-    print(f"residual = {_fmt(res.residual)}")
-    return 0
+def _write_out(path, text) -> None:
+    try:
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write(text)
+    except OSError as e:
+        raise InvalidParameterError(f"cannot write --out file: {e}") from e
 
 
 def _cmd_verify(args) -> int:
-    gen = InstanceGen(seed=args.seed)
-    names = list(SUITE_ORDER) if args.suite == "all" else [args.suite]
-    reports = []
-    for name in names:
-        trials = args.trials if args.trials is not None else DEFAULT_TRIALS[name]
-        reports.extend(run_suites([name], gen, trials, jobs=args.jobs))
+    reports = run_suites([args.suite], InstanceGen(seed=args.seed), args.trials, jobs=args.jobs)
     print(format_reports(reports))
     if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            json.dump({"suites": [r.to_dict() for r in reports]}, fh, indent=2)
-            fh.write("\n")
+        doc = {"suites": [r.to_dict() for r in reports]}
+        _write_out(args.out, json.dumps(doc, indent=2) + "\n")
     failed = any(
         r.violations for r in reports if r.suite_name not in REPORT_ONLY_SUITES
     )
     return 1 if failed else 0
-
-
-def _mass_family(F, M):
-    return scale(F, M)
 
 
 def _spread_family(F, M, atom_index, delta):
@@ -146,15 +129,11 @@ def _spread_family(F, M, atom_index, delta):
     return scale(mean_preserving_spread(F, atom_index, delta), M)
 
 
-def _shift_family(arm, t):
-    return shift(arm, t)
-
-
 def _cmd_sweep(args) -> int:
     cfg = load_instance(args.config)
     arm = cfg.arm1
     if args.param == "mass":
-        family = partial(_mass_family, predictive(arm))
+        family = partial(scale, predictive(arm))
         expected = "nonincreasing"
     elif args.param == "spread":
         F = predictive(arm)
@@ -163,15 +142,14 @@ def _cmd_sweep(args) -> int:
         family = partial(_spread_family, F, arm.total_mass, atom_index)
         expected = "nondecreasing"
     else:
-        family = partial(_shift_family, arm)
+        family = partial(shift, arm)
         expected = "nondecreasing"
     result = index_sweep(
         family, cfg.discount, args.grid, expected=expected, tol=args.tol, jobs=args.jobs
     )
     text = sweep_csv(result)
     if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(text)
+        _write_out(args.out, text)
     else:
         sys.stdout.write(text)
     for prev_p, cur_p, delta in result.flags:
@@ -205,12 +183,12 @@ def _build_parser() -> argparse.ArgumentParser:
     p_lam = sub.add_parser("lambda", help="break-even value of a one-armed instance")
     p_lam.add_argument("config")
     p_lam.add_argument("--tol", type=float, default=1e-9)
-    p_lam.set_defaults(func=_cmd_lambda)
+    p_lam.set_defaults(func=partial(_cmd_index, break_even_value, "lambda"))
 
     p_b = sub.add_parser("breakeven", help="break-even observation of a one-armed instance")
     p_b.add_argument("config")
     p_b.add_argument("--tol", type=float, default=1e-9)
-    p_b.set_defaults(func=_cmd_breakeven)
+    p_b.set_defaults(func=partial(_cmd_index, break_even_observation, "b"))
 
     p_ver = sub.add_parser("verify", help="run randomized property suites")
     p_ver.add_argument("suite", choices=list(SUITE_ORDER) + ["all"],

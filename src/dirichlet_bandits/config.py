@@ -52,7 +52,7 @@ def _number(v, exact: bool, where: str):
     if isinstance(v, bool) or not isinstance(v, (int, str, float)):
         raise ConfigError(f"{where}: expected a number, got {v!r}")
     try:
-        f = Fraction(v) if not isinstance(v, float) else Fraction(v)
+        f = Fraction(v)
     except (ValueError, ZeroDivisionError) as e:
         raise ConfigError(f"{where}: cannot parse number {v!r}") from e
     return f if exact else float(f)

@@ -8,9 +8,11 @@ retiring to the known arm is optimal, i.e. the smallest root of
 Per strategy the payoff is affine in ``lam`` with slope at most ``T_1``, so
 ``g`` is convex, nonincreasing where positive, identically zero beyond the
 break-even point: bisection on the sign of ``g`` is robust, and every probe
-is the expensive part anyway, so no cleverer root finder is used.  The same
-applies to the break-even observation, found as the crossing of the
-nondecreasing map  x -> break_even(posterior after x, remaining discounts).
+is the expensive part anyway, so no cleverer root finder is used.  A search
+checks its inputs and builds the arm's posterior table once; every probe is
+one stopping pass over that shared table.  The same bisection finds the
+break-even observation, the crossing of the nondecreasing map
+x -> break_even(posterior after x, remaining discounts).
 
 Both computations run in float arithmetic only: the root of a piecewise
 linear equation with combinatorially many pieces has no useful exact form,
@@ -32,7 +34,7 @@ from .errors import (
     NotRegularError,
 )
 from .measures import DiscreteMeasure, mean, posterior_update, to_float
-from .solver import stopping_value
+from .solver import _stopping_form
 
 DEFAULT_TOL = 1e-9
 #: Residual of the defining equation is expected below this (one order looser
@@ -66,6 +68,23 @@ def _validated_float_arm(arm: DiscreteMeasure, A: DiscountSeq, tol: float):
     return to_float(arm)
 
 
+def _bisect(f, lo, hi, tol, f_hi=None):
+    """Narrow [lo, hi] around the point where ``f``, positive at ``lo``,
+    first falls to zero or below, until the bracket is narrower than
+    ``tol`` or float resolution runs out.  Returns the bracket and ``f`` at
+    its upper end (``f_hi`` while that end is the one passed in)."""
+    while hi - lo > tol:
+        mid = 0.5 * (lo + hi)
+        if not lo < mid < hi:
+            break  # float resolution exhausted
+        f_mid = f(mid)
+        if f_mid <= 0.0:
+            hi, f_hi = mid, f_mid
+        else:
+            lo = mid
+    return lo, hi, f_hi
+
+
 def break_even_value(
     arm: DiscreteMeasure, A: DiscountSeq, tol: float = DEFAULT_TOL
 ) -> IndexResult:
@@ -78,33 +97,26 @@ def break_even_value(
     """
     arm_f = _validated_float_arm(arm, A, tol)
     T1 = float(A.tails[0])
+    stop = _stopping_form(arm_f, A, None)
     evals = 0
 
-    def crossed(lam: float) -> bool:
+    def g(lam: float) -> float:
         # The stopping-form value equals lam * T1 bit for bit wherever
-        # retirement is optimal, so this predicate is free of the rounding
+        # retirement is optimal, so the sign of g is free of the rounding
         # noise a max of two pull-first payoffs would carry.
         nonlocal evals
         evals += 1
-        return stopping_value(arm_f, lam, A) - lam * T1 <= 0.0
+        return stop(lam)[1] - lam * T1
 
-    lo = mean(arm_f)
-    hi = arm_f.max_location
-    lo = min(lo, hi)
-    if crossed(lo):
-        hi = lo
-    else:
-        while hi - lo > tol:
-            mid = 0.5 * (lo + hi)
-            if not lo < mid < hi:
-                break  # float resolution exhausted
-            if crossed(mid):
-                hi = mid
-            else:
-                lo = mid
-    val = hi
-    residual = abs(stopping_value(arm_f, val, A) - val * T1)
-    return IndexResult(val, (lo, hi), evals, residual)
+    lo = min(mean(arm_f), arm_f.max_location)
+    g_lo = g(lo)
+    if g_lo <= 0.0:
+        return IndexResult(lo, (lo, lo), evals, abs(g_lo))
+    lo, hi, g_hi = _bisect(g, lo, arm_f.max_location, tol)
+    iterations = evals
+    if g_hi is None:  # the top of the support was never probed
+        g_hi = g(hi)
+    return IndexResult(hi, (lo, hi), iterations, abs(g_hi))
 
 
 def break_even_observation(
@@ -146,23 +158,16 @@ def break_even_observation(
         return IndexResult(lo, (lo, lo), len(probes), abs(h_lo))
     hi = max(arm_f.max_location, lo)
     step = max(1.0, abs(hi))
-    while h(hi) < 0:
+    while (h_hi := h(hi)) < 0:
         lo = hi
         hi = hi + step
         step *= 2
         if step > 2.0**64:
             raise InvalidParameterError("break-even observation search diverged")
-    while hi - lo > tol:
-        mid = 0.5 * (lo + hi)
-        if not lo < mid < hi:
-            break
-        if h(mid) >= 0:
-            hi = mid
-        else:
-            lo = mid
-    residual = abs(h(hi))
+    # h rises through zero where _bisect expects a fall, hence the negation.
+    lo, hi, h_hi = _bisect(lambda x: -h(x), lo, hi, tol, -h_hi)
     _warn_if_not_monotone(probes, tol)
-    return IndexResult(hi, (lo, hi), len(probes), residual)
+    return IndexResult(hi, (lo, hi), len(probes), abs(h_hi))
 
 
 def _warn_if_not_monotone(probes, tol) -> None:

@@ -42,17 +42,9 @@ MEAN_EQ_TOL = 1e-10
 ORDER_SLACK = 1e-12
 
 
-def _as_fraction(v) -> Fraction:
-    if isinstance(v, Fraction):
-        return v
-    if isinstance(v, str):
-        return Fraction(v)
-    return Fraction(v)
-
-
 def _coerce(v, exact: bool):
     if exact:
-        return _as_fraction(v)
+        return Fraction(v)
     if isinstance(v, str):
         return float(Fraction(v))
     return float(v)
@@ -268,17 +260,11 @@ def stop_loss(m: DiscreteMeasure, t) -> Numeric:
     """
     _require_probability(m, "stop_loss")
     t = _coerce(t, m.exact)
-    terms = [w * (x - t) for x, w in m.atoms if x > t]
-    if not terms:
-        return Fraction(0) if m.exact else 0.0
-    return _wsum(terms, m.exact)
+    return _wsum([w * (x - t) for x, w in m.atoms if x > t], m.exact)
 
 
 def _cdf(m: DiscreteMeasure, t) -> Numeric:
-    terms = [w for x, w in m.atoms if x <= t]
-    if not terms:
-        return Fraction(0) if m.exact else 0.0
-    return _wsum(terms, m.exact)
+    return _wsum([w for x, w in m.atoms if x <= t], m.exact)
 
 
 def _common_backend(f, g):

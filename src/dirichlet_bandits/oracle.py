@@ -1,4 +1,4 @@
-"""Exhaustive oracle for small instances, independent of the memoized solver.
+"""Exhaustive oracle for small instances, independent of the lattice solver.
 
 `brute_force_value` walks the full observation-history tree: at each raw
 history it scores both arms by averaging over that arm's predictive outcomes

@@ -355,11 +355,34 @@ def _stopping_pass(arm: _ArmRows, lam, a, tails):
     return pull.item(0), v.item(0)
 
 
-def _stopping_inputs(arm, lam, A, opts):
+def _stopping_form(arm: DiscreteMeasure, A: DiscountSeq, options: Optional[SolverOptions]):
+    """The stopping pass of ``arm`` under ``A``, checked and set up once.
+
+    Options, horizon, regularity and the lattice budget are checked, and the
+    arm's rows and the discount numbers built, here; the returned
+    ``stop(lam, first=0)`` is then the pass alone.  It gives the root's pull
+    payoff and value of the stopping problem over the stages from ``first``
+    on, with ``lam`` in the solve's arithmetic.  An empty horizon is worth
+    zero; any other needs a regular discount sequence.
+    """
+    opts = _checked_options(options)
     n, exact = len(A.values), opts.exact
+    if n == 0:
+        zero = Fraction(0) if exact else 0.0
+        return lambda lam, first=0: (zero, zero)
+    if not is_regular(A):
+        raise InvalidParameterError(
+            "the stopping-form value requires a regular discount sequence"
+        )
     _check_budget(len(arm.atoms), n, opts)
-    lam = Fraction(lam) if exact else float(lam)
-    return _ArmRows(arm, n, exact), lam, _numbers(A.values, exact), _numbers(A.tails, exact)
+    rows = _ArmRows(arm, n, exact)
+    a, tails = _numbers(A.values, exact), _numbers(A.tails, exact)
+
+    def stop(lam, first=0):
+        lam = Fraction(lam) if exact else float(lam)
+        return _stopping_pass(rows, lam, a[first:], tails[first:])
+
+    return stop
 
 
 def value_one_armed(
@@ -381,11 +404,10 @@ def value_one_armed(
     if not is_regular(A):
         known = point_mass(lam, exact=opts.exact)
         return value(BanditState(arm, known, A), opts)
-    rows, lam, a, tails = _stopping_inputs(arm, lam, A, opts)
-    w1 = _stopping_pass(rows, lam, a, tails)[0]
+    stop = _stopping_form(arm, A, opts)
+    a_1, lam = _numbers((A.values[0], lam), opts.exact)
     # Retiring first leaves the stopping problem one stage shorter.
-    w2 = a[0] * lam + _stopping_pass(rows, lam, a[1:], tails[1:])[1]
-    return _make_report(w1, w2, opts.tie_tol)
+    return _make_report(stop(lam)[0], a_1 * lam + stop(lam, 1)[1], opts.tie_tol)
 
 
 def stopping_value(
@@ -401,11 +423,4 @@ def stopping_value(
     optimal, which makes it the preferred objective for root-finding on the
     retirement boundary.
     """
-    opts = _checked_options(options)
-    if len(A.values) == 0:
-        return Fraction(0) if opts.exact else 0.0
-    if not is_regular(A):
-        raise InvalidParameterError(
-            "the stopping-form value requires a regular discount sequence"
-        )
-    return _stopping_pass(*_stopping_inputs(arm, lam, A, opts))[1]
+    return _stopping_form(arm, A, options)(lam)[1]

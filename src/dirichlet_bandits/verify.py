@@ -257,6 +257,10 @@ def _map_instances(worker, trials, jobs):
 
 
 def _collect(name, gen, trials, worker, slack, jobs, details=None) -> SuiteReport:
+    if trials is None:
+        trials = DEFAULT_TRIALS[name]
+    if trials < 1:
+        raise InvalidParameterError(f"trials must be at least 1, got {trials}")
     t0 = time.perf_counter()
     margins = [float(m) for m in _map_instances(worker, trials, jobs)]
     violations = [(i, m) for i, m in enumerate(margins) if m < -slack]
@@ -462,7 +466,6 @@ def check_reallocation_convexity(
     gen = gen or InstanceGen()
     if grid_points < 3:
         raise InvalidParameterError("convexity grid needs at least 3 points")
-    trials = trials or DEFAULT_TRIALS["lemma1"]
     worker = partial(_convexity_margin, gen, grid_points=grid_points, exact=exact)
     return _collect("lemma1", gen, trials, worker, _slack(slack, exact), jobs)
 
@@ -471,7 +474,6 @@ def check_icx_monotonicity(gen=None, trials=None, *, slack=None, exact=False, jo
     """Raising one arm's prior mean distribution in the increasing convex
     order never lowers the value."""
     gen = gen or InstanceGen()
-    trials = trials or DEFAULT_TRIALS["thm1"]
     worker = partial(_icx_margin, gen, exact=exact)
     return _collect("thm1", gen, trials, worker, _slack(slack, exact), jobs)
 
@@ -480,7 +482,6 @@ def check_weight_monotonicity(gen=None, trials=None, *, slack=None, exact=False,
     """Raising an arm's prior weight (same mean distribution) never raises
     the value; with regular discounts the break-even value drops too."""
     gen = gen or InstanceGen()
-    trials = trials or DEFAULT_TRIALS["thm2"]
     worker = partial(_weight_margin, gen, exact=exact)
     return _collect("thm2", gen, trials, worker, _slack(slack, exact), jobs)
 
@@ -489,7 +490,6 @@ def check_known_atom_dilution(gen=None, trials=None, *, slack=None, exact=False,
     """Adding prior mass at the known arm's payoff level never raises the
     value of playing against that known arm."""
     gen = gen or InstanceGen()
-    trials = trials or DEFAULT_TRIALS["lemma3"]
     worker = partial(_dilution_margin, gen, exact=exact)
     return _collect("lemma3", gen, trials, worker, _slack(slack, exact), jobs)
 
@@ -502,7 +502,6 @@ def check_mass_smoothing(
     gen = gen or InstanceGen()
     if theta_grid < 2:
         raise InvalidParameterError("smoothing grid needs at least 2 points")
-    trials = trials or DEFAULT_TRIALS["lemma4"]
     worker = partial(_smoothing_margin, gen, theta_grid=theta_grid, exact=exact)
     return _collect("lemma4", gen, trials, worker, _slack(slack, exact), jobs)
 
@@ -511,7 +510,6 @@ def check_breakeven_bound(gen=None, trials=None, *, slack=1e-8, tol=1e-9, jobs=1
     """The break-even observation never falls below the break-even value
     (regular, strictly positive discounts, at least two stages)."""
     gen = gen or InstanceGen()
-    trials = trials or DEFAULT_TRIALS["prop1"]
     worker = partial(_breakeven_margin, gen, tol=tol)
     return _collect("prop1", gen, trials, worker, slack, jobs)
 
@@ -525,7 +523,6 @@ def check_strict_weight_gaps(
     listed for review; no quantitative lower bound exists, so callers treat
     this suite as informational rather than pass/fail."""
     gen = gen or InstanceGen()
-    trials = trials or DEFAULT_TRIALS["strictness"]
     worker = partial(_strictness_margin, gen, strict_margin=strict_margin)
 
     def details(margins):
@@ -543,7 +540,6 @@ def check_strict_weight_gaps(
 def check_oracle_equivalence(gen=None, trials=None, *, tol=1e-10, jobs=1) -> SuiteReport:
     """Lattice solver agrees with the exhaustive history-tree oracle."""
     gen = gen or InstanceGen()
-    trials = trials or DEFAULT_TRIALS["oracle"]
     worker = partial(_oracle_margin, gen, tol=tol)
     return _collect("oracle", gen, trials, worker, 0.0, jobs)
 
@@ -552,7 +548,6 @@ def check_monte_carlo(gen=None, trials=None, *, samples=100_000, jobs=1) -> Suit
     """Simulated optimal play agrees with the solver value within four
     standard errors."""
     gen = gen or InstanceGen()
-    trials = trials or DEFAULT_TRIALS["montecarlo"]
     worker = partial(_montecarlo_margin, gen, samples=samples)
     return _collect("montecarlo", gen, trials, worker, 0.0, jobs)
 

@@ -223,6 +223,19 @@ class TestCliVerify:
             main(["verify", "nosuch"])
         assert exc.value.code == 2
 
+    @pytest.mark.parametrize("trials", ["0", "-1"])
+    def test_trial_count_below_one_exits_2(self, trials, capsys):
+        assert main(["verify", "lemma3", "--trials", trials]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.count("\n") == 1 and "trials" in captured.err
+
+    def test_unwritable_report_file_exits_2(self, tmp_path, capsys):
+        out_path = tmp_path / "missing" / "report.json"
+        assert main(["verify", "oracle", "--trials", "2", "--out", str(out_path)]) == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and str(out_path) in err
+
     def test_report_files_are_identical_across_runs(self, tmp_path):
         p1, p2 = tmp_path / "a.json", tmp_path / "b.json"
         main(["verify", "thm2", "--seed", "3", "--trials", "5", "--out", str(p1)])
@@ -257,6 +270,14 @@ class TestCliSweep:
                      "--out", str(out_path)]) == 0
         assert capsys.readouterr().out == ""
         assert out_path.read_text().startswith("param,lambda")
+
+    def test_unwritable_out_file_exits_2(self, tmp_path, capsys):
+        out_path = tmp_path / "missing" / "sweep.csv"
+        assert main(["sweep", ONE_ARMED, "--param", "mass", "--grid", "1,2",
+                     "--out", str(out_path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.count("\n") == 1 and str(out_path) in captured.err
 
     def test_bad_grid_exits_2(self, capsys):
         with pytest.raises(SystemExit) as exc:

@@ -24,6 +24,7 @@ from dirichlet_bandits import (
     sweep_csv,
     value_one_armed,
 )
+from dirichlet_bandits import solver
 from dirichlet_bandits.solver import DiscountSeq
 from dirichlet_bandits.verify import random_discount, random_measure
 
@@ -118,6 +119,27 @@ class TestBreakEvenValue:
             assert break_even_value(arm, A).value == pytest.approx(
                 oracle_lambda(arm, A), abs=2e-9
             )
+
+    @pytest.mark.parametrize("arm", [COIN, point_mass(0.3, weight=2.5)])
+    def test_one_table_and_one_pass_per_iteration(self, arm, monkeypatch):
+        tables, passes = [], []
+
+        class CountedRows(solver._ArmRows):
+            def __init__(self, *args):
+                tables.append(args)
+                super().__init__(*args)
+
+        def counted_pass(*args):
+            passes.append(args)
+            return stopping_pass(*args)
+
+        stopping_pass = solver._stopping_pass
+        monkeypatch.setattr(solver, "_ArmRows", CountedRows)
+        monkeypatch.setattr(solver, "_stopping_pass", counted_pass)
+        res = break_even_value(arm, A2)
+        assert len(tables) == 1
+        # The residual reuses the probe at the bracket's upper end.
+        assert len(passes) == res.iterations
 
     def test_no_monotonicity_warning_on_clean_instances(self):
         import warnings

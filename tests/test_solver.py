@@ -1,6 +1,7 @@
 """Two-armed lattice pass, one-armed stopping form, policy trees."""
 import time
 from fractions import Fraction
+from math import comb
 
 import pytest
 
@@ -23,7 +24,7 @@ from dirichlet_bandits import (
     value,
     value_one_armed,
 )
-from dirichlet_bandits.solver import MEMO_CAP_ENV, DiscountSeq
+from dirichlet_bandits.solver import MEMO_CAP_ENV, BanditSolver, DiscountSeq, _lattice
 from dirichlet_bandits.verify import random_discount, random_measure, random_state
 
 GEN = InstanceGen(seed=21)
@@ -173,6 +174,23 @@ def test_oversized_lattice_refused_before_allocation():
     with pytest.raises(ResourceBudgetExceededError):
         value(BanditState(arm, arm, make_uniform(200)))
     assert time.perf_counter() - t0 < 1.0
+
+
+def test_lattice_levels_hold_the_closed_form_count():
+    # The budget check compares C(n - 1 + s, s) with the cap: the count
+    # vectors over s atoms totalling less than n.
+    for s in range(1, 5):
+        for n in range(13):
+            assert _lattice(s, n).start[n] == comb(n - 1 + s, s)
+
+
+def test_two_armed_pass_holds_the_closed_form_count():
+    for atoms1, atoms2, n in ((1, 1, 5), (2, 1, 7), (2, 3, 6), (3, 3, 4)):
+        arm1 = make_measure([(j / 4, 1) for j in range(atoms1)])
+        arm2 = make_measure([(j / 4, 2) for j in range(atoms2)])
+        solver = BanditSolver(BanditState(arm1, arm2, make_uniform(n)))
+        states = sum(block.size for stage in solver.w1 for block in stage)
+        assert states == comb(n - 1 + atoms1 + atoms2, atoms1 + atoms2)
 
 
 def test_long_horizon_two_armed_matches_stopping_form():

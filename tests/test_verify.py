@@ -6,6 +6,7 @@ import pytest
 from dirichlet_bandits import (
     BanditState,
     InstanceGen,
+    InvalidParameterError,
     SUITES,
     make_discount,
     make_measure,
@@ -16,6 +17,7 @@ from dirichlet_bandits import (
 )
 from dirichlet_bandits.solver import DiscountSeq
 from dirichlet_bandits.verify import (
+    DEFAULT_TRIALS,
     _icx_pair,
     format_reports,
     random_discount,
@@ -141,3 +143,11 @@ def test_suite_report_dict_schema():
     d = SUITES["oracle"](InstanceGen(seed=4), 3).to_dict()
     assert set(d) == {"suite", "seed", "trials", "violations", "worst_margin", "details"}
     assert d["seed"] == 4 and d["trials"] == 3
+
+
+def test_trial_count_below_one_is_rejected():
+    # Zero used to fall back to the default count, as if no count was given.
+    for trials in (0, -1):
+        with pytest.raises(InvalidParameterError):
+            SUITES["lemma3"](GEN, trials)
+    assert SUITES["lemma3"](GEN).trials == DEFAULT_TRIALS["lemma3"]

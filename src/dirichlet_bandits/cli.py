@@ -6,12 +6,14 @@ Results go to stdout, diagnostics to stderr.  Exit codes:
     0  success (verify: zero violations)
     1  verify found violations
     2  configuration/usage errors (bad config, unknown suite, bad grid,
-       trial count below 1, unwritable --out file)
+       trial count below 1, negative seed, tolerance not positive,
+       non-finite number, unwritable --out file)
     3  solver resource budget exceeded
     4  discount sequence not regular where an index computation needs one
     5  precondition failure (one-armed command on a two-armed config,
        break-even observation with fewer than two stages or non-positive
        discounts)
+    6  internal error: an unexpected exception, reported as one stderr line
 
 Floats print with 10 significant digits so repeated runs diff cleanly.
 """
@@ -34,7 +36,7 @@ from .errors import (
     NotRegularError,
     ResourceBudgetExceededError,
 )
-from .index import break_even_observation, break_even_value, index_sweep, sweep_csv
+from .index import DEFAULT_TOL, break_even_observation, break_even_value, index_sweep, sweep_csv
 from .measures import mean_preserving_spread, predictive, scale, shift
 from .solver import PolicyNode, policy_tree, value
 from .verify import InstanceGen, REPORT_ONLY_SUITES, SUITE_ORDER, format_reports, run_suites
@@ -84,8 +86,8 @@ class _NotOneArmed(BanditError):
     pass
 
 
-def _one_armed_config(path, exact=False) -> InstanceConfig:
-    cfg = load_instance(path, force_mode="exact" if exact else None)
+def _one_armed_config(path) -> InstanceConfig:
+    cfg = load_instance(path)
     if cfg.arm2 is not None and not cfg.arm2_known:
         raise _NotOneArmed(
             "this command needs a one-armed config: arm2 must be {'known': ...} or absent"
@@ -144,9 +146,7 @@ def _cmd_sweep(args) -> int:
     else:
         family = partial(shift, arm)
         expected = "nondecreasing"
-    result = index_sweep(
-        family, cfg.discount, args.grid, expected=expected, tol=args.tol, jobs=args.jobs
-    )
+    result = index_sweep(family, cfg.discount, args.grid, expected=expected, tol=args.tol)
     text = sweep_csv(result)
     if args.out:
         _write_out(args.out, text)
@@ -182,12 +182,12 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p_lam = sub.add_parser("lambda", help="break-even value of a one-armed instance")
     p_lam.add_argument("config")
-    p_lam.add_argument("--tol", type=float, default=1e-9)
+    p_lam.add_argument("--tol", type=float, default=DEFAULT_TOL)
     p_lam.set_defaults(func=partial(_cmd_index, break_even_value, "lambda"))
 
     p_b = sub.add_parser("breakeven", help="break-even observation of a one-armed instance")
     p_b.add_argument("config")
-    p_b.add_argument("--tol", type=float, default=1e-9)
+    p_b.add_argument("--tol", type=float, default=DEFAULT_TOL)
     p_b.set_defaults(func=partial(_cmd_index, break_even_observation, "b"))
 
     p_ver = sub.add_parser("verify", help="run randomized property suites")
@@ -212,9 +212,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p_sweep.add_argument("--param", choices=SWEEP_PARAMS, required=True)
     p_sweep.add_argument("--grid", type=_parse_grid, required=True,
                          help="comma-separated parameter values")
-    p_sweep.add_argument("--tol", type=float, default=1e-9)
+    p_sweep.add_argument("--tol", type=float, default=DEFAULT_TOL)
     p_sweep.add_argument("--out", default=None)
-    p_sweep.add_argument("--jobs", type=int, default=1)
     p_sweep.set_defaults(func=_cmd_sweep)
     return parser
 
@@ -240,6 +239,9 @@ def main(argv=None) -> int:
     except BanditError as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
+    except Exception as e:
+        print(f"internal error: {type(e).__name__}: {e}", file=sys.stderr)
+        return 6
 
 
 if __name__ == "__main__":

@@ -43,8 +43,6 @@ def make_discount(values, *, exact: bool = False) -> DiscountSeq:
     if not vals:
         raise InvalidParameterError("discount sequence must have at least one stage")
     for v in vals:
-        if not exact and not math.isfinite(v):
-            raise InvalidParameterError(f"non-finite discount weight {v}")
         if v < 0:
             raise InvalidParameterError(f"discount weights must be nonnegative, got {v}")
     tails = _tail_sums(vals, exact)

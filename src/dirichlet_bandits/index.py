@@ -21,9 +21,7 @@ so the residual of the defining equation is reported instead.
 from __future__ import annotations
 
 import warnings
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
-from functools import partial
 
 from .discount import DiscountSeq, drop_first, is_regular
 from .errors import (
@@ -57,7 +55,7 @@ class IndexResult:
 
 
 def _validated_float_arm(arm: DiscreteMeasure, A: DiscountSeq, tol: float):
-    if tol <= 0:
+    if not tol > 0:  # also refuses NaN
         raise InvalidParameterError(f"tolerance must be positive, got {tol}")
     if len(A.values) == 0 or A.tails[0] <= 0:
         raise DegenerateHorizonError("total discount weight must be positive")
@@ -209,11 +207,6 @@ class SweepResult:
     expected: str | None
 
 
-def _sweep_row(family, A, tol, p) -> SweepRow:
-    res = break_even_value(family(p), A, tol)
-    return SweepRow(float(p), res.value, res.residual, res.iterations)
-
-
 def index_sweep(
     family,
     A: DiscountSeq,
@@ -221,7 +214,6 @@ def index_sweep(
     *,
     expected: str | None = None,
     tol: float = DEFAULT_TOL,
-    jobs: int = 1,
 ) -> SweepResult:
     """Break-even value of ``family(p)`` for each grid parameter ``p``.
 
@@ -233,12 +225,10 @@ def index_sweep(
         raise InvalidParameterError("sweep grid must be nonempty")
     if expected not in (None, "nonincreasing", "nondecreasing"):
         raise InvalidParameterError(f"unknown expected direction {expected!r}")
-    worker = partial(_sweep_row, family, A, tol)
-    if jobs > 1:
-        with ProcessPoolExecutor(max_workers=jobs) as ex:
-            rows = list(ex.map(worker, grid))
-    else:
-        rows = [worker(p) for p in grid]
+    rows = []
+    for p in grid:
+        res = break_even_value(family(p), A, tol)
+        rows.append(SweepRow(float(p), res.value, res.residual, res.iterations))
     flags = []
     if expected is not None:
         for prev, cur in zip(rows, rows[1:]):

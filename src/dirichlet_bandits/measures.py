@@ -43,11 +43,15 @@ ORDER_SLACK = 1e-12
 
 
 def _coerce(v, exact: bool):
-    if exact:
-        return Fraction(v)
+    """``v`` as a Fraction (exact) or a float; NaN and infinities are refused
+    in both modes."""
     if isinstance(v, str):
-        return float(Fraction(v))
-    return float(v)
+        v = Fraction(v)
+    elif not exact:
+        v = float(v)
+    if isinstance(v, float) and not math.isfinite(v):
+        raise InvalidParameterError(f"non-finite number {v}")
+    return Fraction(v) if exact else float(v)
 
 
 def _wsum(values, exact: bool):
@@ -114,8 +118,6 @@ def make_measure(pairs, *, exact: bool = False) -> DiscreteMeasure:
     for loc, w in pairs:
         loc = _coerce(loc, exact)
         w = _coerce(w, exact)
-        if not exact and not (math.isfinite(loc) and math.isfinite(w)):
-            raise InvalidParameterError(f"non-finite atom ({loc}, {w})")
         if w < 0:
             raise NegativeWeightError(f"negative weight {w} at location {loc}")
         if w == 0:

@@ -1,4 +1,5 @@
 """Config parsing and the command-line front end (exit codes, output formats)."""
+import dataclasses
 import json
 from fractions import Fraction
 from pathlib import Path
@@ -6,6 +7,7 @@ from pathlib import Path
 import pytest
 
 from dirichlet_bandits import ConfigError, SolverOptions, load_instance
+from dirichlet_bandits import cli
 from dirichlet_bandits.cli import main
 from dirichlet_bandits.solver import MEMO_CAP_ENV
 
@@ -129,6 +131,16 @@ class TestCliValue:
     def test_missing_file_exits_2(self):
         assert main(["value", "/nonexistent/x.json"]) == 2
 
+    def test_unexpected_exception_exits_6(self, capsys, monkeypatch):
+        def boom(*args, **kwargs):
+            raise RuntimeError("boom")
+
+        monkeypatch.setattr(cli, "value", boom)
+        assert main(["value", WORKED]) == 6
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "internal error: RuntimeError: boom\n"
+
     def test_memo_cap_env_exits_3(self, capsys, monkeypatch):
         monkeypatch.setenv(MEMO_CAP_ENV, "2")
         assert main(["value", THREE_ATOM]) == 3
@@ -174,6 +186,13 @@ class TestCliIndices:
             },
         )
         assert main(["lambda", path]) == 4
+
+    @pytest.mark.parametrize("command", ["lambda", "breakeven"])
+    def test_nan_tolerance_exits_2(self, command, capsys):
+        assert main([command, ONE_ARMED, "--tol", "nan"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.count("\n") == 1 and "tolerance" in captured.err
 
     def test_two_armed_config_exits_5(self, capsys):
         assert main(["lambda", THREE_ATOM]) == 5
@@ -229,6 +248,12 @@ class TestCliVerify:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err.count("\n") == 1 and "trials" in captured.err
+
+    def test_negative_seed_exits_2(self, capsys):
+        assert main(["verify", "lemma3", "--seed", "-1", "--trials", "2"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.count("\n") == 1 and "seed" in captured.err
 
     def test_unwritable_report_file_exits_2(self, tmp_path, capsys):
         out_path = tmp_path / "missing" / "report.json"
@@ -286,3 +311,32 @@ class TestCliSweep:
 
     def test_nonpositive_mass_grid_exits_2(self, capsys):
         assert main(["sweep", ONE_ARMED, "--param", "mass", "--grid", "0,1"]) == 2
+
+    @pytest.mark.parametrize("param, grid", [("shift", "0,nan"), ("mass", "1,inf")])
+    def test_non_finite_grid_value_exits_2(self, param, grid, capsys):
+        assert main(["sweep", ONE_ARMED, "--param", param, "--grid", grid]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.count("\n") == 1 and "non-finite" in captured.err
+
+    def test_jobs_option_is_gone(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["sweep", ONE_ARMED, "--param", "mass", "--grid", "1,2", "--jobs", "2"])
+        assert exc.value.code == 2
+
+    def test_flagged_pair_warns_on_stderr(self, capsys, monkeypatch):
+        argv = ["sweep", ONE_ARMED, "--param", "mass", "--grid", "1,2"]
+        assert main(argv) == 0
+        csv = capsys.readouterr().out
+        real = cli.index_sweep
+        monkeypatch.setattr(
+            cli, "index_sweep",
+            lambda *a, **k: dataclasses.replace(real(*a, **k), flags=((1.0, 2.0, 0.25),)),
+        )
+        assert main(argv) == 0
+        captured = capsys.readouterr()
+        assert captured.out == csv
+        assert captured.err == (
+            "warning: lambda moves +0.25 against the expected nonincreasing "
+            "direction between param=1 and param=2\n"
+        )

@@ -83,3 +83,10 @@ def test_invalid_parameters():
 
 def test_total_property():
     assert make_discount([1, 2, 3]).total == pytest.approx(6.0)
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf])
+@pytest.mark.parametrize("exact", [False, True])
+def test_non_finite_weights_rejected(bad, exact):
+    with pytest.raises(InvalidParameterError):
+        make_discount([1, bad], exact=exact)

@@ -6,6 +6,7 @@ from dirichlet_bandits import (
     DegenerateHorizonError,
     HorizonTooShortError,
     InstanceGen,
+    InvalidParameterError,
     NonPositiveDiscountError,
     NotRegularError,
     break_even_observation,
@@ -237,6 +238,11 @@ class TestSweep:
         result = index_sweep(family, make_uniform(4), [1, 2, 4], expected="nondecreasing")
         assert len(result.flags) == 2
 
+    def test_shift_family_is_flagged_against_nonincreasing(self):
+        result = index_sweep(lambda t: shift(COIN, t), A2, [0, 0.5, 1], expected="nonincreasing")
+        assert [p[:2] for p in result.flags] == [(0.0, 0.5), (0.5, 1.0)]
+        assert all(p[2] == pytest.approx(0.5, abs=1e-8) for p in result.flags)
+
     def test_single_point_grid(self):
         family = lambda M: scale(COIN, M)
         result = index_sweep(family, A2, [1.0], expected="nonincreasing")
@@ -253,3 +259,11 @@ class TestSweep:
         first = lines[1].split(",")
         assert float(first[0]) == 1.0
         assert int(first[3]) >= 0
+
+
+@pytest.mark.parametrize("tol", [0.0, -1e-9, float("nan")])
+def test_tolerance_must_be_positive(tol):
+    with pytest.raises(InvalidParameterError):
+        break_even_value(COIN, A2, tol)
+    with pytest.raises(InvalidParameterError):
+        break_even_observation(COIN, A2, tol)

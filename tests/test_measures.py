@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from dirichlet_bandits import (
     EmptyMeasureError,
     InstanceGen,
+    InvalidParameterError,
     NegativeWeightError,
     NotNormalizedError,
     leq_cx,
@@ -126,6 +127,16 @@ class TestMeanAndUpdates:
         m = posterior_update(make_measure([(0, 1), (1, 1)]), 0.25)
         assert m.locations == (0.0, 0.25, 1.0)
         assert m.total_mass == 3.0
+
+    def test_update_hits_existing_atom_in_exact_mode(self):
+        m = posterior_update(make_measure([(0, 1), (1, 1)], exact=True), Fraction(1))
+        assert m.atoms == ((0, 1), (1, 2))
+        assert m.exact and m.total_mass == 3
+
+    def test_update_merges_into_lower_neighbour_in_float_mode(self):
+        # Within MERGE_TOL above the top atom: bisection lands past it.
+        m = posterior_update(make_measure([(0, 1), (1, 1)]), 1 + 5e-13)
+        assert m.atoms == ((0.0, 1.0), (1.0, 2.0))
 
     def test_update_preserves_atoms_and_adds_one(self):
         for i in range(50):
@@ -350,3 +361,17 @@ class TestBackendsAndSerialization:
     def test_mix_drops_zero_coefficients(self):
         m = mix([(0, point_mass(0)), (1, point_mass(1))])
         assert m.atoms == ((1.0, 1.0),)
+
+
+class TestNonFiniteInputs:
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("exact", [False, True])
+    def test_measure_operations_reject(self, bad, exact):
+        m = make_measure([(0, 1), (1, 1)], exact=exact)
+        for op in (shift, scale, posterior_update):
+            with pytest.raises(InvalidParameterError):
+                op(m, bad)
+        with pytest.raises(InvalidParameterError):
+            make_measure([(bad, 1)], exact=exact)
+        with pytest.raises(InvalidParameterError):
+            make_measure([(0, bad)], exact=exact)

@@ -12,6 +12,7 @@ from dirichlet_bandits import (
     InvalidParameterError,
     ResourceBudgetExceededError,
     SolverOptions,
+    drop_first,
     make_discount,
     make_measure,
     make_uniform,
@@ -24,7 +25,7 @@ from dirichlet_bandits import (
     value,
     value_one_armed,
 )
-from dirichlet_bandits.solver import MEMO_CAP_ENV, BanditSolver, DiscountSeq, _lattice
+from dirichlet_bandits.solver import MEMO_CAP_ENV, BanditSolver, DiscountSeq, ValueReport, _lattice
 from dirichlet_bandits.verify import random_discount, random_measure, random_state
 
 GEN = InstanceGen(seed=21)
@@ -259,6 +260,18 @@ class TestOneArmed:
         rep = value_one_armed(arm, 0.5, A)
         full = value(BanditState(arm, point_mass(0.5), A))
         assert rep.w == pytest.approx(full.w, abs=1e-12)
+
+    @pytest.mark.parametrize("options", [None, EXACT], ids=["float", "exact"])
+    def test_empty_horizon_is_worth_zero(self, options):
+        A = drop_first(make_discount([1]))
+        assert stopping_value(COIN, 0.5, A, options) == 0
+        rep = value_one_armed(COIN, 0.5, A, options)
+        assert rep == ValueReport(0, 0, 0, Action.TIE)
+        assert isinstance(rep.w, Fraction) == (options is EXACT)
+
+    def test_stopping_value_rejects_non_regular_discounts(self):
+        with pytest.raises(InvalidParameterError):
+            stopping_value(COIN, 0.5, make_discount([1, 0, 1]))
 
 
 class TestPolicyTree:

@@ -15,7 +15,7 @@ from dirichlet_bandits import (
     simulate_policy,
     value,
 )
-from dirichlet_bandits.solver import DiscountSeq
+from dirichlet_bandits.solver import EXACT_OPTIONS, DiscountSeq
 from dirichlet_bandits.verify import (
     DEFAULT_TRIALS,
     _icx_pair,
@@ -116,6 +116,12 @@ class TestSimulatePolicy:
         assert se > 0
         assert abs(mean_v - 13 / 12) <= 4 * se
 
+    def test_exact_options_simulate_as_float(self):
+        state = random_state(GEN, GEN.rng(3_001))
+        assert simulate_policy(state, 2_000, seed=7, options=EXACT_OPTIONS) == simulate_policy(
+            state, 2_000, seed=7
+        )
+
     def test_deterministic_given_seed(self):
         state = random_state(GEN, GEN.rng(3_000))
         assert simulate_policy(state, 2_000, seed=7) == simulate_policy(
@@ -151,3 +157,8 @@ def test_trial_count_below_one_is_rejected():
         with pytest.raises(InvalidParameterError):
             SUITES["lemma3"](GEN, trials)
     assert SUITES["lemma3"](GEN).trials == DEFAULT_TRIALS["lemma3"]
+
+
+def test_negative_seed_is_rejected():
+    with pytest.raises(InvalidParameterError):
+        InstanceGen(seed=-1)

@@ -25,12 +25,11 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Optional
 
 from .discount import DiscountSeq, make_discount, make_truncated_geometric, make_uniform
-from .errors import BanditError, ConfigError
-from .measures import DiscreteMeasure, measure_from_records, point_mass
+from .errors import BanditError, ConfigError, InvalidParameterError
+from .measures import DiscreteMeasure, _coerce, make_measure, point_mass
 from .solver import BanditState, SolverOptions
 
 
@@ -52,10 +51,9 @@ def _number(v, exact: bool, where: str):
     if isinstance(v, bool) or not isinstance(v, (int, str, float)):
         raise ConfigError(f"{where}: expected a number, got {v!r}")
     try:
-        f = Fraction(v)
-    except (ValueError, ZeroDivisionError) as e:
-        raise ConfigError(f"{where}: cannot parse number {v!r}") from e
-    return f if exact else float(f)
+        return _coerce(v, exact)
+    except InvalidParameterError as e:
+        raise ConfigError(f"{where}: {e}") from e
 
 
 def _parse_measure(node, exact: bool, where: str):
@@ -68,18 +66,14 @@ def _parse_measure(node, exact: bool, where: str):
     atoms = node["atoms"]
     if not isinstance(atoms, list) or not atoms:
         raise ConfigError(f"{where}: 'atoms' must be a nonempty list")
-    records = []
+    pairs = []
     for i, rec in enumerate(atoms):
         if not isinstance(rec, dict) or "location" not in rec or "weight" not in rec:
             raise ConfigError(f"{where}: atom {i} needs 'location' and 'weight'")
-        records.append(
-            {
-                "location": _number(rec["location"], exact, f"{where}.atoms[{i}]"),
-                "weight": _number(rec["weight"], exact, f"{where}.atoms[{i}]"),
-            }
-        )
+        at = f"{where}.atoms[{i}]"
+        pairs.append((_number(rec["location"], exact, at), _number(rec["weight"], exact, at)))
     try:
-        return measure_from_records(records, exact=exact), False
+        return make_measure(pairs, exact=exact), False
     except BanditError as e:
         raise ConfigError(f"{where}: {e}") from e
 
@@ -104,7 +98,7 @@ def _parse_discount(node, exact: bool):
             )
     except ConfigError:
         raise
-    except (BanditError, KeyError, TypeError, ValueError) as e:
+    except (BanditError, KeyError, TypeError, ValueError, OverflowError) as e:
         raise ConfigError(f"discount: {e}") from e
     raise ConfigError("discount: needs 'values' or a family in {'uniform', 'geometric'}")
 
@@ -117,9 +111,9 @@ def _parse_options(node, force_mode: Optional[str]) -> SolverOptions:
     if mode not in ("float", "exact"):
         raise ConfigError(f"options.mode must be 'float' or 'exact', got {mode!r}")
     try:
-        tie_tol = float(_number(node.get("tie_tol", 1e-11), False, "options.tie_tol"))
+        tie_tol = _number(node.get("tie_tol", 1e-11), False, "options.tie_tol")
         memo_cap = int(node.get("memo_cap", SolverOptions().memo_cap))
-    except (TypeError, ValueError) as e:
+    except (TypeError, ValueError, OverflowError) as e:
         raise ConfigError(f"options: {e}") from e
     return SolverOptions(mode=mode, tie_tol=tie_tol, memo_cap=memo_cap)
 

@@ -11,8 +11,9 @@ break-even point: bisection on the sign of ``g`` is robust, and every probe
 is the expensive part anyway, so no cleverer root finder is used.  A search
 checks its inputs and builds the arm's posterior table once; every probe is
 one stopping pass over that shared table.  The same bisection finds the
-break-even observation, the crossing of the nondecreasing map
-x -> break_even(posterior after x, remaining discounts).
+break-even observation, where each probe is one stopping pass at the arm's
+break-even value lam0: the posterior's pull payoff P(lam) - lam * T_2 falls
+with slope at most -a_2 < 0, so its sign at lam0 decides the comparison.
 
 Both computations run in float arithmetic only: the root of a piecewise
 linear equation with combinatorially many pieces has no useful exact form,
@@ -122,12 +123,15 @@ def break_even_observation(
 ) -> IndexResult:
     """Observation threshold at which the unknown arm stays optimal.
 
-    Root of  h(x) = break_even(arm + unit mass at x, dropped-first discounts)
-    minus break_even(arm, full discounts); h is nondecreasing since adding
-    mass higher up moves the posterior mean distribution up in the
-    increasing convex order.  The search starts at the break-even value
-    itself (the threshold is never below it) and expands the upper end
-    geometrically past the support when needed.
+    The x at which break_even(arm + unit mass at x, dropped-first discounts)
+    reaches lam0 = break_even(arm, full discounts), a nondecreasing map since
+    adding mass higher up moves the posterior mean distribution up in the
+    increasing convex order.  A probe is one stopping pass at lam0, giving
+    h(x) = P(lam0) / T_2 - lam0 with P the posterior's root pull payoff: h
+    has the sign of break_even(posterior) - lam0 because P(lam) - lam * T_2
+    falls with slope at most -a_2 < 0.  The search starts at lam0 (the
+    threshold is never below it) and expands the upper end geometrically
+    past the support when needed.
     """
     n = len(A.values)
     if n == 0 or A.tails[0] <= 0:
@@ -141,16 +145,17 @@ def break_even_observation(
             "break-even observation requires strictly positive discount weights"
         )
     arm_f = _validated_float_arm(arm, A, tol)
-    base = break_even_value(arm_f, A, tol)
+    lam0 = break_even_value(arm_f, A, tol).value
     A1 = drop_first(A)
+    T2 = float(A1.tails[0])
     probes: list[tuple[float, float]] = []
 
     def h(x: float) -> float:
-        v = break_even_value(posterior_update(arm_f, x), A1, tol).value - base.value
+        v = _stopping_form(posterior_update(arm_f, x), A1, None)(lam0)[0] / T2 - lam0
         probes.append((x, v))
         return v
 
-    lo = base.value
+    lo = lam0
     h_lo = h(lo)
     if h_lo >= 0:
         return IndexResult(lo, (lo, lo), len(probes), abs(h_lo))

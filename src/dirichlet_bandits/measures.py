@@ -20,7 +20,9 @@ from __future__ import annotations
 import math
 from bisect import bisect_left
 from dataclasses import dataclass
+from decimal import Decimal
 from fractions import Fraction
+from numbers import Integral
 from typing import Optional, Union
 
 from .errors import (
@@ -43,15 +45,21 @@ ORDER_SLACK = 1e-12
 
 
 def _coerce(v, exact: bool):
-    """``v`` as a Fraction (exact) or a float; NaN and infinities are refused
-    in both modes."""
-    if isinstance(v, str):
-        v = Fraction(v)
-    elif not exact:
-        v = float(v)
-    if isinstance(v, float) and not math.isfinite(v):
-        raise InvalidParameterError(f"non-finite number {v}")
-    return Fraction(v) if exact else float(v)
+    """``v``, a real number (numpy floats too) or decimal or fraction text, as
+    a Fraction (exact) or a float; anything that is not a finite number in
+    the mode, such as NaN or 1e999 in float mode, raises InvalidParameterError."""
+    try:
+        x = Fraction(v) if isinstance(v, str) else v
+        if isinstance(x, Integral):
+            x = int(x)  # a numpy integer would overflow inside a Fraction
+        elif not isinstance(x, (Fraction, Decimal)):
+            x = float(x)
+        x = Fraction(x) if exact else float(x)
+        if exact or math.isfinite(x):
+            return x
+    except (TypeError, ValueError, ArithmeticError):
+        pass
+    raise InvalidParameterError(f"non-finite or malformed number {v!r}")
 
 
 def _wsum(values, exact: bool):
@@ -269,10 +277,23 @@ def _cdf(m: DiscreteMeasure, t) -> Numeric:
     return _wsum([w for x, w in m.atoms if x <= t], m.exact)
 
 
-def _common_backend(f, g):
+def _common_backend(f, g, what: str):
+    """Two probability measures for ``what``, in one backend (float if mixed)."""
+    _require_probability(f, what)
+    _require_probability(g, what)
     if f.exact != g.exact:
         return to_float(f), to_float(g), False
     return f, g, f.exact
+
+
+def _pointwise(diff, points, exact: bool) -> OrderCheckResult:
+    """Check ``diff(t) >= 0`` at each of ``points``: the margin is the least
+    difference, the witness the first point below -ORDER_SLACK (below zero
+    in exact mode)."""
+    slack = 0 if exact else ORDER_SLACK
+    diffs = [diff(t) for t in points]
+    witness = next((t for t, d in zip(points, diffs) if d < -slack), None)
+    return OrderCheckResult(witness is None, witness, min(diffs))
 
 
 def leq_st(f: DiscreteMeasure, g: DiscreteMeasure) -> OrderCheckResult:
@@ -280,20 +301,9 @@ def leq_st(f: DiscreteMeasure, g: DiscreteMeasure) -> OrderCheckResult:
 
     For step CDFs it suffices to compare at the union of atom locations.
     """
-    _require_probability(f, "leq_st")
-    _require_probability(g, "leq_st")
-    f, g, exact = _common_backend(f, g)
-    slack = 0 if exact else ORDER_SLACK
+    f, g, exact = _common_backend(f, g, "leq_st")
     points = sorted(set(f.locations) | set(g.locations))
-    margin = None
-    witness = None
-    for t in points:
-        d = _cdf(f, t) - _cdf(g, t)
-        if margin is None or d < margin:
-            margin = d
-        if witness is None and d < -slack:
-            witness = t
-    return OrderCheckResult(witness is None, witness, margin)
+    return _pointwise(lambda t: _cdf(f, t) - _cdf(g, t), points, exact)
 
 
 def leq_icx(f: DiscreteMeasure, g: DiscreteMeasure) -> OrderCheckResult:
@@ -303,28 +313,15 @@ def leq_icx(f: DiscreteMeasure, g: DiscreteMeasure) -> OrderCheckResult:
     locations, so checking the union plus one point below the joint support
     (which pins the mean comparison on the far-left linear piece) is exact.
     """
-    _require_probability(f, "leq_icx")
-    _require_probability(g, "leq_icx")
-    f, g, exact = _common_backend(f, g)
-    slack = 0 if exact else ORDER_SLACK
+    f, g, exact = _common_backend(f, g, "leq_icx")
     low = min(f.min_location, g.min_location) - 1
     points = [low] + sorted(set(f.locations) | set(g.locations))
-    margin = None
-    witness = None
-    for t in points:
-        d = stop_loss(g, t) - stop_loss(f, t)
-        if margin is None or d < margin:
-            margin = d
-        if witness is None and d < -slack:
-            witness = t
-    return OrderCheckResult(witness is None, witness, margin)
+    return _pointwise(lambda t: stop_loss(g, t) - stop_loss(f, t), points, exact)
 
 
 def leq_cx(f: DiscreteMeasure, g: DiscreteMeasure) -> OrderCheckResult:
     """Convex order: equal means (within MEAN_EQ_TOL) plus the icx comparison."""
-    _require_probability(f, "leq_cx")
-    _require_probability(g, "leq_cx")
-    f, g, _ = _common_backend(f, g)
+    f, g, _ = _common_backend(f, g, "leq_cx")
     icx = leq_icx(f, g)
     dmu = mean(f) - mean(g)
     mean_margin = MEAN_EQ_TOL - abs(dmu)

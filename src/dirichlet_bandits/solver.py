@@ -38,7 +38,7 @@ import numpy as np
 
 from .discount import DiscountSeq, is_regular
 from .errors import InvalidParameterError, ResourceBudgetExceededError
-from .measures import DiscreteMeasure, Numeric, point_mass, to_exact, to_float
+from .measures import DiscreteMeasure, Numeric, _coerce, point_mass, to_exact, to_float
 
 #: Environment variable overriding SolverOptions.memo_cap.
 MEMO_CAP_ENV = "BANDIT_MEMO_CAP"
@@ -228,10 +228,6 @@ def _pull(a_t, arm: _ArmRows, k: int, nxt: np.ndarray) -> np.ndarray:
     return a_t * arm.mean[k] + np.matmul(arm.p[k][:, None, :], gathered)[:, 0]
 
 
-def _numbers(values, exact: bool) -> list:
-    return [Fraction(v) if exact else float(v) for v in values]
-
-
 class BanditSolver:
     """One bottom-up pass over the count lattice of a two-armed instance.
 
@@ -245,7 +241,7 @@ class BanditSolver:
         opts = _checked_options(options)
         n = len(state.discount.values)
         _check_budget(len(state.arm1.atoms) + len(state.arm2.atoms), n, opts)
-        a = _numbers(state.discount.values, opts.exact)
+        a = [_coerce(v, opts.exact) for v in state.discount.values]
         self.options = opts
         self.horizon = n
         self.arms = rows1, rows2 = (
@@ -369,17 +365,23 @@ def _stopping_form(arm: DiscreteMeasure, A: DiscountSeq, options: Optional[Solve
     n, exact = len(A.values), opts.exact
     if n == 0:
         zero = Fraction(0) if exact else 0.0
-        return lambda lam, first=0: (zero, zero)
+
+        def empty(lam, first=0):
+            _coerce(lam, exact)  # a non-finite lam is refused here too
+            return zero, zero
+
+        return empty
     if not is_regular(A):
         raise InvalidParameterError(
             "the stopping-form value requires a regular discount sequence"
         )
     _check_budget(len(arm.atoms), n, opts)
     rows = _ArmRows(arm, n, exact)
-    a, tails = _numbers(A.values, exact), _numbers(A.tails, exact)
+    a = [_coerce(v, exact) for v in A.values]
+    tails = [_coerce(v, exact) for v in A.tails]
 
     def stop(lam, first=0):
-        lam = Fraction(lam) if exact else float(lam)
+        lam = _coerce(lam, exact)
         return _stopping_pass(rows, lam, a[first:], tails[first:])
 
     return stop
@@ -398,6 +400,7 @@ def value_one_armed(
     used instead of the two-armed lattice.
     """
     opts = _checked_options(options)
+    lam = _coerce(lam, opts.exact)
     if len(A.values) == 0:
         zero = Fraction(0) if opts.exact else 0.0
         return ValueReport(zero, zero, zero, Action.TIE)
@@ -405,7 +408,7 @@ def value_one_armed(
         known = point_mass(lam, exact=opts.exact)
         return value(BanditState(arm, known, A), opts)
     stop = _stopping_form(arm, A, opts)
-    a_1, lam = _numbers((A.values[0], lam), opts.exact)
+    a_1 = _coerce(A.values[0], opts.exact)
     # Retiring first leaves the stopping problem one stage shorter.
     return _make_report(stop(lam)[0], a_1 * lam + stop(lam, 1)[1], opts.tie_tol)
 

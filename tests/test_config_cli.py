@@ -1,6 +1,7 @@
 """Config parsing and the command-line front end (exit codes, output formats)."""
 import dataclasses
 import json
+import math
 from fractions import Fraction
 from pathlib import Path
 
@@ -145,6 +146,30 @@ class TestCliValue:
         monkeypatch.setenv(MEMO_CAP_ENV, "2")
         assert main(["value", THREE_ATOM]) == 3
         monkeypatch.delenv(MEMO_CAP_ENV)
+
+    @pytest.mark.parametrize(
+        "field, parts",
+        [
+            # The loader reads a bare 1e999 literal as the text "1e999".
+            ("arm1.atoms[0]", {"arm1": {"atoms": [{"location": "1e999", "weight": 1}]}}),
+            ("arm1.atoms[0]", {"arm1": {"atoms": [{"location": 0, "weight": "1e999"}]}}),
+            ("arm1.atoms[0]", {"arm1": {"atoms": [{"location": -math.inf, "weight": 1}]}}),
+            ("arm1.atoms[0]", {"arm1": {"atoms": [{"location": 0, "weight": math.inf}]}}),
+            ("arm2", {"arm2": {"known": math.inf}}),
+            ("discount.values", {"discount": {"values": [1, "1e999"]}}),
+            ("discount.values", {"discount": {"values": [math.inf]}}),
+            ("discount", {"discount": {"family": "uniform", "n": math.inf}}),
+            ("options.tie_tol", {"options": {"tie_tol": "1e999"}}),
+            ("options", {"options": {"memo_cap": math.inf}}),
+        ],
+    )
+    def test_overflowing_number_exits_2(self, field, parts, tmp_path, capsys):
+        doc = {**json.loads(Path(WORKED).read_text()), **parts}
+        assert main(["value", write(tmp_path, "big.json", doc)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.count("\n") == 1
+        assert captured.err.startswith(f"config error: {field}")
 
 
 class TestCliIndices:

@@ -25,7 +25,7 @@ from dirichlet_bandits import (
     sweep_csv,
     value_one_armed,
 )
-from dirichlet_bandits import solver
+from dirichlet_bandits import index, solver
 from dirichlet_bandits.solver import DiscountSeq
 from dirichlet_bandits.verify import random_discount, random_measure
 
@@ -175,6 +175,27 @@ class TestBreakEvenObservation:
     def test_degenerate_arm(self):
         res = break_even_observation(point_mass(0.4, weight=3), A2)
         assert res.value == pytest.approx(0.4, abs=1e-8)
+
+    @pytest.mark.parametrize("arm", [COIN, point_mass(0.4, weight=3)])
+    def test_one_value_search_and_one_pass_per_probe(self, arm, monkeypatch):
+        values, passes = [], []
+
+        def counted_value(*args):
+            values.append(break_even_value(*args))
+            return values[-1]
+
+        def counted_pass(*args):
+            passes.append(args)
+            return stopping_pass(*args)
+
+        stopping_pass = solver._stopping_pass
+        monkeypatch.setattr(index, "break_even_value", counted_value)
+        monkeypatch.setattr(solver, "_stopping_pass", counted_pass)
+        res = break_even_observation(arm, A2)
+        assert len(values) == 1
+        assert len(passes) == values[0].iterations + res.iterations
+        if len(arm) == 1:  # the threshold is the atom itself, found at once
+            assert res.iterations == 1
 
     def test_never_below_break_even_value(self):
         for i in range(25):

@@ -1,5 +1,6 @@
 """Measure construction, posterior mechanics, and stochastic-order predicates."""
 import math
+from decimal import Decimal
 from fractions import Fraction
 
 import numpy as np
@@ -375,3 +376,37 @@ class TestNonFiniteInputs:
             make_measure([(bad, 1)], exact=exact)
         with pytest.raises(InvalidParameterError):
             make_measure([(0, bad)], exact=exact)
+
+    @pytest.mark.parametrize(
+        "v, as_float, as_fraction",
+        [
+            (np.float32(0.25), 0.25, Fraction(1, 4)),
+            (np.float64(-1.5), -1.5, Fraction(-3, 2)),
+            (np.int64(2**62), 2.0**62, Fraction(2**62)),
+            (Decimal("0.1"), 0.1, Fraction(1, 10)),
+            ("2/3", 2 / 3, Fraction(2, 3)),
+            # Finite as a rational, beyond the float range.
+            ("1e999", None, Fraction(10) ** 999),
+            pytest.param(10**400, None, Fraction(10**400), id="10**400"),
+            (Decimal("inf"), None, None),
+            (Decimal("-inf"), None, None),
+            (Decimal("nan"), None, None),
+            ("inf", None, None),
+            ("nan", None, None),
+            ("abc", None, None),
+            ("1/0", None, None),
+            (None, None, None),
+            (1j, None, None),
+        ],
+    )
+    @pytest.mark.parametrize("exact", [False, True])
+    def test_one_gate_for_numbers(self, v, as_float, as_fraction, exact):
+        want = as_fraction if exact else as_float
+        if want is None:
+            with pytest.raises(InvalidParameterError):
+                point_mass(v, exact=exact)
+        else:
+            (loc, _), = point_mass(v, exact=exact).atoms
+            assert loc == want and type(loc) is (Fraction if exact else float)
+            if exact:
+                assert type(loc.numerator) is int

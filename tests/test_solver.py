@@ -1,4 +1,5 @@
 """Two-armed lattice pass, one-armed stopping form, policy trees."""
+import math
 import time
 from fractions import Fraction
 from math import comb
@@ -268,6 +269,14 @@ class TestOneArmed:
         rep = value_one_armed(COIN, 0.5, A, options)
         assert rep == ValueReport(0, 0, 0, Action.TIE)
         assert isinstance(rep.w, Fraction) == (options is EXACT)
+
+    @pytest.mark.parametrize("lam", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("options", [None, EXACT], ids=["float", "exact"])
+    @pytest.mark.parametrize("A", [A2, drop_first(make_discount([1]))], ids=["n2", "empty"])
+    @pytest.mark.parametrize("solve", [stopping_value, value_one_armed])
+    def test_non_finite_lambda_is_refused(self, solve, A, options, lam):
+        with pytest.raises(InvalidParameterError):
+            solve(COIN, lam, A, options)
 
     def test_stopping_value_rejects_non_regular_discounts(self):
         with pytest.raises(InvalidParameterError):

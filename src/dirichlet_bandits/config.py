@@ -56,6 +56,15 @@ def _number(v, exact: bool, where: str):
         raise ConfigError(f"{where}: {e}") from e
 
 
+def _integer(v, where: str) -> int:
+    if isinstance(v, bool):
+        raise ConfigError(f"{where}: expected an integer, got {v!r}")
+    try:
+        return int(v)
+    except (TypeError, ValueError, OverflowError) as e:
+        raise ConfigError(f"{where}: {e}") from e
+
+
 def _parse_measure(node, exact: bool, where: str):
     if not isinstance(node, dict):
         raise ConfigError(f"{where}: expected an object")
@@ -91,10 +100,12 @@ def _parse_discount(node, exact: bool):
             )
         family = node.get("family")
         if family == "uniform":
-            return make_uniform(int(node["n"]), exact=exact)
+            return make_uniform(_integer(node["n"], "discount.n"), exact=exact)
         if family == "geometric":
             return make_truncated_geometric(
-                _number(node["beta"], exact, "discount.beta"), int(node["n"]), exact=exact
+                _number(node["beta"], exact, "discount.beta"),
+                _integer(node["n"], "discount.n"),
+                exact=exact,
             )
     except ConfigError:
         raise
@@ -110,11 +121,8 @@ def _parse_options(node, force_mode: Optional[str]) -> SolverOptions:
     mode = force_mode or node.get("mode", "float")
     if mode not in ("float", "exact"):
         raise ConfigError(f"options.mode must be 'float' or 'exact', got {mode!r}")
-    try:
-        tie_tol = _number(node.get("tie_tol", 1e-11), False, "options.tie_tol")
-        memo_cap = int(node.get("memo_cap", SolverOptions().memo_cap))
-    except (TypeError, ValueError, OverflowError) as e:
-        raise ConfigError(f"options: {e}") from e
+    tie_tol = _number(node.get("tie_tol", 1e-11), False, "options.tie_tol")
+    memo_cap = _integer(node.get("memo_cap", SolverOptions().memo_cap), "options.memo_cap")
     return SolverOptions(mode=mode, tie_tol=tie_tol, memo_cap=memo_cap)
 
 

@@ -15,8 +15,14 @@ last stage to the first; stage t of the two-armed pass splits into blocks
 of k1 counts on arm 1 and t - k1 on arm 2, and pulling either arm is a
 gather from a next-stage block plus a weighted sum over its atoms
 (``_pull``).  The one-armed stopping form is the same pass over the unknown
-arm alone, against retirement at ``lam * T_t``.  Float mode runs on float64
-arrays and exact mode on object arrays of Fraction, through the same code.
+arm alone, against retirement at ``lam * T_t``.
+
+Float mode runs on float64 arrays.  Exact mode runs the same code on object
+arrays of Python-int numerators: the weights, locations, discounts and
+``lam`` are scaled to integers once, every state of a lattice block shares
+one integer denominator, and a Fraction is built only where a value is read
+out (reports, stopping-form roots, policy tables).  Float mode is the same
+arithmetic with every scale equal to 1.0, which changes no bit.
 
 Stages with zero discount weight still consume a stage and still update the
 posterior of the pulled arm: with general nonnegative discounting the
@@ -31,7 +37,7 @@ import os
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
-from math import comb
+from math import comb, isfinite, lcm
 from typing import NamedTuple, Optional
 
 import numpy as np
@@ -122,6 +128,8 @@ def _checked_options(options: Optional[SolverOptions]) -> SolverOptions:
     opts = options or DEFAULT_OPTIONS
     if opts.mode not in ("float", "exact"):
         raise InvalidParameterError(f"unknown arithmetic mode {opts.mode!r}")
+    if not isfinite(opts.tie_tol):
+        raise InvalidParameterError(f"tie tolerance must be finite, got {opts.tie_tol!r}")
     return opts
 
 
@@ -191,11 +199,41 @@ def _lattice(s: int, n: int) -> _Lattice:
     return lat
 
 
+def _numerators(values, exact: bool):
+    """``values`` over one denominator: in exact mode their integer
+    numerators over their least common denominator, in float mode the
+    floats themselves over 1.0.  Returns (numerators, denominator)."""
+    nums = [_coerce(v, exact) for v in values]
+    if not exact:
+        return nums, 1.0
+    den = lcm(*(v.denominator for v in nums))
+    return [v.numerator * (den // v.denominator) for v in nums], den
+
+
+#: Elementwise Fraction(numerator, denominator).
+_fractions = np.frompyfunc(Fraction, 2, 1)
+
+
+def _read(num, den):
+    """A value read out of a pass, ``num / den``: a Fraction when ``den`` is
+    an integer (exact mode), else a division by 1.0, which is exact."""
+    return _fractions(num, den) if isinstance(den, int) else num / den
+
+
 class _ArmRows:
-    """One arm's posterior on levels 0..n-1 of its lattice, in the solve's
-    arithmetic: ``p[k]`` holds the predictive probabilities of each count
-    vector at level k (one row per rank), ``mean[k]`` the posterior means as
-    a column; ``start`` and ``child`` come from the lattice."""
+    """One arm's posterior on levels 0..n-1 of its lattice: ``p[k]`` holds
+    the predictive probabilities of each count vector at level k (one row
+    per rank) and ``mean[k]`` the posterior means as a column, both over
+    the level's one denominator ``q[k]``, and over ``dx`` too for the means;
+    ``start`` and ``child`` come from the lattice.
+
+    In exact mode these are integers.  With the weights W_j over their least
+    common denominator Dw and the locations over Dx, ``p[k]`` holds the
+    numerators W_j + c_j Dw, ``q[k]`` is (M + k) Dw for total prior mass M,
+    and ``mean[k]`` holds P @ X for the scaled locations X.  In float mode
+    ``p[k]`` and ``mean[k]`` are the probabilities and means themselves and
+    every scale is 1.0.  ``Q[k]``, the product of ``q`` over levels k..n-1,
+    is the arm's factor in the denominators of a pass (``Q[n]`` is 1)."""
 
     def __init__(self, measure: DiscreteMeasure, n: int, exact: bool):
         measure = to_exact(measure) if exact else to_float(measure)
@@ -206,9 +244,21 @@ class _ArmRows:
         self.start = lat.start
         self.child = lat.child
         counts = lat.counts[: lat.start[n]]
-        base = np.array(measure.weights, dtype=self.dtype)
-        p = (base + counts) / (measure.total_mass + counts.sum(axis=1, keepdims=True))
-        mean = p @ np.array(self.locs, dtype=self.dtype)
+        if exact:  # Python ints throughout: numpy int64 would wrap silently
+            weights, dw = _numerators(measure.weights, exact)
+            locs, self.dx = _numerators(self.locs, exact)
+            p = np.array(weights, dtype=object) + counts.astype(object) * dw
+            self.q = [sum(weights) + k * dw for k in range(n)]
+            self.Q = [1] * (n + 1)
+            for k in reversed(range(n)):
+                self.Q[k] = self.q[k] * self.Q[k + 1]
+        else:
+            locs, self.dx = self.locs, 1.0
+            p = (np.array(measure.weights) + counts) / (
+                measure.total_mass + counts.sum(axis=1, keepdims=True)
+            )
+            self.q, self.Q = [1.0] * n, [1.0] * (n + 1)
+        mean = p @ np.array(locs, dtype=self.dtype)
         bounds = list(zip(lat.start[:n], lat.start[1 : n + 1]))
         self.p = [p[i:j] for i, j in bounds]
         self.mean = [mean[i:j, None] for i, j in bounds]
@@ -223,7 +273,8 @@ def _pull(a_t, arm: _ArmRows, k: int, nxt: np.ndarray) -> np.ndarray:
     a_t times the posterior mean plus the predictive expectation of the
     next-stage values ``nxt``, whose rows are the arm's level k + 1 and
     whose columns are states of the other arm (one column in a stopping
-    pass)."""
+    pass).  In exact mode these are numerators: the caller's ``a_t`` puts
+    the mean term over the denominator that ``p[k]`` gives the expectation."""
     gathered = nxt[arm.child[k]]  # (P, s, columns)
     return a_t * arm.mean[k] + np.matmul(arm.p[k][:, None, :], gathered)[:, 0]
 
@@ -234,26 +285,38 @@ class BanditSolver:
     ``w1[t][k1]`` and ``w2[t][k1]`` hold the pull-first payoffs of the
     stage-t states with k1 counts on arm 1, rows ranking arm 1's count
     vector and columns arm 2's; reports, policy trees and simulations are
-    lookups into them.
+    lookups into them.  The block of k1 and k2 counts holds numerators over
+    ``den(k1, k2)`` = Da Dx1 Dx2 Q1[k1] Q2[k2], for Da the discounts' least
+    common denominator (all 1.0 in float mode): both payoffs of a block
+    share it, and the continuation from a child block needs no factor.
     """
 
     def __init__(self, state: BanditState, options: Optional[SolverOptions] = None):
         opts = _checked_options(options)
         n = len(state.discount.values)
         _check_budget(len(state.arm1.atoms) + len(state.arm2.atoms), n, opts)
-        a = [_coerce(v, opts.exact) for v in state.discount.values]
+        a, da = _numerators(state.discount.values, opts.exact)
         self.options = opts
         self.horizon = n
         self.arms = rows1, rows2 = (
             _ArmRows(state.arm1, n, opts.exact), _ArmRows(state.arm2, n, opts.exact)
         )
+        self.scale = da * rows1.dx * rows2.dx
+        Q1, Q2 = rows1.Q, rows2.Q
         self.w1, self.w2 = [None] * n, [None] * n
         nxt = [rows1.zeros(k1, rows2.start[n - k1 + 1] - rows2.start[n - k1])
                for k1 in range(n + 1)]
         for t in reversed(range(n)):
-            self.w1[t] = [_pull(a[t], rows1, k1, nxt[k1 + 1]) for k1 in range(t + 1)]
-            self.w2[t] = [_pull(a[t], rows2, t - k1, nxt[k1].T).T for k1 in range(t + 1)]
+            self.w1[t] = [_pull(a[t] * rows2.dx * Q1[k1 + 1] * Q2[t - k1], rows1, k1, nxt[k1 + 1])
+                          for k1 in range(t + 1)]
+            self.w2[t] = [_pull(a[t] * rows1.dx * Q2[t - k1 + 1] * Q1[k1], rows2, t - k1,
+                                nxt[k1].T).T
+                          for k1 in range(t + 1)]
             nxt = list(map(np.maximum, self.w1[t], self.w2[t]))
+
+    def den(self, k1: int, k2: int):
+        """The denominator of the block with k1 counts on arm 1 and k2 on arm 2."""
+        return self.scale * self.arms[0].Q[k1] * self.arms[1].Q[k2]
 
     def report(self, counts1=None, counts2=None) -> ValueReport:
         """Value report at a reachable node (default: the root)."""
@@ -265,8 +328,10 @@ class BanditSolver:
             z = Fraction(0) if self.options.exact else 0.0
             return ValueReport(z, z, z, Action.TIE)
         at = (int(_rank(np.array(c1))), int(_rank(np.array(c2)))) if t else (0, 0)
+        den = self.den(k1, t - k1)
         return _make_report(
-            self.w1[t][k1].item(at), self.w2[t][k1].item(at), self.options.tie_tol
+            _read(self.w1[t][k1].item(at), den), _read(self.w2[t][k1].item(at), den),
+            self.options.tie_tol,
         )
 
     def policy_tables(self):
@@ -277,15 +342,17 @@ class BanditSolver:
         observing each atom, shape (rows, atoms), and the atom locations."""
         n = self.horizon
         start1, start2 = (rows.start for rows in self.arms)
+        tie_tol = Fraction(self.options.tie_tol) if self.options.exact else self.options.tie_tol
         pulls_arm2 = np.zeros((start1[n], start2[n]), dtype=bool)
         for t in range(n):
             for k1 in range(t + 1):
                 k2 = t - k1
                 pulls_arm2[start1[k1] : start1[k1 + 1], start2[k2] : start2[k2 + 1]] = (
-                    self.w1[t][k1] - self.w2[t][k1] < -self.options.tie_tol
+                    self.w1[t][k1] - self.w2[t][k1] < -tie_tol * self.den(k1, k2)
                 )
         return pulls_arm2, [
-            (np.cumsum(np.concatenate(rows.p), axis=1).T.copy(),
+            (np.concatenate([_read(np.cumsum(p, axis=1), q)
+                             for p, q in zip(rows.p, rows.q)]).T.copy(),
              np.concatenate([rows.start[k + 1] + c for k, c in enumerate(rows.child[:n])]),
              np.array(rows.locs))
             for rows in self.arms
@@ -333,7 +400,7 @@ def policy_tree(
     return nodes[0]
 
 
-def _stopping_pass(arm: _ArmRows, lam, a, tails):
+def _stopping_pass(arm: _ArmRows, lam, lam_den, a, tails, da):
     """Stopping form of the one-armed bandit under regular discounting.
 
     Once the known arm is optimal it stays optimal, so each state compares
@@ -341,14 +408,20 @@ def _stopping_pass(arm: _ArmRows, lam, a, tails):
     retirement wins the value *is* the retirement expression, so the root
     value equals ``lam * T_1`` bit for bit -- the property the break-even
     bisection relies on.  Returns the root's pull payoff and value.
+
+    ``lam / lam_den`` is the rate, and ``a`` and ``tails`` are the discount
+    numerators over ``da``.  Level t holds numerators over
+    ``da * arm.dx * lam_den * Q[t]`` (all 1.0 in float mode).
     """
+    Q = arm.Q
     v = arm.zeros(len(a), 1)
     pull = v
     for t in reversed(range(len(a))):
-        pull = _pull(a[t], arm, t, v)
-        retire = lam * tails[t]
+        pull = _pull(a[t] * lam_den * Q[t + 1], arm, t, v)
+        retire = lam * tails[t] * arm.dx * Q[t]
         v = np.where(pull >= retire, pull, retire)
-    return pull.item(0), v.item(0)
+    den = da * arm.dx * lam_den * Q[0]
+    return _read(pull.item(0), den), _read(v.item(0), den)
 
 
 def _stopping_form(arm: DiscreteMeasure, A: DiscountSeq, options: Optional[SolverOptions]):
@@ -377,12 +450,14 @@ def _stopping_form(arm: DiscreteMeasure, A: DiscountSeq, options: Optional[Solve
         )
     _check_budget(len(arm.atoms), n, opts)
     rows = _ArmRows(arm, n, exact)
-    a = [_coerce(v, exact) for v in A.values]
-    tails = [_coerce(v, exact) for v in A.tails]
+    # Tails over the same denominator; a float sequence's tails, summed in
+    # floats, need not share the values' denominator.
+    scaled, da = _numerators(A.values + A.tails, exact)
+    a, tails = scaled[:n], scaled[n:]
 
     def stop(lam, first=0):
-        lam = _coerce(lam, exact)
-        return _stopping_pass(rows, lam, a[first:], tails[first:])
+        (lam,), lam_den = _numerators([lam], exact)
+        return _stopping_pass(rows, lam, lam_den, a[first:], tails[first:], da)
 
     return stop
 

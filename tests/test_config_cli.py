@@ -171,6 +171,23 @@ class TestCliValue:
         assert captured.err.count("\n") == 1
         assert captured.err.startswith(f"config error: {field}")
 
+    @pytest.mark.parametrize(
+        "field, parts",
+        [
+            ("discount.n", {"discount": {"family": "uniform", "n": True}}),
+            ("discount.n", {"discount": {"family": "geometric", "n": True, "beta": 0.5}}),
+            ("discount.n", {"discount": {"family": "uniform", "n": False}}),
+            ("options.memo_cap", {"options": {"memo_cap": True}}),
+        ],
+    )
+    def test_boolean_integer_exits_2(self, field, parts, tmp_path, capsys):
+        doc = {**json.loads(Path(WORKED).read_text()), **parts}
+        assert main(["value", write(tmp_path, "bool.json", doc)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.count("\n") == 1
+        assert captured.err.startswith(f"config error: {field}: expected an integer")
+
 
 class TestCliIndices:
     def test_lambda(self, capsys):

@@ -4,6 +4,7 @@ import time
 from fractions import Fraction
 from math import comb
 
+import numpy as np
 import pytest
 
 from dirichlet_bandits import (
@@ -13,9 +14,11 @@ from dirichlet_bandits import (
     InvalidParameterError,
     ResourceBudgetExceededError,
     SolverOptions,
+    brute_force_value_exact,
     drop_first,
     make_discount,
     make_measure,
+    make_truncated_geometric,
     make_uniform,
     mean,
     point_mass,
@@ -326,3 +329,102 @@ class TestPolicyTree:
             policy_tree(WORKED, 0)
         with pytest.raises(InvalidParameterError):
             policy_tree(WORKED, 3)
+
+
+class TestExactArithmetic:
+    """Exact mode runs on integer numerators and reads out Fractions."""
+
+    ARM1 = make_measure([(0, Fraction(1, 2)), (Fraction(1, 3), 1), (1, Fraction(3, 4))], exact=True)
+    ARM2 = make_measure(
+        [(Fraction(1, 5), 1), (Fraction(1, 2), Fraction(2, 3)), (Fraction(4, 5), Fraction(1, 4))],
+        exact=True,
+    )
+
+    @staticmethod
+    def nodes(n):
+        """Lattice rows and count vectors of two 3-atom arms totalling less
+        than n, as (row1, row2, counts1, counts2)."""
+        lat = _lattice(3, n)
+        counts = lat.counts.tolist()
+        for row1 in range(lat.start[n]):
+            for row2 in range(lat.start[n - sum(counts[row1])]):
+                yield row1, row2, counts[row1], counts[row2]
+
+    def test_numerators_beyond_int64_stay_exact(self):
+        # Weight, location and discount denominators far beyond 2**63: an
+        # int64 numerator would wrap or refuse to convert.
+        w, x = 3**41, 7**23
+        arm1 = make_measure([(Fraction(2, x), Fraction(w - 1, w)),
+                             (Fraction(x - 3, x), Fraction(5, w))], exact=True)
+        arm2 = make_measure([(Fraction(1, x), Fraction(7, w)),
+                             (Fraction(x - 1, x), Fraction(w + 2, w))], exact=True)
+        A = make_truncated_geometric(Fraction(1, 10**20), 3, exact=True)
+        state = BanditState(arm1, arm2, A)
+        assert value(state, EXACT).w == brute_force_value_exact(state)
+        lam = Fraction(10**19 + 1, 2 * 10**19)
+        known = BanditState(arm1, point_mass(lam, exact=True), A)
+        assert stopping_value(arm1, lam, A, EXACT) == brute_force_value_exact(known)
+        assert value_one_armed(arm1, lam, A, EXACT).w == brute_force_value_exact(known)
+
+    def test_reports_away_from_the_root_match_the_oracle(self):
+        n = 4
+        A = make_truncated_geometric(Fraction(7, 8), n, exact=True)
+        solver = BanditSolver(BanditState(self.ARM1, self.ARM2, A), EXACT)
+        rest = [A]
+        while len(rest) < n:
+            rest.append(drop_first(rest[-1]))
+
+        def posterior(arm, counts):
+            return make_measure([(x, w + c) for (x, w), c in zip(arm.atoms, counts)], exact=True)
+
+        for _, _, c1, c2 in self.nodes(n):
+            state = BanditState(posterior(self.ARM1, c1), posterior(self.ARM2, c2),
+                                rest[sum(c1) + sum(c2)])
+            assert solver.report(c1, c2).w == brute_force_value_exact(state)
+
+    def test_policy_table_matches_fraction_comparisons(self):
+        n, tie_tol = 4, 0.01
+        A = make_truncated_geometric(Fraction(7, 8), n, exact=True)
+        solver = BanditSolver(BanditState(self.ARM1, self.ARM2, A),
+                              SolverOptions(mode="exact", tie_tol=tie_tol))
+        pulls_arm2 = solver.policy_tables()[0]
+        expected = np.zeros_like(pulls_arm2)
+        gaps = []
+        for row1, row2, c1, c2 in self.nodes(n):
+            rep = solver.report(c1, c2)
+            gaps.append(rep.w1 - rep.w2)
+            expected[row1, row2] = gaps[-1] < -tie_tol
+        # Both sides of the tolerance occur, so the comparison is tested.
+        assert any(-tie_tol <= gap < 0 for gap in gaps) and any(gap < -tie_tol for gap in gaps)
+        assert (pulls_arm2 == expected).all()
+
+    def test_stopping_form_and_two_armed_pass_agree_exactly(self):
+        for i in range(50):
+            rng = GEN.rng(9_000 + i)
+            arm = random_measure(GEN, rng, exact=True)
+            A = random_discount(GEN, rng, kind="regular", exact=True)
+            lam = Fraction(int(rng.integers(-20, 140)), int(rng.integers(1, 100)))
+            stop = stopping_value(arm, lam, A, EXACT)
+            one = value_one_armed(arm, lam, A, EXACT)
+            two = value(BanditState(arm, point_mass(lam, exact=True), A), EXACT)
+            # w2 retires first: the stopping pass from the second stage on.
+            for got in (stop, one.w, one.w1, one.w2, two.w, two.w1, two.w2):
+                assert type(got) is Fraction
+            assert stop == one.w == two.w
+            assert (one.w1, one.w2) == (two.w1, two.w2)
+
+    @pytest.mark.parametrize("tie_tol", [math.nan, math.inf])
+    def test_non_finite_tie_tolerance_is_refused(self, tie_tol):
+        # The exact policy table compares numerators with the tolerance as a
+        # Fraction, which a NaN or infinity has no value as.
+        with pytest.raises(InvalidParameterError):
+            BanditSolver(WORKED, SolverOptions(mode="exact", tie_tol=tie_tol))
+
+    def test_three_atom_arms_at_n20_solve_quickly(self):
+        # On a 2-vCPU machine the integer-numerator pass takes about 0.15 s;
+        # on object arrays of Fraction, with a gcd per operation, about 7 s.
+        A = make_truncated_geometric(Fraction(7, 8), 20, exact=True)
+        t0 = time.perf_counter()
+        rep = value(BanditState(self.ARM1, self.ARM2, A), EXACT)
+        assert time.perf_counter() - t0 < 1.5
+        assert type(rep.w) is Fraction

@@ -7,6 +7,7 @@ you are indifferent at the start; the break-even observation is the first
 draw at which you stay rather than retire.
 """
 from dirichlet_bandits import (
+    SolverOptions,
     break_even_observation,
     break_even_value,
     index_sweep,
@@ -21,16 +22,20 @@ from dirichlet_bandits import (
 
 arm = make_measure([(0, 1), (1, 1)])  # mass 2, mean 1/2
 A = make_discount([1, 1])
+exact = SolverOptions(mode="exact")
 
 # ---------------------------------------------------------------------------
 # Break-even value: smallest known rate at which retiring immediately is
 # optimal.  For this instance the pull payoff on [1/3, 2/3] is
-# 5/6 + lam/2, and it meets the retirement line 2*lam at lam = 5/9.
+# 5/6 + lam/2, and it meets the retirement line 2*lam at lam = 5/9.  The
+# search takes Newton steps on that slope: from the mean 1/2 the first step
+# lands on 5/9, and the second stopping pass confirms it.
 # ---------------------------------------------------------------------------
 res = break_even_value(arm, A)
 print(f"break-even value: {res.value:.10f} (hand solution 5/9 = {5/9:.10f})")
 print(f"  bracket width {res.bracket[1] - res.bracket[0]:.2e}, "
-      f"{res.iterations} evaluations, residual {res.residual:.2e}")
+      f"{res.iterations} stopping passes, residual {res.residual:.2e}")
+print(f"  in exact arithmetic: {break_even_value(arm, A, options=exact).value}")
 
 # Sanity: above the index the known arm is taken and the value is exactly
 # the retirement stream; below it the unknown arm is pulled.
@@ -47,6 +52,7 @@ print(f"  at lambda-0.01: action={below.action.value}")
 # ---------------------------------------------------------------------------
 b = break_even_observation(arm, A)
 print(f"\nbreak-even observation: {b.value:.10f} (hand solution 2/3)")
+print(f"  in exact arithmetic: {break_even_observation(arm, A, options=exact).value}")
 print(f"  it never falls below the break-even value: {b.value >= res.value}")
 
 # ---------------------------------------------------------------------------

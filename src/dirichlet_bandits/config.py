@@ -123,6 +123,8 @@ def _parse_options(node, force_mode: Optional[str]) -> SolverOptions:
         raise ConfigError(f"options.mode must be 'float' or 'exact', got {mode!r}")
     tie_tol = _number(node.get("tie_tol", 1e-11), False, "options.tie_tol")
     memo_cap = _integer(node.get("memo_cap", SolverOptions().memo_cap), "options.memo_cap")
+    if memo_cap < 0:
+        raise ConfigError(f"options.memo_cap must be nonnegative, got {memo_cap}")
     return SolverOptions(mode=mode, tie_tol=tie_tol, memo_cap=memo_cap)
 
 

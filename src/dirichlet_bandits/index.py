@@ -5,24 +5,36 @@ retiring to the known arm is optimal, i.e. the smallest root of
 
     g(lam) = W(arm vs known lam) - lam * T_1 <= 0.
 
-Per strategy the payoff is affine in ``lam`` with slope at most ``T_1``, so
-``g`` is convex, nonincreasing where positive, identically zero beyond the
-break-even point: bisection on the sign of ``g`` is robust, and every probe
-is the expensive part anyway, so no cleverer root finder is used.  A search
-checks its inputs and builds the arm's posterior table once; every probe is
-one stopping pass over that shared table.  The same bisection finds the
-break-even observation, where each probe is one stopping pass at the arm's
-break-even value lam0: the posterior's pull payoff P(lam) - lam * T_2 falls
-with slope at most -a_2 < 0, so its sign at lam0 decides the comparison.
+Each pulling strategy's payoff is affine in ``lam``, so the pull payoff is
+their maximum: convex and piecewise linear, with slope D, the expected
+discounted tail at retirement of the optimal strategy (at most T_2).  Both
+quantities are therefore roots of convex, monotone, piecewise-linear
+functions, and both searches take Newton steps on the slope that the
+stopping pass carries beside the value (``solver._stopping_pass``).  A
+tangent lies below a convex function, so every tangent root lies between
+the iterate and the root: the iterates move monotonically towards it and,
+once on its linear piece, land on it.  A search ends after finitely many
+passes, typically a handful; in exact mode it returns the rational root
+itself.
 
-Both computations run in float arithmetic only: the root of a piecewise
-linear equation with combinatorially many pieces has no useful exact form,
-so the residual of the defining equation is reported instead.
+The value search starts at the arm's mean and steps up on g, whose slope
+is D - T_1 <= -a_1.  The observation search finds the x at which the pull
+payoff P(lam0; x) of the posterior after observing x reaches lam0 * T_2,
+lam0 being the arm's break-even value.  The posterior's predictive
+probabilities do not depend on x and its means are affine in x, so P is
+convex and piecewise linear in x too, with slope at least a_2 / (M + 1) for
+prior mass M; the search steps down from the top of the support.
+
+Float mode stops once the slope bound brackets the root within the
+tolerance, and reports the residual of the defining equation at the last
+iterate; exact mode, where both searches land on the root, reports a zero
+residual.
 """
 from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass
+from typing import Optional
 
 from .discount import DiscountSeq, drop_first, is_regular
 from .errors import (
@@ -32,12 +44,12 @@ from .errors import (
     NonPositiveDiscountError,
     NotRegularError,
 )
-from .measures import DiscreteMeasure, mean, posterior_update, to_float
-from .solver import _stopping_form
+from .measures import DiscreteMeasure, Numeric, _coerce, mean, to_exact, to_float
+from .solver import SolverOptions, _checked_options, _observation_form, _rate_slope_form
 
 DEFAULT_TOL = 1e-9
 #: Residual of the defining equation is expected below this (one order looser
-#: than the bisection tolerance, absorbing DP float noise).
+#: than the search tolerance, absorbing DP float noise).
 RESIDUAL_TOL = 1e-8
 #: Adjacent sweep entries moving against the expected direction by more than
 #: this are flagged.
@@ -46,16 +58,20 @@ SWEEP_MONOTONE_TOL = 1e-8
 
 @dataclass(frozen=True)
 class IndexResult:
-    """A bracketed root: final value, enclosing bracket, number of objective
-    evaluations, and the residual of the defining equation at the value."""
+    """A root found by Newton passes: the value, a bracket enclosing the
+    root, the number of stopping passes, the residual of the defining
+    equation at the value, one (point, objective, slope) per pass, and
+    whether the objective fell monotonically along the Newton iterates."""
 
-    value: float
-    bracket: tuple[float, float]
+    value: Numeric
+    bracket: tuple[Numeric, Numeric]
     iterations: int
-    residual: float
+    residual: Numeric
+    trace: tuple[tuple[Numeric, Numeric, Numeric], ...] = ()
+    monotone: bool = True
 
 
-def _validated_float_arm(arm: DiscreteMeasure, A: DiscountSeq, tol: float):
+def _validated_arm(arm: DiscreteMeasure, A: DiscountSeq, tol: float, opts: SolverOptions):
     if not tol > 0:  # also refuses NaN
         raise InvalidParameterError(f"tolerance must be positive, got {tol}")
     if len(A.values) == 0 or A.tails[0] <= 0:
@@ -64,74 +80,97 @@ def _validated_float_arm(arm: DiscreteMeasure, A: DiscountSeq, tol: float):
         raise NotRegularError(
             "break-even quantities are only defined for regular discount sequences"
         )
-    return to_float(arm)
+    return to_exact(arm) if opts.exact else to_float(arm)
 
 
-def _bisect(f, lo, hi, tol, f_hi=None):
-    """Narrow [lo, hi] around the point where ``f``, positive at ``lo``,
-    first falls to zero or below, until the bracket is narrower than
-    ``tol`` or float resolution runs out.  Returns the bracket and ``f`` at
-    its upper end (``f_hi`` while that end is the one passed in)."""
-    while hi - lo > tol:
-        mid = 0.5 * (lo + hi)
-        if not lo < mid < hi:
-            break  # float resolution exhausted
-        f_mid = f(mid)
-        if f_mid <= 0.0:
-            hi, f_hi = mid, f_mid
-        else:
-            lo = mid
-    return lo, hi, f_hi
+def _newton(f, trace, limit, bound, tol, exact, down=False) -> IndexResult:
+    """Newton steps to the root of a convex, monotone, piecewise-linear
+    objective.
+
+    ``f(x)`` is one stopping pass, giving the objective at x and its slope.
+    ``trace`` holds the passes so far, one (x, objective, slope) each; the
+    last is the start, where the objective is positive, and the root lies
+    between it and ``limit``, past which no step goes.  The objective falls
+    towards the root, rising with x when ``down``.  Wherever it is positive
+    its slope has the sign of ``bound`` and at least its size (a zero
+    ``bound`` gives no size), so x - objective / bound is past the root
+    while no Newton step is: the two bracket it.  Float mode stops once the
+    bracket is narrower than ``tol``, exact mode on the root.
+    """
+    toward = max if down else min
+    start = len(trace) - 1
+    while True:
+        x, fx, slope = trace[-1]
+        if fx <= 0:
+            # On the root, or in float past it by rounding: the tangent
+            # there, below the objective, bounds how far.
+            far = x if fx == 0 else x - fx / slope
+            break
+        far = toward(limit, x - fx / bound) if bound else limit
+        if not exact and abs(far - x) <= tol:
+            break
+        # With the objective positive, only rounding flattens the slope or
+        # stalls the step: the root is then as close as floats can tell.
+        if not (slope > 0 if down else slope < 0):
+            break
+        nxt = toward(limit, x - fx / slope)
+        if nxt == x:
+            break
+        trace.append((nxt, *f(nxt)))
+    monotone = _warn_if_not_monotone(trace[start:], tol)
+    return IndexResult(x, (min(x, far), max(x, far)), len(trace), abs(fx), tuple(trace), monotone)
 
 
 def break_even_value(
-    arm: DiscreteMeasure, A: DiscountSeq, tol: float = DEFAULT_TOL
+    arm: DiscreteMeasure,
+    A: DiscountSeq,
+    tol: float = DEFAULT_TOL,
+    options: Optional[SolverOptions] = None,
 ) -> IndexResult:
     """Smallest known-arm rate at which retiring immediately is optimal.
 
-    Bisection over [mean(arm), max atom location]: constant play of the
-    unknown arm earns its mean per pull, so the break-even rate is at least
-    the mean; the value never exceeds the best possible observation per
-    pull, which caps it at the top of the support.
+    Newton steps on g up from mean(arm): constant play of the unknown arm
+    earns its mean per pull, so the break-even rate is at least the mean;
+    it never exceeds the best possible observation per pull, which caps it
+    at the top of the support.  ``options`` selects the arithmetic (float
+    by default); in exact mode the value is the root as a Fraction.
     """
-    arm_f = _validated_float_arm(arm, A, tol)
-    T1 = float(A.tails[0])
-    stop = _stopping_form(arm_f, A, None)
-    evals = 0
+    opts = _checked_options(options)
+    arm = _validated_arm(arm, A, tol, opts)
+    exact = opts.exact
+    T1, a1 = (_coerce(v, exact) for v in (A.tails[0], A.values[0]))
+    stop = _rate_slope_form(arm, A, opts)
 
-    def g(lam: float) -> float:
+    def g(lam):
         # The stopping-form value equals lam * T1 bit for bit wherever
-        # retirement is optimal, so the sign of g is free of the rounding
-        # noise a max of two pull-first payoffs would carry.
-        nonlocal evals
-        evals += 1
-        return stop(lam)[1] - lam * T1
+        # retirement is optimal, so g is exactly zero from the root on.
+        _, (v, slope) = stop(lam)
+        return v - lam * T1, slope - T1
 
-    lo = min(mean(arm_f), arm_f.max_location)
-    g_lo = g(lo)
-    if g_lo <= 0.0:
-        return IndexResult(lo, (lo, lo), evals, abs(g_lo))
-    lo, hi, g_hi = _bisect(g, lo, arm_f.max_location, tol)
-    iterations = evals
-    if g_hi is None:  # the top of the support was never probed
-        g_hi = g(hi)
-    return IndexResult(hi, (lo, hi), iterations, abs(g_hi))
+    top = arm.max_location
+    lam = min(mean(arm), top)
+    # g falls with slope at most -a1; a1 = 0 (T1 = T2) leaves only the cap.
+    return _newton(g, [(lam, *g(lam))], top, -a1, tol, exact)
 
 
 def break_even_observation(
-    arm: DiscreteMeasure, A: DiscountSeq, tol: float = DEFAULT_TOL
+    arm: DiscreteMeasure,
+    A: DiscountSeq,
+    tol: float = DEFAULT_TOL,
+    options: Optional[SolverOptions] = None,
 ) -> IndexResult:
     """Observation threshold at which the unknown arm stays optimal.
 
     The x at which break_even(arm + unit mass at x, dropped-first discounts)
     reaches lam0 = break_even(arm, full discounts), a nondecreasing map since
     adding mass higher up moves the posterior mean distribution up in the
-    increasing convex order.  A probe is one stopping pass at lam0, giving
-    h(x) = P(lam0) / T_2 - lam0 with P the posterior's root pull payoff: h
-    has the sign of break_even(posterior) - lam0 because P(lam) - lam * T_2
-    falls with slope at most -a_2 < 0.  The search starts at lam0 (the
-    threshold is never below it) and expands the upper end geometrically
-    past the support when needed.
+    increasing convex order.  It is the root of h(x) = P(lam0; x) / T_2 -
+    lam0, P the posterior's root pull payoff: h has the sign of
+    break_even(posterior) - lam0 because P(lam) - lam * T_2 falls with slope
+    at most -a_2 < 0.  h is convex and increasing in x, so the Newton steps
+    go down from x0 = max(top of the support, lam0), which first moves up
+    geometrically while h(x0) < 0.  The threshold is never below lam0, and
+    no step goes past it.
     """
     n = len(A.values)
     if n == 0 or A.tails[0] <= 0:
@@ -144,51 +183,52 @@ def break_even_observation(
         raise NonPositiveDiscountError(
             "break-even observation requires strictly positive discount weights"
         )
-    arm_f = _validated_float_arm(arm, A, tol)
-    lam0 = break_even_value(arm_f, A, tol).value
+    opts = _checked_options(options)
+    arm = _validated_arm(arm, A, tol, opts)
+    exact = opts.exact
+    lam0 = break_even_value(arm, A, tol, opts).value
     A1 = drop_first(A)
-    T2 = float(A1.tails[0])
-    probes: list[tuple[float, float]] = []
+    T2, a2 = (_coerce(v, exact) for v in (A1.tails[0], A1.values[0]))
+    pull = _observation_form(arm, A1, opts)
 
-    def h(x: float) -> float:
-        v = _stopping_form(posterior_update(arm_f, x), A1, None)(lam0)[0] / T2 - lam0
-        probes.append((x, v))
-        return v
+    def h(x):
+        p, slope = pull(x, lam0)
+        return p / T2 - lam0, slope / T2
 
     lo = lam0
-    h_lo = h(lo)
-    if h_lo >= 0:
-        return IndexResult(lo, (lo, lo), len(probes), abs(h_lo))
-    hi = max(arm_f.max_location, lo)
-    step = max(1.0, abs(hi))
-    while (h_hi := h(hi)) < 0:
-        lo = hi
-        hi = hi + step
+    x = max(arm.max_location, lam0)
+    trace = [(x, *h(x))]
+    step = max(1, abs(x))
+    while trace[-1][1] < 0:
+        lo, x = x, x + step
         step *= 2
-        if step > 2.0**64:
+        if step > 2**64:
             raise InvalidParameterError("break-even observation search diverged")
-    # h rises through zero where _bisect expects a fall, hence the negation.
-    lo, hi, h_hi = _bisect(lambda x: -h(x), lo, hi, tol, -h_hi)
-    _warn_if_not_monotone(probes, tol)
-    return IndexResult(hi, (lo, hi), len(probes), abs(h_hi))
+        trace.append((x, *h(x)))
+    # The root always pulls, adding a_2 * p_new = a_2 / (M + 1) to the slope.
+    bound = a2 / ((arm.total_mass + 1) * T2)
+    return _newton(h, trace, lo, bound, tol, exact, down=True)
 
 
-def _warn_if_not_monotone(probes, tol) -> None:
-    """The crossing objective should be nondecreasing in the observation;
-    bisection still returns its lowest crossing, but any decrease across the
-    evaluated points (beyond the probes' own error budget) is reported."""
-    probes = sorted(probes)
+def _warn_if_not_monotone(trace, tol) -> bool:
+    """Newton iterates on a convex, monotone objective move one way (each
+    step goes towards the root) and the objective at them falls towards
+    zero without crossing it.  A rise, or a fall past zero, beyond the
+    passes' own error budget shows an objective that is not convex and
+    monotone as the search assumes: it is reported, and the returned value
+    is the last iterate.  Returns whether the iterates were monotone."""
     noise = 4 * tol
-    for (x0, v0), (x1, v1) in zip(probes, probes[1:]):
-        if v1 < v0 - noise:
+    for (x0, f0, _), (x1, f1, _) in zip(trace, trace[1:]):
+        if not -noise <= f1 <= f0 + noise:
             warnings.warn(
-                f"break-even objective decreased from {v0:.3g} to {v1:.3g} "
-                f"between observations {x0:.6g} and {x1:.6g}; the returned "
-                "value is the lowest crossing",
+                f"break-even objective moved from {float(f0):.3g} to {float(f1):.3g} "
+                f"between Newton iterates {float(x0):.6g} and {float(x1):.6g}; the "
+                "returned value is the last iterate",
                 RuntimeWarning,
-                stacklevel=3,
+                stacklevel=4,
             )
-            return
+            return False
+    return True
 
 
 @dataclass(frozen=True)

@@ -15,7 +15,9 @@ last stage to the first; stage t of the two-armed pass splits into blocks
 of k1 counts on arm 1 and t - k1 on arm 2, and pulling either arm is a
 gather from a next-stage block plus a weighted sum over its atoms
 (``_pull``).  The one-armed stopping form is the same pass over the unknown
-arm alone, against retirement at ``lam * T_t``.
+arm alone, against retirement at ``lam * T_t``; for the Newton steps of
+the break-even searches it carries a second column, the slope of each
+value in ``lam`` or in the location of an added atom.
 
 Float mode runs on float64 arrays.  Exact mode runs the same code on object
 arrays of Python-int numerators: the weights, locations, discounts and
@@ -33,6 +35,7 @@ compared with the closed-form lattice size before anything is allocated.
 """
 from __future__ import annotations
 
+import copy
 import os
 from dataclasses import dataclass
 from enum import Enum
@@ -142,6 +145,9 @@ def _check_budget(atoms: int, n: int, options: SolverOptions) -> None:
         cap = options.memo_cap if env is None else int(env)
     except ValueError as e:
         raise InvalidParameterError(f"bad {MEMO_CAP_ENV} value {env!r}") from e
+    if cap < 0:
+        source = "memo_cap" if env is None else MEMO_CAP_ENV
+        raise InvalidParameterError(f"{source} must be nonnegative, got {cap}")
     states = comb(n - 1 + atoms, atoms) if n > 0 else 0
     if states > cap:
         raise ResourceBudgetExceededError(f"lattice of {states} states exceeds the cap of {cap}")
@@ -266,6 +272,13 @@ class _ArmRows:
     def zeros(self, k: int, width: int) -> np.ndarray:
         """Terminal values of the level-k states, ``width`` columns."""
         return np.zeros((self.start[k + 1] - self.start[k], width), self.dtype)
+
+    def with_mean(self, mean: list, dx) -> "_ArmRows":
+        """These rows with the mean columns ``mean`` (one array per level)
+        over the location denominator ``dx``."""
+        rows = copy.copy(self)
+        rows.mean, rows.dx = mean, dx
+        return rows
 
 
 def _pull(a_t, arm: _ArmRows, k: int, nxt: np.ndarray) -> np.ndarray:
@@ -400,28 +413,63 @@ def policy_tree(
     return nodes[0]
 
 
-def _stopping_pass(arm: _ArmRows, lam, lam_den, a, tails, da):
+def _stopping_pass(arm: _ArmRows, lam, lam_den, a, tails, da, slope=None):
     """Stopping form of the one-armed bandit under regular discounting.
 
     Once the known arm is optimal it stays optimal, so each state compares
     pulling the unknown arm with retiring for ``lam * T_t``.  Where
     retirement wins the value *is* the retirement expression, so the root
     value equals ``lam * T_1`` bit for bit -- the property the break-even
-    bisection relies on.  Returns the root's pull payoff and value.
+    search relies on.  Returns the root's pull payoff and value.
 
     ``lam / lam_den`` is the rate, and ``a`` and ``tails`` are the discount
     numerators over ``da``.  Level t holds numerators over
     ``da * arm.dx * lam_den * Q[t]`` (all 1.0 in float mode).
+
+    ``slope``, a pair (rows, dlam), makes the pass carry a second column
+    over the same denominators: the slope of each value in a parameter that
+    moves the mean numerators with slope ``rows.mean`` and the rate
+    numerator with slope ``dlam``.  Each state takes the slope of the action
+    its value picks, so the root's is the slope of an optimal policy's
+    payoff.  The root's pull payoff and value then come as pairs
+    (value, slope).
     """
     Q = arm.Q
-    v = arm.zeros(len(a), 1)
-    pull = v
+    v = d = arm.zeros(len(a), 1)
+    pull = dpull = v
     for t in reversed(range(len(a))):
-        pull = _pull(a[t] * lam_den * Q[t + 1], arm, t, v)
-        retire = lam * tails[t] * arm.dx * Q[t]
-        v = np.where(pull >= retire, pull, retire)
+        a_t = a[t] * lam_den * Q[t + 1]
+        pull = _pull(a_t, arm, t, v)
+        scale = tails[t] * arm.dx * Q[t]
+        retire = lam * scale
+        stay = pull >= retire
+        v = np.where(stay, pull, retire)
+        if slope is not None:
+            dpull = _pull(a_t, slope[0], t, d)
+            d = np.where(stay, dpull, slope[1] * scale)
     den = da * arm.dx * lam_den * Q[0]
-    return _read(pull.item(0), den), _read(v.item(0), den)
+    root = _read(pull.item(0), den), _read(v.item(0), den)
+    if slope is None:
+        return root
+    return tuple(zip(root, (_read(dpull.item(0), den), _read(d.item(0), den))))
+
+
+def _stopping_setup(arm: DiscreteMeasure, A: DiscountSeq, opts: SolverOptions):
+    """What every stopping pass of ``arm`` under a nonempty ``A`` shares:
+    regularity and the lattice budget checked, the arm's rows, and the
+    discounts and their tails over one denominator.  Returns
+    (rows, a, tails, da)."""
+    n = len(A.values)
+    if not is_regular(A):
+        raise InvalidParameterError(
+            "the stopping-form value requires a regular discount sequence"
+        )
+    _check_budget(len(arm.atoms), n, opts)
+    rows = _ArmRows(arm, n, opts.exact)
+    # Tails over the same denominator; a float sequence's tails, summed in
+    # floats, need not share the values' denominator.
+    scaled, da = _numerators(A.values + A.tails, opts.exact)
+    return rows, scaled[:n], scaled[n:], da
 
 
 def _stopping_form(arm: DiscreteMeasure, A: DiscountSeq, options: Optional[SolverOptions]):
@@ -435,8 +483,8 @@ def _stopping_form(arm: DiscreteMeasure, A: DiscountSeq, options: Optional[Solve
     zero; any other needs a regular discount sequence.
     """
     opts = _checked_options(options)
-    n, exact = len(A.values), opts.exact
-    if n == 0:
+    exact = opts.exact
+    if len(A.values) == 0:
         zero = Fraction(0) if exact else 0.0
 
         def empty(lam, first=0):
@@ -444,22 +492,62 @@ def _stopping_form(arm: DiscreteMeasure, A: DiscountSeq, options: Optional[Solve
             return zero, zero
 
         return empty
-    if not is_regular(A):
-        raise InvalidParameterError(
-            "the stopping-form value requires a regular discount sequence"
-        )
-    _check_budget(len(arm.atoms), n, opts)
-    rows = _ArmRows(arm, n, exact)
-    # Tails over the same denominator; a float sequence's tails, summed in
-    # floats, need not share the values' denominator.
-    scaled, da = _numerators(A.values + A.tails, exact)
-    a, tails = scaled[:n], scaled[n:]
+    rows, a, tails, da = _stopping_setup(arm, A, opts)
 
     def stop(lam, first=0):
         (lam,), lam_den = _numerators([lam], exact)
         return _stopping_pass(rows, lam, lam_den, a[first:], tails[first:], da)
 
     return stop
+
+
+def _rate_slope_form(arm: DiscreteMeasure, A: DiscountSeq, opts: SolverOptions):
+    """``stop(lam)``: the root's pull payoff and value of the stopping pass
+    of ``arm`` under the nonempty ``A``, each with its slope in ``lam``.
+
+    Pulling adds nothing to the slope and retiring at stage t sets it to
+    T_t, so the slope of the value is the expected discounted tail at
+    retirement.  One pass per call, set up once.
+    """
+    rows, a, tails, da = _stopping_setup(arm, A, opts)
+    flat = rows.with_mean([np.zeros_like(m) for m in rows.mean], rows.dx)
+
+    def stop(lam):
+        (lam,), lam_den = _numerators([lam], opts.exact)
+        return _stopping_pass(rows, lam, lam_den, a, tails, da, (flat, lam_den))
+
+    return stop
+
+
+def _observation_form(arm: DiscreteMeasure, A: DiscountSeq, opts: SolverOptions):
+    """``pull(x, lam)``: the root's pull payoff at rate ``lam`` of ``arm``
+    plus a unit mass at ``x`` under the nonempty ``A``, with its slope in x.
+
+    The predictive probabilities of the posterior do not depend on x, so one
+    table of the arm's atoms and one more, last, serves every x: a pass only
+    rewrites the mean column, base + x * p_new, whose slope p_new each pull
+    adds to the slope column, which retiring sets to zero.
+    """
+    exact = opts.exact
+    arm = to_exact(arm) if exact else to_float(arm)
+    one = Fraction(1) if exact else 1.0
+    # The new atom sits at 0 in the table, out of the location order; its
+    # location enters only through the mean column each pass rewrites.
+    table = DiscreteMeasure(arm.atoms + ((0 * one, one),), arm.total_mass + one)
+    rows, a, tails, da = _stopping_setup(table, A, opts)
+    base, p_new = rows.mean, [p[:, -1:] for p in rows.p]
+
+    def pull(x, lam):
+        (lam,), lam_den = _numerators([lam], exact)
+        (x,), x_den = _numerators([x], exact)
+        # Locations over dx: the table's over rows.dx, x over x_den.
+        dx = lcm(rows.dx, x_den) if exact else 1.0
+        stretch, x = (dx // rows.dx, x * (dx // x_den)) if exact else (1.0, x)
+        moved = rows.with_mean([m * stretch + p * x for m, p in zip(base, p_new)], dx)
+        slope = rows.with_mean([p * dx for p in p_new], dx)
+        return _stopping_pass(moved, lam, lam_den, a, tails, da, (slope, 0))[0]
+
+    return pull
 
 
 def value_one_armed(

@@ -368,8 +368,8 @@ def _weight_margin(gen, index, *, exact):
     w_large = value(BanditState(scale(F, Mt), arm2, A), opts).w
     margins = [w_small - w_large]
     if is_regular(A):
-        lam_small = break_even_value(scale(F, M), A, tol=1e-10)
-        lam_large = break_even_value(scale(F, Mt), A, tol=1e-10)
+        lam_small = break_even_value(scale(F, M), A, 1e-10, opts)
+        lam_large = break_even_value(scale(F, Mt), A, 1e-10, opts)
         margins.append(lam_small.value - lam_large.value)
         margins.append(RESIDUAL_TOL - max(lam_small.residual, lam_large.residual))
     return min(margins)
@@ -415,24 +415,24 @@ def _smoothing_margin(gen, index, *, theta_grid, exact):
     return min(values[k] - values[k + 1] for k in range(theta_grid - 1))
 
 
-def _breakeven_margin(gen, index, *, tol):
+def _breakeven_margin(gen, index, *, tol, exact):
     rng = gen.rng(index)
-    arm = random_measure(gen, rng)
-    A = random_discount(gen, rng, kind="regular_positive", min_n=2)
-    lam = break_even_value(arm, A, tol)
-    b = break_even_observation(arm, A, tol)
+    arm = random_measure(gen, rng, exact=exact)
+    A = random_discount(gen, rng, kind="regular_positive", min_n=2, exact=exact)
+    lam = break_even_value(arm, A, tol, _opts(exact))
+    b = break_even_observation(arm, A, tol, _opts(exact))
     return min(b.value - lam.value, RESIDUAL_TOL - lam.residual)
 
 
-def _strictness_margin(gen, index, *, strict_margin):
+def _strictness_margin(gen, index, *, strict_margin, exact):
     rng = gen.rng(index)
-    F = random_measure(gen, rng, normalized=True, min_atoms=2)
+    F = random_measure(gen, rng, normalized=True, min_atoms=2, exact=exact)
     M = _dyadic(rng, *gen.mass_range)
     Mt = M + _dyadic_positive(rng, 2.0)
     n = int(rng.integers(2, gen.max_horizon + 1))
-    A = make_uniform(n)
-    lam_small = break_even_value(scale(F, M), A, tol=1e-10)
-    lam_large = break_even_value(scale(F, Mt), A, tol=1e-10)
+    A = make_uniform(n, exact=exact)
+    lam_small = break_even_value(scale(F, M), A, 1e-10, _opts(exact))
+    lam_large = break_even_value(scale(F, Mt), A, 1e-10, _opts(exact))
     return lam_small.value - lam_large.value - strict_margin
 
 
@@ -505,14 +505,18 @@ def check_mass_smoothing(
                     theta_grid=theta_grid, exact=exact)
 
 
-def check_breakeven_bound(gen=None, trials=None, *, slack=1e-8, tol=1e-9, jobs=1) -> SuiteReport:
+def check_breakeven_bound(
+    gen=None, trials=None, *, slack=None, tol=1e-9, exact=False, jobs=1
+) -> SuiteReport:
     """The break-even observation never falls below the break-even value
-    (regular, strictly positive discounts, at least two stages)."""
-    return _collect("prop1", _breakeven_margin, gen, trials, slack, jobs, tol=tol)
+    (regular, strictly positive discounts, at least two stages).  Float runs
+    allow a slack of 1e-8, the residual tolerance of the two searches."""
+    slack = (0.0 if exact else RESIDUAL_TOL) if slack is None else slack
+    return _collect("prop1", _breakeven_margin, gen, trials, slack, jobs, tol=tol, exact=exact)
 
 
 def check_strict_weight_gaps(
-    gen=None, trials=None, *, strict_margin=STRICT_MARGIN, jobs=1
+    gen=None, trials=None, *, strict_margin=STRICT_MARGIN, exact=False, jobs=1
 ) -> SuiteReport:
     """Reporting-grade suite: under uniform discounting with a nondegenerate
     prior mean, the break-even value should drop strictly as the prior
@@ -530,7 +534,7 @@ def check_strict_weight_gaps(
         }
 
     return _collect("strictness", _strictness_margin, gen, trials, 0.0, jobs, details,
-                    strict_margin=strict_margin)
+                    strict_margin=strict_margin, exact=exact)
 
 
 def check_oracle_equivalence(gen=None, trials=None, *, tol=1e-10, jobs=1) -> SuiteReport:

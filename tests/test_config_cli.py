@@ -147,6 +147,20 @@ class TestCliValue:
         assert main(["value", THREE_ATOM]) == 3
         monkeypatch.delenv(MEMO_CAP_ENV)
 
+    def test_negative_memo_cap_env_exits_2(self, capsys, monkeypatch):
+        monkeypatch.setenv(MEMO_CAP_ENV, "-5")
+        assert main(["value", THREE_ATOM]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: {MEMO_CAP_ENV} must be nonnegative, got -5\n"
+
+    def test_negative_memo_cap_in_config_exits_2(self, tmp_path, capsys):
+        doc = {**json.loads(Path(WORKED).read_text()), "options": {"memo_cap": -1}}
+        assert main(["value", write(tmp_path, "cap.json", doc)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "config error: options.memo_cap must be nonnegative, got -1\n"
+
     @pytest.mark.parametrize(
         "field, parts",
         [
@@ -190,6 +204,12 @@ class TestCliValue:
 
 
 class TestCliIndices:
+    @pytest.mark.parametrize("command, key, want", [("lambda", "lambda", "0.5555555556"),
+                                                    ("breakeven", "b", "0.6666666667")])
+    def test_coin_index_to_ten_digits(self, command, key, want, capsys):
+        assert main([command, ONE_ARMED]) == 0
+        assert capsys.readouterr().out.splitlines()[0] == f"{key} = {want}"
+
     def test_lambda(self, capsys):
         assert main(["lambda", ONE_ARMED]) == 0
         out = capsys.readouterr().out

@@ -139,7 +139,7 @@ class TestBreakEvenValue:
         monkeypatch.setattr(solver, "_stopping_pass", counted_pass)
         res = break_even_value(arm, A2)
         assert len(tables) == 1
-        # The residual reuses the probe at the bracket's upper end.
+        # One Newton step per pass; the residual is read off the last one.
         assert len(passes) == res.iterations
 
     def test_no_monotonicity_warning_on_clean_instances(self):

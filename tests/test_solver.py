@@ -172,6 +172,20 @@ def test_memo_cap_raises(monkeypatch):
     assert value(state, SolverOptions(memo_cap=3)).w > 0
 
 
+def test_negative_memo_cap_is_a_parameter_error(monkeypatch):
+    state = BanditState(COIN, COIN, make_uniform(2))
+    with pytest.raises(InvalidParameterError, match="memo_cap must be nonnegative"):
+        value(state, SolverOptions(memo_cap=-1))
+    with pytest.raises(InvalidParameterError, match="memo_cap must be nonnegative"):
+        stopping_value(COIN, 0.5, make_uniform(2), SolverOptions(memo_cap=-1))
+    monkeypatch.setenv(MEMO_CAP_ENV, "-5")
+    with pytest.raises(InvalidParameterError, match=f"{MEMO_CAP_ENV} must be nonnegative"):
+        value(state)
+    monkeypatch.setenv(MEMO_CAP_ENV, "0")  # zero is a cap, refusing every lattice
+    with pytest.raises(ResourceBudgetExceededError):
+        value(state)
+
+
 def test_oversized_lattice_refused_before_allocation():
     # C(207, 8), about 7e13 states: refused up front, not after filling memory.
     arm = make_measure([(0, 1), (0.25, 1), (0.5, 1), (1, 1)])

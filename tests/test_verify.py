@@ -52,6 +52,14 @@ def test_exact_mode_reports_are_byte_stable():
         assert a.worst_margin >= 0.0  # zero slack in exact mode
 
 
+@pytest.mark.parametrize("name", ["prop1", "strictness"])
+def test_break_even_suites_run_exactly_with_zero_slack(name):
+    a = SUITES[name](InstanceGen(seed=9), 5, exact=True)
+    b = SUITES[name](InstanceGen(seed=9), 5, exact=True)
+    assert a.passed and a.worst_margin >= 0.0
+    assert json.dumps(a.to_dict()) == json.dumps(b.to_dict())
+
+
 def test_parallel_jobs_reproduce_sequential_reports():
     seq = SUITES["lemma3"](InstanceGen(seed=12), 8, jobs=1).to_dict()
     par = SUITES["lemma3"](InstanceGen(seed=12), 8, jobs=2).to_dict()

@@ -97,7 +97,7 @@ def _one_armed_config(path) -> InstanceConfig:
 
 def _cmd_index(search, key, args) -> int:
     cfg = _one_armed_config(args.config)
-    res = search(cfg.arm1, cfg.discount, args.tol)
+    res = search(cfg.arm1, cfg.discount, args.tol, options=cfg.options)
     print(f"{key} = {_fmt(res.value)}")
     print(f"bracket = [{_fmt(res.bracket[0])}, {_fmt(res.bracket[1])}]")
     print(f"iterations = {res.iterations}")

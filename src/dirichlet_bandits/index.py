@@ -45,7 +45,7 @@ from .errors import (
     NotRegularError,
 )
 from .measures import DiscreteMeasure, Numeric, _coerce, mean, to_exact, to_float
-from .solver import SolverOptions, _checked_options, _observation_form, _rate_slope_form
+from .solver import SolverOptions, _checked_options, _observation_form, _stopping_form
 
 DEFAULT_TOL = 1e-9
 #: Residual of the defining equation is expected below this (one order looser
@@ -88,9 +88,9 @@ def _newton(f, trace, limit, bound, tol, exact, down=False) -> IndexResult:
     objective.
 
     ``f(x)`` is one stopping pass, giving the objective at x and its slope.
-    ``trace`` holds the passes so far, one (x, objective, slope) each; the
-    last is the start, where the objective is positive, and the root lies
-    between it and ``limit``, past which no step goes.  The objective falls
+    ``trace`` holds the start's pass, (x, objective, slope), where the
+    objective is nonnegative (in float, up to rounding), and the root lies
+    between x and ``limit``, past which no step goes.  The objective falls
     towards the root, rising with x when ``down``.  Wherever it is positive
     its slope has the sign of ``bound`` and at least its size (a zero
     ``bound`` gives no size), so x - objective / bound is past the root
@@ -98,7 +98,6 @@ def _newton(f, trace, limit, bound, tol, exact, down=False) -> IndexResult:
     bracket is narrower than ``tol``, exact mode on the root.
     """
     toward = max if down else min
-    start = len(trace) - 1
     while True:
         x, fx, slope = trace[-1]
         if fx <= 0:
@@ -117,7 +116,7 @@ def _newton(f, trace, limit, bound, tol, exact, down=False) -> IndexResult:
         if nxt == x:
             break
         trace.append((nxt, *f(nxt)))
-    monotone = _warn_if_not_monotone(trace[start:], tol)
+    monotone = _warn_if_not_monotone(trace, tol)
     return IndexResult(x, (min(x, far), max(x, far)), len(trace), abs(fx), tuple(trace), monotone)
 
 
@@ -139,12 +138,12 @@ def break_even_value(
     arm = _validated_arm(arm, A, tol, opts)
     exact = opts.exact
     T1, a1 = (_coerce(v, exact) for v in (A.tails[0], A.values[0]))
-    stop = _rate_slope_form(arm, A, opts)
+    stop = _stopping_form(arm, A, opts)
 
     def g(lam):
         # The stopping-form value equals lam * T1 bit for bit wherever
         # retirement is optimal, so g is exactly zero from the root on.
-        _, (v, slope) = stop(lam)
+        (_, v), (_, slope) = stop(lam, slope=True)
         return v - lam * T1, slope - T1
 
     top = arm.max_location
@@ -168,9 +167,12 @@ def break_even_observation(
     lam0, P the posterior's root pull payoff: h has the sign of
     break_even(posterior) - lam0 because P(lam) - lam * T_2 falls with slope
     at most -a_2 < 0.  h is convex and increasing in x, so the Newton steps
-    go down from x0 = max(top of the support, lam0), which first moves up
-    geometrically while h(x0) < 0.  The threshold is never below lam0, and
-    no step goes past it.
+    go down from the top of the support, where h >= 0: at lam0 pulling
+    earns lam0 * T_1, which would be a_1 * mean + lam0 * T_2 if no
+    observation lifted the posterior's break-even value above lam0; lam0
+    exceeds the mean unless the arm is a point mass (where h(top) = 0), so
+    some observation does, and h is nondecreasing.  The threshold is never
+    below lam0, and no step goes past it.
     """
     n = len(A.values)
     if n == 0 or A.tails[0] <= 0:
@@ -195,19 +197,10 @@ def break_even_observation(
         p, slope = pull(x, lam0)
         return p / T2 - lam0, slope / T2
 
-    lo = lam0
-    x = max(arm.max_location, lam0)
-    trace = [(x, *h(x))]
-    step = max(1, abs(x))
-    while trace[-1][1] < 0:
-        lo, x = x, x + step
-        step *= 2
-        if step > 2**64:
-            raise InvalidParameterError("break-even observation search diverged")
-        trace.append((x, *h(x)))
     # The root always pulls, adding a_2 * p_new = a_2 / (M + 1) to the slope.
     bound = a2 / ((arm.total_mass + 1) * T2)
-    return _newton(h, trace, lo, bound, tol, exact, down=True)
+    x = arm.max_location
+    return _newton(h, [(x, *h(x))], lam0, bound, tol, exact, down=True)
 
 
 def _warn_if_not_monotone(trace, tol) -> bool:

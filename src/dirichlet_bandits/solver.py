@@ -12,12 +12,13 @@ totalling k in rank order, and a child table maps each vector and atom j to
 the rank of the vector with one more count at j.  These tables depend on
 (s, k) only and are built on first use.  One bottom-up pass runs from the
 last stage to the first; stage t of the two-armed pass splits into blocks
-of k1 counts on arm 1 and t - k1 on arm 2, and pulling either arm is a
-gather from a next-stage block plus a weighted sum over its atoms
-(``_pull``).  The one-armed stopping form is the same pass over the unknown
-arm alone, against retirement at ``lam * T_t``; for the Newton steps of
-the break-even searches it carries a second column, the slope of each
-value in ``lam`` or in the location of an added atom.
+of k1 counts on arm 1 and t - k1 on arm 2, and pulling either arm is its
+immediate payoff plus a gather from a next-stage block and a weighted sum
+over its atoms (``_pull``).  The one-armed stopping form is the same pass
+over the unknown arm alone, against retirement at ``lam * T_t``.  It runs
+over a list of columns, each an immediate payoff and a retirement rate:
+the value, and for the Newton steps of the break-even searches one more,
+the slope of each value in ``lam`` or in the location of an added atom.
 
 Float mode runs on float64 arrays.  Exact mode runs the same code on object
 arrays of Python-int numerators: the weights, locations, discounts and
@@ -35,7 +36,6 @@ compared with the closed-form lattice size before anything is allocated.
 """
 from __future__ import annotations
 
-import copy
 import os
 from dataclasses import dataclass
 from enum import Enum
@@ -273,23 +273,17 @@ class _ArmRows:
         """Terminal values of the level-k states, ``width`` columns."""
         return np.zeros((self.start[k + 1] - self.start[k], width), self.dtype)
 
-    def with_mean(self, mean: list, dx) -> "_ArmRows":
-        """These rows with the mean columns ``mean`` (one array per level)
-        over the location denominator ``dx``."""
-        rows = copy.copy(self)
-        rows.mean, rows.dx = mean, dx
-        return rows
 
-
-def _pull(a_t, arm: _ArmRows, k: int, nxt: np.ndarray) -> np.ndarray:
+def _pull(payoff, arm: _ArmRows, k: int, nxt: np.ndarray) -> np.ndarray:
     """Payoff of pulling ``arm`` at its level k and continuing optimally:
-    a_t times the posterior mean plus the predictive expectation of the
-    next-stage values ``nxt``, whose rows are the arm's level k + 1 and
-    whose columns are states of the other arm (one column in a stopping
-    pass).  In exact mode these are numerators: the caller's ``a_t`` puts
-    the mean term over the denominator that ``p[k]`` gives the expectation."""
+    the immediate ``payoff``, a column over the level's states (or a
+    scalar), plus the predictive expectation of the next-stage values
+    ``nxt``, whose rows are the arm's level k + 1 and whose columns are
+    states of the other arm (one column in a stopping pass).  In exact mode
+    these are numerators: the caller puts ``payoff`` over the denominator
+    that ``p[k]`` gives the expectation."""
     gathered = nxt[arm.child[k]]  # (P, s, columns)
-    return a_t * arm.mean[k] + np.matmul(arm.p[k][:, None, :], gathered)[:, 0]
+    return payoff + np.matmul(arm.p[k][:, None, :], gathered)[:, 0]
 
 
 class BanditSolver:
@@ -320,10 +314,11 @@ class BanditSolver:
         nxt = [rows1.zeros(k1, rows2.start[n - k1 + 1] - rows2.start[n - k1])
                for k1 in range(n + 1)]
         for t in reversed(range(n)):
-            self.w1[t] = [_pull(a[t] * rows2.dx * Q1[k1 + 1] * Q2[t - k1], rows1, k1, nxt[k1 + 1])
+            self.w1[t] = [_pull(a[t] * rows2.dx * Q1[k1 + 1] * Q2[t - k1] * rows1.mean[k1],
+                                rows1, k1, nxt[k1 + 1])
                           for k1 in range(t + 1)]
-            self.w2[t] = [_pull(a[t] * rows1.dx * Q2[t - k1 + 1] * Q1[k1], rows2, t - k1,
-                                nxt[k1].T).T
+            self.w2[t] = [_pull(a[t] * rows1.dx * Q2[t - k1 + 1] * Q1[k1] * rows2.mean[t - k1],
+                                rows2, t - k1, nxt[k1].T).T
                           for k1 in range(t + 1)]
             nxt = list(map(np.maximum, self.w1[t], self.w2[t]))
 
@@ -413,49 +408,43 @@ def policy_tree(
     return nodes[0]
 
 
-def _stopping_pass(arm: _ArmRows, lam, lam_den, a, tails, da, slope=None):
+def _stopping_pass(arm: _ArmRows, columns, dx, lam_den, a, tails, da):
     """Stopping form of the one-armed bandit under regular discounting.
 
     Once the known arm is optimal it stays optimal, so each state compares
     pulling the unknown arm with retiring for ``lam * T_t``.  Where
     retirement wins the value *is* the retirement expression, so the root
     value equals ``lam * T_1`` bit for bit -- the property the break-even
-    search relies on.  Returns the root's pull payoff and value.
+    search relies on.
 
-    ``lam / lam_den`` is the rate, and ``a`` and ``tails`` are the discount
-    numerators over ``da``.  Level t holds numerators over
-    ``da * arm.dx * lam_den * Q[t]`` (all 1.0 in float mode).
+    ``columns`` lists (mean, rate) pairs, one column of the pass each:
+    ``mean[k]`` gives the level-k posterior means over ``dx`` (a column, or
+    a scalar), paid at rate a_t on a pull, and ``rate`` over ``lam_den`` is
+    paid at T_t on retirement.  The first column is the value, and its
+    choice of pull or retire is every column's: a column of the slopes of
+    the means and of the rate in some parameter thus carries the slope of
+    an optimal policy's payoff in it.  Each column is pulled on its own,
+    which keeps the value's float bits those of a one-column pass.
 
-    ``slope``, a pair (rows, dlam), makes the pass carry a second column
-    over the same denominators: the slope of each value in a parameter that
-    moves the mean numerators with slope ``rows.mean`` and the rate
-    numerator with slope ``dlam``.  Each state takes the slope of the action
-    its value picks, so the root's is the slope of an optimal policy's
-    payoff.  The root's pull payoff and value then come as pairs
-    (value, slope).
+    ``a`` and ``tails`` are the discount numerators over ``da``.  Level t
+    holds numerators over ``da * dx * lam_den * Q[t]`` (all 1.0 in float
+    mode).  Returns the root's pull payoff and value, one pair per column.
     """
     Q = arm.Q
-    v = d = arm.zeros(len(a), 1)
-    pull = dpull = v
+    values = [arm.zeros(len(a), 1)] * len(columns)
+    pulls = values
     for t in reversed(range(len(a))):
         a_t = a[t] * lam_den * Q[t + 1]
-        pull = _pull(a_t, arm, t, v)
-        scale = tails[t] * arm.dx * Q[t]
-        retire = lam * scale
-        stay = pull >= retire
-        v = np.where(stay, pull, retire)
-        if slope is not None:
-            dpull = _pull(a_t, slope[0], t, d)
-            d = np.where(stay, dpull, slope[1] * scale)
-    den = da * arm.dx * lam_den * Q[0]
-    root = _read(pull.item(0), den), _read(v.item(0), den)
-    if slope is None:
-        return root
-    return tuple(zip(root, (_read(dpull.item(0), den), _read(d.item(0), den))))
+        scale = tails[t] * dx * Q[t]
+        pulls = [_pull(a_t * mean[t], arm, t, v) for (mean, _), v in zip(columns, values)]
+        stay = pulls[0] >= columns[0][1] * scale
+        values = [np.where(stay, pull, rate * scale) for pull, (_, rate) in zip(pulls, columns)]
+    den = da * dx * lam_den * Q[0]
+    return [(_read(pull.item(0), den), _read(v.item(0), den)) for pull, v in zip(pulls, values)]
 
 
 def _stopping_setup(arm: DiscreteMeasure, A: DiscountSeq, opts: SolverOptions):
-    """What every stopping pass of ``arm`` under a nonempty ``A`` shares:
+    """What every stopping pass of ``arm`` under ``A`` shares:
     regularity and the lattice budget checked, the arm's rows, and the
     discounts and their tails over one denominator.  Returns
     (rows, a, tails, da)."""
@@ -475,46 +464,28 @@ def _stopping_setup(arm: DiscreteMeasure, A: DiscountSeq, opts: SolverOptions):
 def _stopping_form(arm: DiscreteMeasure, A: DiscountSeq, options: Optional[SolverOptions]):
     """The stopping pass of ``arm`` under ``A``, checked and set up once.
 
-    Options, horizon, regularity and the lattice budget are checked, and the
+    Options, regularity and the lattice budget are checked, and the
     arm's rows and the discount numbers built, here; the returned
-    ``stop(lam, first=0)`` is then the pass alone.  It gives the root's pull
-    payoff and value of the stopping problem over the stages from ``first``
-    on, with ``lam`` in the solve's arithmetic.  An empty horizon is worth
-    zero; any other needs a regular discount sequence.
+    ``stop(lam, first=0, slope=False)`` is then the pass alone.  It gives
+    the root's pull payoff and value of the stopping problem over the stages
+    from ``first`` on, with ``lam`` in the solve's arithmetic.  The discount
+    sequence must be regular; an empty one passes no stage and is worth zero.
+
+    ``slope`` adds the column of their slopes in ``lam``, over a mean column
+    of zeros: pulling adds nothing to the slope and retiring at stage t sets
+    it to T_t, so the slope of the value is the expected discounted tail at
+    retirement.  ``stop`` then gives [(pull, value), (their slopes)].
     """
     opts = _checked_options(options)
     exact = opts.exact
-    if len(A.values) == 0:
-        zero = Fraction(0) if exact else 0.0
-
-        def empty(lam, first=0):
-            _coerce(lam, exact)  # a non-finite lam is refused here too
-            return zero, zero
-
-        return empty
     rows, a, tails, da = _stopping_setup(arm, A, opts)
+    flat = [0] * len(a)
 
-    def stop(lam, first=0):
+    def stop(lam, first=0, slope=False):
         (lam,), lam_den = _numerators([lam], exact)
-        return _stopping_pass(rows, lam, lam_den, a[first:], tails[first:], da)
-
-    return stop
-
-
-def _rate_slope_form(arm: DiscreteMeasure, A: DiscountSeq, opts: SolverOptions):
-    """``stop(lam)``: the root's pull payoff and value of the stopping pass
-    of ``arm`` under the nonempty ``A``, each with its slope in ``lam``.
-
-    Pulling adds nothing to the slope and retiring at stage t sets it to
-    T_t, so the slope of the value is the expected discounted tail at
-    retirement.  One pass per call, set up once.
-    """
-    rows, a, tails, da = _stopping_setup(arm, A, opts)
-    flat = rows.with_mean([np.zeros_like(m) for m in rows.mean], rows.dx)
-
-    def stop(lam):
-        (lam,), lam_den = _numerators([lam], opts.exact)
-        return _stopping_pass(rows, lam, lam_den, a, tails, da, (flat, lam_den))
+        columns = [(rows.mean, lam), (flat, lam_den)][: 1 + slope]
+        roots = _stopping_pass(rows, columns, rows.dx, lam_den, a[first:], tails[first:], da)
+        return roots if slope else roots[0]
 
     return stop
 
@@ -525,8 +496,9 @@ def _observation_form(arm: DiscreteMeasure, A: DiscountSeq, opts: SolverOptions)
 
     The predictive probabilities of the posterior do not depend on x, so one
     table of the arm's atoms and one more, last, serves every x: a pass only
-    rewrites the mean column, base + x * p_new, whose slope p_new each pull
-    adds to the slope column, which retiring sets to zero.
+    rewrites the mean column, base + x * p_new, and carries a slope column
+    with means p_new and rate zero, so each pull adds p_new to the slope and
+    retiring sets it to zero.
     """
     exact = opts.exact
     arm = to_exact(arm) if exact else to_float(arm)
@@ -543,9 +515,10 @@ def _observation_form(arm: DiscreteMeasure, A: DiscountSeq, opts: SolverOptions)
         # Locations over dx: the table's over rows.dx, x over x_den.
         dx = lcm(rows.dx, x_den) if exact else 1.0
         stretch, x = (dx // rows.dx, x * (dx // x_den)) if exact else (1.0, x)
-        moved = rows.with_mean([m * stretch + p * x for m, p in zip(base, p_new)], dx)
-        slope = rows.with_mean([p * dx for p in p_new], dx)
-        return _stopping_pass(moved, lam, lam_den, a, tails, da, (slope, 0))[0]
+        moved = [m * stretch + p * x for m, p in zip(base, p_new)]
+        columns = [(moved, lam), ([p * dx for p in p_new], 0)]
+        (p, _), (slope, _) = _stopping_pass(rows, columns, dx, lam_den, a, tails, da)
+        return p, slope
 
     return pull
 

@@ -1,0 +1,49 @@
+"""Byte-stability of CLI stdout on the demo configs.
+
+Each command's stdout must equal its file under ``tests/golden/`` byte for
+byte: the numbers, the policy trees and the sweep CSVs.  A deliberate output
+change re-captures the file by running the command from the repository root,
+for example
+
+    dirichlet-bandit value demos/configs/coin_vs_known_half.json > tests/golden/value_coin.txt
+
+and says in the change log why the bytes moved.
+"""
+from pathlib import Path
+
+import pytest
+
+from dirichlet_bandits.cli import main
+
+ROOT = Path(__file__).resolve().parents[1]
+GOLDEN = ROOT / "tests" / "golden"
+COIN = "demos/configs/coin_vs_known_half.json"
+ONE_ARMED = "demos/configs/coin_one_armed.json"
+THREE_ATOM = "demos/configs/three_atom_two_armed.json"
+
+COMMANDS = {
+    "value_coin": ["value", COIN],
+    "value_coin_exact": ["value", COIN, "--exact"],
+    "value_coin_policy2": ["value", COIN, "--policy", "2"],
+    "value_three_atom": ["value", THREE_ATOM],
+    "value_three_atom_exact": ["value", THREE_ATOM, "--exact"],
+    "value_three_atom_policy2": ["value", THREE_ATOM, "--policy", "2"],
+    "lambda_coin": ["lambda", ONE_ARMED],
+    "breakeven_coin": ["breakeven", ONE_ARMED],
+    "sweep_mass": ["sweep", THREE_ATOM, "--param", "mass", "--grid", "1,2,4,8"],
+    "sweep_spread": ["sweep", THREE_ATOM, "--param", "spread", "--grid", "0,0.1,0.2,0.3"],
+    "sweep_shift": ["sweep", THREE_ATOM, "--param", "shift", "--grid", "0,0.25,0.5,1"],
+}
+
+
+@pytest.mark.parametrize("name", COMMANDS)
+def test_stdout_matches_golden_file(name, capsys, monkeypatch):
+    monkeypatch.chdir(ROOT)
+    assert main(COMMANDS[name]) == 0
+    captured = capsys.readouterr()
+    assert captured.err == ""
+    assert captured.out == (GOLDEN / f"{name}.txt").read_text()
+
+
+def test_every_golden_file_has_a_command():
+    assert sorted(p.stem for p in GOLDEN.glob("*.txt")) == sorted(COMMANDS)

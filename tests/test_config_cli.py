@@ -210,6 +210,27 @@ class TestCliIndices:
         assert main([command, ONE_ARMED]) == 0
         assert capsys.readouterr().out.splitlines()[0] == f"{key} = {want}"
 
+    @pytest.mark.parametrize("command", ["lambda", "breakeven"])
+    def test_memo_cap_in_config_exits_3(self, command, tmp_path, capsys):
+        doc = {**json.loads(Path(ONE_ARMED).read_text()), "options": {"memo_cap": 1}}
+        assert main([command, write(tmp_path, "cap.json", doc)]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            "solver resource error: lattice of 3 states exceeds the cap of 1\n"
+        )
+
+    @pytest.mark.parametrize("command, key, want", [("lambda", "lambda", "5/9"),
+                                                    ("breakeven", "b", "2/3")])
+    def test_exact_mode_in_config_prints_the_rational_root(
+        self, command, key, want, tmp_path, capsys
+    ):
+        doc = {**json.loads(Path(ONE_ARMED).read_text()), "options": {"mode": "exact"}}
+        assert main([command, write(tmp_path, "exact.json", doc)]) == 0
+        assert capsys.readouterr().out.splitlines() == [
+            f"{key} = {want}", f"bracket = [{want}, {want}]", "iterations = 2", "residual = 0"
+        ]
+
     def test_lambda(self, capsys):
         assert main(["lambda", ONE_ARMED]) == 0
         out = capsys.readouterr().out

@@ -26,12 +26,23 @@ from dirichlet_bandits import (
     value_one_armed,
 )
 from dirichlet_bandits import index, solver
-from dirichlet_bandits.solver import DiscountSeq
+from dirichlet_bandits.solver import EXACT_OPTIONS, DiscountSeq
 from dirichlet_bandits.verify import random_discount, random_measure
 
 GEN = InstanceGen(seed=41)
 COIN = make_measure([(0, 1), (1, 1)])
 A2 = make_discount([1, 1])
+
+
+def one_armed_instance(gen, i, exact=False):
+    rng = gen.rng(i)
+    arm = random_measure(gen, rng, exact=exact)
+    return arm, random_discount(gen, rng, kind="regular_positive", min_n=2, exact=exact)
+
+
+#: Point-mass arms whose float observation search reads h = -1.1e-16 at
+#: the atom, the top of the support, from rounding alone.
+ROUNDED_POINT_MASSES = [one_armed_instance(InstanceGen(3), i) for i in (122, 341, 808)]
 
 
 class TestBreakEvenValue:
@@ -176,8 +187,10 @@ class TestBreakEvenObservation:
         res = break_even_observation(point_mass(0.4, weight=3), A2)
         assert res.value == pytest.approx(0.4, abs=1e-8)
 
-    @pytest.mark.parametrize("arm", [COIN, point_mass(0.4, weight=3)])
-    def test_one_value_search_and_one_pass_per_probe(self, arm, monkeypatch):
+    @pytest.mark.parametrize(
+        "arm, A", [(COIN, A2), (point_mass(0.4, weight=3), A2), *ROUNDED_POINT_MASSES]
+    )
+    def test_one_value_search_and_one_pass_per_probe(self, arm, A, monkeypatch):
         values, passes = [], []
 
         def counted_value(*args):
@@ -191,11 +204,20 @@ class TestBreakEvenObservation:
         stopping_pass = solver._stopping_pass
         monkeypatch.setattr(index, "break_even_value", counted_value)
         monkeypatch.setattr(solver, "_stopping_pass", counted_pass)
-        res = break_even_observation(arm, A2)
+        res = break_even_observation(arm, A)
         assert len(values) == 1
         assert len(passes) == values[0].iterations + res.iterations
         if len(arm) == 1:  # the threshold is the atom itself, found at once
             assert res.iterations == 1
+            assert res.value == arm.max_location
+
+    def test_search_starts_at_the_top_of_the_support_above_zero(self):
+        # The search needs no expansion: h(top) >= 0 holds exactly.
+        for i in range(50):
+            arm, A = one_armed_instance(GEN, 500 + i, exact=True)
+            x, h, _ = break_even_observation(arm, A, options=EXACT_OPTIONS).trace[0]
+            assert x == arm.max_location
+            assert h >= 0
 
     def test_never_below_break_even_value(self):
         for i in range(25):

@@ -89,10 +89,10 @@ class TestSlopeColumns:
             rng = gen.rng(i)
             arm = random_measure(gen, rng, exact=True)
             A = random_discount(gen, rng, kind="regular", exact=True)
-            stop = solver._rate_slope_form(arm, A, EXACT_OPTIONS)
+            stop = solver._stopping_form(arm, A, EXACT_OPTIONS)
             lam = Fraction(int(rng.integers(0, 64)), 64) + Fraction(1, 997)
-            (pull, dpull), (v, dv) = stop(lam)
-            (pull_eps, _), (v_eps, _) = stop(lam + self.EPS)
+            (pull, v), (dpull, dv) = stop(lam, slope=True)
+            (pull_eps, v_eps), _ = stop(lam + self.EPS, slope=True)
             assert v == stopping_value(arm, lam, A, EXACT_OPTIONS)
             assert (pull_eps - pull) / self.EPS == dpull
             assert (v_eps - v) / self.EPS == dv
@@ -116,7 +116,8 @@ class TestSlopeColumns:
         passes = count_passes(monkeypatch)
         stopping_value(COIN, 0.5, A2)
         value_one_armed(COIN, 0.5, A2)
-        assert all(len(args) == 6 for args in passes)
+        assert len(passes) == 3
+        assert all(len(columns) == 1 for _, columns, *_ in passes)
 
 
 class TestTrace:

@@ -188,7 +188,9 @@ class TestBreakEvenObservation:
         assert res.value == pytest.approx(0.4, abs=1e-8)
 
     @pytest.mark.parametrize(
-        "arm, A", [(COIN, A2), (point_mass(0.4, weight=3), A2), *ROUNDED_POINT_MASSES]
+        "arm, A",
+        [(COIN, A2), (point_mass(0.4, weight=3), A2), *ROUNDED_POINT_MASSES],
+        ids=["arm0", "arm1", "rounded122", "rounded341", "rounded808"],
     )
     def test_one_value_search_and_one_pass_per_probe(self, arm, A, monkeypatch):
         values, passes = [], []

@@ -4,6 +4,12 @@ Simulated optimal play is a fully independent consumer of the solver: it
 only asks "which arm here?" and then draws observations from the pulled
 arm's predictive.  Sample means must land within a few standard errors of
 the backward-induction value.
+
+The simulation follows a histogram of observation paths rather than each
+trajectory: at every stage the trajectories on a path are split over the
+pulled arm's atoms by one multinomial draw.  That is the same estimator as
+stepping every trajectory, so a million trajectories cost no more than the
+few paths they share.
 """
 from dirichlet_bandits import (
     BanditState,

@@ -6,8 +6,8 @@ Results go to stdout, diagnostics to stderr.  Exit codes:
     0  success (verify: zero violations)
     1  verify found violations
     2  configuration/usage errors (bad config, unknown suite, bad grid,
-       trial count below 1, negative seed, tolerance not positive,
-       non-finite number, unwritable --out file)
+       trial count below 1, --jobs below 1, negative seed, tolerance not
+       positive, non-finite number, unwritable --out file)
     3  solver resource budget exceeded
     4  discount sequence not regular where an index computation needs one
     5  precondition failure (one-armed command on a two-armed config,
@@ -204,7 +204,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p_ver.add_argument("--seed", type=int, default=0)
     p_ver.add_argument("--trials", type=int, default=None)
     p_ver.add_argument("--out", default=None, help="write machine-readable JSON report")
-    p_ver.add_argument("--jobs", type=int, default=1)
+    p_ver.add_argument("--jobs", type=int, default=1,
+                       help="worker processes, at most one per instance and usable CPU")
     p_ver.set_defaults(func=_cmd_verify)
 
     p_sweep = sub.add_parser("sweep", help="break-even value over a parameter grid (CSV)")

@@ -346,8 +346,9 @@ class BanditSolver:
         """Optimal play as lookups over each arm's count vectors, the levels
         below the horizon stacked into one table of rows per arm (row 0 is
         the root's): ``pulls_arm2[row1, row2]`` (ties go to arm 1), and per
-        arm the predictive CDF, shape (atoms, rows), the row reached by
-        observing each atom, shape (rows, atoms), and the atom locations."""
+        arm the float predictive probabilities and the row reached by
+        observing each atom, both shape (rows, atoms), and the atom
+        locations."""
         n = self.horizon
         start1, start2 = (rows.start for rows in self.arms)
         tie_tol = Fraction(self.options.tie_tol) if self.options.exact else self.options.tie_tol
@@ -358,9 +359,10 @@ class BanditSolver:
                 pulls_arm2[start1[k1] : start1[k1 + 1], start2[k2] : start2[k2 + 1]] = (
                     self.w1[t][k1] - self.w2[t][k1] < -tie_tol * self.den(k1, k2)
                 )
+        # Dividing by q is exact in float mode (q is 1.0) and rounds each
+        # integer ratio once in exact mode.
         return pulls_arm2, [
-            (np.concatenate([_read(np.cumsum(p, axis=1), q)
-                             for p, q in zip(rows.p, rows.q)]).T.copy(),
+            (np.concatenate([p / q for p, q in zip(rows.p, rows.q)]).astype(np.float64),
              np.concatenate([rows.start[k + 1] + c for k, c in enumerate(rows.child[:n])]),
              np.array(rows.locs))
             for rows in self.arms

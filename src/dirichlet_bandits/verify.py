@@ -14,6 +14,8 @@ across processes in any order and still produce identical reports.
 from __future__ import annotations
 
 import math
+import numbers
+import os
 import time
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
@@ -251,14 +253,25 @@ def format_reports(reports) -> str:
     return "\n".join(lines)
 
 
+def _pool_size(jobs: int, trials: int) -> int:
+    """Worker processes for ``trials`` instances at ``jobs``: no more than
+    there are instances or CPUs this process may run on."""
+    try:
+        cpus = len(os.sched_getaffinity(0))
+    except AttributeError:  # platforms without CPU affinity
+        cpus = os.cpu_count() or 1
+    return min(jobs, trials, cpus)
+
+
 def _map_instances(worker, trials, jobs):
-    if jobs > 1:
+    workers = _pool_size(jobs, trials)
+    if workers > 1:
         # Imported here: concurrent.futures and multiprocessing add about
         # 30 ms to every import of the package, and only parallel runs use them.
         from concurrent import futures
 
-        with futures.ProcessPoolExecutor(max_workers=jobs) as ex:
-            chunk = max(1, trials // (4 * jobs))
+        with futures.ProcessPoolExecutor(max_workers=workers) as ex:
+            chunk = max(1, trials // (4 * workers))
             return list(ex.map(worker, range(trials), chunksize=chunk))
     return [worker(i) for i in range(trials)]
 
@@ -271,6 +284,8 @@ def _collect(name, margin, gen, trials, slack, jobs, details=None, **params) -> 
         trials = DEFAULT_TRIALS[name]
     if trials < 1:
         raise InvalidParameterError(f"trials must be at least 1, got {trials}")
+    if jobs < 1:
+        raise InvalidParameterError(f"jobs must be at least 1, got {jobs}")
     t0 = time.perf_counter()
     margins = [float(m) for m in _map_instances(worker, trials, jobs)]
     violations = [(i, m) for i, m in enumerate(margins) if m < -slack]
@@ -582,19 +597,41 @@ def run_suites(names, gen=None, trials=None, *, jobs=1) -> list[SuiteReport]:
 # Monte Carlo policy evaluation
 # ---------------------------------------------------------------------------
 
+#: Largest trial count: numpy draws multinomial counts as int64.
+_MAX_TRIALS = int(np.iinfo(np.int64).max)
+
+
+def _is_int(x) -> bool:
+    return isinstance(x, numbers.Integral) and not isinstance(x, bool)
+
 
 def simulate_policy(
     state: BanditState, trials: int, seed: int, *, options=None
 ) -> tuple[float, float]:
-    """Estimate the value by simulating optimal play.
+    """Estimate the value by simulating ``trials`` trajectories of optimal play.
 
     At each stage the action is looked up in the solver's policy tables at
-    the current posterior, the pulled arm's observation is drawn from its
-    predictive (ties break toward arm 1), and discounted payoffs accumulate.
-    Returns (mean, standard error); deterministic given the seed.
+    the current posterior (ties break toward arm 1), the pulled arm's
+    observation is drawn from its predictive, and discounted payoffs
+    accumulate.  Trajectories that have seen the same observations share a
+    path: the simulation keeps one row per live path -- its row in each
+    arm's table, its payoff and its count of trials -- and at each stage
+    splits every path's count over the pulled arm's atoms in one multinomial
+    draw.  The histogram of N independent trajectories over paths is
+    multinomial, so the estimator has exactly the distribution of stepping
+    every trajectory on its own, while the work per stage is bounded by the
+    live paths, not by ``trials``.
+
+    Returns (mean, standard error); deterministic given the seed.  When
+    every trajectory ends on the same payoff, that payoff is returned with
+    standard error 0.
     """
-    if trials < 1:
-        raise InvalidParameterError("trials must be at least 1")
+    if not _is_int(trials) or trials < 1 or trials > _MAX_TRIALS:
+        raise InvalidParameterError(
+            f"trials must be an integer in [1, {_MAX_TRIALS}], got {trials!r}"
+        )
+    if not _is_int(seed) or seed < 0:
+        raise InvalidParameterError(f"seed must be a nonnegative integer, got {seed!r}")
     opts = options or DEFAULT_OPTIONS
     if opts.exact:
         opts = replace(opts, mode="float")
@@ -603,23 +640,28 @@ def simulate_policy(
         return 0.0, 0.0
     pulls_arm2, arms = BanditSolver(state, opts).policy_tables()
     rng = np.random.default_rng(seed)
-    # Each trial's current row in both arms' tables; int32 keeps a large
-    # sample's working arrays small.
-    row = np.zeros((2, trials), dtype=np.int32)
-    payoff = np.zeros(trials)
+    # One live path: its row in both arms' tables, its payoff and its count.
+    rows = np.zeros((2, 1), dtype=np.intp)
+    payoff = np.zeros(1)
+    count = np.array([trials], dtype=np.int64)
     for t in range(n):
         a_t = float(state.discount.values[t])
-        u = rng.random(trials)
-        arm2 = pulls_arm2[row[0], row[1]]
-        for (cdf, child, locs), arm_row, pulled in zip(arms, row, (~arm2, arm2)):
-            g, v = arm_row[pulled], u[pulled]
-            # The observed atom is the number of CDF steps at or below u.
-            j = np.zeros(len(g), dtype=np.int32)
-            for c in cdf[:-1]:
-                j += c[g] <= v
-            payoff[pulled] += a_t * locs[j]
-            arm_row[pulled] = child[g, j]
-    mean_v = float(payoff.mean())
-    if trials == 1 or payoff.min() == payoff.max():
-        return mean_v, 0.0  # a constant sample has zero standard error
-    return mean_v, float(payoff.std(ddof=1) / math.sqrt(trials))
+        arm2 = pulls_arm2[rows[0], rows[1]]
+        parts = []
+        for own, ((p, child, locs), pulled) in enumerate(zip(arms, (~arm2, arm2))):
+            path = np.flatnonzero(pulled)
+            # Each arm draws over its own atoms: padding a narrower arm's
+            # rows would let numpy put the remainder on a padded slot.
+            row = rows[own, path]
+            split = rng.multinomial(count[path], p[row])
+            i, j = np.nonzero(split)  # the paths that received trials
+            nxt = rows[:, path[i]]
+            nxt[own] = child[row[i], j]
+            parts.append((nxt, payoff[path[i]] + a_t * locs[j], split[i, j]))
+        rows, payoff, count = (np.concatenate(x, axis=-1) for x in zip(*parts))
+    if payoff.min() == payoff.max():
+        return float(payoff[0]), 0.0  # a constant sample has zero standard error
+    weight = count / trials
+    mean_v = float(weight @ payoff)
+    var = float(weight @ (payoff - mean_v) ** 2) * trials / (trials - 1)
+    return mean_v, math.sqrt(var / trials)

@@ -7,7 +7,10 @@ for example
 
     dirichlet-bandit value demos/configs/coin_vs_known_half.json > tests/golden/value_coin.txt
 
-and says in the change log why the bytes moved.
+and says in the change log why the bytes moved.  A ``verify`` report is
+pinned the same way, by the file its ``--out`` writes:
+
+    dirichlet-bandit verify montecarlo --out tests/golden/verify_montecarlo.json
 """
 from pathlib import Path
 
@@ -35,6 +38,11 @@ COMMANDS = {
     "sweep_shift": ["sweep", THREE_ATOM, "--param", "shift", "--grid", "0,0.25,0.5,1"],
 }
 
+#: Commands whose ``--out`` report is pinned, by the report's file stem.
+REPORTS = {
+    "verify_montecarlo": ["verify", "montecarlo"],
+}
+
 
 @pytest.mark.parametrize("name", COMMANDS)
 def test_stdout_matches_golden_file(name, capsys, monkeypatch):
@@ -45,5 +53,15 @@ def test_stdout_matches_golden_file(name, capsys, monkeypatch):
     assert captured.out == (GOLDEN / f"{name}.txt").read_text()
 
 
+@pytest.mark.parametrize("name", REPORTS)
+def test_report_matches_golden_file(name, tmp_path, capsys, monkeypatch):
+    monkeypatch.chdir(ROOT)
+    out = tmp_path / f"{name}.json"
+    assert main(REPORTS[name] + ["--out", str(out)]) == 0
+    assert capsys.readouterr().err == ""
+    assert out.read_bytes() == (GOLDEN / f"{name}.json").read_bytes()
+
+
 def test_every_golden_file_has_a_command():
     assert sorted(p.stem for p in GOLDEN.glob("*.txt")) == sorted(COMMANDS)
+    assert sorted(p.stem for p in GOLDEN.glob("*.json")) == sorted(REPORTS)

@@ -332,6 +332,13 @@ class TestCliVerify:
         assert captured.out == ""
         assert captured.err.count("\n") == 1 and "trials" in captured.err
 
+    @pytest.mark.parametrize("jobs", ["0", "-3"])
+    def test_jobs_below_one_exits_2(self, jobs, capsys):
+        assert main(["verify", "lemma3", "--trials", "2", "--jobs", jobs]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.count("\n") == 1 and "jobs" in captured.err
+
     def test_negative_seed_exits_2(self, capsys):
         assert main(["verify", "lemma3", "--seed", "-1", "--trials", "2"]) == 2
         captured = capsys.readouterr()

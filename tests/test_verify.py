@@ -1,6 +1,9 @@
 """Suite plumbing: determinism, generator soundness, Monte Carlo evaluation."""
+import itertools
 import json
+import time
 
+import numpy as np
 import pytest
 
 from dirichlet_bandits import (
@@ -15,10 +18,12 @@ from dirichlet_bandits import (
     simulate_policy,
     value,
 )
+from dirichlet_bandits import verify
 from dirichlet_bandits.solver import EXACT_OPTIONS, DiscountSeq
 from dirichlet_bandits.verify import (
     DEFAULT_TRIALS,
     _icx_pair,
+    _pool_size,
     format_reports,
     random_discount,
     random_state,
@@ -146,6 +151,76 @@ class TestSimulatePolicy:
             mean_v, se = simulate_policy(state, 50_000, seed=100 + i)
             assert abs(mean_v - dp) <= 4 * se + 1e-12
 
+    WIDE = make_measure([(0.25, 1), (0.5, 1), (1, 1)])
+    FIVE = make_discount([1, 0.5, 0.25, 0.125, 0.0625])
+
+    @pytest.mark.parametrize("narrow_first", [True, False], ids=["1v3", "3v1"])
+    @pytest.mark.parametrize("level", [0.125, 0.5, 1.0], ids=["wide", "mixed", "narrow"])
+    def test_mixed_width_arms_draw_only_real_atoms(self, level, narrow_first):
+        # Optimal play pulls only the 3-atom arm below it (level 0.125),
+        # switches between the arms (0.5), or pulls only the 1-atom arm (1.0).
+        narrow = point_mass(level)
+        arms = (narrow, self.WIDE) if narrow_first else (self.WIDE, narrow)
+        state = BanditState(*arms, self.FIVE)
+        # A single trajectory's payoff is a discounted sum of real atoms; the
+        # numbers are dyadic, so these sums are exact in any order.
+        atoms = (level, 0.25, 0.5, 1.0)
+        reachable = {
+            sum(a * x for a, x in zip(self.FIVE.values, xs))
+            for xs in itertools.product(atoms, repeat=5)
+        }
+        for seed in range(20):
+            mean_v, se = simulate_policy(state, 1, seed)
+            assert mean_v in reachable and se == 0.0
+        dp = value(state).w
+        mean_v, se = simulate_policy(state, 20_000, seed=5)
+        if level == 1.0:  # the 1-atom arm is degenerate
+            assert (mean_v, se) == (dp, 0.0)
+        else:
+            assert se > 0 and abs(mean_v - dp) <= 4 * se
+
+    def test_z_scores_over_random_instances_look_standard_normal(self):
+        gen = InstanceGen(seed=77)
+        zs = []
+        for i in range(300):
+            state = random_state(gen, gen.rng(i))
+            mean_v, se = simulate_policy(state, 20_000, seed=i)
+            if se > 0:
+                zs.append((mean_v - value(state).w) / se)
+        zs = np.array(zs)
+        assert len(zs) >= 150  # the others end every trajectory on one payoff
+        assert abs(zs.mean()) <= 0.2
+        assert 0.85 <= zs.std(ddof=1) <= 1.15
+        assert np.abs(zs).max() < 4.5
+
+    def test_a_trillion_trials_allocate_nothing_per_trial(self):
+        state = BanditState(
+            make_measure([(0, 1), (1, 1)]), point_mass(0.5), make_discount([1, 1])
+        )
+        t0 = time.perf_counter()
+        mean_v, se = simulate_policy(state, 10**12, seed=11)
+        assert time.perf_counter() - t0 < 1.0
+        assert se > 0
+        assert abs(mean_v - 13 / 12) <= 4 * se
+
+    @pytest.mark.parametrize("trials", [2.5, True, False, 0, -3, "10", 2**63])
+    def test_bad_trial_counts_are_refused(self, trials):
+        state = random_state(GEN, GEN.rng(3_000))
+        with pytest.raises(InvalidParameterError):
+            simulate_policy(state, trials, seed=0)
+
+    @pytest.mark.parametrize("seed", [-1, 1.5, True, None])
+    def test_bad_seeds_are_refused(self, seed):
+        state = random_state(GEN, GEN.rng(3_000))
+        with pytest.raises(InvalidParameterError):
+            simulate_policy(state, 10, seed=seed)
+
+    def test_numpy_integers_are_accepted(self):
+        state = random_state(GEN, GEN.rng(3_000))
+        assert simulate_policy(state, np.int64(500), np.uint32(4)) == simulate_policy(
+            state, 500, 4
+        )
+
 
 def test_strictness_suite_reports_gap_statistics():
     report = SUITES["strictness"](InstanceGen(seed=3), 10)
@@ -165,6 +240,52 @@ def test_trial_count_below_one_is_rejected():
         with pytest.raises(InvalidParameterError):
             SUITES["lemma3"](GEN, trials)
     assert SUITES["lemma3"](GEN).trials == DEFAULT_TRIALS["lemma3"]
+
+
+def test_jobs_below_one_are_rejected():
+    for jobs in (0, -2):
+        with pytest.raises(InvalidParameterError):
+            SUITES["lemma3"](GEN, 2, jobs=jobs)
+
+
+def test_pool_size_is_capped_by_instances_and_usable_cpus(monkeypatch):
+    monkeypatch.setattr(verify.os, "sched_getaffinity", lambda pid: set(range(8)))
+    assert _pool_size(64, 2) == 2
+    assert _pool_size(64, 1_000) == 8
+    assert _pool_size(3, 1_000) == 3
+    assert _pool_size(1, 1_000) == 1
+
+
+class _InlinePool:
+    """Stands in for ProcessPoolExecutor: records its size, maps in-process."""
+
+    sizes: list = []
+
+    def __init__(self, max_workers):
+        self.sizes.append(max_workers)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def map(self, fn, items, chunksize=1):
+        return map(fn, items)
+
+
+def test_parallel_run_starts_no_more_workers_than_instances(monkeypatch):
+    from concurrent import futures
+
+    monkeypatch.setattr(verify.os, "sched_getaffinity", lambda pid: set(range(8)))
+    monkeypatch.setattr(futures, "ProcessPoolExecutor", _InlinePool)
+    monkeypatch.setattr(_InlinePool, "sizes", [])
+    par = SUITES["lemma3"](InstanceGen(seed=12), 3, jobs=64).to_dict()
+    assert _InlinePool.sizes == [3]
+    assert par == SUITES["lemma3"](InstanceGen(seed=12), 3, jobs=1).to_dict()
+    # A single instance runs in-process: no pool starts.
+    SUITES["lemma3"](InstanceGen(seed=12), 1, jobs=64)
+    assert _InlinePool.sizes == [3]
 
 
 def test_negative_seed_is_rejected():

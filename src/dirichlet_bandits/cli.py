@@ -71,13 +71,14 @@ def _print_policy(node: PolicyNode, label: str = "", indent: int = 0) -> None:
 
 def _cmd_value(args) -> int:
     cfg = load_instance(args.config, force_mode="exact" if args.exact else None)
-    report = value(cfg.state(), cfg.options)
+    # One solve: with --policy the root's report is the tree's.
+    tree = None if args.policy is None else policy_tree(cfg.state(), args.policy, cfg.options)
+    report = value(cfg.state(), cfg.options) if tree is None else tree.report
     print(f"W = {_fmt(report.w)}")
     print(f"W1 = {_fmt(report.w1)}")
     print(f"W2 = {_fmt(report.w2)}")
     print(f"action = {report.action.value}")
-    if args.policy is not None:
-        tree = policy_tree(cfg.state(), args.policy, cfg.options)
+    if tree is not None:
         _print_policy(tree)
     return 0
 

@@ -44,6 +44,11 @@ MEAN_EQ_TOL = 1e-10
 ORDER_SLACK = 1e-12
 
 
+def _is_int(x) -> bool:
+    """Whether ``x`` is an integer (numpy integers too), booleans excluded."""
+    return isinstance(x, Integral) and not isinstance(x, bool)
+
+
 def _coerce(v, exact: bool):
     """``v``, a real number (numpy floats too) or decimal or fraction text, as
     a Fraction (exact) or a float; anything that is not a finite number in

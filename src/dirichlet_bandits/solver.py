@@ -20,6 +20,15 @@ over a list of columns, each an immediate payoff and a retirement rate:
 the value, and for the Newton steps of the break-even searches one more,
 the slope of each value in ``lam`` or in the location of an added atom.
 
+The two-armed pass keeps only the stages its caller reads; the others are
+dropped as soon as the stage before them is solved.  ``value`` keeps the
+root stage (so does the non-regular ``value_one_armed`` fallback, which
+goes through it), ``policy_tree(depth)`` the stages below ``depth``, and a
+``BanditSolver`` built without ``keep`` -- as ``policy_tables`` and
+``simulate_policy`` need -- every stage.  A policy tree walks the lattice by
+rank: each node carries arm 1's level and both arms' ranks, so a child is
+one child-table lookup and a report one block lookup.
+
 Float mode runs on float64 arrays.  Exact mode runs the same code on object
 arrays of Python-int numerators: the weights, locations, discounts and
 ``lam`` are scaled to integers once, every state of a lattice block shares
@@ -47,7 +56,7 @@ import numpy as np
 
 from .discount import DiscountSeq, is_regular
 from .errors import InvalidParameterError, ResourceBudgetExceededError
-from .measures import DiscreteMeasure, Numeric, _coerce, point_mass, to_exact, to_float
+from .measures import DiscreteMeasure, Numeric, _coerce, _is_int, point_mass, to_exact, to_float
 
 #: Environment variable overriding SolverOptions.memo_cap.
 MEMO_CAP_ENV = "BANDIT_MEMO_CAP"
@@ -282,7 +291,7 @@ def _pull(payoff, arm: _ArmRows, k: int, nxt: np.ndarray) -> np.ndarray:
     states of the other arm (one column in a stopping pass).  In exact mode
     these are numerators: the caller puts ``payoff`` over the denominator
     that ``p[k]`` gives the expectation."""
-    gathered = nxt[arm.child[k]]  # (P, s, columns)
+    gathered = nxt.take(arm.child[k], axis=0)  # (P, s, columns)
     return payoff + np.matmul(arm.p[k][:, None, :], gathered)[:, 0]
 
 
@@ -296,49 +305,82 @@ class BanditSolver:
     ``den(k1, k2)`` = Da Dx1 Dx2 Q1[k1] Q2[k2], for Da the discounts' least
     common denominator (all 1.0 in float mode): both payoffs of a block
     share it, and the continuation from a child block needs no factor.
+
+    The pass keeps the blocks of the first ``keep`` stages only (default:
+    every stage, which ``policy_tables`` needs); later stages are dropped as
+    soon as the stage before them is solved, so a pass that keeps the root
+    alone holds about two stages at a time.
     """
 
-    def __init__(self, state: BanditState, options: Optional[SolverOptions] = None):
+    def __init__(
+        self, state: BanditState, options: Optional[SolverOptions] = None, *,
+        keep: Optional[int] = None,
+    ):
         opts = _checked_options(options)
         n = len(state.discount.values)
         _check_budget(len(state.arm1.atoms) + len(state.arm2.atoms), n, opts)
         a, da = _numerators(state.discount.values, opts.exact)
         self.options = opts
         self.horizon = n
+        if keep is not None and (not _is_int(keep) or keep < 0):
+            raise InvalidParameterError(f"keep must be a nonnegative integer, got {keep!r}")
+        self.kept = n if keep is None else min(keep, n)
         self.arms = rows1, rows2 = (
             _ArmRows(state.arm1, n, opts.exact), _ArmRows(state.arm2, n, opts.exact)
         )
         self.scale = da * rows1.dx * rows2.dx
         Q1, Q2 = rows1.Q, rows2.Q
-        self.w1, self.w2 = [None] * n, [None] * n
+        self.w1, self.w2 = [None] * self.kept, [None] * self.kept
         nxt = [rows1.zeros(k1, rows2.start[n - k1 + 1] - rows2.start[n - k1])
                for k1 in range(n + 1)]
         for t in reversed(range(n)):
-            self.w1[t] = [_pull(a[t] * rows2.dx * Q1[k1 + 1] * Q2[t - k1] * rows1.mean[k1],
-                                rows1, k1, nxt[k1 + 1])
-                          for k1 in range(t + 1)]
-            self.w2[t] = [_pull(a[t] * rows1.dx * Q2[t - k1 + 1] * Q1[k1] * rows2.mean[t - k1],
-                                rows2, t - k1, nxt[k1].T).T
-                          for k1 in range(t + 1)]
-            nxt = list(map(np.maximum, self.w1[t], self.w2[t]))
+            w1 = [_pull(a[t] * rows2.dx * Q1[k1 + 1] * Q2[t - k1] * rows1.mean[k1],
+                        rows1, k1, nxt[k1 + 1])
+                  for k1 in range(t + 1)]
+            w2 = [_pull(a[t] * rows1.dx * Q2[t - k1 + 1] * Q1[k1] * rows2.mean[t - k1],
+                        rows2, t - k1, nxt[k1].T).T
+                  for k1 in range(t + 1)]
+            nxt = list(map(np.maximum, w1, w2))
+            if t < self.kept:
+                self.w1[t], self.w2[t] = w1, w2
 
     def den(self, k1: int, k2: int):
         """The denominator of the block with k1 counts on arm 1 and k2 on arm 2."""
         return self.scale * self.arms[0].Q[k1] * self.arms[1].Q[k2]
 
     def report(self, counts1=None, counts2=None) -> ValueReport:
-        """Value report at a reachable node (default: the root)."""
-        c1 = (0,) * self.arms[0].atoms if counts1 is None else tuple(counts1)
-        c2 = (0,) * self.arms[1].atoms if counts2 is None else tuple(counts2)
+        """Value report at a reachable node (default: the root), given by
+        each arm's added count per atom.  Counts totalling the horizon or
+        more give the zero report; a count vector of the wrong length, with
+        a negative or non-integer entry, or in a stage the solver did not
+        keep is refused with InvalidParameterError."""
+        vectors = []
+        for arm, counts in zip(self.arms, (counts1, counts2)):
+            c = (0,) * arm.atoms if counts is None else tuple(counts)
+            if len(c) != arm.atoms or not all(_is_int(x) and x >= 0 for x in c):
+                raise InvalidParameterError(
+                    f"counts must be {arm.atoms} nonnegative integers, got {counts!r}"
+                )
+            vectors.append(c)
+        c1, c2 = vectors
         k1 = sum(c1)
         t = k1 + sum(c2)
         if t >= self.horizon:
             z = Fraction(0) if self.options.exact else 0.0
             return ValueReport(z, z, z, Action.TIE)
-        at = (int(_rank(np.array(c1))), int(_rank(np.array(c2)))) if t else (0, 0)
+        if t >= self.kept:
+            raise InvalidParameterError(
+                f"stage {t} was not kept: this solver keeps stages below {self.kept}"
+            )
+        r1, r2 = (int(_rank(np.array(c))) for c in vectors) if t else (0, 0)
+        return self._report_at(t, k1, r1, r2)
+
+    def _report_at(self, t: int, k1: int, r1: int, r2: int) -> ValueReport:
+        """Value report of the kept stage-t node whose arm-1 count vector
+        has rank r1 at level k1 and whose arm-2 vector has rank r2."""
         den = self.den(k1, t - k1)
         return _make_report(
-            _read(self.w1[t][k1].item(at), den), _read(self.w2[t][k1].item(at), den),
+            _read(self.w1[t][k1].item(r1, r2), den), _read(self.w2[t][k1].item(r1, r2), den),
             self.options.tie_tol,
         )
 
@@ -348,8 +390,12 @@ class BanditSolver:
         the root's): ``pulls_arm2[row1, row2]`` (ties go to arm 1), and per
         arm the float predictive probabilities and the row reached by
         observing each atom, both shape (rows, atoms), and the atom
-        locations."""
+        locations.  Needs every stage kept."""
         n = self.horizon
+        if self.kept < n:
+            raise InvalidParameterError(
+                f"policy tables need all {n} stages; this solver keeps {self.kept}"
+            )
         start1, start2 = (rows.start for rows in self.arms)
         tie_tol = Fraction(self.options.tie_tol) if self.options.exact else self.options.tie_tol
         pulls_arm2 = np.zeros((start1[n], start2[n]), dtype=bool)
@@ -371,8 +417,9 @@ class BanditSolver:
 
 def value(state: BanditState, options: Optional[SolverOptions] = None) -> ValueReport:
     """Maximum expected payoff of a two-armed instance, with both pull-first
-    payoffs and the initial action.  Horizon zero yields zero."""
-    return BanditSolver(state, options).report()
+    payoffs and the initial action.  Horizon zero yields zero.  The pass
+    keeps the root stage alone."""
+    return BanditSolver(state, options, keep=1).report()
 
 
 def policy_tree(
@@ -381,33 +428,45 @@ def policy_tree(
     """Optimal-policy tree expanded for the first ``depth`` stages.
 
     Each node's action agrees with :func:`value` at that node; branches
-    enumerate the selected arm's predictive support.
+    enumerate the selected arm's predictive support.  The pass keeps the
+    stages below ``depth`` alone, and the tree is walked by lattice rank:
+    a node's child under atom j is one lookup in its arm's child table.
     """
     n = len(state.discount.values)
-    if depth < 1 or depth > n:
-        raise InvalidParameterError(f"policy depth must be in [1, {n}], got {depth}")
-    solver = BanditSolver(state, options)
-    # Expand stage by stage, then assemble the nodes from the deepest up.
-    frontier = [((0,) * solver.arms[0].atoms, (0,) * solver.arms[1].atoms)]
+    if not _is_int(depth) or depth < 1 or depth > n:
+        raise InvalidParameterError(f"policy depth must be in [1, {n}], got {depth!r}")
+    solver = BanditSolver(state, options, keep=depth)
+    rows1, rows2 = solver.arms
+    # Expand stage by stage, then assemble the nodes from the deepest up.  A
+    # node is its two count vectors, arm 1's level and both arms' ranks.
+    frontier = [((0,) * rows1.atoms, (0,) * rows2.atoms, 0, 0, 0)]
     stages = []
     for stage in range(depth):
-        stages.append([(c1, c2, solver.report(c1, c2)) for c1, c2 in frontier])
+        stages.append([(node, solver._report_at(stage, *node[2:])) for node in frontier])
+        if stage + 1 == depth:
+            break
         frontier = []
-        for c1, c2, rep in stages[-1]:
-            arm2 = rep.action is Action.ARM2
-            counts = c2 if arm2 else c1
-            for j in range(len(counts)):
-                child = counts[:j] + (counts[j] + 1,) + counts[j + 1 :]
-                frontier.append((c1, child) if arm2 else (child, c2))
+        for (c1, c2, k1, r1, r2), rep in stages[-1]:
+            if rep.action is Action.ARM2:
+                for j, r in enumerate(rows2.child[stage - k1][r2].tolist()):
+                    frontier.append((c1, _bump(c2, j), k1, r1, r))
+            else:
+                for j, r in enumerate(rows1.child[k1][r1].tolist()):
+                    frontier.append((_bump(c1, j), c2, k1 + 1, r, r2))
     nodes: list[PolicyNode] = []
     for stage in reversed(range(depth)):
         kids = iter(nodes)
         nodes = []
-        for c1, c2, rep in stages[stage]:
+        for (c1, c2, *_), rep in stages[stage]:
             locs = solver.arms[1 if rep.action is Action.ARM2 else 0].locs
             branches = tuple((loc, next(kids)) for loc in locs) if stage + 1 < depth else ()
             nodes.append(PolicyNode(StateKey(c1, c2, stage), rep.action, rep, branches))
     return nodes[0]
+
+
+def _bump(counts: tuple, j: int) -> tuple:
+    """``counts`` with one more count at slot j."""
+    return counts[:j] + (counts[j] + 1,) + counts[j + 1 :]
 
 
 def _stopping_pass(arm: _ArmRows, columns, dx, lam_den, a, tails, da):

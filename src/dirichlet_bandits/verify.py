@@ -14,7 +14,6 @@ across processes in any order and still produce identical reports.
 from __future__ import annotations
 
 import math
-import numbers
 import os
 import time
 from dataclasses import dataclass, field, replace
@@ -36,6 +35,7 @@ from .index import RESIDUAL_TOL, break_even_value
 from .index import break_even_observation
 from .measures import (
     DiscreteMeasure,
+    _is_int,
     leq_icx,
     make_measure,
     mean_preserving_spread,
@@ -86,8 +86,8 @@ class InstanceGen:
     mass_range: tuple[float, float] = (0.5, 4.0)
 
     def __post_init__(self):
-        if self.seed < 0:
-            raise InvalidParameterError(f"seed must be nonnegative, got {self.seed}")
+        if not _is_int(self.seed) or self.seed < 0:
+            raise InvalidParameterError(f"seed must be a nonnegative integer, got {self.seed!r}")
 
     def rng(self, index: int) -> np.random.Generator:
         return np.random.default_rng(np.random.SeedSequence(self.seed, spawn_key=(index,)))
@@ -282,10 +282,11 @@ def _collect(name, margin, gen, trials, slack, jobs, details=None, **params) -> 
     worker = partial(margin, gen, **params)
     if trials is None:
         trials = DEFAULT_TRIALS[name]
-    if trials < 1:
-        raise InvalidParameterError(f"trials must be at least 1, got {trials}")
-    if jobs < 1:
-        raise InvalidParameterError(f"jobs must be at least 1, got {jobs}")
+    if not _is_int(trials) or trials < 1:
+        raise InvalidParameterError(f"trials must be an integer of at least 1, got {trials!r}")
+    if not _is_int(jobs) or jobs < 1:
+        raise InvalidParameterError(f"jobs must be an integer of at least 1, got {jobs!r}")
+    trials = int(trials)  # a numpy integer would not serialize in the report
     t0 = time.perf_counter()
     margins = [float(m) for m in _map_instances(worker, trials, jobs)]
     violations = [(i, m) for i, m in enumerate(margins) if m < -slack]
@@ -599,10 +600,6 @@ def run_suites(names, gen=None, trials=None, *, jobs=1) -> list[SuiteReport]:
 
 #: Largest trial count: numpy draws multinomial counts as int64.
 _MAX_TRIALS = int(np.iinfo(np.int64).max)
-
-
-def _is_int(x) -> bool:
-    return isinstance(x, numbers.Integral) and not isinstance(x, bool)
 
 
 def simulate_policy(

@@ -31,6 +31,7 @@ COMMANDS = {
     "value_three_atom": ["value", THREE_ATOM],
     "value_three_atom_exact": ["value", THREE_ATOM, "--exact"],
     "value_three_atom_policy2": ["value", THREE_ATOM, "--policy", "2"],
+    "value_three_atom_exact_policy3": ["value", THREE_ATOM, "--exact", "--policy", "3"],
     "lambda_coin": ["lambda", ONE_ARMED],
     "breakeven_coin": ["breakeven", ONE_ARMED],
     "sweep_mass": ["sweep", THREE_ATOM, "--param", "mass", "--grid", "1,2,4,8"],

@@ -1,6 +1,7 @@
 """Two-armed lattice pass, one-armed stopping form, policy trees."""
 import math
 import time
+import tracemalloc
 from fractions import Fraction
 from math import comb
 
@@ -343,6 +344,89 @@ class TestPolicyTree:
             policy_tree(WORKED, 0)
         with pytest.raises(InvalidParameterError):
             policy_tree(WORKED, 3)
+        with pytest.raises(InvalidParameterError):
+            policy_tree(WORKED, 1.0)
+
+    @pytest.mark.parametrize("mode, instances", [("float", 100), ("exact", 20)])
+    def test_every_node_matches_a_report_of_a_full_solve(self, mode, instances):
+        # The tree keeps only the stages it expands and walks by lattice rank;
+        # the reference keeps every stage and ranks each node's counts.
+        opts = SolverOptions(mode=mode)
+        for i in range(instances):
+            state = random_state(GEN, GEN.rng(12_000 + i), exact=opts.exact)
+            full = BanditSolver(state, opts)
+            for depth in range(1, len(state.discount.values) + 1):
+                stack, nodes = [policy_tree(state, depth, opts)], 0
+                while stack:
+                    node = stack.pop()
+                    c1, c2 = node.key.counts1, node.key.counts2
+                    assert node.key.stage == sum(c1) + sum(c2) < depth
+                    assert node.report == full.report(c1, c2)
+                    assert node.action is node.report.action
+                    stack.extend(child for _, child in node.branches)
+                    nodes += 1
+                assert nodes >= depth
+
+
+def test_value_keeps_only_the_root_stage():
+    # 2x2 atoms at n=48: a pass keeping every stage peaks at about 4.5 MB;
+    # one keeping the root holds about two stages at a time.
+    arm1 = make_measure([(0.25, 1), (0.75, 2)])
+    arm2 = make_measure([(0.1, 1.5), (0.9, 0.5)])
+    state = BanditState(arm1, arm2, make_uniform(48))
+    value(state)  # builds and caches the lattices
+    tracemalloc.start()
+    try:
+        value(state)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1.5e6
+
+
+class TestReportInputs:
+    """``BanditSolver.report`` refuses counts naming no state it holds."""
+
+    STATE = BanditState(COIN, make_measure([(0, 1), (0.5, 1), (1, 2)]), make_uniform(4))
+
+    @pytest.mark.parametrize("counts1, counts2", [
+        ((1,), (0, 0, 0)),            # too short for the 2-atom arm
+        ((0, 0, 0), (0, 0, 0)),       # too long
+        ((-1, 2), (0, 0, 0)),         # negative entry, total still in range
+        ((0, 0), (0, 0, 1, 0)),       # too long for the 3-atom arm
+        ((0, 0), (0, -1, 1)),
+        ((1.0, 0), (0, 0, 0)),        # not an integer
+        ((True, 0), (0, 0, 0)),       # a boolean is not a count
+        ((0, 0), (np.float64(1), 0, 0)),
+    ])
+    def test_bad_counts_are_refused(self, counts1, counts2):
+        with pytest.raises(InvalidParameterError):
+            BanditSolver(self.STATE).report(counts1, counts2)
+
+    def test_numpy_integer_counts_are_accepted(self):
+        solver = BanditSolver(self.STATE)
+        assert solver.report(np.array([1, 0]), (np.int64(0), 2, 0)) == solver.report(
+            (1, 0), (0, 2, 0)
+        )
+
+    def test_stage_not_kept_is_refused(self):
+        solver = BanditSolver(self.STATE, keep=2)
+        assert solver.report((1, 0), (0, 0, 0)) == BanditSolver(self.STATE).report((1, 0), (0, 0, 0))
+        with pytest.raises(InvalidParameterError):
+            solver.report((1, 0), (0, 1, 0))
+        with pytest.raises(InvalidParameterError):
+            solver.policy_tables()
+
+    @pytest.mark.parametrize("keep", [-1, 1.5, True])
+    def test_bad_stage_counts_to_keep_are_refused(self, keep):
+        with pytest.raises(InvalidParameterError):
+            BanditSolver(self.STATE, keep=keep)
+
+    @pytest.mark.parametrize("keep", [None, 1])
+    def test_counts_at_or_past_the_horizon_give_zero(self, keep):
+        solver = BanditSolver(self.STATE, keep=keep)
+        for c1, c2 in (((2, 2), (0, 0, 0)), ((0, 0), (3, 1, 2))):
+            assert solver.report(c1, c2) == ValueReport(0.0, 0.0, 0.0, Action.TIE)
 
 
 class TestExactArithmetic:

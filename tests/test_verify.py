@@ -248,6 +248,27 @@ def test_jobs_below_one_are_rejected():
             SUITES["lemma3"](GEN, 2, jobs=jobs)
 
 
+@pytest.mark.parametrize("trials", [2.5, True, "3", np.float64(2.0)])
+def test_non_integer_trial_counts_are_refused(trials):
+    # 2.5 used to leak TypeError from range(); True ran one instance and
+    # reported "trials": true.
+    with pytest.raises(InvalidParameterError):
+        verify.check_oracle_equivalence(GEN, trials)
+
+
+@pytest.mark.parametrize("jobs", [1.5, True, "2"])
+def test_non_integer_jobs_are_refused(jobs):
+    # 1.5 used to reach ProcessPoolExecutor(max_workers=1.5) and leak TypeError.
+    with pytest.raises(InvalidParameterError):
+        run_suites(["lemma3"], GEN, 2, jobs=jobs)
+
+
+def test_numpy_integer_trials_and_jobs_are_accepted():
+    report = SUITES["lemma3"](GEN, np.int64(2), jobs=np.int32(1))
+    assert report.to_dict() == SUITES["lemma3"](GEN, 2).to_dict()
+    assert json.loads(json.dumps(report.to_dict()))["trials"] == 2
+
+
 def test_pool_size_is_capped_by_instances_and_usable_cpus(monkeypatch):
     monkeypatch.setattr(verify.os, "sched_getaffinity", lambda pid: set(range(8)))
     assert _pool_size(64, 2) == 2
@@ -291,3 +312,10 @@ def test_parallel_run_starts_no_more_workers_than_instances(monkeypatch):
 def test_negative_seed_is_rejected():
     with pytest.raises(InvalidParameterError):
         InstanceGen(seed=-1)
+
+
+@pytest.mark.parametrize("seed", [1.5, True, None, "3"])
+def test_non_integer_generator_seeds_are_rejected(seed):
+    # 1.5 used to construct and then fail inside numpy's SeedSequence.
+    with pytest.raises(InvalidParameterError):
+        InstanceGen(seed=seed)

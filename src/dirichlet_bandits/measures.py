@@ -54,12 +54,17 @@ def _coerce(v, exact: bool):
     a Fraction (exact) or a float; anything that is not a finite number in
     the mode, such as NaN or 1e999 in float mode, raises InvalidParameterError."""
     try:
-        x = Fraction(v) if isinstance(v, str) else v
-        if isinstance(x, Integral):
-            x = int(x)  # a numpy integer would overflow inside a Fraction
-        elif not isinstance(x, (Fraction, Decimal)):
-            x = float(x)
-        x = Fraction(x) if exact else float(x)
+        cls = type(v)
+        if cls is float or cls is int or cls is Fraction:
+            x = v  # the common types skip the numbers-ABC checks below
+        else:
+            x = Fraction(v) if isinstance(v, str) else v
+            if isinstance(x, Integral):
+                x = int(x)  # a numpy integer would overflow inside a Fraction
+            elif not isinstance(x, (Fraction, Decimal)):
+                x = float(x)
+        if cls is not (Fraction if exact else float):
+            x = Fraction(x) if exact else float(x)
         if exact or math.isfinite(x):
             return x
     except (TypeError, ValueError, ArithmeticError):

@@ -20,6 +20,14 @@ over a list of columns, each an immediate payoff and a retirement rate:
 the value, and for the Newton steps of the break-even searches one more,
 the slope of each value in ``lam`` or in the location of an added atom.
 
+The two-armed pass runs over a stack of B instances that share both arms'
+atom counts and the horizon: every array carries a leading batch axis, the
+discounts are a (B, n) table, and a block is (B, rows, columns).  ``value``
+is the pass at B = 1; ``_values`` groups a list of states by shape and
+solves each group as one stack, which is how the property suites solve
+their families of closely related priors.  Exact passes run at B = 1,
+as does the stopping form.
+
 The two-armed pass keeps only the stages its caller reads; the others are
 dropped as soon as the stage before them is solved.  ``value`` keeps the
 root stage (so does the non-regular ``value_one_armed`` fallback, which
@@ -34,14 +42,17 @@ arrays of Python-int numerators: the weights, locations, discounts and
 ``lam`` are scaled to integers once, every state of a lattice block shares
 one integer denominator, and a Fraction is built only where a value is read
 out (reports, stopping-form roots, policy tables).  Float mode is the same
-arithmetic with every scale equal to 1.0, which changes no bit.
+arithmetic with every scale equal to 1.0, which changes no bit; the
+two-armed pass skips multiplying by such a unit scale.
 
 Stages with zero discount weight still consume a stage and still update the
 posterior of the pulled arm: with general nonnegative discounting the
 optimal policy may pull purely for information, so no stage is skipped.
 
 The lattice-state budget ``memo_cap`` (overridden by BANDIT_MEMO_CAP) is
-compared with the closed-form lattice size before anything is allocated.
+compared with the closed-form lattice size, times B for a stack, before
+anything is allocated; ``policy_tree`` compares its worst-case node count
+with the same budget before it solves.
 """
 from __future__ import annotations
 
@@ -50,7 +61,7 @@ from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 from math import comb, isfinite, lcm
-from typing import NamedTuple, Optional
+from typing import NamedTuple, Optional, Sequence
 
 import numpy as np
 
@@ -145,10 +156,8 @@ def _checked_options(options: Optional[SolverOptions]) -> SolverOptions:
     return opts
 
 
-def _check_budget(atoms: int, n: int, options: SolverOptions) -> None:
-    """Refuse a pass whose lattice -- count vectors over ``atoms`` slots
-    totalling less than ``n``, C(n - 1 + atoms, atoms) of them -- exceeds
-    the memo cap."""
+def _memo_cap(options: SolverOptions) -> int:
+    """The lattice-state budget: ``memo_cap``, or BANDIT_MEMO_CAP when set."""
     env = os.environ.get(MEMO_CAP_ENV)
     try:
         cap = options.memo_cap if env is None else int(env)
@@ -157,9 +166,23 @@ def _check_budget(atoms: int, n: int, options: SolverOptions) -> None:
     if cap < 0:
         source = "memo_cap" if env is None else MEMO_CAP_ENV
         raise InvalidParameterError(f"{source} must be nonnegative, got {cap}")
-    states = comb(n - 1 + atoms, atoms) if n > 0 else 0
-    if states > cap:
-        raise ResourceBudgetExceededError(f"lattice of {states} states exceeds the cap of {cap}")
+    return cap
+
+
+def _lattice_states(atoms: int, n: int) -> int:
+    """Count vectors over ``atoms`` slots totalling less than ``n``."""
+    return comb(n - 1 + atoms, atoms) if n > 0 else 0
+
+
+def _check_budget(atoms: int, n: int, options: SolverOptions, batch: int = 1) -> None:
+    """Refuse a pass over ``batch`` lattices -- count vectors over ``atoms``
+    slots totalling less than ``n``, C(n - 1 + atoms, atoms) of them, per
+    instance -- whose states exceed the memo cap."""
+    cap = _memo_cap(options)
+    states = _lattice_states(atoms, n)
+    if batch * states > cap:
+        stack = f"stack of {batch} lattices of " if batch > 1 else "lattice of "
+        raise ResourceBudgetExceededError(f"{stack}{states} states exceeds the cap of {cap}")
 
 
 class _Lattice(NamedTuple):
@@ -236,110 +259,146 @@ def _read(num, den):
 
 
 class _ArmRows:
-    """One arm's posterior on levels 0..n-1 of its lattice: ``p[k]`` holds
-    the predictive probabilities of each count vector at level k (one row
-    per rank) and ``mean[k]`` the posterior means as a column, both over
-    the level's one denominator ``q[k]``, and over ``dx`` too for the means;
-    ``start`` and ``child`` come from the lattice.
+    """One arm's posterior on levels 0..n-1 of its lattice, for a stack of B
+    prior measures with one atom count, each already in the pass's
+    arithmetic (``to_exact`` or ``to_float``): ``p[k]`` holds the predictive
+    probabilities of each count vector at level k, shape (B, rows, atoms)
+    with one row per rank, and ``mean[k]`` the posterior means, shape
+    (B, rows, 1), both over the level's one denominator ``q[k]``, and over
+    ``dx`` too for the means; ``p_row[k]`` is ``p[k]`` as one row vector per
+    state, (B, rows, 1, atoms), and ``means`` stacks the levels' means;
+    ``measures`` lists the stack, and ``start`` and ``child`` come from the
+    lattice.
 
-    In exact mode these are integers.  With the weights W_j over their least
-    common denominator Dw and the locations over Dx, ``p[k]`` holds the
-    numerators W_j + c_j Dw, ``q[k]`` is (M + k) Dw for total prior mass M,
-    and ``mean[k]`` holds P @ X for the scaled locations X.  In float mode
-    ``p[k]`` and ``mean[k]`` are the probabilities and means themselves and
-    every scale is 1.0.  ``Q[k]``, the product of ``q`` over levels k..n-1,
-    is the arm's factor in the denominators of a pass (``Q[n]`` is 1)."""
+    In exact mode the stack holds one measure and these are integers.  With
+    the weights W_j over their least common denominator Dw and the
+    locations over Dx, ``p[k]`` holds the numerators W_j + c_j Dw, ``q[k]``
+    is (M + k) Dw for total prior mass M, and ``mean[k]`` holds P @ X for
+    the scaled locations X.  In float mode ``p[k]`` and ``mean[k]`` are the
+    probabilities and means themselves and every scale is 1.0.  ``Q[k]``,
+    the product of ``q`` over levels k..n-1, is the arm's factor in the
+    denominators of a pass (``Q[n]`` is 1)."""
 
-    def __init__(self, measure: DiscreteMeasure, n: int, exact: bool):
-        measure = to_exact(measure) if exact else to_float(measure)
-        self.dtype = object if exact else np.float64
-        self.locs = measure.locations
-        self.atoms = len(self.locs)
-        lat = _lattice(self.atoms, n)
-        self.start = lat.start
-        self.child = lat.child
+    def __init__(self, measures, n: int, exact: bool):
+        lat = _lattice(len(measures[0]), n)
         counts = lat.counts[: lat.start[n]]
         if exact:  # Python ints throughout: numpy int64 would wrap silently
+            (measure,) = measures
             weights, dw = _numerators(measure.weights, exact)
-            locs, self.dx = _numerators(self.locs, exact)
-            p = np.array(weights, dtype=object) + counts.astype(object) * dw
+            locs, self.dx = _numerators(measure.locations, exact)
+            self.dtype = object
+            p = np.array([weights], dtype=object)[:, None] + counts.astype(object) * dw
+            X = np.array([locs], dtype=object)[:, :, None]
             self.q = [sum(weights) + k * dw for k in range(n)]
             self.Q = [1] * (n + 1)
             for k in reversed(range(n)):
                 self.Q[k] = self.q[k] * self.Q[k + 1]
         else:
-            locs, self.dx = self.locs, 1.0
-            p = (np.array(measure.weights) + counts) / (
-                measure.total_mass + counts.sum(axis=1, keepdims=True)
-            )
-            self.q, self.Q = [1.0] * n, [1.0] * (n + 1)
-        mean = p @ np.array(locs, dtype=self.dtype)
+            self.dtype = np.float64
+            atoms = np.array([m.atoms for m in measures])  # (B, s, 2): location, weight
+            mass = np.array([m.total_mass for m in measures])[:, None, None]
+            p = (atoms[:, None, :, 1] + counts) / (mass + counts.sum(axis=1, keepdims=True))
+            X = np.ascontiguousarray(atoms[:, :, :1])
+            self.dx, self.q, self.Q = 1.0, [1.0] * n, [1.0] * (n + 1)
+        self.measures = measures
+        self.atoms = p.shape[2]
+        self.start = lat.start
+        self.child = lat.child
+        self.means = p @ X
         bounds = list(zip(lat.start[:n], lat.start[1 : n + 1]))
-        self.p = [p[i:j] for i, j in bounds]
-        self.mean = [mean[i:j, None] for i, j in bounds]
+        self.p = [p[:, i:j] for i, j in bounds]
+        self.p_row = [p[:, :, None] for p in self.p]
+        self.mean = [self.means[:, i:j] for i, j in bounds]
 
     def zeros(self, k: int, width: int) -> np.ndarray:
         """Terminal values of the level-k states, ``width`` columns."""
-        return np.zeros((self.start[k + 1] - self.start[k], width), self.dtype)
+        return np.zeros((len(self.measures), self.start[k + 1] - self.start[k], width), self.dtype)
+
+
+def _times(c, x):
+    """``c * x``, skipping a factor of one (every scale of a float pass)."""
+    return x if c == 1 else c * x
 
 
 def _pull(payoff, arm: _ArmRows, k: int, nxt: np.ndarray) -> np.ndarray:
     """Payoff of pulling ``arm`` at its level k and continuing optimally:
     the immediate ``payoff``, a column over the level's states (or a
     scalar), plus the predictive expectation of the next-stage values
-    ``nxt``, whose rows are the arm's level k + 1 and whose columns are
-    states of the other arm (one column in a stopping pass).  In exact mode
-    these are numerators: the caller puts ``payoff`` over the denominator
-    that ``p[k]`` gives the expectation."""
-    gathered = nxt.take(arm.child[k], axis=0)  # (P, s, columns)
-    return payoff + np.matmul(arm.p[k][:, None, :], gathered)[:, 0]
+    ``nxt``, whose rows (axis 1, after the stack) are the arm's level k + 1
+    and whose columns are states of the other arm (one column in a
+    stopping pass).  In exact mode these are numerators: the caller puts
+    ``payoff`` over the denominator that ``p[k]`` gives the expectation."""
+    gathered = nxt.take(arm.child[k], axis=1)  # (B, P, s, columns)
+    return payoff + np.matmul(arm.p_row[k], gathered)[:, :, 0]
 
 
 class BanditSolver:
-    """One bottom-up pass over the count lattice of a two-armed instance.
+    """One bottom-up pass over the count lattice of a two-armed instance, or
+    of a stack of B instances that share both arms' atom counts and the
+    horizon (float mode only: an exact pass solves one instance).
 
     ``w1[t][k1]`` and ``w2[t][k1]`` hold the pull-first payoffs of the
-    stage-t states with k1 counts on arm 1, rows ranking arm 1's count
-    vector and columns arm 2's; reports, policy trees and simulations are
-    lookups into them.  The block of k1 and k2 counts holds numerators over
-    ``den(k1, k2)`` = Da Dx1 Dx2 Q1[k1] Q2[k2], for Da the discounts' least
-    common denominator (all 1.0 in float mode): both payoffs of a block
-    share it, and the continuation from a child block needs no factor.
+    stage-t states with k1 counts on arm 1, shape (B, rows, columns): one
+    block per instance, rows ranking arm 1's count vector and columns arm
+    2's; reports, policy trees and simulations are lookups into them.  The
+    block of k1 and k2 counts holds numerators over ``den(k1, k2)`` =
+    Da Dx1 Dx2 Q1[k1] Q2[k2], for Da the discounts' least common
+    denominator (all 1.0 in float mode): both payoffs of a block share it,
+    and the continuation from a child block needs no factor.  Each
+    instance's discounts are one row of a (B, n) table.
 
     The pass keeps the blocks of the first ``keep`` stages only (default:
     every stage, which ``policy_tables`` needs); later stages are dropped as
     soon as the stage before them is solved, so a pass that keeps the root
-    alone holds about two stages at a time.
+    alone holds about two stages at a time.  The lattice budget counts B
+    times one instance's states.
     """
 
     def __init__(
-        self, state: BanditState, options: Optional[SolverOptions] = None, *,
+        self, state: BanditState | Sequence[BanditState],
+        options: Optional[SolverOptions] = None, *,
         keep: Optional[int] = None,
     ):
         opts = _checked_options(options)
-        n = len(state.discount.values)
-        _check_budget(len(state.arm1.atoms) + len(state.arm2.atoms), n, opts)
-        a, da = _numerators(state.discount.values, opts.exact)
+        states = [state] if isinstance(state, BanditState) else list(state)
+        convert = to_exact if opts.exact else to_float
+        arms1, arms2 = [convert(s.arm1) for s in states], [convert(s.arm2) for s in states]
+        shapes = {(len(x), len(y), len(s.discount.values)) for x, y, s in zip(arms1, arms2, states)}
+        if len(shapes) != 1:
+            raise InvalidParameterError(
+                f"a stack needs one shape (atoms per arm, horizon), got {sorted(shapes)}"
+            )
+        if opts.exact and len(states) > 1:
+            raise InvalidParameterError("an exact pass solves one instance at a time")
+        ((s1, s2, n),) = shapes
+        _check_budget(s1 + s2, n, opts, len(states))
+        a, (da, *_) = zip(*(_numerators(s.discount.values, opts.exact) for s in states))
+        a = np.array(a, dtype=object if opts.exact else np.float64)
         self.options = opts
         self.horizon = n
+        self.batch = len(states)
         if keep is not None and (not _is_int(keep) or keep < 0):
             raise InvalidParameterError(f"keep must be a nonnegative integer, got {keep!r}")
         self.kept = n if keep is None else min(keep, n)
         self.arms = rows1, rows2 = (
-            _ArmRows(state.arm1, n, opts.exact), _ArmRows(state.arm2, n, opts.exact)
+            _ArmRows(arms1, n, opts.exact), _ArmRows(arms2, n, opts.exact),
         )
         self.scale = da * rows1.dx * rows2.dx
         Q1, Q2 = rows1.Q, rows2.Q
+        start1, start2 = rows1.start, rows2.start
+        dx1, dx2 = rows1.dx, rows2.dx
         self.w1, self.w2 = [None] * self.kept, [None] * self.kept
-        nxt = [rows1.zeros(k1, rows2.start[n - k1 + 1] - rows2.start[n - k1])
-               for k1 in range(n + 1)]
+        nxt = [rows1.zeros(k1, start2[n - k1 + 1] - start2[n - k1]) for k1 in range(n + 1)]
         for t in reversed(range(n)):
-            w1 = [_pull(a[t] * rows2.dx * Q1[k1 + 1] * Q2[t - k1] * rows1.mean[k1],
+            # Both arms' means of levels 0..t at this stage's discounts.
+            a_t = a[:, t, None, None]
+            am1, am2 = a_t * rows1.means[:, : start1[t + 1]], a_t * rows2.means[:, : start2[t + 1]]
+            w1 = [_pull(_times(dx2 * Q1[k1 + 1] * Q2[t - k1], am1[:, start1[k1] : start1[k1 + 1]]),
                         rows1, k1, nxt[k1 + 1])
                   for k1 in range(t + 1)]
-            w2 = [_pull(a[t] * rows1.dx * Q2[t - k1 + 1] * Q1[k1] * rows2.mean[t - k1],
-                        rows2, t - k1, nxt[k1].T).T
-                  for k1 in range(t + 1)]
+            w2 = [_pull(_times(dx1 * Q2[k2 + 1] * Q1[t - k2], am2[:, start2[k2] : start2[k2 + 1]]),
+                        rows2, k2, nxt[t - k2].mT).mT
+                  for k2 in reversed(range(t + 1))]
             nxt = list(map(np.maximum, w1, w2))
             if t < self.kept:
                 self.w1[t], self.w2[t] = w1, w2
@@ -349,11 +408,12 @@ class BanditSolver:
         return self.scale * self.arms[0].Q[k1] * self.arms[1].Q[k2]
 
     def report(self, counts1=None, counts2=None) -> ValueReport:
-        """Value report at a reachable node (default: the root), given by
-        each arm's added count per atom.  Counts totalling the horizon or
-        more give the zero report; a count vector of the wrong length, with
-        a negative or non-integer entry, or in a stage the solver did not
-        keep is refused with InvalidParameterError."""
+        """Value report at a reachable node (default: the root) of the
+        stack's first instance, given by each arm's added count per atom.
+        Counts totalling the horizon or more give the zero report; a count
+        vector of the wrong length, with a negative or non-integer entry,
+        or in a stage the solver did not keep is refused with
+        InvalidParameterError."""
         vectors = []
         for arm, counts in zip(self.arms, (counts1, counts2)):
             c = (0,) * arm.atoms if counts is None else tuple(counts)
@@ -375,14 +435,18 @@ class BanditSolver:
         r1, r2 = (int(_rank(np.array(c))) for c in vectors) if t else (0, 0)
         return self._report_at(t, k1, r1, r2)
 
-    def _report_at(self, t: int, k1: int, r1: int, r2: int) -> ValueReport:
-        """Value report of the kept stage-t node whose arm-1 count vector
-        has rank r1 at level k1 and whose arm-2 vector has rank r2."""
+    def roots(self) -> list[ValueReport]:
+        """The root report of every instance, in stack order."""
+        if self.horizon == 0:
+            return [self.report()] * self.batch
+        return [self._report_at(0, 0, 0, 0, b) for b in range(self.batch)]
+
+    def _report_at(self, t: int, k1: int, r1: int, r2: int, b: int = 0) -> ValueReport:
+        """Value report of instance b's kept stage-t node whose arm-1 count
+        vector has rank r1 at level k1 and whose arm-2 vector has rank r2."""
         den = self.den(k1, t - k1)
-        return _make_report(
-            _read(self.w1[t][k1].item(r1, r2), den), _read(self.w2[t][k1].item(r1, r2), den),
-            self.options.tie_tol,
-        )
+        w1, w2 = self.w1[t][k1].item(b, r1, r2), self.w2[t][k1].item(b, r1, r2)
+        return _make_report(_read(w1, den), _read(w2, den), self.options.tie_tol)
 
     def policy_tables(self):
         """Optimal play as lookups over each arm's count vectors, the levels
@@ -390,7 +454,7 @@ class BanditSolver:
         the root's): ``pulls_arm2[row1, row2]`` (ties go to arm 1), and per
         arm the float predictive probabilities and the row reached by
         observing each atom, both shape (rows, atoms), and the atom
-        locations.  Needs every stage kept."""
+        locations, all of the first instance.  Needs every stage kept."""
         n = self.horizon
         if self.kept < n:
             raise InvalidParameterError(
@@ -403,14 +467,14 @@ class BanditSolver:
             for k1 in range(t + 1):
                 k2 = t - k1
                 pulls_arm2[start1[k1] : start1[k1 + 1], start2[k2] : start2[k2 + 1]] = (
-                    self.w1[t][k1] - self.w2[t][k1] < -tie_tol * self.den(k1, k2)
+                    self.w1[t][k1][0] - self.w2[t][k1][0] < -tie_tol * self.den(k1, k2)
                 )
         # Dividing by q is exact in float mode (q is 1.0) and rounds each
         # integer ratio once in exact mode.
         return pulls_arm2, [
-            (np.concatenate([p / q for p, q in zip(rows.p, rows.q)]).astype(np.float64),
+            (np.concatenate([p[0] / q for p, q in zip(rows.p, rows.q)]).astype(np.float64),
              np.concatenate([rows.start[k + 1] + c for k, c in enumerate(rows.child[:n])]),
-             np.array(rows.locs))
+             np.array(rows.measures[0].locations))
             for rows in self.arms
         ]
 
@@ -418,8 +482,34 @@ class BanditSolver:
 def value(state: BanditState, options: Optional[SolverOptions] = None) -> ValueReport:
     """Maximum expected payoff of a two-armed instance, with both pull-first
     payoffs and the initial action.  Horizon zero yields zero.  The pass
-    keeps the root stage alone."""
+    keeps the root stage alone: it is the one-instance case of the stacked
+    pass of ``BanditSolver``."""
     return BanditSolver(state, options, keep=1).report()
+
+
+def _values(
+    states: Sequence[BanditState], options: Optional[SolverOptions] = None
+) -> list[ValueReport]:
+    """``value`` of each state, in input order, from few passes: the states
+    sharing both arms' atom counts and the horizon are solved as one stack,
+    split only where a stack's states would exceed the lattice budget.
+    Exact passes take one state each.  Each report equals ``value``'s."""
+    opts = _checked_options(options)
+    convert = to_exact if opts.exact else to_float
+    states = list(states)
+    groups: dict[tuple[int, int, int], list[int]] = {}
+    for i, s in enumerate(states):  # shapes in the pass's arithmetic, as BanditSolver sees them
+        key = (len(convert(s.arm1)), len(convert(s.arm2)), len(s.discount.values))
+        groups.setdefault(key, []).append(i)
+    reports = [None] * len(states)
+    for (s1, s2, n), members in groups.items():
+        size = 1 if opts.exact else max(1, _memo_cap(opts) // max(1, _lattice_states(s1 + s2, n)))
+        for j in range(0, len(members), size):
+            stack = members[j : j + size]
+            roots = BanditSolver([states[i] for i in stack], opts, keep=1).roots()
+            for i, report in zip(stack, roots):
+                reports[i] = report
+    return reports
 
 
 def policy_tree(
@@ -431,11 +521,25 @@ def policy_tree(
     enumerate the selected arm's predictive support.  The pass keeps the
     stages below ``depth`` alone, and the tree is walked by lattice rank:
     a node's child under atom j is one lookup in its arm's child table.
+
+    A tree whose worst-case node count -- the sum of s^t over stages t
+    below ``depth``, for s the larger atom count -- exceeds the lattice-state
+    budget is refused with ResourceBudgetExceededError before any solve.
     """
     n = len(state.discount.values)
     if not _is_int(depth) or depth < 1 or depth > n:
         raise InvalidParameterError(f"policy depth must be in [1, {n}], got {depth!r}")
-    solver = BanditSolver(state, options, keep=depth)
+    opts = _checked_options(options)
+    cap = _memo_cap(opts)
+    s = max(len(state.arm1), len(state.arm2))
+    # With s >= 2, bit_length(cap) + 1 stages already pass any cap, which
+    # bounds the power.
+    if (depth if s == 1 else (s ** min(depth, cap.bit_length() + 1) - 1) // (s - 1)) > cap:
+        raise ResourceBudgetExceededError(
+            f"policy tree to depth {depth} with up to {s} branches a node "
+            f"exceeds the cap of {cap} nodes"
+        )
+    solver = BanditSolver(state, opts, keep=depth)
     rows1, rows2 = solver.arms
     # Expand stage by stage, then assemble the nodes from the deepest up.  A
     # node is its two count vectors, arm 1's level and both arms' ranks.
@@ -458,7 +562,7 @@ def policy_tree(
         kids = iter(nodes)
         nodes = []
         for (c1, c2, *_), rep in stages[stage]:
-            locs = solver.arms[1 if rep.action is Action.ARM2 else 0].locs
+            locs = solver.arms[1 if rep.action is Action.ARM2 else 0].measures[0].locations
             branches = tuple((loc, next(kids)) for loc in locs) if stage + 1 < depth else ()
             nodes.append(PolicyNode(StateKey(c1, c2, stage), rep.action, rep, branches))
     return nodes[0]
@@ -515,7 +619,7 @@ def _stopping_setup(arm: DiscreteMeasure, A: DiscountSeq, opts: SolverOptions):
             "the stopping-form value requires a regular discount sequence"
         )
     _check_budget(len(arm.atoms), n, opts)
-    rows = _ArmRows(arm, n, opts.exact)
+    rows = _ArmRows([to_exact(arm) if opts.exact else to_float(arm)], n, opts.exact)
     # Tails over the same denominator; a float sequence's tails, summed in
     # floats, need not share the values' denominator.
     scaled, da = _numerators(A.values + A.tails, opts.exact)
@@ -568,7 +672,7 @@ def _observation_form(arm: DiscreteMeasure, A: DiscountSeq, opts: SolverOptions)
     # location enters only through the mean column each pass rewrites.
     table = DiscreteMeasure(arm.atoms + ((0 * one, one),), arm.total_mass + one)
     rows, a, tails, da = _stopping_setup(table, A, opts)
-    base, p_new = rows.mean, [p[:, -1:] for p in rows.p]
+    base, p_new = rows.mean, [p[..., -1:] for p in rows.p]
 
     def pull(x, lam):
         (lam,), lam_den = _numerators([lam], exact)

@@ -51,6 +51,7 @@ from .solver import (
     DEFAULT_OPTIONS,
     EXACT_OPTIONS,
     SolverOptions,
+    _values,
     value,
 )
 
@@ -326,15 +327,15 @@ def _convexity_margin(gen, index, *, grid_points, exact):
     u = _dyadic(rng, *gen.location_range)
     v = _dyadic(rng, *gen.location_range)
     r = _dyadic_positive(rng, 2.0)
-    opts = _opts(exact)
-    values = []
+    states = []
     for k in range(grid_points):
         rho = Fraction(k, grid_points - 1) * r
         arm1 = mix(
             [(1, base), (rho, point_mass(u, exact=exact)), (r - rho, point_mass(v, exact=exact))],
             exact=exact,
         )
-        values.append(value(BanditState(arm1, arm2, A), opts).w)
+        states.append(BanditState(arm1, arm2, A))
+    values = [rep.w for rep in _values(states, _opts(exact))]
     return min(
         values[k + 1] - 2 * values[k] + values[k - 1]
         for k in range(1, grid_points - 1)
@@ -366,10 +367,9 @@ def _icx_margin(gen, index, *, exact):
     M = _dyadic(rng, *gen.mass_range)
     arm2 = random_measure(gen, rng, exact=exact)
     A = random_discount(gen, rng, kind="any", exact=exact)
-    opts = _opts(exact)
-    w_lo = value(BanditState(scale(F, M), arm2, A), opts).w
-    w_hi = value(BanditState(scale(Ft, M), arm2, A), opts).w
-    return w_hi - w_lo
+    lo, hi = _values([BanditState(scale(F, M), arm2, A), BanditState(scale(Ft, M), arm2, A)],
+                     _opts(exact))
+    return hi.w - lo.w
 
 
 def _weight_margin(gen, index, *, exact):
@@ -380,9 +380,10 @@ def _weight_margin(gen, index, *, exact):
     arm2 = random_measure(gen, rng, exact=exact)
     A = random_discount(gen, rng, kind="any", exact=exact)
     opts = _opts(exact)
-    w_small = value(BanditState(scale(F, M), arm2, A), opts).w
-    w_large = value(BanditState(scale(F, Mt), arm2, A), opts).w
-    margins = [w_small - w_large]
+    small, large = _values(
+        [BanditState(scale(F, M), arm2, A), BanditState(scale(F, Mt), arm2, A)], opts
+    )
+    margins = [small.w - large.w]
     if is_regular(A):
         lam_small = break_even_value(scale(F, M), A, 1e-10, opts)
         lam_large = break_even_value(scale(F, Mt), A, 1e-10, opts)
@@ -397,13 +398,12 @@ def _dilution_margin(gen, index, *, exact):
     lam = _dyadic(rng, *gen.location_range)
     A = random_discount(gen, rng, kind="any", exact=exact)
     known = point_mass(lam, exact=exact)
-    opts = _opts(exact)
-    base_w = value(BanditState(alpha, known, A), opts).w
-    margins = []
-    for c in (Fraction(1, 2), Fraction(1), Fraction(2)):
-        diluted = mix([(1, alpha), (c, point_mass(lam, exact=exact))], exact=exact)
-        margins.append(base_w - value(BanditState(diluted, known, A), opts).w)
-    return min(margins)
+    arms = [alpha] + [
+        mix([(1, alpha), (c, point_mass(lam, exact=exact))], exact=exact)
+        for c in (Fraction(1, 2), Fraction(1), Fraction(2))
+    ]
+    base, *diluted = _values([BanditState(arm, known, A) for arm in arms], _opts(exact))
+    return min(base.w - rep.w for rep in diluted)
 
 
 def _smoothing_margin(gen, index, *, theta_grid, exact):
@@ -413,21 +413,19 @@ def _smoothing_margin(gen, index, *, theta_grid, exact):
     arm2 = random_measure(gen, rng, exact=exact)
     A1 = drop_first(random_discount(gen, rng, kind="any", min_n=2, exact=exact))
     L = _dyadic_positive(rng, 2.0)
-    opts = _opts(exact)
-
-    def expected_value(theta):
-        terms = []
-        for x, p in F.atoms:
-            arm1 = mix(
-                [(1, alpha), (theta, F), (L - theta, point_mass(x, exact=exact))],
-                exact=exact,
-            )
-            terms.append(p * value(BanditState(arm1, arm2, A1), opts).w)
-        return sum(terms) if exact else math.fsum(terms)
-
-    values = [
-        expected_value(Fraction(k, theta_grid - 1) * L) for k in range(theta_grid)
+    thetas = [Fraction(k, theta_grid - 1) * L for k in range(theta_grid)]
+    states = [
+        BanditState(
+            mix([(1, alpha), (theta, F), (L - theta, point_mass(x, exact=exact))], exact=exact),
+            arm2, A1,
+        )
+        for theta in thetas for x, _ in F.atoms
     ]
+    ws = [rep.w for rep in _values(states, _opts(exact))]
+    values = []  # E over the atoms of F: one run of len(F) values per theta
+    for i in range(0, len(ws), len(F)):
+        terms = [p * w for (_, p), w in zip(F.atoms, ws[i:])]
+        values.append(sum(terms) if exact else math.fsum(terms))
     return min(values[k] - values[k + 1] for k in range(theta_grid - 1))
 
 

@@ -41,6 +41,11 @@ COMMANDS = {
 
 #: Commands whose ``--out`` report is pinned, by the report's file stem.
 REPORTS = {
+    "verify_lemma1": ["verify", "lemma1"],
+    "verify_thm1": ["verify", "thm1"],
+    "verify_thm2": ["verify", "thm2"],
+    "verify_lemma3": ["verify", "lemma3"],
+    "verify_lemma4": ["verify", "lemma4"],
     "verify_montecarlo": ["verify", "montecarlo"],
 }
 

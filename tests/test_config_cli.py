@@ -2,6 +2,7 @@
 import dataclasses
 import json
 import math
+import time
 from fractions import Fraction
 from pathlib import Path
 
@@ -146,6 +147,22 @@ class TestCliValue:
         monkeypatch.setenv(MEMO_CAP_ENV, "2")
         assert main(["value", THREE_ATOM]) == 3
         monkeypatch.delenv(MEMO_CAP_ENV)
+
+    def test_policy_tree_over_the_node_budget_exits_3(self, tmp_path, capsys):
+        doc = {
+            "arm1": {"atoms": [{"location": 0, "weight": 1}, {"location": 1, "weight": 1}]},
+            "arm2": {"atoms": [{"location": 0.25, "weight": 1}, {"location": 0.75, "weight": 2}]},
+            "discount": {"family": "uniform", "n": 40},
+        }
+        t0 = time.perf_counter()
+        assert main(["value", write(tmp_path, "deep.json", doc), "--policy", "30"]) == 3
+        assert time.perf_counter() - t0 < 0.5
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            "solver resource error: policy tree to depth 30 with up to 2 branches a node "
+            "exceeds the cap of 50000000 nodes\n"
+        )
 
     def test_negative_memo_cap_env_exits_2(self, capsys, monkeypatch):
         monkeypatch.setenv(MEMO_CAP_ENV, "-5")

@@ -30,7 +30,14 @@ from dirichlet_bandits import (
     value,
     value_one_armed,
 )
-from dirichlet_bandits.solver import MEMO_CAP_ENV, BanditSolver, DiscountSeq, ValueReport, _lattice
+from dirichlet_bandits.solver import (
+    MEMO_CAP_ENV,
+    BanditSolver,
+    DiscountSeq,
+    ValueReport,
+    _lattice,
+    _values,
+)
 from dirichlet_bandits.verify import random_discount, random_measure, random_state
 
 GEN = InstanceGen(seed=21)
@@ -339,6 +346,26 @@ class TestPolicyTree:
             assert node.action is node.report.action
             stack.extend(child for _, child in node.branches)
 
+    def test_tree_over_the_node_budget_is_refused_before_solving(self):
+        # 2 v 2 atoms at n=40: the lattice holds C(43, 4) = 123,410 states,
+        # but a tree to depth 30 may hold 2^30 - 1 nodes.
+        state = BanditState(COIN, make_measure([(0.25, 1), (0.75, 2)]), make_uniform(40))
+        t0 = time.perf_counter()
+        with pytest.raises(ResourceBudgetExceededError, match="to depth 30 with up to 2 branches"):
+            policy_tree(state, 30)
+        assert time.perf_counter() - t0 < 0.5
+
+    def test_node_budget_is_the_state_cap(self, monkeypatch):
+        arm = make_measure([(0, 1), (0.5, 1), (1, 1)])
+        state = BanditState(arm, point_mass(0.4), make_uniform(5))  # C(8, 4) = 70 states
+        opts = SolverOptions(memo_cap=100)
+        assert policy_tree(state, 4, opts).report == value(state)  # 1 + 3 + 9 + 27 nodes
+        with pytest.raises(ResourceBudgetExceededError, match="exceeds the cap of 100 nodes"):
+            policy_tree(state, 5, opts)  # 121 nodes
+        monkeypatch.setenv(MEMO_CAP_ENV, "100")
+        with pytest.raises(ResourceBudgetExceededError, match="exceeds the cap of 100 nodes"):
+            policy_tree(state, 5)
+
     def test_depth_validation(self):
         with pytest.raises(InvalidParameterError):
             policy_tree(WORKED, 0)
@@ -526,3 +553,72 @@ class TestExactArithmetic:
         rep = value(BanditState(self.ARM1, self.ARM2, A), EXACT)
         assert time.perf_counter() - t0 < 1.5
         assert type(rep.w) is Fraction
+
+
+class TestStackedPasses:
+    """``BanditSolver`` over a stack of same-shape instances, and ``_values``,
+    which groups states by shape into such stacks: every report is the one
+    ``value`` gives the state alone, bit for bit."""
+
+    @staticmethod
+    def mixed_states(count, exact):
+        gen = InstanceGen(seed=31)
+        states = []
+        for i in range(count):
+            state = random_state(gen, gen.rng(i), kind="any", exact=exact)
+            if i % 25 == 0:  # horizon 0
+                A = drop_first(make_discount([1], exact=exact))
+                state = BanditState(state.arm1, state.arm2, A)
+            states.append(state)
+        return states
+
+    @pytest.mark.parametrize("mode, count", [("float", 500), ("exact", 100)])
+    def test_grouped_reports_equal_value(self, mode, count):
+        opts = SolverOptions(mode=mode)
+        states = self.mixed_states(count, mode == "exact")
+        shapes = [(len(s.arm1), len(s.arm2), len(s.discount.values)) for s in states]
+        assert len(set(shapes)) > 20
+        assert any(0 in shape for shape in shapes) and any(1 in shape[:2] for shape in shapes)
+        got = _values(states, opts)
+        assert [repr(r) for r in got] == [repr(value(s, opts)) for s in states]
+
+    def test_a_stack_of_nine_equals_nine_solves(self):
+        gen = InstanceGen(seed=32)
+        states = []
+        for i in range(9):
+            rng = gen.rng(i)
+            arm1 = random_measure(gen, rng, atoms=2)
+            arm2 = random_measure(gen, rng, atoms=3)
+            states.append(BanditState(arm1, arm2, random_discount(gen, rng, min_n=5, max_n=5)))
+        stack = BanditSolver(states)
+        assert stack.batch == 9
+        assert [repr(r) for r in stack.roots()] == [repr(value(s)) for s in states]
+        for b, state in enumerate(states):
+            alone = BanditSolver(state)
+            for t in range(5):
+                for k1 in range(t + 1):
+                    for blocks, own in ((stack.w1, alone.w1), (stack.w2, alone.w2)):
+                        assert np.array_equal(blocks[t][k1][b], own[t][k1][0])
+
+    def test_stack_over_the_budget_is_refused(self, monkeypatch):
+        # Each 2 v 2 lattice at n=4 holds C(7, 4) = 35 states, three hold 105.
+        arm2 = [make_measure([(0.25, 1), (0.75, w)]) for w in (1, 2, 3)]
+        states = [BanditState(COIN, arm, make_uniform(4)) for arm in arm2]
+        opts = SolverOptions(memo_cap=100)
+        with pytest.raises(ResourceBudgetExceededError,
+                           match="^stack of 3 lattices of 35 states exceeds the cap of 100$"):
+            BanditSolver(states, opts)
+        # Each instance alone fits, so _values splits the stack.
+        assert _values(states, opts) == [value(s, opts) for s in states]
+        monkeypatch.setenv(MEMO_CAP_ENV, "100")
+        with pytest.raises(ResourceBudgetExceededError, match="^stack of 3"):
+            BanditSolver(states)
+        assert _values(states) == [value(s) for s in states]
+
+    def test_malformed_stacks_are_refused(self):
+        with pytest.raises(InvalidParameterError, match="one shape"):
+            BanditSolver([WORKED, BanditState(COIN, COIN, A2)])
+        with pytest.raises(InvalidParameterError, match="one shape"):
+            BanditSolver([])
+        with pytest.raises(InvalidParameterError, match="one instance at a time"):
+            BanditSolver([WORKED, WORKED], EXACT)

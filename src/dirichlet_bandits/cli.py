@@ -60,13 +60,17 @@ def _parse_grid(text: str) -> list[float]:
     return grid
 
 
-def _print_policy(node: PolicyNode, label: str = "", indent: int = 0) -> None:
-    pad = "  " * indent
-    key = node.key
-    head = f"{pad}{label}stage={key.stage} counts={list(key.counts1)}/{list(key.counts2)}"
-    print(f"{head} action={node.action.value} w={_fmt(node.report.w)}")
-    for obs, child in node.branches:
-        _print_policy(child, label=f"obs {_fmt(obs)} -> ", indent=indent + 1)
+def _print_policy(root: PolicyNode) -> None:
+    # Depth first on an explicit stack: a tree can be deeper than the recursion limit.
+    stack = [(root, "", 0)]
+    while stack:
+        node, label, indent = stack.pop()
+        pad = "  " * indent
+        key = node.key
+        head = f"{pad}{label}stage={key.stage} counts={list(key.counts1)}/{list(key.counts2)}"
+        print(f"{head} action={node.action.value} w={_fmt(node.report.w)}")
+        stack.extend((child, f"obs {_fmt(obs)} -> ", indent + 1)
+                     for obs, child in reversed(node.branches))
 
 
 def _cmd_value(args) -> int:

@@ -30,7 +30,7 @@ from typing import Optional
 from .discount import DiscountSeq, make_discount, make_truncated_geometric, make_uniform
 from .errors import BanditError, ConfigError, InvalidParameterError
 from .measures import DiscreteMeasure, _coerce, make_measure, point_mass
-from .solver import BanditState, SolverOptions
+from .solver import DEFAULT_OPTIONS, BanditState, SolverOptions
 
 
 @dataclass(frozen=True)
@@ -118,14 +118,13 @@ def _parse_options(node, force_mode: Optional[str]) -> SolverOptions:
     node = node or {}
     if not isinstance(node, dict):
         raise ConfigError("options: expected an object")
-    mode = force_mode or node.get("mode", "float")
-    if mode not in ("float", "exact"):
-        raise ConfigError(f"options.mode must be 'float' or 'exact', got {mode!r}")
-    tie_tol = _number(node.get("tie_tol", 1e-11), False, "options.tie_tol")
-    memo_cap = _integer(node.get("memo_cap", SolverOptions().memo_cap), "options.memo_cap")
-    if memo_cap < 0:
-        raise ConfigError(f"options.memo_cap must be nonnegative, got {memo_cap}")
-    return SolverOptions(mode=mode, tie_tol=tie_tol, memo_cap=memo_cap)
+    mode = force_mode or node.get("mode", DEFAULT_OPTIONS.mode)
+    tie_tol = _number(node.get("tie_tol", DEFAULT_OPTIONS.tie_tol), False, "options.tie_tol")
+    memo_cap = _integer(node.get("memo_cap", DEFAULT_OPTIONS.memo_cap), "options.memo_cap")
+    try:  # SolverOptions checks the values
+        return SolverOptions(mode, tie_tol, memo_cap)
+    except InvalidParameterError as e:
+        raise ConfigError(f"options.{e}") from e
 
 
 def parse_instance(doc: dict, *, force_mode: Optional[str] = None) -> InstanceConfig:

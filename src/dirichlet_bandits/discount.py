@@ -1,9 +1,9 @@
 """Discount sequences with cached tail sums and the regularity predicate."""
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
 
 from .errors import InvalidParameterError
 from .measures import Numeric, _coerce
@@ -52,15 +52,16 @@ def make_discount(values, *, exact: bool = False) -> DiscountSeq:
 
 
 def _tail_sums(vals, exact: bool):
-    n = len(vals)
-    if exact:
-        tails = [Fraction(0)] * (n + 1)
-        for j in range(n - 1, -1, -1):
-            tails[j] = vals[j] + tails[j + 1]
-    else:
-        tails = [math.fsum(vals[j:]) for j in range(n)]
-        tails.append(0.0)
-    return tuple(tails)
+    """The sums of ``vals[j:]`` for j = 0..n in one pass: exact sums of
+    numerators over the values' least common denominator, each rounded once,
+    so a float tail equals ``math.fsum`` of its suffix bit for bit."""
+    ratios = [v.as_integer_ratio() for v in vals]
+    den = lcm(*(d for _, d in ratios))
+    total, tails = 0, [Fraction(0) if exact else 0.0]
+    for num, d in reversed(ratios):
+        total += num * (den // d)
+        tails.append(Fraction(total, den) if exact else total / den)
+    return tuple(reversed(tails))
 
 
 def drop_first(A: DiscountSeq) -> DiscountSeq:

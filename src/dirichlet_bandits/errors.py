@@ -29,8 +29,9 @@ class TooLargeError(BanditError):
     """An instance is too large for exhaustive strategy evaluation."""
 
 
-class NotRegularError(BanditError):
-    """An index computation requires a regular discount sequence."""
+class NotRegularError(InvalidParameterError):
+    """The stopping form, and so every break-even quantity, requires a
+    regular discount sequence."""
 
 
 class DegenerateHorizonError(BanditError):

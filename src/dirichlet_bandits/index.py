@@ -36,16 +36,15 @@ import warnings
 from dataclasses import dataclass
 from typing import Optional
 
-from .discount import DiscountSeq, drop_first, is_regular
+from .discount import DiscountSeq, drop_first
 from .errors import (
     DegenerateHorizonError,
     HorizonTooShortError,
     InvalidParameterError,
     NonPositiveDiscountError,
-    NotRegularError,
 )
 from .measures import DiscreteMeasure, Numeric, _coerce, mean, to_exact, to_float
-from .solver import SolverOptions, _checked_options, _observation_form, _stopping_form
+from .solver import DEFAULT_OPTIONS, SolverOptions, _observation_form, _stopping_form
 
 DEFAULT_TOL = 1e-9
 #: Residual of the defining equation is expected below this (one order looser
@@ -72,14 +71,11 @@ class IndexResult:
 
 
 def _validated_arm(arm: DiscreteMeasure, A: DiscountSeq, tol: float, opts: SolverOptions):
+    # Regularity is checked by the stopping form.
     if not tol > 0:  # also refuses NaN
         raise InvalidParameterError(f"tolerance must be positive, got {tol}")
     if len(A.values) == 0 or A.tails[0] <= 0:
         raise DegenerateHorizonError("total discount weight must be positive")
-    if not is_regular(A):
-        raise NotRegularError(
-            "break-even quantities are only defined for regular discount sequences"
-        )
     return to_exact(arm) if opts.exact else to_float(arm)
 
 
@@ -134,7 +130,7 @@ def break_even_value(
     at the top of the support.  ``options`` selects the arithmetic (float
     by default); in exact mode the value is the root as a Fraction.
     """
-    opts = _checked_options(options)
+    opts = options or DEFAULT_OPTIONS
     arm = _validated_arm(arm, A, tol, opts)
     exact = opts.exact
     T1, a1 = (_coerce(v, exact) for v in (A.tails[0], A.values[0]))
@@ -185,7 +181,7 @@ def break_even_observation(
         raise NonPositiveDiscountError(
             "break-even observation requires strictly positive discount weights"
         )
-    opts = _checked_options(options)
+    opts = options or DEFAULT_OPTIONS
     arm = _validated_arm(arm, A, tol, opts)
     exact = opts.exact
     lam0 = break_even_value(arm, A, tol, opts).value

@@ -192,17 +192,13 @@ def posterior_update(m: DiscreteMeasure, x) -> DiscreteMeasure:
     exact = m.exact
     x = _coerce(x, exact)
     one = Fraction(1) if exact else 1.0
-    locs = [a[0] for a in m.atoms]
-    i = bisect_left(locs, x)
+    locs = m.locations
+    i = bisect_left(locs, x)  # locs[i - 1] < x <= locs[i]
     hit = None
-    if exact:
-        if i < len(locs) and locs[i] == x:
-            hit = i
-    else:
-        if i < len(locs) and abs(locs[i] - x) <= MERGE_TOL:
-            hit = i
-        elif i > 0 and abs(locs[i - 1] - x) <= MERGE_TOL:
-            hit = i - 1
+    if i < len(locs) and _same_location(x, locs[i], exact):
+        hit = i
+    elif i > 0 and _same_location(locs[i - 1], x, exact):
+        hit = i - 1
     atoms = list(m.atoms)
     if hit is None:
         atoms.insert(i, (x, one))

@@ -66,7 +66,7 @@ from typing import NamedTuple, Optional, Sequence
 import numpy as np
 
 from .discount import DiscountSeq, is_regular
-from .errors import InvalidParameterError, ResourceBudgetExceededError
+from .errors import InvalidParameterError, NotRegularError, ResourceBudgetExceededError
 from .measures import DiscreteMeasure, Numeric, _coerce, _is_int, point_mass, to_exact, to_float
 
 #: Environment variable overriding SolverOptions.memo_cap.
@@ -91,11 +91,23 @@ class BanditState:
 
 @dataclass(frozen=True)
 class SolverOptions:
-    """Arithmetic mode, tie tolerance and lattice-state budget of a solve."""
+    """Arithmetic mode, tie tolerance and lattice-state budget of a solve,
+    checked once, on construction: an unknown mode, a negative or non-finite
+    ``tie_tol`` or a negative ``memo_cap`` raises InvalidParameterError."""
 
     mode: str = "float"  # "float" | "exact"
     tie_tol: float = 1e-11
     memo_cap: int = 50_000_000
+
+    def __post_init__(self):
+        if self.mode not in ("float", "exact"):
+            raise InvalidParameterError(f"mode must be 'float' or 'exact', got {self.mode!r}")
+        if not (isfinite(self.tie_tol) and self.tie_tol >= 0):
+            raise InvalidParameterError(
+                f"tie_tol must be finite and nonnegative, got {self.tie_tol!r}"
+            )
+        if self.memo_cap < 0:
+            raise InvalidParameterError(f"memo_cap must be nonnegative, got {self.memo_cap}")
 
     @property
     def exact(self) -> bool:
@@ -147,15 +159,6 @@ def _make_report(w1, w2, tie_tol) -> ValueReport:
     return ValueReport(w1 if w1 >= w2 else w2, w1, w2, action)
 
 
-def _checked_options(options: Optional[SolverOptions]) -> SolverOptions:
-    opts = options or DEFAULT_OPTIONS
-    if opts.mode not in ("float", "exact"):
-        raise InvalidParameterError(f"unknown arithmetic mode {opts.mode!r}")
-    if not isfinite(opts.tie_tol):
-        raise InvalidParameterError(f"tie tolerance must be finite, got {opts.tie_tol!r}")
-    return opts
-
-
 def _memo_cap(options: SolverOptions) -> int:
     """The lattice-state budget: ``memo_cap``, or BANDIT_MEMO_CAP when set."""
     env = os.environ.get(MEMO_CAP_ENV)
@@ -163,9 +166,8 @@ def _memo_cap(options: SolverOptions) -> int:
         cap = options.memo_cap if env is None else int(env)
     except ValueError as e:
         raise InvalidParameterError(f"bad {MEMO_CAP_ENV} value {env!r}") from e
-    if cap < 0:
-        source = "memo_cap" if env is None else MEMO_CAP_ENV
-        raise InvalidParameterError(f"{source} must be nonnegative, got {cap}")
+    if cap < 0:  # SolverOptions refuses a negative memo_cap
+        raise InvalidParameterError(f"{MEMO_CAP_ENV} must be nonnegative, got {cap}")
     return cap
 
 
@@ -359,7 +361,7 @@ class BanditSolver:
         options: Optional[SolverOptions] = None, *,
         keep: Optional[int] = None,
     ):
-        opts = _checked_options(options)
+        opts = options or DEFAULT_OPTIONS
         states = [state] if isinstance(state, BanditState) else list(state)
         convert = to_exact if opts.exact else to_float
         arms1, arms2 = [convert(s.arm1) for s in states], [convert(s.arm2) for s in states]
@@ -461,13 +463,14 @@ class BanditSolver:
                 f"policy tables need all {n} stages; this solver keeps {self.kept}"
             )
         start1, start2 = (rows.start for rows in self.arms)
-        tie_tol = Fraction(self.options.tie_tol) if self.options.exact else self.options.tie_tol
         pulls_arm2 = np.zeros((start1[n], start2[n]), dtype=bool)
         for t in range(n):
             for k1 in range(t + 1):
                 k2 = t - k1
+                # The tie rule of _make_report, on the read-out difference.
+                diff = _read(self.w1[t][k1][0] - self.w2[t][k1][0], self.den(k1, k2))
                 pulls_arm2[start1[k1] : start1[k1 + 1], start2[k2] : start2[k2 + 1]] = (
-                    self.w1[t][k1][0] - self.w2[t][k1][0] < -tie_tol * self.den(k1, k2)
+                    diff < -self.options.tie_tol
                 )
         # Dividing by q is exact in float mode (q is 1.0) and rounds each
         # integer ratio once in exact mode.
@@ -494,7 +497,7 @@ def _values(
     sharing both arms' atom counts and the horizon are solved as one stack,
     split only where a stack's states would exceed the lattice budget.
     Exact passes take one state each.  Each report equals ``value``'s."""
-    opts = _checked_options(options)
+    opts = options or DEFAULT_OPTIONS
     convert = to_exact if opts.exact else to_float
     states = list(states)
     groups: dict[tuple[int, int, int], list[int]] = {}
@@ -529,7 +532,7 @@ def policy_tree(
     n = len(state.discount.values)
     if not _is_int(depth) or depth < 1 or depth > n:
         raise InvalidParameterError(f"policy depth must be in [1, {n}], got {depth!r}")
-    opts = _checked_options(options)
+    opts = options or DEFAULT_OPTIONS
     cap = _memo_cap(opts)
     s = max(len(state.arm1), len(state.arm2))
     # With s >= 2, bit_length(cap) + 1 stages already pass any cap, which
@@ -612,11 +615,12 @@ def _stopping_setup(arm: DiscreteMeasure, A: DiscountSeq, opts: SolverOptions):
     """What every stopping pass of ``arm`` under ``A`` shares:
     regularity and the lattice budget checked, the arm's rows, and the
     discounts and their tails over one denominator.  Returns
-    (rows, a, tails, da)."""
+    (rows, a, tails, da).  This is the one regularity check: every stopping
+    pass and break-even search refuses a non-regular ``A`` here."""
     n = len(A.values)
     if not is_regular(A):
-        raise InvalidParameterError(
-            "the stopping-form value requires a regular discount sequence"
+        raise NotRegularError(
+            "the stopping form and break-even quantities require a regular discount sequence"
         )
     _check_budget(len(arm.atoms), n, opts)
     rows = _ArmRows([to_exact(arm) if opts.exact else to_float(arm)], n, opts.exact)
@@ -629,8 +633,8 @@ def _stopping_setup(arm: DiscreteMeasure, A: DiscountSeq, opts: SolverOptions):
 def _stopping_form(arm: DiscreteMeasure, A: DiscountSeq, options: Optional[SolverOptions]):
     """The stopping pass of ``arm`` under ``A``, checked and set up once.
 
-    Options, regularity and the lattice budget are checked, and the
-    arm's rows and the discount numbers built, here; the returned
+    Regularity and the lattice budget are checked, and the arm's rows
+    and the discount numbers built, here; the returned
     ``stop(lam, first=0, slope=False)`` is then the pass alone.  It gives
     the root's pull payoff and value of the stopping problem over the stages
     from ``first`` on, with ``lam`` in the solve's arithmetic.  The discount
@@ -641,7 +645,7 @@ def _stopping_form(arm: DiscreteMeasure, A: DiscountSeq, options: Optional[Solve
     it to T_t, so the slope of the value is the expected discounted tail at
     retirement.  ``stop`` then gives [(pull, value), (their slopes)].
     """
-    opts = _checked_options(options)
+    opts = options or DEFAULT_OPTIONS
     exact = opts.exact
     rows, a, tails, da = _stopping_setup(arm, A, opts)
     flat = [0] * len(a)
@@ -700,15 +704,15 @@ def value_one_armed(
     regular discount sequence the stopping pass over the unknown arm is
     used instead of the two-armed lattice.
     """
-    opts = _checked_options(options)
+    opts = options or DEFAULT_OPTIONS
     lam = _coerce(lam, opts.exact)
     if len(A.values) == 0:
         zero = Fraction(0) if opts.exact else 0.0
         return ValueReport(zero, zero, zero, Action.TIE)
-    if not is_regular(A):
-        known = point_mass(lam, exact=opts.exact)
-        return value(BanditState(arm, known, A), opts)
-    stop = _stopping_form(arm, A, opts)
+    try:
+        stop = _stopping_form(arm, A, opts)
+    except NotRegularError:
+        return value(BanditState(arm, point_mass(lam, exact=opts.exact), A), opts)
     a_1 = _coerce(A.values[0], opts.exact)
     # Retiring first leaves the stopping problem one stage shorter.
     return _make_report(stop(lam)[0], a_1 * lam + stop(lam, 1)[1], opts.tie_tol)

@@ -59,8 +59,13 @@ from .solver import (
 #: exactly representable as floats and as rationals.
 GRID = 64
 
+#: Generated atom locations and prior masses lie in these ranges.
+LOCATION_RANGE = (0.0, 1.0)
+MASS_RANGE = (0.5, 4.0)
+
 SLACK_FLOAT = 1e-9
 STRICT_MARGIN = 1e-7
+THETA_GRID = 5  # points of the lemma4 smoothing grid
 
 DEFAULT_TRIALS = {
     "lemma1": 100,
@@ -83,8 +88,6 @@ class InstanceGen:
     seed: int = 0
     max_horizon: int = 6
     max_atoms: int = 3
-    location_range: tuple[float, float] = (0.0, 1.0)
-    mass_range: tuple[float, float] = (0.5, 4.0)
 
     def __post_init__(self):
         if not _is_int(self.seed) or self.seed < 0:
@@ -118,7 +121,7 @@ def random_measure(
 ) -> DiscreteMeasure:
     """Random measure with distinct dyadic locations and dyadic weights."""
     s = atoms if atoms is not None else int(rng.integers(min_atoms, gen.max_atoms + 1))
-    lo, hi = gen.location_range
+    lo, hi = LOCATION_RANGE
     k0 = math.ceil(lo * GRID)
     k1 = math.floor(hi * GRID)
     ks = rng.choice(np.arange(k0, k1 + 1), size=s, replace=False)
@@ -131,7 +134,7 @@ def random_measure(
             edges = [0] + cuts + [GRID]
             weights = [Fraction(edges[i + 1] - edges[i], GRID) for i in range(s)]
     else:
-        wlo, whi = gen.mass_range
+        wlo, whi = MASS_RANGE
         weights = [
             _dyadic(rng, max(1.0 / GRID, wlo / s), max(2.0 / GRID, whi / s))
             for _ in range(s)
@@ -324,8 +327,8 @@ def _convexity_margin(gen, index, *, grid_points, exact):
     base = random_measure(gen, rng, exact=exact)
     arm2 = random_measure(gen, rng, exact=exact)
     A = random_discount(gen, rng, kind="any", exact=exact)
-    u = _dyadic(rng, *gen.location_range)
-    v = _dyadic(rng, *gen.location_range)
+    u = _dyadic(rng, *LOCATION_RANGE)
+    v = _dyadic(rng, *LOCATION_RANGE)
     r = _dyadic_positive(rng, 2.0)
     states = []
     for k in range(grid_points):
@@ -364,7 +367,7 @@ def _icx_pair(gen, rng, exact):
 def _icx_margin(gen, index, *, exact):
     rng = gen.rng(index)
     F, Ft = _icx_pair(gen, rng, exact)
-    M = _dyadic(rng, *gen.mass_range)
+    M = _dyadic(rng, *MASS_RANGE)
     arm2 = random_measure(gen, rng, exact=exact)
     A = random_discount(gen, rng, kind="any", exact=exact)
     lo, hi = _values([BanditState(scale(F, M), arm2, A), BanditState(scale(Ft, M), arm2, A)],
@@ -375,7 +378,7 @@ def _icx_margin(gen, index, *, exact):
 def _weight_margin(gen, index, *, exact):
     rng = gen.rng(index)
     F = random_measure(gen, rng, normalized=True, exact=exact)
-    M = _dyadic(rng, *gen.mass_range)
+    M = _dyadic(rng, *MASS_RANGE)
     Mt = M + _dyadic_positive(rng, 2.0)
     arm2 = random_measure(gen, rng, exact=exact)
     A = random_discount(gen, rng, kind="any", exact=exact)
@@ -395,7 +398,7 @@ def _weight_margin(gen, index, *, exact):
 def _dilution_margin(gen, index, *, exact):
     rng = gen.rng(index)
     alpha = random_measure(gen, rng, exact=exact)
-    lam = _dyadic(rng, *gen.location_range)
+    lam = _dyadic(rng, *LOCATION_RANGE)
     A = random_discount(gen, rng, kind="any", exact=exact)
     known = point_mass(lam, exact=exact)
     arms = [alpha] + [
@@ -406,14 +409,14 @@ def _dilution_margin(gen, index, *, exact):
     return min(base.w - rep.w for rep in diluted)
 
 
-def _smoothing_margin(gen, index, *, theta_grid, exact):
+def _smoothing_margin(gen, index, *, exact):
     rng = gen.rng(index)
     alpha = random_measure(gen, rng, exact=exact)
     F = random_measure(gen, rng, normalized=True, exact=exact)
     arm2 = random_measure(gen, rng, exact=exact)
     A1 = drop_first(random_discount(gen, rng, kind="any", min_n=2, exact=exact))
     L = _dyadic_positive(rng, 2.0)
-    thetas = [Fraction(k, theta_grid - 1) * L for k in range(theta_grid)]
+    thetas = [Fraction(k, THETA_GRID - 1) * L for k in range(THETA_GRID)]
     states = [
         BanditState(
             mix([(1, alpha), (theta, F), (L - theta, point_mass(x, exact=exact))], exact=exact),
@@ -426,7 +429,7 @@ def _smoothing_margin(gen, index, *, theta_grid, exact):
     for i in range(0, len(ws), len(F)):
         terms = [p * w for (_, p), w in zip(F.atoms, ws[i:])]
         values.append(sum(terms) if exact else math.fsum(terms))
-    return min(values[k] - values[k + 1] for k in range(theta_grid - 1))
+    return min(values[k] - values[k + 1] for k in range(THETA_GRID - 1))
 
 
 def _breakeven_margin(gen, index, *, tol, exact):
@@ -438,16 +441,16 @@ def _breakeven_margin(gen, index, *, tol, exact):
     return min(b.value - lam.value, RESIDUAL_TOL - lam.residual)
 
 
-def _strictness_margin(gen, index, *, strict_margin, exact):
+def _strictness_margin(gen, index, *, exact):
     rng = gen.rng(index)
     F = random_measure(gen, rng, normalized=True, min_atoms=2, exact=exact)
-    M = _dyadic(rng, *gen.mass_range)
+    M = _dyadic(rng, *MASS_RANGE)
     Mt = M + _dyadic_positive(rng, 2.0)
     n = int(rng.integers(2, gen.max_horizon + 1))
     A = make_uniform(n, exact=exact)
     lam_small = break_even_value(scale(F, M), A, 1e-10, _opts(exact))
     lam_large = break_even_value(scale(F, Mt), A, 1e-10, _opts(exact))
-    return lam_small.value - lam_large.value - strict_margin
+    return lam_small.value - lam_large.value - STRICT_MARGIN
 
 
 def _oracle_margin(gen, index, *, tol):
@@ -508,15 +511,10 @@ def check_known_atom_dilution(gen=None, trials=None, *, slack=None, exact=False,
                     exact=exact)
 
 
-def check_mass_smoothing(
-    gen=None, trials=None, *, theta_grid=5, slack=None, exact=False, jobs=1
-) -> SuiteReport:
+def check_mass_smoothing(gen=None, trials=None, *, slack=None, exact=False, jobs=1) -> SuiteReport:
     """Replacing a random unit of added prior mass by its average measure
     (same total, no information) never raises the expected value."""
-    if theta_grid < 2:
-        raise InvalidParameterError("smoothing grid needs at least 2 points")
-    return _collect("lemma4", _smoothing_margin, gen, trials, _slack(slack, exact), jobs,
-                    theta_grid=theta_grid, exact=exact)
+    return _collect("lemma4", _smoothing_margin, gen, trials, _slack(slack, exact), jobs, exact=exact)
 
 
 def check_breakeven_bound(
@@ -529,26 +527,23 @@ def check_breakeven_bound(
     return _collect("prop1", _breakeven_margin, gen, trials, slack, jobs, tol=tol, exact=exact)
 
 
-def check_strict_weight_gaps(
-    gen=None, trials=None, *, strict_margin=STRICT_MARGIN, exact=False, jobs=1
-) -> SuiteReport:
+def check_strict_weight_gaps(gen=None, trials=None, *, exact=False, jobs=1) -> SuiteReport:
     """Reporting-grade suite: under uniform discounting with a nondegenerate
     prior mean, the break-even value should drop strictly as the prior
-    weight grows.  Instances whose gap falls below ``strict_margin`` are
+    weight grows.  Instances whose gap falls below STRICT_MARGIN are
     listed for review; no quantitative lower bound exists, so callers treat
     this suite as informational rather than pass/fail."""
 
     def details(margins):
-        gaps = sorted(m + strict_margin for m in margins)
+        gaps = sorted(m + STRICT_MARGIN for m in margins)
         return {
-            "strict_margin": strict_margin,
+            "strict_margin": STRICT_MARGIN,
             "min_gap": gaps[0],
             "median_gap": gaps[len(gaps) // 2],
             "max_gap": gaps[-1],
         }
 
-    return _collect("strictness", _strictness_margin, gen, trials, 0.0, jobs, details,
-                    strict_margin=strict_margin, exact=exact)
+    return _collect("strictness", _strictness_margin, gen, trials, 0.0, jobs, details, exact=exact)
 
 
 def check_oracle_equivalence(gen=None, trials=None, *, tol=1e-10, jobs=1) -> SuiteReport:

@@ -2,6 +2,7 @@
 import dataclasses
 import json
 import math
+import sys
 import time
 from fractions import Fraction
 from pathlib import Path
@@ -11,7 +12,7 @@ import pytest
 from dirichlet_bandits import ConfigError, SolverOptions, load_instance
 from dirichlet_bandits import cli
 from dirichlet_bandits.cli import main
-from dirichlet_bandits.solver import MEMO_CAP_ENV
+from dirichlet_bandits.solver import MEMO_CAP_ENV, Action, PolicyNode, StateKey, ValueReport
 
 CONFIG_DIR = Path(__file__).resolve().parents[1] / "demos" / "configs"
 WORKED = str(CONFIG_DIR / "coin_vs_known_half.json")
@@ -118,6 +119,22 @@ class TestCliValue:
         out = capsys.readouterr().out
         assert "stage=0" in out and "obs" in out and "action=arm" in out
 
+    def test_policy_deeper_than_the_recursion_limit_prints(self, capsys):
+        # A one-atom arm against a known arm makes a chain, one node a stage.
+        depth = sys.getrecursionlimit() + 100
+        node = None
+        for stage in reversed(range(depth)):
+            report = ValueReport(float(depth - stage), 1.0, 0.0, Action.ARM1)
+            branches = () if node is None else ((0.5, node),)
+            node = PolicyNode(StateKey((stage,), (0,), stage), Action.ARM1, report, branches)
+        cli._print_policy(node)
+        lines = capsys.readouterr().out.splitlines()
+        assert len(lines) == depth
+        assert lines[0] == f"stage=0 counts=[0]/[0] action=arm1 w={depth}"
+        assert lines[-1] == (
+            f"{'  ' * (depth - 1)}obs 0.5 -> stage={depth - 1} counts=[{depth - 1}]/[0] action=arm1 w=1"
+        )
+
     def test_three_atom_instance_runs(self, capsys):
         assert main(["value", THREE_ATOM]) == 0
         out = capsys.readouterr().out
@@ -170,6 +187,15 @@ class TestCliValue:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err == f"error: {MEMO_CAP_ENV} must be nonnegative, got -5\n"
+
+    @pytest.mark.parametrize("tie_tol", [-1, "-1e-300"])
+    def test_negative_tie_tolerance_in_config_exits_2(self, tie_tol, tmp_path, capsys):
+        doc = {**json.loads(Path(WORKED).read_text()), "options": {"tie_tol": tie_tol}}
+        assert main(["value", write(tmp_path, "tie.json", doc)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("config error: options.tie_tol must be finite and nonnegative")
+        assert captured.err.count("\n") == 1
 
     def test_negative_memo_cap_in_config_exits_2(self, tmp_path, capsys):
         doc = {**json.loads(Path(WORKED).read_text()), "options": {"memo_cap": -1}}

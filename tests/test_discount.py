@@ -1,7 +1,9 @@
 """Discount sequences: tails, regularity, families."""
 import math
+import time
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from dirichlet_bandits import (
@@ -19,6 +21,27 @@ def test_tails_match_direct_summation():
     for j in range(len(A.values) + 1):
         assert A.tails[j] == pytest.approx(math.fsum(A.values[j:]), abs=1e-12)
     assert A.tails[-1] == 0
+
+
+def test_float_tails_equal_fsum_bit_for_bit():
+    # Summed exactly and rounded once, each tail is fsum of its suffix, down
+    # to subnormals and across the whole exponent range.
+    rng = np.random.default_rng(5)
+    for trial in range(200):
+        n = int(rng.integers(1, 40))
+        exponents = rng.integers(-1074, 1000, size=n) if trial % 2 else rng.integers(-30, 30, size=n)
+        vals = [float(math.ldexp(m, int(e))) for m, e in zip(rng.random(n), exponents)]
+        vals += [5e-324, 0.0, 1.0][: trial % 4]
+        A = make_discount(vals)
+        assert [t.hex() for t in A.tails] == [math.fsum(vals[j:]).hex() for j in range(len(vals) + 1)]
+
+
+def test_long_float_sequence_tails_take_linear_time():
+    # A quadratic fsum per suffix took about 7 s at this length on a 2-vCPU machine.
+    t0 = time.perf_counter()
+    A = make_uniform(30_000)
+    assert time.perf_counter() - t0 < 1.0
+    assert A.tails[0] == 30_000.0 and A.tails[12_345] == 30_000.0 - 12_345
 
 
 def test_drop_first():

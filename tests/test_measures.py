@@ -139,6 +139,25 @@ class TestMeanAndUpdates:
         m = posterior_update(make_measure([(0, 1), (1, 1)]), 1 + 5e-13)
         assert m.atoms == ((0.0, 1.0), (1.0, 2.0))
 
+    @pytest.mark.parametrize(
+        "x, exact, atoms",
+        [
+            (Fraction(1, 2), True, ((0, 1), (Fraction(1, 2), 2), (1, 1))),
+            (Fraction(1, 2) + Fraction(1, 10**15), True,
+             ((0, 1), (Fraction(1, 2), 1), (Fraction(1, 2) + Fraction(1, 10**15), 1), (1, 1))),
+            (0.5 - 5e-13, False, ((0.0, 1.0), (0.5, 2.0), (1.0, 1.0))),  # below: upper neighbour
+            (0.5 + 5e-13, False, ((0.0, 1.0), (0.5, 2.0), (1.0, 1.0))),  # above: lower neighbour
+            (0.5 + 2e-12, False, ((0.0, 1.0), (0.5, 1.0), (0.5 + 2e-12, 1.0), (1.0, 1.0))),
+            (-5e-13, False, ((0.0, 2.0), (0.5, 1.0), (1.0, 1.0))),
+        ],
+        ids=["exact_equal", "exact_near", "float_below", "float_above", "float_beyond",
+             "float_below_bottom"],
+    )
+    def test_update_merges_within_the_merge_rule(self, x, exact, atoms):
+        m = posterior_update(make_measure([(0, 1), (0.5, 1), (1, 1)], exact=exact), x)
+        assert m.atoms == atoms
+        assert m.total_mass == 4
+
     def test_update_preserves_atoms_and_adds_one(self):
         for i in range(50):
             m = random_measure(GEN, GEN.rng(i))

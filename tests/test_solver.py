@@ -13,6 +13,7 @@ from dirichlet_bandits import (
     BanditState,
     InstanceGen,
     InvalidParameterError,
+    NotRegularError,
     ResourceBudgetExceededError,
     SolverOptions,
     brute_force_value_exact,
@@ -180,6 +181,18 @@ def test_memo_cap_raises(monkeypatch):
     assert value(state, SolverOptions(memo_cap=3)).w > 0
 
 
+@pytest.mark.parametrize(
+    "fields",
+    [{"mode": "fast"}, {"tie_tol": -1.0}, {"tie_tol": -1e-300}, {"tie_tol": math.nan},
+     {"tie_tol": math.inf}, {"memo_cap": -1}],
+    ids=["mode", "negative_tie_tol", "tiny_negative_tie_tol", "nan_tie_tol", "inf_tie_tol",
+         "negative_memo_cap"],
+)
+def test_options_refuse_bad_values_on_construction(fields):
+    with pytest.raises(InvalidParameterError, match=next(iter(fields))):
+        SolverOptions(**fields)
+
+
 def test_negative_memo_cap_is_a_parameter_error(monkeypatch):
     state = BanditState(COIN, COIN, make_uniform(2))
     with pytest.raises(InvalidParameterError, match="memo_cap must be nonnegative"):
@@ -307,8 +320,34 @@ class TestOneArmed:
         with pytest.raises(InvalidParameterError):
             stopping_value(COIN, 0.5, make_discount([1, 0, 1]))
 
+    @pytest.mark.parametrize("options", [None, EXACT], ids=["float", "exact"])
+    def test_non_regular_discounts_raise_not_regular_error(self, options):
+        with pytest.raises(NotRegularError):
+            stopping_value(COIN, 0.5, make_discount([1, 0, 1]), options)
+
 
 class TestPolicyTree:
+    @pytest.mark.parametrize("tie_tol", [0.0, 1e-11, 0.05])
+    @pytest.mark.parametrize("mode, instances", [("float", 40), ("exact", 10)])
+    def test_policy_table_plays_every_reported_action(self, mode, instances, tie_tol):
+        # simulate_policy replays the table, the reports state the action:
+        # one tie rule serves both.  Identical arms tie at every node.
+        opts = SolverOptions(mode=mode, tie_tol=tie_tol)
+        for i in range(instances):
+            drawn = random_state(GEN, GEN.rng(13_000 + i), exact=opts.exact)
+            for state in (drawn, BanditState(drawn.arm1, drawn.arm1, drawn.discount)):
+                solver = BanditSolver(state, opts)
+                pulls_arm2 = solver.policy_tables()[0]
+                start1, start2 = (arm.start for arm in solver.arms)
+                for t in range(solver.horizon):
+                    for k1 in range(t + 1):
+                        k2 = t - k1
+                        for r1 in range(start1[k1 + 1] - start1[k1]):
+                            for r2 in range(start2[k2 + 1] - start2[k2]):
+                                action = solver._report_at(t, k1, r1, r2).action
+                                pulled = pulls_arm2[start1[k1] + r1, start2[k2] + r2]
+                                assert pulled == (action is Action.ARM2)
+
     def test_root_action_on_worked_instance(self):
         tree = policy_tree(WORKED, 1)
         assert tree.action is Action.ARM1

@@ -8,7 +8,7 @@ from math import lcm
 from .errors import InvalidParameterError
 from .measures import Numeric, _coerce
 
-#: Float-mode slack when testing the regularity inequality on tail products.
+#: Float-mode slack on the regularity inequality, with tails relative to the total.
 REGULARITY_SLACK = 1e-12
 
 
@@ -75,12 +75,14 @@ def is_regular(A: DiscountSeq) -> bool:
     """Whether squared tail sums dominate the products of their neighbours.
 
     Regularity is what makes the one-armed problem an optimal stopping
-    problem and the break-even value well defined.
+    problem and the break-even value well defined.  The verdict does not
+    depend on the scale of the weights: float tails are compared relative to
+    the total, within REGULARITY_SLACK; exact ones exactly.
     """
-    t = A.tails
-    n = len(A.values)
-    slack = 0 if A.exact else REGULARITY_SLACK
-    for j in range(1, n):
+    t, slack = A.tails, 0
+    if not A.exact and t[0] > 0:
+        t, slack = [x / t[0] for x in t], REGULARITY_SLACK
+    for j in range(1, len(A.values)):
         if t[j] * t[j] < t[j - 1] * t[j + 1] - slack:
             return False
     return True

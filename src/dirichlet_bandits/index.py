@@ -70,16 +70,19 @@ class IndexResult:
     monotone: bool = True
 
 
-def _validated_arm(arm: DiscreteMeasure, A: DiscountSeq, tol: float, opts: SolverOptions):
+def _validated_arm(arm: DiscreteMeasure, tol: float, opts: SolverOptions):
     # Regularity is checked by the stopping form.
     if not tol > 0:  # also refuses NaN
         raise InvalidParameterError(f"tolerance must be positive, got {tol}")
-    if len(A.values) == 0 or A.tails[0] <= 0:
-        raise DegenerateHorizonError("total discount weight must be positive")
     return to_exact(arm) if opts.exact else to_float(arm)
 
 
-def _newton(f, trace, limit, bound, tol, exact, down=False) -> IndexResult:
+def _check_weight(A: DiscountSeq) -> None:
+    if len(A.values) == 0 or A.tails[0] <= 0:
+        raise DegenerateHorizonError("total discount weight must be positive")
+
+
+def _newton(f, trace, limit, bound, tol, exact, down=False, stacklevel=4) -> IndexResult:
     """Newton steps to the root of a convex, monotone, piecewise-linear
     objective.
 
@@ -91,7 +94,8 @@ def _newton(f, trace, limit, bound, tol, exact, down=False) -> IndexResult:
     its slope has the sign of ``bound`` and at least its size (a zero
     ``bound`` gives no size), so x - objective / bound is past the root
     while no Newton step is: the two bracket it.  Float mode stops once the
-    bracket is narrower than ``tol``, exact mode on the root.
+    bracket is narrower than ``tol``, exact mode on the root.  ``stacklevel``
+    points a warning of non-monotone iterates at the public search's caller.
     """
     toward = max if down else min
     while True:
@@ -112,7 +116,7 @@ def _newton(f, trace, limit, bound, tol, exact, down=False) -> IndexResult:
         if nxt == x:
             break
         trace.append((nxt, *f(nxt)))
-    monotone = _warn_if_not_monotone(trace, tol)
+    monotone = _warn_if_not_monotone(trace, tol, stacklevel)
     return IndexResult(x, (min(x, far), max(x, far)), len(trace), abs(fx), tuple(trace), monotone)
 
 
@@ -131,7 +135,13 @@ def break_even_value(
     by default); in exact mode the value is the root as a Fraction.
     """
     opts = options or DEFAULT_OPTIONS
-    arm = _validated_arm(arm, A, tol, opts)
+    arm = _validated_arm(arm, tol, opts)
+    _check_weight(A)
+    return _break_even_value(arm, A, tol, opts)
+
+
+def _break_even_value(arm: DiscreteMeasure, A: DiscountSeq, tol: float, opts: SolverOptions):
+    """``break_even_value`` once the arm and the total weight are checked."""
     exact = opts.exact
     T1, a1 = (_coerce(v, exact) for v in (A.tails[0], A.values[0]))
     stop = _stopping_form(arm, A, opts)
@@ -145,7 +155,7 @@ def break_even_value(
     top = arm.max_location
     lam = min(mean(arm), top)
     # g falls with slope at most -a1; a1 = 0 (T1 = T2) leaves only the cap.
-    return _newton(g, [(lam, *g(lam))], top, -a1, tol, exact)
+    return _newton(g, [(lam, *g(lam))], top, -a1, tol, exact, stacklevel=5)
 
 
 def break_even_observation(
@@ -170,10 +180,8 @@ def break_even_observation(
     some observation does, and h is nondecreasing.  The threshold is never
     below lam0, and no step goes past it.
     """
-    n = len(A.values)
-    if n == 0 or A.tails[0] <= 0:
-        raise DegenerateHorizonError("total discount weight must be positive")
-    if n < 2:
+    _check_weight(A)
+    if len(A.values) < 2:
         raise HorizonTooShortError(
             "break-even observation needs at least two stages"
         )
@@ -182,9 +190,9 @@ def break_even_observation(
             "break-even observation requires strictly positive discount weights"
         )
     opts = options or DEFAULT_OPTIONS
-    arm = _validated_arm(arm, A, tol, opts)
+    arm = _validated_arm(arm, tol, opts)
     exact = opts.exact
-    lam0 = break_even_value(arm, A, tol, opts).value
+    lam0 = _break_even_value(arm, A, tol, opts).value
     A1 = drop_first(A)
     T2, a2 = (_coerce(v, exact) for v in (A1.tails[0], A1.values[0]))
     pull = _observation_form(arm, A1, opts)
@@ -199,7 +207,7 @@ def break_even_observation(
     return _newton(h, [(x, *h(x))], lam0, bound, tol, exact, down=True)
 
 
-def _warn_if_not_monotone(trace, tol) -> bool:
+def _warn_if_not_monotone(trace, tol, stacklevel) -> bool:
     """Newton iterates on a convex, monotone objective move one way (each
     step goes towards the root) and the objective at them falls towards
     zero without crossing it.  A rise, or a fall past zero, beyond the
@@ -214,7 +222,7 @@ def _warn_if_not_monotone(trace, tol) -> bool:
                 f"between Newton iterates {float(x0):.6g} and {float(x1):.6g}; the "
                 "returned value is the last iterate",
                 RuntimeWarning,
-                stacklevel=4,
+                stacklevel=stacklevel,
             )
             return False
     return True

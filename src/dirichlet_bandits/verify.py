@@ -2,10 +2,17 @@
 
 Every suite draws instances from a seeded generator, evaluates an inequality
 margin per instance (positive = satisfied with room, negative = violated),
-and reports every instance whose margin falls below the slack.  Float-mode
-assertions use a slack of 1e-9; exact-mode runs use zero slack, since all
-generated numerics are dyadic rationals (multiples of 1/64) and therefore
-representable without error in both arithmetic backends.
+and reports every instance whose margin falls below the slack.  A suite's
+``exact`` flag picks the ``SolverOptions`` its margins solve with and its
+slack: 1e-9 in float, zero in exact mode.  Draws are built once, in float:
+generated numerics are dyadic (multiples of 1/64, and of 1/64^(n-1) for
+ratio-built discounts of horizon n), exact in a float up to n = 9, so the
+solver and the searches convert them to exact mode without error (past
+n = 9, exact mode certifies the float-rounded draw, which need not be
+exactly regular).  Three draws feed a margin's own arithmetic and are built
+in the options' arithmetic: thm1's icx pair (its ``leq_icx`` self-check),
+lemma1's grid mixture (coefficients k/(grid_points - 1)) and lemma4's F
+(its weights form the expectation).
 
 Instances are reproducible: instance ``i`` of a suite seeded with ``s`` uses
 an rng spawned from ``SeedSequence(s, spawn_key=(i,))``, so suites can run
@@ -36,6 +43,7 @@ from .index import break_even_observation
 from .measures import (
     DiscreteMeasure,
     _is_int,
+    _wsum,
     leq_icx,
     make_measure,
     mean_preserving_spread,
@@ -50,7 +58,6 @@ from .solver import (
     BanditState,
     DEFAULT_OPTIONS,
     EXACT_OPTIONS,
-    SolverOptions,
     _values,
     value,
 )
@@ -83,7 +90,8 @@ DEFAULT_TRIALS = {
 @dataclass(frozen=True)
 class InstanceGen:
     """Seeded instance generator; every derived instance satisfies the
-    bandit-state type invariants by construction."""
+    bandit-state type invariants by construction.  Every suite draws at
+    least two stages and two atoms, and at most GRID normalized atoms."""
 
     seed: int = 0
     max_horizon: int = 6
@@ -92,22 +100,22 @@ class InstanceGen:
     def __post_init__(self):
         if not _is_int(self.seed) or self.seed < 0:
             raise InvalidParameterError(f"seed must be a nonnegative integer, got {self.seed!r}")
+        h, s = self.max_horizon, self.max_atoms
+        if not _is_int(h) or h < 2:
+            raise InvalidParameterError(f"max_horizon must be an integer >= 2, got {h!r}")
+        if not _is_int(s) or not 2 <= s <= GRID:
+            raise InvalidParameterError(f"max_atoms must be an integer in [2, {GRID}], got {s!r}")
 
     def rng(self, index: int) -> np.random.Generator:
         return np.random.default_rng(np.random.SeedSequence(self.seed, spawn_key=(index,)))
 
 
 def _dyadic(rng, lo, hi) -> Fraction:
-    """Dyadic rational (multiple of 1/GRID) in [lo, hi]."""
+    """Dyadic rational (multiple of 1/GRID) in [lo, hi]; lo = 1/GRID draws
+    a positive one."""
     k0 = math.ceil(lo * GRID)
     k1 = max(k0, math.floor(hi * GRID))
     return Fraction(int(rng.integers(k0, k1 + 1)), GRID)
-
-
-def _dyadic_positive(rng, hi) -> Fraction:
-    """Dyadic rational in (0, hi]."""
-    k1 = max(1, math.floor(hi * GRID))
-    return Fraction(int(rng.integers(1, k1 + 1)), GRID)
 
 
 def random_measure(
@@ -155,9 +163,10 @@ def random_discount(
 
     kind "any" mixes uniform, truncated geometric, arbitrary nonnegative
     (zeros allowed, possibly not regular), and ratio-built sequences;
-    "regular_positive" draws only from the families that are regular with
-    strictly positive weights.  Ratio-built sequences have nonincreasing
-    tail ratios, which forces regularity.
+    "regular" and "regular_positive" both draw from the three families that
+    are regular with strictly positive weights: uniform, truncated geometric
+    and ratio-built.  Ratio-built sequences have nonincreasing tail ratios,
+    which forces regularity.
     """
     hi_n = max_n if max_n is not None else gen.max_horizon
     n = int(rng.integers(min_n, hi_n + 1))
@@ -280,10 +289,15 @@ def _map_instances(worker, trials, jobs):
     return [worker(i) for i in range(trials)]
 
 
-def _collect(name, margin, gen, trials, slack, jobs, details=None, **params) -> SuiteReport:
-    """Run suite ``name``: the margin of instance i is ``margin(gen, i, **params)``."""
+def _collect(name, margin, gen, trials, jobs, *, exact=False, slack=None,
+             float_slack=SLACK_FLOAT, details=None, **params) -> SuiteReport:
+    """Run suite ``name``: the margin of instance i is ``margin(gen, i, opts=opts,
+    **params)``; the slack defaults to zero in exact mode, else ``float_slack``."""
     gen = gen or InstanceGen()
-    worker = partial(margin, gen, **params)
+    opts = EXACT_OPTIONS if exact else DEFAULT_OPTIONS
+    if slack is None:
+        slack = 0.0 if exact else float_slack
+    worker = partial(margin, gen, opts=opts, **params)
     if trials is None:
         trials = DEFAULT_TRIALS[name]
     if not _is_int(trials) or trials < 1:
@@ -307,45 +321,33 @@ def _collect(name, margin, gen, trials, slack, jobs, details=None, **params) -> 
     return report
 
 
-def _slack(slack, exact):
-    if slack is not None:
-        return slack
-    return 0.0 if exact else SLACK_FLOAT
-
-
-def _opts(exact: bool) -> SolverOptions:
-    return EXACT_OPTIONS if exact else DEFAULT_OPTIONS
-
-
 # ---------------------------------------------------------------------------
 # suite workers (module level so process pools can pickle them)
 # ---------------------------------------------------------------------------
 
 
-def _convexity_margin(gen, index, *, grid_points, exact):
+def _convexity_margin(gen, index, *, opts, grid_points):
     rng = gen.rng(index)
-    base = random_measure(gen, rng, exact=exact)
-    arm2 = random_measure(gen, rng, exact=exact)
-    A = random_discount(gen, rng, kind="any", exact=exact)
+    base = random_measure(gen, rng)
+    arm2 = random_measure(gen, rng)
+    A = random_discount(gen, rng, kind="any")
     u = _dyadic(rng, *LOCATION_RANGE)
     v = _dyadic(rng, *LOCATION_RANGE)
-    r = _dyadic_positive(rng, 2.0)
+    r = _dyadic(rng, 1 / GRID, 2.0)
     states = []
     for k in range(grid_points):
+        # k / (grid_points - 1) need not be dyadic: mix in the solve's arithmetic.
         rho = Fraction(k, grid_points - 1) * r
-        arm1 = mix(
-            [(1, base), (rho, point_mass(u, exact=exact)), (r - rho, point_mass(v, exact=exact))],
-            exact=exact,
-        )
+        arm1 = mix([(1, base), (rho, point_mass(u)), (r - rho, point_mass(v))], exact=opts.exact)
         states.append(BanditState(arm1, arm2, A))
-    values = [rep.w for rep in _values(states, _opts(exact))]
+    values = [rep.w for rep in _values(states, opts)]
     return min(
         values[k + 1] - 2 * values[k] + values[k - 1]
         for k in range(1, grid_points - 1)
     )
 
 
-def _icx_pair(gen, rng, exact):
+def _icx_pair(gen, rng, exact=False):
     """A pair F, Ft with F below Ft in the increasing convex order, built by
     composing upward shifts with mean-preserving spreads."""
     F = random_measure(gen, rng, normalized=True, exact=exact)
@@ -355,7 +357,7 @@ def _icx_pair(gen, rng, exact):
             Ft = shift(Ft, _dyadic(rng, 0.0, 0.5))
         else:
             idx = int(rng.integers(0, len(Ft)))
-            Ft = mean_preserving_spread(Ft, idx, _dyadic_positive(rng, 0.5))
+            Ft = mean_preserving_spread(Ft, idx, _dyadic(rng, 1 / GRID, 0.5))
     chk = leq_icx(F, Ft)
     if not chk.holds:
         raise GeneratorFailedError(
@@ -364,113 +366,100 @@ def _icx_pair(gen, rng, exact):
     return F, Ft
 
 
-def _icx_margin(gen, index, *, exact):
+def _icx_margin(gen, index, *, opts):
     rng = gen.rng(index)
-    F, Ft = _icx_pair(gen, rng, exact)
+    F, Ft = _icx_pair(gen, rng, opts.exact)
     M = _dyadic(rng, *MASS_RANGE)
-    arm2 = random_measure(gen, rng, exact=exact)
-    A = random_discount(gen, rng, kind="any", exact=exact)
-    lo, hi = _values([BanditState(scale(F, M), arm2, A), BanditState(scale(Ft, M), arm2, A)],
-                     _opts(exact))
+    arm2 = random_measure(gen, rng)
+    A = random_discount(gen, rng, kind="any")
+    lo, hi = _values([BanditState(scale(F, M), arm2, A), BanditState(scale(Ft, M), arm2, A)], opts)
     return hi.w - lo.w
 
 
-def _weight_margin(gen, index, *, exact):
+def _weight_margin(gen, index, *, opts):
     rng = gen.rng(index)
-    F = random_measure(gen, rng, normalized=True, exact=exact)
+    F = random_measure(gen, rng, normalized=True)
     M = _dyadic(rng, *MASS_RANGE)
-    Mt = M + _dyadic_positive(rng, 2.0)
-    arm2 = random_measure(gen, rng, exact=exact)
-    A = random_discount(gen, rng, kind="any", exact=exact)
-    opts = _opts(exact)
-    small, large = _values(
-        [BanditState(scale(F, M), arm2, A), BanditState(scale(F, Mt), arm2, A)], opts
-    )
+    Mt = M + _dyadic(rng, 1 / GRID, 2.0)
+    arm2 = random_measure(gen, rng)
+    A = random_discount(gen, rng, kind="any")
+    small, large = _values([BanditState(scale(F, m), arm2, A) for m in (M, Mt)], opts)
     margins = [small.w - large.w]
     if is_regular(A):
-        lam_small = break_even_value(scale(F, M), A, 1e-10, opts)
-        lam_large = break_even_value(scale(F, Mt), A, 1e-10, opts)
+        lam_small, lam_large = (break_even_value(scale(F, m), A, 1e-10, opts) for m in (M, Mt))
         margins.append(lam_small.value - lam_large.value)
         margins.append(RESIDUAL_TOL - max(lam_small.residual, lam_large.residual))
     return min(margins)
 
 
-def _dilution_margin(gen, index, *, exact):
+def _dilution_margin(gen, index, *, opts):
     rng = gen.rng(index)
-    alpha = random_measure(gen, rng, exact=exact)
+    alpha = random_measure(gen, rng)
     lam = _dyadic(rng, *LOCATION_RANGE)
-    A = random_discount(gen, rng, kind="any", exact=exact)
-    known = point_mass(lam, exact=exact)
-    arms = [alpha] + [
-        mix([(1, alpha), (c, point_mass(lam, exact=exact))], exact=exact)
-        for c in (Fraction(1, 2), Fraction(1), Fraction(2))
-    ]
-    base, *diluted = _values([BanditState(arm, known, A) for arm in arms], _opts(exact))
+    A = random_discount(gen, rng, kind="any")
+    known = point_mass(lam)
+    arms = [alpha] + [mix([(1, alpha), (c, known)]) for c in (0.5, 1, 2)]
+    base, *diluted = _values([BanditState(arm, known, A) for arm in arms], opts)
     return min(base.w - rep.w for rep in diluted)
 
 
-def _smoothing_margin(gen, index, *, exact):
+def _smoothing_margin(gen, index, *, opts):
     rng = gen.rng(index)
-    alpha = random_measure(gen, rng, exact=exact)
-    F = random_measure(gen, rng, normalized=True, exact=exact)
-    arm2 = random_measure(gen, rng, exact=exact)
-    A1 = drop_first(random_discount(gen, rng, kind="any", min_n=2, exact=exact))
-    L = _dyadic_positive(rng, 2.0)
+    alpha = random_measure(gen, rng)
+    # F's weights form the expectation below, in the solve's arithmetic.
+    F = random_measure(gen, rng, normalized=True, exact=opts.exact)
+    arm2 = random_measure(gen, rng)
+    A1 = drop_first(random_discount(gen, rng, kind="any", min_n=2))
+    L = _dyadic(rng, 1 / GRID, 2.0)
     thetas = [Fraction(k, THETA_GRID - 1) * L for k in range(THETA_GRID)]
     states = [
-        BanditState(
-            mix([(1, alpha), (theta, F), (L - theta, point_mass(x, exact=exact))], exact=exact),
-            arm2, A1,
-        )
+        BanditState(mix([(1, alpha), (theta, F), (L - theta, point_mass(x))]), arm2, A1)
         for theta in thetas for x, _ in F.atoms
     ]
-    ws = [rep.w for rep in _values(states, _opts(exact))]
+    ws = [rep.w for rep in _values(states, opts)]
     values = []  # E over the atoms of F: one run of len(F) values per theta
     for i in range(0, len(ws), len(F)):
         terms = [p * w for (_, p), w in zip(F.atoms, ws[i:])]
-        values.append(sum(terms) if exact else math.fsum(terms))
+        values.append(_wsum(terms, opts.exact))
     return min(values[k] - values[k + 1] for k in range(THETA_GRID - 1))
 
 
-def _breakeven_margin(gen, index, *, tol, exact):
+def _breakeven_margin(gen, index, *, opts, tol):
     rng = gen.rng(index)
-    arm = random_measure(gen, rng, exact=exact)
-    A = random_discount(gen, rng, kind="regular_positive", min_n=2, exact=exact)
-    lam = break_even_value(arm, A, tol, _opts(exact))
-    b = break_even_observation(arm, A, tol, _opts(exact))
+    arm = random_measure(gen, rng)
+    A = random_discount(gen, rng, kind="regular_positive", min_n=2)
+    lam = break_even_value(arm, A, tol, opts)
+    b = break_even_observation(arm, A, tol, opts)
     return min(b.value - lam.value, RESIDUAL_TOL - lam.residual)
 
 
-def _strictness_margin(gen, index, *, exact):
+def _strictness_margin(gen, index, *, opts):
     rng = gen.rng(index)
-    F = random_measure(gen, rng, normalized=True, min_atoms=2, exact=exact)
+    F = random_measure(gen, rng, normalized=True, min_atoms=2)
     M = _dyadic(rng, *MASS_RANGE)
-    Mt = M + _dyadic_positive(rng, 2.0)
+    Mt = M + _dyadic(rng, 1 / GRID, 2.0)
     n = int(rng.integers(2, gen.max_horizon + 1))
-    A = make_uniform(n, exact=exact)
-    lam_small = break_even_value(scale(F, M), A, 1e-10, _opts(exact))
-    lam_large = break_even_value(scale(F, Mt), A, 1e-10, _opts(exact))
+    A = make_uniform(n)
+    lam_small, lam_large = (break_even_value(scale(F, m), A, 1e-10, opts) for m in (M, Mt))
     return lam_small.value - lam_large.value - STRICT_MARGIN
 
 
-def _oracle_margin(gen, index, *, tol):
+def _oracle_margin(gen, index, *, opts, tol):
     rng = gen.rng(index)
     n = int(rng.integers(1, 5))
     arm1 = random_measure(gen, rng, atoms=int(rng.integers(1, 4)))
     arm2 = random_measure(gen, rng, atoms=int(rng.integers(1, 4)))
     A = random_discount(gen, rng, kind="any", min_n=n, max_n=n)
     state = BanditState(arm1, arm2, A)
-    dp = value(state).w
-    bf = brute_force_value(state)
-    return tol - abs(dp - bf)
+    return tol - abs(value(state, opts).w - brute_force_value(state))
 
 
-def _montecarlo_margin(gen, index, *, samples):
+def _montecarlo_margin(gen, index, *, opts, samples):
     rng = gen.rng(index)
     state = random_state(gen, rng, kind="any")
-    dp = value(state).w
+    dp = value(state, opts).w
     seed = int(rng.integers(0, 2**63))
-    mean_v, se = simulate_policy(state, samples, seed)
+    mean_v, se = simulate_policy(state, samples, seed, options=opts)
     # The absolute floor absorbs summation-order rounding when the standard
     # error is exactly zero (both arms degenerate).
     return 4.0 * se + 1e-12 - abs(mean_v - dp)
@@ -488,33 +477,32 @@ def check_reallocation_convexity(
     locations of one arm's prior, checked by second differences on a grid."""
     if grid_points < 3:
         raise InvalidParameterError("convexity grid needs at least 3 points")
-    return _collect("lemma1", _convexity_margin, gen, trials, _slack(slack, exact), jobs,
-                    grid_points=grid_points, exact=exact)
+    return _collect("lemma1", _convexity_margin, gen, trials, jobs, exact=exact, slack=slack,
+                    grid_points=grid_points)
 
 
 def check_icx_monotonicity(gen=None, trials=None, *, slack=None, exact=False, jobs=1) -> SuiteReport:
     """Raising one arm's prior mean distribution in the increasing convex
     order never lowers the value."""
-    return _collect("thm1", _icx_margin, gen, trials, _slack(slack, exact), jobs, exact=exact)
+    return _collect("thm1", _icx_margin, gen, trials, jobs, exact=exact, slack=slack)
 
 
 def check_weight_monotonicity(gen=None, trials=None, *, slack=None, exact=False, jobs=1) -> SuiteReport:
     """Raising an arm's prior weight (same mean distribution) never raises
     the value; with regular discounts the break-even value drops too."""
-    return _collect("thm2", _weight_margin, gen, trials, _slack(slack, exact), jobs, exact=exact)
+    return _collect("thm2", _weight_margin, gen, trials, jobs, exact=exact, slack=slack)
 
 
 def check_known_atom_dilution(gen=None, trials=None, *, slack=None, exact=False, jobs=1) -> SuiteReport:
     """Adding prior mass at the known arm's payoff level never raises the
     value of playing against that known arm."""
-    return _collect("lemma3", _dilution_margin, gen, trials, _slack(slack, exact), jobs,
-                    exact=exact)
+    return _collect("lemma3", _dilution_margin, gen, trials, jobs, exact=exact, slack=slack)
 
 
 def check_mass_smoothing(gen=None, trials=None, *, slack=None, exact=False, jobs=1) -> SuiteReport:
     """Replacing a random unit of added prior mass by its average measure
     (same total, no information) never raises the expected value."""
-    return _collect("lemma4", _smoothing_margin, gen, trials, _slack(slack, exact), jobs, exact=exact)
+    return _collect("lemma4", _smoothing_margin, gen, trials, jobs, exact=exact, slack=slack)
 
 
 def check_breakeven_bound(
@@ -523,8 +511,8 @@ def check_breakeven_bound(
     """The break-even observation never falls below the break-even value
     (regular, strictly positive discounts, at least two stages).  Float runs
     allow a slack of 1e-8, the residual tolerance of the two searches."""
-    slack = (0.0 if exact else RESIDUAL_TOL) if slack is None else slack
-    return _collect("prop1", _breakeven_margin, gen, trials, slack, jobs, tol=tol, exact=exact)
+    return _collect("prop1", _breakeven_margin, gen, trials, jobs, exact=exact, slack=slack,
+                    float_slack=RESIDUAL_TOL, tol=tol)
 
 
 def check_strict_weight_gaps(gen=None, trials=None, *, exact=False, jobs=1) -> SuiteReport:
@@ -543,18 +531,19 @@ def check_strict_weight_gaps(gen=None, trials=None, *, exact=False, jobs=1) -> S
             "max_gap": gaps[-1],
         }
 
-    return _collect("strictness", _strictness_margin, gen, trials, 0.0, jobs, details, exact=exact)
+    return _collect("strictness", _strictness_margin, gen, trials, jobs, exact=exact, slack=0.0,
+                    details=details)
 
 
 def check_oracle_equivalence(gen=None, trials=None, *, tol=1e-10, jobs=1) -> SuiteReport:
     """Lattice solver agrees with the exhaustive history-tree oracle."""
-    return _collect("oracle", _oracle_margin, gen, trials, 0.0, jobs, tol=tol)
+    return _collect("oracle", _oracle_margin, gen, trials, jobs, slack=0.0, tol=tol)
 
 
 def check_monte_carlo(gen=None, trials=None, *, samples=100_000, jobs=1) -> SuiteReport:
     """Simulated optimal play agrees with the solver value within four
     standard errors."""
-    return _collect("montecarlo", _montecarlo_margin, gen, trials, 0.0, jobs, samples=samples)
+    return _collect("montecarlo", _montecarlo_margin, gen, trials, jobs, slack=0.0, samples=samples)
 
 
 SUITES = {

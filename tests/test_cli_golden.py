@@ -11,12 +11,18 @@ and says in the change log why the bytes moved.  A ``verify`` report is
 pinned the same way, by the file its ``--out`` writes:
 
     dirichlet-bandit verify montecarlo --out tests/golden/verify_montecarlo.json
+
+The CLI runs suites in float; ``tests/golden/exact/`` pins the exact-mode
+report of each exact-capable suite, ``to_dict()`` at 40 trials of seed 0,
+written as ``json.dump(report.to_dict(), f, indent=2)`` plus a newline.
 """
+import json
 from pathlib import Path
 
 import pytest
 
 from dirichlet_bandits.cli import main
+from dirichlet_bandits.verify import SUITES, InstanceGen
 
 ROOT = Path(__file__).resolve().parents[1]
 GOLDEN = ROOT / "tests" / "golden"
@@ -46,8 +52,14 @@ REPORTS = {
     "verify_thm2": ["verify", "thm2"],
     "verify_lemma3": ["verify", "lemma3"],
     "verify_lemma4": ["verify", "lemma4"],
+    "verify_prop1": ["verify", "prop1"],
+    "verify_strictness": ["verify", "strictness"],
+    "verify_oracle": ["verify", "oracle"],
     "verify_montecarlo": ["verify", "montecarlo"],
 }
+
+#: Suites with an exact mode, whose exact report is pinned.
+EXACT_SUITES = ("lemma1", "thm1", "thm2", "lemma3", "lemma4", "prop1", "strictness")
 
 
 @pytest.mark.parametrize("name", COMMANDS)
@@ -68,6 +80,14 @@ def test_report_matches_golden_file(name, tmp_path, capsys, monkeypatch):
     assert out.read_bytes() == (GOLDEN / f"{name}.json").read_bytes()
 
 
+@pytest.mark.parametrize("name", EXACT_SUITES)
+def test_exact_report_matches_golden_file(name):
+    report = SUITES[name](InstanceGen(seed=0), 40, exact=True)
+    text = json.dumps(report.to_dict(), indent=2) + "\n"
+    assert text == (GOLDEN / "exact" / f"{name}.json").read_text()
+
+
 def test_every_golden_file_has_a_command():
     assert sorted(p.stem for p in GOLDEN.glob("*.txt")) == sorted(COMMANDS)
     assert sorted(p.stem for p in GOLDEN.glob("*.json")) == sorted(REPORTS)
+    assert sorted(p.stem for p in (GOLDEN / "exact").glob("*.json")) == sorted(EXACT_SUITES)

@@ -9,7 +9,15 @@ from pathlib import Path
 
 import pytest
 
-from dirichlet_bandits import ConfigError, SolverOptions, load_instance
+from dirichlet_bandits import (
+    BanditState,
+    ConfigError,
+    SolverOptions,
+    load_instance,
+    point_mass,
+    value,
+    value_one_armed,
+)
 from dirichlet_bandits import cli
 from dirichlet_bandits.cli import main
 from dirichlet_bandits.solver import MEMO_CAP_ENV, Action, PolicyNode, StateKey, ValueReport
@@ -312,6 +320,20 @@ class TestCliIndices:
             },
         )
         assert main(["lambda", path]) == 4
+
+    def test_non_regular_with_small_weights_exits_4(self, tmp_path, capsys):
+        # Tails of 1e-7 used to pass the regularity test: lambda printed
+        # 0.6280788177 and exited 0, where the same sequence times 1e7 exits 4.
+        doc = {
+            "arm1": {"atoms": [{"location": 0, "weight": 1}, {"location": 1, "weight": 1}]},
+            "discount": {"values": [1e-7, 0, 1e-7, 1e-7, 0, 1e-7]},
+        }
+        assert main(["lambda", write(tmp_path, "small.json", doc)]) == 4
+        captured = capsys.readouterr()
+        assert captured.out == "" and "regular" in captured.err
+        cfg = load_instance(write(tmp_path, "small.json", doc))
+        one_armed = value_one_armed(cfg.arm1, 0.3, cfg.discount)
+        assert one_armed == value(BanditState(cfg.arm1, point_mass(0.3), cfg.discount))
 
     @pytest.mark.parametrize("command", ["lambda", "breakeven"])
     def test_nan_tolerance_exits_2(self, command, capsys):

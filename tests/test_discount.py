@@ -82,6 +82,27 @@ def test_exact_regularity_uses_no_slack():
     assert not is_regular(make_discount([1, 0, 1], exact=True))
 
 
+#: Not regular (T = 4, 3, 3, ...: 3^2 < 4 * 3), with weights so small that
+#: raw tail products differ by less than the float slack.
+SMALL_GAPS = [1e-7, 0, 1e-7, 1e-7, 0, 1e-7]
+
+
+@pytest.mark.parametrize(
+    "values",
+    [[1, 0, 1, 1, 0, 1], [1, 0, 1], [1] * 7, [1, 0.5, 0.25, 0.125], [0, 1, 1], [3, 2, 1]],
+)
+def test_regularity_verdict_does_not_depend_on_scale(values):
+    verdict = is_regular(make_discount(values))
+    for k in range(-12, 13):
+        assert is_regular(make_discount([v * 10.0**k for v in values])) == verdict
+
+
+def test_small_weights_that_are_not_regular_are_refused():
+    # Compared raw against an absolute slack, these tails passed as regular.
+    assert not is_regular(make_discount(SMALL_GAPS))
+    assert not is_regular(make_discount(SMALL_GAPS, exact=True))
+
+
 def test_family_values():
     assert make_uniform(2).values == (1.0, 1.0)
     assert make_truncated_geometric(0.5, 3).values == (1.0, 0.5, 0.25)

@@ -196,15 +196,15 @@ class TestBreakEvenObservation:
         values, passes = [], []
 
         def counted_value(*args):
-            values.append(break_even_value(*args))
+            values.append(value_search(*args))
             return values[-1]
 
         def counted_pass(*args):
             passes.append(args)
             return stopping_pass(*args)
 
-        stopping_pass = solver._stopping_pass
-        monkeypatch.setattr(index, "break_even_value", counted_value)
+        value_search, stopping_pass = index._break_even_value, solver._stopping_pass
+        monkeypatch.setattr(index, "_break_even_value", counted_value)
         monkeypatch.setattr(solver, "_stopping_pass", counted_pass)
         res = break_even_observation(arm, A)
         assert len(values) == 1
@@ -252,6 +252,43 @@ class TestBreakEvenObservation:
             break_even_observation(COIN, make_discount([1, 0, 0.5]))
         with pytest.raises(NotRegularError):
             break_even_observation(COIN, make_discount([1, 0.1, 1]))
+
+    @pytest.mark.parametrize("tol", [1e-9, 0.0])
+    @pytest.mark.parametrize(
+        "values, error",
+        [
+            ((), DegenerateHorizonError),
+            ((0.0,), DegenerateHorizonError),
+            ((0.0, 0.0), DegenerateHorizonError),
+            ((1.0,), HorizonTooShortError),
+            ((1.0, 0.0), NonPositiveDiscountError),
+            ((0.0, 1.0), NonPositiveDiscountError),
+            ((1.0, 1.0), InvalidParameterError),  # refused only for tol = 0
+        ],
+        ids=["empty", "one-zero", "all-zero", "one-stage", "zero-last", "zero-first", "valid"],
+    )
+    def test_precondition_precedence(self, values, error, tol):
+        # The horizon is checked before the weights, the weights before the
+        # tolerance: a refusal names the first precondition that fails.
+        A = DiscountSeq(values, tuple(sum(values[j:]) for j in range(len(values) + 1)))
+        if error is InvalidParameterError and tol > 0:
+            assert break_even_observation(COIN, A, tol).value == pytest.approx(2 / 3, abs=1e-8)
+            return
+        with pytest.raises(error) as info:
+            break_even_observation(COIN, A, tol)
+        assert type(info.value) is error
+
+    def test_validates_the_arm_once(self, monkeypatch):
+        calls = []
+
+        def counted(*args):
+            calls.append(args)
+            return validated(*args)
+
+        validated = index._validated_arm
+        monkeypatch.setattr(index, "_validated_arm", counted)
+        break_even_observation(COIN, A2)
+        assert len(calls) == 1
 
 
 class TestSweep:

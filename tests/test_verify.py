@@ -26,6 +26,7 @@ from dirichlet_bandits.verify import (
     _pool_size,
     format_reports,
     random_discount,
+    random_measure,
     random_state,
 )
 
@@ -319,3 +320,27 @@ def test_non_integer_generator_seeds_are_rejected(seed):
     # 1.5 used to construct and then fail inside numpy's SeedSequence.
     with pytest.raises(InvalidParameterError):
         InstanceGen(seed=seed)
+
+
+@pytest.mark.parametrize(
+    "field, bad",
+    [
+        ("max_horizon", 1),  # the break-even suites draw at least two stages
+        ("max_horizon", 4.0),
+        ("max_atoms", 1),  # the strictness suite draws at least two atoms
+        ("max_atoms", 0),
+        ("max_atoms", 65),  # normalized weights are cut from 63 inner grid points
+        ("max_atoms", True),
+    ],
+)
+def test_generator_settings_no_suite_can_draw_from_are_refused(field, bad):
+    with pytest.raises(InvalidParameterError, match=field):
+        InstanceGen(**{field: bad})
+
+
+@pytest.mark.parametrize("max_horizon, max_atoms", [(2, 2), (3, 64)])
+def test_suites_draw_at_the_generator_bounds(max_horizon, max_atoms):
+    gen = InstanceGen(seed=8, max_horizon=max_horizon, max_atoms=max_atoms)
+    for name in ("lemma3", "prop1", "strictness", "thm1"):
+        assert SUITES[name](gen, 2).trials == 2
+    assert len(random_measure(gen, gen.rng(0), atoms=64, normalized=True)) == 64

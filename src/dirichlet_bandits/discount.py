@@ -64,6 +64,19 @@ def _tail_sums(vals, exact: bool):
     return tuple(reversed(tails))
 
 
+def _in_arithmetic(A: DiscountSeq, exact: bool) -> DiscountSeq:
+    """``A`` in a solve's arithmetic: its values coerced and its tails
+    re-summed from them, so that regularity is judged, and tails are read,
+    in the arithmetic the pass runs in.  A sequence already in that
+    arithmetic is returned as it is.  Unlike :func:`make_discount` this
+    accepts every sequence a solve does, the empty terminal sequence and
+    zero-total suffixes of :func:`drop_first` included."""
+    if A.exact == exact and isinstance(A.total, Fraction) == exact:
+        return A
+    vals = tuple(_coerce(v, exact) for v in A.values)
+    return DiscountSeq(vals, _tail_sums(vals, exact))
+
+
 def drop_first(A: DiscountSeq) -> DiscountSeq:
     """The length n-1 suffix; for n = 1 the empty terminal sequence."""
     if len(A.values) == 0:

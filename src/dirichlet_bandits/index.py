@@ -36,14 +36,14 @@ import warnings
 from dataclasses import dataclass
 from typing import Optional
 
-from .discount import DiscountSeq, drop_first
+from .discount import DiscountSeq, _in_arithmetic, drop_first
 from .errors import (
     DegenerateHorizonError,
     HorizonTooShortError,
     InvalidParameterError,
     NonPositiveDiscountError,
 )
-from .measures import DiscreteMeasure, Numeric, _coerce, mean, to_exact, to_float
+from .measures import DiscreteMeasure, Numeric, mean, to_exact, to_float
 from .solver import DEFAULT_OPTIONS, SolverOptions, _observation_form, _stopping_form
 
 DEFAULT_TOL = 1e-9
@@ -143,7 +143,8 @@ def break_even_value(
 def _break_even_value(arm: DiscreteMeasure, A: DiscountSeq, tol: float, opts: SolverOptions):
     """``break_even_value`` once the arm and the total weight are checked."""
     exact = opts.exact
-    T1, a1 = (_coerce(v, exact) for v in (A.tails[0], A.values[0]))
+    A = _in_arithmetic(A, exact)
+    T1, a1 = A.tails[0], A.values[0]
     stop = _stopping_form(arm, A, opts)
 
     def g(lam):
@@ -192,9 +193,10 @@ def break_even_observation(
     opts = options or DEFAULT_OPTIONS
     arm = _validated_arm(arm, tol, opts)
     exact = opts.exact
+    A = _in_arithmetic(A, exact)
     lam0 = _break_even_value(arm, A, tol, opts).value
     A1 = drop_first(A)
-    T2, a2 = (_coerce(v, exact) for v in (A1.tails[0], A1.values[0]))
+    T2, a2 = A1.tails[0], A1.values[0]
     pull = _observation_form(arm, A1, opts)
 
     def h(x):

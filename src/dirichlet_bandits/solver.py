@@ -65,7 +65,7 @@ from typing import NamedTuple, Optional, Sequence
 
 import numpy as np
 
-from .discount import DiscountSeq, is_regular
+from .discount import DiscountSeq, _in_arithmetic, is_regular
 from .errors import InvalidParameterError, NotRegularError, ResourceBudgetExceededError
 from .measures import DiscreteMeasure, Numeric, _coerce, _is_int, point_mass, to_exact, to_float
 
@@ -614,9 +614,11 @@ def _stopping_pass(arm: _ArmRows, columns, dx, lam_den, a, tails, da):
 def _stopping_setup(arm: DiscreteMeasure, A: DiscountSeq, opts: SolverOptions):
     """What every stopping pass of ``arm`` under ``A`` shares:
     regularity and the lattice budget checked, the arm's rows, and the
-    discounts and their tails over one denominator.  Returns
-    (rows, a, tails, da).  This is the one regularity check: every stopping
-    pass and break-even search refuses a non-regular ``A`` here."""
+    discounts and their tails over one denominator, all in the solve's
+    arithmetic.  Returns (rows, a, tails, da).  This is the one regularity
+    check: every stopping pass and break-even search refuses a non-regular
+    ``A`` here."""
+    A = _in_arithmetic(A, opts.exact)
     n = len(A.values)
     if not is_regular(A):
         raise NotRegularError(
@@ -624,8 +626,6 @@ def _stopping_setup(arm: DiscreteMeasure, A: DiscountSeq, opts: SolverOptions):
         )
     _check_budget(len(arm.atoms), n, opts)
     rows = _ArmRows([to_exact(arm) if opts.exact else to_float(arm)], n, opts.exact)
-    # Tails over the same denominator; a float sequence's tails, summed in
-    # floats, need not share the values' denominator.
     scaled, da = _numerators(A.values + A.tails, opts.exact)
     return rows, scaled[:n], scaled[n:], da
 
@@ -706,6 +706,7 @@ def value_one_armed(
     """
     opts = options or DEFAULT_OPTIONS
     lam = _coerce(lam, opts.exact)
+    A = _in_arithmetic(A, opts.exact)
     if len(A.values) == 0:
         zero = Fraction(0) if opts.exact else 0.0
         return ValueReport(zero, zero, zero, Action.TIE)
@@ -713,9 +714,8 @@ def value_one_armed(
         stop = _stopping_form(arm, A, opts)
     except NotRegularError:
         return value(BanditState(arm, point_mass(lam, exact=opts.exact), A), opts)
-    a_1 = _coerce(A.values[0], opts.exact)
     # Retiring first leaves the stopping problem one stage shorter.
-    return _make_report(stop(lam)[0], a_1 * lam + stop(lam, 1)[1], opts.tie_tol)
+    return _make_report(stop(lam)[0], A.values[0] * lam + stop(lam, 1)[1], opts.tie_tol)
 
 
 def stopping_value(

@@ -4,15 +4,17 @@ Every suite draws instances from a seeded generator, evaluates an inequality
 margin per instance (positive = satisfied with room, negative = violated),
 and reports every instance whose margin falls below the slack.  A suite's
 ``exact`` flag picks the ``SolverOptions`` its margins solve with and its
-slack: 1e-9 in float, zero in exact mode.  Draws are built once, in float:
-generated numerics are dyadic (multiples of 1/64, and of 1/64^(n-1) for
-ratio-built discounts of horizon n), exact in a float up to n = 9, so the
-solver and the searches convert them to exact mode without error (past
-n = 9, exact mode certifies the float-rounded draw, which need not be
-exactly regular).  Three draws feed a margin's own arithmetic and are built
-in the options' arithmetic: thm1's icx pair (its ``leq_icx`` self-check),
-lemma1's grid mixture (coefficients k/(grid_points - 1)) and lemma4's F
-(its weights form the expectation).
+slack: 1e-9 in float, zero in exact mode.  Draws are built once, in float,
+and an exact instance is the solver's exact conversion of the float draw,
+discount tails included.  Generated numerics are dyadic (multiples of 1/64,
+and of 1/64^(n-1) for ratio-built discounts of horizon n); past n = 9 a
+geometric or ratio-built discount's values are rounded, and the generator
+draws it again until the rationals of its float values are regular, so
+exact mode finds every sequence regular that float mode does.  Three draws
+feed a margin's own arithmetic and are built in the options' arithmetic:
+thm1's icx pair (its ``leq_icx`` self-check), lemma1's grid mixture
+(coefficients k/(grid_points - 1)) and lemma4's F (its weights form the
+expectation).
 
 Instances are reproducible: instance ``i`` of a suite seeded with ``s`` uses
 an rng spawned from ``SeedSequence(s, spawn_key=(i,))``, so suites can run
@@ -31,6 +33,7 @@ import numpy as np
 
 from .discount import (
     DiscountSeq,
+    _in_arithmetic,
     drop_first,
     is_regular,
     make_discount,
@@ -69,6 +72,10 @@ GRID = 64
 #: Generated atom locations and prior masses lie in these ranges.
 LOCATION_RANGE = (0.0, 1.0)
 MASS_RANGE = (0.5, 4.0)
+
+#: Draws of a geometric or ratio-built discount sequence before the
+#: generator gives up on one that stays regular after rounding.
+REDRAWS = 1000
 
 SLACK_FLOAT = 1e-9
 STRICT_MARGIN = 1e-7
@@ -157,16 +164,20 @@ def random_discount(
     kind: str = "any",
     min_n: int = 1,
     max_n: int | None = None,
-    exact: bool = False,
 ) -> DiscountSeq:
-    """Random discount sequence.
+    """Random discount sequence, in float.
 
     kind "any" mixes uniform, truncated geometric, arbitrary nonnegative
     (zeros allowed, possibly not regular), and ratio-built sequences;
     "regular" and "regular_positive" both draw from the three families that
     are regular with strictly positive weights: uniform, truncated geometric
     and ratio-built.  Ratio-built sequences have nonincreasing tail ratios,
-    which forces regularity.
+    which forces regularity.  Regular draws are regular as the rationals of
+    their float values, which an exact solve reads: past n = 9 the values
+    are rounded, and a geometric or ratio-built draw that is not is drawn
+    again, at most REDRAWS times before GeneratorFailedError.  Tied ratios
+    leave rounding no room: past about 40 stages a ratio-built draw rarely
+    survives.
     """
     hi_n = max_n if max_n is not None else gen.max_horizon
     n = int(rng.integers(min_n, hi_n + 1))
@@ -177,21 +188,27 @@ def random_discount(
     else:
         raise InvalidParameterError(f"unknown discount kind {kind!r}")
     if fam == "uniform":
-        return make_uniform(n, exact=exact)
-    if fam == "geometric":
-        beta = Fraction(int(rng.integers(1, GRID)), GRID)
-        return make_truncated_geometric(beta, n, exact=exact)
+        return make_uniform(n)
     if fam == "arbitrary":
         ks = [int(k) for k in rng.integers(0, GRID + 1, size=n)]
         if not any(ks):
             ks[int(rng.integers(0, n))] = 1
-        return make_discount([Fraction(k, GRID) for k in ks], exact=exact)
-    ratios = sorted((int(k) for k in rng.integers(1, GRID, size=n - 1)), reverse=True)
-    tails = [Fraction(1)]
-    for k in ratios:
-        tails.append(tails[-1] * Fraction(k, GRID))
-    vals = [tails[i] - tails[i + 1] for i in range(n - 1)] + [tails[-1]]
-    return make_discount(vals, exact=exact)
+        return make_discount([Fraction(k, GRID) for k in ks])
+    for _ in range(REDRAWS):
+        if fam == "geometric":
+            A = make_truncated_geometric(Fraction(int(rng.integers(1, GRID)), GRID), n)
+        else:
+            ratios = sorted((int(k) for k in rng.integers(1, GRID, size=n - 1)), reverse=True)
+            tails = [Fraction(1)]
+            for k in ratios:
+                tails.append(tails[-1] * Fraction(k, GRID))
+            A = make_discount([tails[i] - tails[i + 1] for i in range(n - 1)] + [tails[-1]])
+        if is_regular(_in_arithmetic(A, True)):
+            return A
+    raise GeneratorFailedError(
+        f"no {fam} discount sequence of {n} stages stayed regular after rounding "
+        f"in {REDRAWS} draws"
+    )
 
 
 def random_state(
@@ -201,11 +218,10 @@ def random_state(
     kind: str = "any",
     min_n: int = 1,
     max_n: int | None = None,
-    exact: bool = False,
 ) -> BanditState:
-    arm1 = random_measure(gen, rng, exact=exact)
-    arm2 = random_measure(gen, rng, exact=exact)
-    A = random_discount(gen, rng, kind=kind, min_n=min_n, max_n=max_n, exact=exact)
+    arm1 = random_measure(gen, rng)
+    arm2 = random_measure(gen, rng)
+    A = random_discount(gen, rng, kind=kind, min_n=min_n, max_n=max_n)
     return BanditState(arm1, arm2, A)
 
 
@@ -297,6 +313,8 @@ def _collect(name, margin, gen, trials, jobs, *, exact=False, slack=None,
     opts = EXACT_OPTIONS if exact else DEFAULT_OPTIONS
     if slack is None:
         slack = 0.0 if exact else float_slack
+    if not 0 <= slack < math.inf:  # also refuses NaN, which passes every margin
+        raise InvalidParameterError(f"slack must be finite and nonnegative, got {slack!r}")
     worker = partial(margin, gen, opts=opts, **params)
     if trials is None:
         trials = DEFAULT_TRIALS[name]
@@ -475,8 +493,10 @@ def check_reallocation_convexity(
 ) -> SuiteReport:
     """Value is convex in the amount of point mass moved between two
     locations of one arm's prior, checked by second differences on a grid."""
-    if grid_points < 3:
-        raise InvalidParameterError("convexity grid needs at least 3 points")
+    if not _is_int(grid_points) or grid_points < 3:
+        raise InvalidParameterError(
+            f"convexity grid needs an integer of at least 3 points, got {grid_points!r}"
+        )
     return _collect("lemma1", _convexity_margin, gen, trials, jobs, exact=exact, slack=slack,
                     grid_points=grid_points)
 
@@ -537,6 +557,8 @@ def check_strict_weight_gaps(gen=None, trials=None, *, exact=False, jobs=1) -> S
 
 def check_oracle_equivalence(gen=None, trials=None, *, tol=1e-10, jobs=1) -> SuiteReport:
     """Lattice solver agrees with the exhaustive history-tree oracle."""
+    if not 0 <= tol < math.inf:  # also refuses NaN, which passes every margin
+        raise InvalidParameterError(f"tol must be finite and nonnegative, got {tol!r}")
     return _collect("oracle", _oracle_margin, gen, trials, jobs, slack=0.0, tol=tol)
 
 

@@ -14,6 +14,7 @@ from dirichlet_bandits import (
     make_truncated_geometric,
     make_uniform,
 )
+from dirichlet_bandits.discount import _in_arithmetic
 
 
 def test_tails_match_direct_summation():
@@ -56,6 +57,21 @@ def test_drop_first_to_terminal():
     assert A.tails == (0.0,)
     with pytest.raises(InvalidParameterError):
         drop_first(A)
+
+
+@pytest.mark.parametrize("exact", [False, True])
+def test_a_sequence_is_put_into_a_solve_arithmetic(exact):
+    A = make_truncated_geometric(0.9, 12)  # 0.9 ** t rounds
+    B = make_discount(A.values, exact=True)
+    assert _in_arithmetic(A, exact) == (A if not exact else B)
+    assert _in_arithmetic(B, exact) == (B if exact else make_discount(B.values))
+    # A sequence already in the arithmetic is returned as it is.
+    assert _in_arithmetic(A, False) is A and _in_arithmetic(B, True) is B
+    # The terminal sequence and zero-total suffixes are accepted.
+    for C in (drop_first(make_discount([1])), drop_first(make_discount([1, 0]))):
+        got = _in_arithmetic(C, exact)
+        assert got.tails == tuple(Fraction(0) if exact else 0.0 for _ in C.tails)
+        assert all(isinstance(t, Fraction) == exact for t in got.tails)
 
 
 def test_uniform_is_regular():

@@ -15,6 +15,7 @@ from dirichlet_bandits import (
     index_sweep,
     make_discount,
     make_measure,
+    make_truncated_geometric,
     make_uniform,
     mean,
     point_mass,
@@ -34,10 +35,10 @@ COIN = make_measure([(0, 1), (1, 1)])
 A2 = make_discount([1, 1])
 
 
-def one_armed_instance(gen, i, exact=False):
+def one_armed_instance(gen, i):
     rng = gen.rng(i)
-    arm = random_measure(gen, rng, exact=exact)
-    return arm, random_discount(gen, rng, kind="regular_positive", min_n=2, exact=exact)
+    arm = random_measure(gen, rng)
+    return arm, random_discount(gen, rng, kind="regular_positive", min_n=2)
 
 
 #: Point-mass arms whose float observation search reads h = -1.1e-16 at
@@ -177,6 +178,16 @@ class TestBreakEvenValue:
         assert res.value == pytest.approx(2 / 3, abs=1e-9)
 
 
+@pytest.mark.parametrize("search", [break_even_value, break_even_observation])
+def test_exact_search_reads_a_float_typed_sequence_as_its_rationals(search):
+    # 0.9 ** t rounds, so the float tails of this sequence are not the sums
+    # of its values as rationals; the exact root is that of the rationals.
+    A = make_truncated_geometric(0.9, 12)
+    got = search(COIN, A, options=EXACT_OPTIONS)
+    assert got.value == search(COIN, make_discount(A.values, exact=True), options=EXACT_OPTIONS).value
+    assert got.residual == 0
+
+
 class TestBreakEvenObservation:
     def test_worked_instance(self):
         res = break_even_observation(COIN, A2)
@@ -216,7 +227,7 @@ class TestBreakEvenObservation:
     def test_search_starts_at_the_top_of_the_support_above_zero(self):
         # The search needs no expansion: h(top) >= 0 holds exactly.
         for i in range(50):
-            arm, A = one_armed_instance(GEN, 500 + i, exact=True)
+            arm, A = one_armed_instance(GEN, 500 + i)
             x, h, _ = break_even_observation(arm, A, options=EXACT_OPTIONS).trace[0]
             assert x == arm.max_location
             assert h >= 0

@@ -71,7 +71,7 @@ class TestExactRoots:
         for i in range(10):
             rng = gen.rng(i)
             arm = random_measure(gen, rng, exact=True)
-            A = random_discount(gen, rng, kind="regular_positive", min_n=2, max_n=4, exact=True)
+            A = random_discount(gen, rng, kind="regular_positive", min_n=2, max_n=4)
             lam = break_even_value(arm, A, options=EXACT_OPTIONS).value
             b = break_even_observation(arm, A, options=EXACT_OPTIONS).value
             A1 = make_discount(A.values[1:], exact=True)
@@ -88,7 +88,7 @@ class TestSlopeColumns:
         for i in range(10):
             rng = gen.rng(i)
             arm = random_measure(gen, rng, exact=True)
-            A = random_discount(gen, rng, kind="regular", exact=True)
+            A = random_discount(gen, rng, kind="regular")
             stop = solver._stopping_form(arm, A, EXACT_OPTIONS)
             lam = Fraction(int(rng.integers(0, 64)), 64) + Fraction(1, 997)
             (pull, v), (dpull, dv) = stop(lam, slope=True)
@@ -104,7 +104,7 @@ class TestSlopeColumns:
         for i in range(10):
             rng = gen.rng(i)
             arm = random_measure(gen, rng, exact=True)
-            A = random_discount(gen, rng, kind="regular", exact=True)
+            A = random_discount(gen, rng, kind="regular")
             pull = solver._observation_form(arm, A, EXACT_OPTIONS)
             lam = Fraction(1, 3)
             for x in (arm.locations[0], Fraction(2, 7)):

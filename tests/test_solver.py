@@ -48,6 +48,10 @@ COIN = make_measure([(0, 1), (1, 1)])
 A2 = make_discount([1, 1])
 WORKED = BanditState(COIN, point_mass(0.5), A2)
 
+#: Float-typed, with rounded values: its float tails are not the sums of its
+#: values as rationals, which an exact solve reads.
+GEOMETRIC_09 = make_truncated_geometric(0.9, 12)
+
 
 def test_single_stage_picks_better_mean():
     state = BanditState(COIN, point_mass(0.7), make_discount([2]))
@@ -325,6 +329,23 @@ class TestOneArmed:
         with pytest.raises(NotRegularError):
             stopping_value(COIN, 0.5, make_discount([1, 0, 1]), options)
 
+    def test_regularity_is_judged_in_the_arithmetic_of_the_solve(self):
+        # A ratio-built draw of 16 stages: regular within the float test's
+        # slack, but not as the rationals of these floats.
+        A = make_discount([
+            0.0625, 0.2197265625, 0.1682281494140625, 0.14597296714782715, 0.11981053277850151,
+            0.09310933673987165, 0.08043150294270163, 0.04649946263874938, 0.032856391135366314,
+            0.016879348665659304, 0.008085509427791265, 0.004056412669010145,
+            0.0014404874534837161, 0.0003340130282765367, 6.174120540371123e-05,
+            7.5822532951926076e-06,
+        ])
+        assert stopping_value(COIN, 0.5, A) > 0.5 * A.total
+        with pytest.raises(NotRegularError):
+            stopping_value(COIN, Fraction(1, 2), A, EXACT)
+        # value_one_armed falls back to the two-armed pass instead.
+        half = point_mass(Fraction(1, 2), exact=True)
+        assert value_one_armed(COIN, Fraction(1, 2), A, EXACT) == value(BanditState(COIN, half, A), EXACT)
+
 
 class TestPolicyTree:
     @pytest.mark.parametrize("tie_tol", [0.0, 1e-11, 0.05])
@@ -334,7 +355,7 @@ class TestPolicyTree:
         # one tie rule serves both.  Identical arms tie at every node.
         opts = SolverOptions(mode=mode, tie_tol=tie_tol)
         for i in range(instances):
-            drawn = random_state(GEN, GEN.rng(13_000 + i), exact=opts.exact)
+            drawn = random_state(GEN, GEN.rng(13_000 + i))
             for state in (drawn, BanditState(drawn.arm1, drawn.arm1, drawn.discount)):
                 solver = BanditSolver(state, opts)
                 pulls_arm2 = solver.policy_tables()[0]
@@ -419,7 +440,7 @@ class TestPolicyTree:
         # the reference keeps every stage and ranks each node's counts.
         opts = SolverOptions(mode=mode)
         for i in range(instances):
-            state = random_state(GEN, GEN.rng(12_000 + i), exact=opts.exact)
+            state = random_state(GEN, GEN.rng(12_000 + i))
             full = BanditSolver(state, opts)
             for depth in range(1, len(state.discount.values) + 1):
                 stack, nodes = [policy_tree(state, depth, opts)], 0
@@ -563,11 +584,16 @@ class TestExactArithmetic:
         assert (pulls_arm2 == expected).all()
 
     def test_stopping_form_and_two_armed_pass_agree_exactly(self):
+        instances = []
         for i in range(50):
             rng = GEN.rng(9_000 + i)
             arm = random_measure(GEN, rng, exact=True)
-            A = random_discount(GEN, rng, kind="regular", exact=True)
+            A = random_discount(GEN, rng, kind="regular")
             lam = Fraction(int(rng.integers(-20, 140)), int(rng.integers(1, 100)))
+            instances.append((arm, lam, A))
+        coin = make_measure([(0, 1), (1, 1)], exact=True)
+        instances += [(coin, Fraction(k, 10), GEOMETRIC_09) for k in (3, 7, 9, 12)]
+        for arm, lam, A in instances:
             stop = stopping_value(arm, lam, A, EXACT)
             one = value_one_armed(arm, lam, A, EXACT)
             two = value(BanditState(arm, point_mass(lam, exact=True), A), EXACT)
@@ -576,6 +602,13 @@ class TestExactArithmetic:
                 assert type(got) is Fraction
             assert stop == one.w == two.w
             assert (one.w1, one.w2) == (two.w1, two.w2)
+
+    def test_retiring_above_the_index_is_worth_lambda_times_the_rational_total(self):
+        # Above the coin's index retiring at once is optimal, so the root is
+        # lam * T_1, with T_1 the exact sum of the float-typed values.
+        total = sum(map(Fraction, GEOMETRIC_09.values))
+        for lam in (Fraction(9, 10), Fraction(1), Fraction(3, 2)):
+            assert stopping_value(COIN, lam, GEOMETRIC_09, EXACT) == lam * total
 
     @pytest.mark.parametrize("tie_tol", [math.nan, math.inf])
     def test_non_finite_tie_tolerance_is_refused(self, tie_tol):
@@ -604,7 +637,7 @@ class TestStackedPasses:
         gen = InstanceGen(seed=31)
         states = []
         for i in range(count):
-            state = random_state(gen, gen.rng(i), kind="any", exact=exact)
+            state = random_state(gen, gen.rng(i), kind="any")
             if i % 25 == 0:  # horizon 0
                 A = drop_first(make_discount([1], exact=exact))
                 state = BanditState(state.arm1, state.arm2, A)

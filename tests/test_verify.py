@@ -1,6 +1,7 @@
 """Suite plumbing: determinism, generator soundness, Monte Carlo evaluation."""
 import itertools
 import json
+import math
 import time
 
 import numpy as np
@@ -94,12 +95,28 @@ def test_icx_pair_generator_is_sound():
 def test_regular_positive_discount_generator_is_sound():
     from dirichlet_bandits import is_regular
 
-    for i in range(200):
-        rng = GEN.rng(1_000 + i)
-        A = random_discount(GEN, rng, kind="regular_positive", min_n=2)
-        assert is_regular(A)
-        assert all(v > 0 for v in A.values)
-        assert 2 <= len(A.values) <= GEN.max_horizon
+    # Past nine stages the float values are rounded: at seed 0 and horizon 16,
+    # index 34 drew a sequence regular in float but not as its rationals.
+    for gen, first in ((GEN, 1_000), (InstanceGen(seed=0, max_horizon=16), 0)):
+        for i in range(200):
+            A = random_discount(gen, gen.rng(first + i), kind="regular_positive", min_n=2)
+            assert is_regular(A)
+            assert is_regular(make_discount(A.values, exact=True))
+            assert all(v > 0 for v in A.values)
+            assert 2 <= len(A.values) <= gen.max_horizon
+
+
+@pytest.mark.parametrize(
+    "name, atoms, trials",
+    # prop1 (instance 126 at two atoms, 86 at three) and thm2 (instance 1)
+    # reach draws that are regular in float but not as their rationals, which
+    # the exact searches would refuse had the generator not drawn them again.
+    # strictness draws uniform discounts.
+    [("prop1", 2, 127), ("prop1", 3, 87), ("thm2", 2, 2), ("strictness", 2, 20)],
+)
+def test_exact_suites_run_past_nine_stages(name, atoms, trials):
+    report = SUITES[name](InstanceGen(seed=0, max_horizon=16, max_atoms=atoms), trials, exact=True)
+    assert report.passed and report.worst_margin >= 0.0
 
 
 def test_random_states_satisfy_invariants():
@@ -262,6 +279,25 @@ def test_non_integer_jobs_are_refused(jobs):
     # 1.5 used to reach ProcessPoolExecutor(max_workers=1.5) and leak TypeError.
     with pytest.raises(InvalidParameterError):
         run_suites(["lemma3"], GEN, 2, jobs=jobs)
+
+
+@pytest.mark.parametrize("slack", [math.nan, math.inf, -1e-9])
+def test_a_slack_that_certifies_nothing_is_refused(slack):
+    with pytest.raises(InvalidParameterError, match="slack"):
+        SUITES["lemma3"](GEN, 2, slack=slack)
+
+
+@pytest.mark.parametrize("tol", [math.nan, math.inf, -1e-10])
+def test_an_oracle_tolerance_that_certifies_nothing_is_refused(tol):
+    # A NaN tolerance passed every instance and reported worst_margin nan.
+    with pytest.raises(InvalidParameterError, match="tol"):
+        verify.check_oracle_equivalence(GEN, 2, tol=tol)
+
+
+@pytest.mark.parametrize("grid_points", [4.5, 9.0, True, 2])
+def test_a_convexity_grid_that_is_not_an_integer_of_at_least_three_is_refused(grid_points):
+    with pytest.raises(InvalidParameterError, match="grid"):
+        verify.check_reallocation_convexity(GEN, 2, grid_points=grid_points)
 
 
 def test_numpy_integer_trials_and_jobs_are_accepted():

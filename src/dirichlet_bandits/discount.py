@@ -6,7 +6,7 @@ from fractions import Fraction
 from math import lcm
 
 from .errors import InvalidParameterError
-from .measures import Numeric, _coerce
+from .measures import Numeric, _coerce, _is_int, _numerators
 
 #: Float-mode slack on the regularity inequality, with tails relative to the total.
 REGULARITY_SLACK = 1e-12
@@ -31,7 +31,7 @@ class DiscountSeq:
 
     @property
     def exact(self) -> bool:
-        return bool(self.values) and isinstance(self.values[0], Fraction)
+        return isinstance(self.total, Fraction)
 
     def __len__(self) -> int:
         return len(self.values)
@@ -71,7 +71,7 @@ def _in_arithmetic(A: DiscountSeq, exact: bool) -> DiscountSeq:
     arithmetic is returned as it is.  Unlike :func:`make_discount` this
     accepts every sequence a solve does, the empty terminal sequence and
     zero-total suffixes of :func:`drop_first` included."""
-    if A.exact == exact and isinstance(A.total, Fraction) == exact:
+    if A.exact == exact:
         return A
     vals = tuple(_coerce(v, exact) for v in A.values)
     return DiscountSeq(vals, _tail_sums(vals, exact))
@@ -90,10 +90,13 @@ def is_regular(A: DiscountSeq) -> bool:
     Regularity is what makes the one-armed problem an optimal stopping
     problem and the break-even value well defined.  The verdict does not
     depend on the scale of the weights: float tails are compared relative to
-    the total, within REGULARITY_SLACK; exact ones exactly.
+    the total, within REGULARITY_SLACK; exact ones exactly, as the integer
+    numerators of the tails over one denominator.
     """
     t, slack = A.tails, 0
-    if not A.exact and t[0] > 0:
+    if A.exact:
+        t = _numerators(t, True)[0]
+    elif t[0] > 0:
         t, slack = [x / t[0] for x in t], REGULARITY_SLACK
     for j in range(1, len(A.values)):
         if t[j] * t[j] < t[j - 1] * t[j + 1] - slack:
@@ -101,17 +104,21 @@ def is_regular(A: DiscountSeq) -> bool:
     return True
 
 
+def _check_horizon(n) -> None:
+    if not _is_int(n) or n < 1:
+        raise InvalidParameterError(f"horizon must be an integer of at least 1, got {n!r}")
+
+
 def make_uniform(n: int, *, exact: bool = False) -> DiscountSeq:
-    """Uniform discounting: n unit weights."""
-    if n < 1:
-        raise InvalidParameterError(f"horizon must be at least 1, got {n}")
+    """Uniform discounting: n unit weights, n an integer of at least 1."""
+    _check_horizon(n)
     return make_discount([1] * n, exact=exact)
 
 
 def make_truncated_geometric(beta, n: int, *, exact: bool = False) -> DiscountSeq:
-    """Truncated geometric discounting: (1, beta, ..., beta^(n-1))."""
-    if n < 1:
-        raise InvalidParameterError(f"horizon must be at least 1, got {n}")
+    """Truncated geometric discounting: (1, beta, ..., beta^(n-1)), n an
+    integer of at least 1."""
+    _check_horizon(n)
     b = _coerce(beta, exact)
     if not 0 < b < 1:
         raise InvalidParameterError(f"beta must lie in (0, 1), got {beta}")

@@ -72,6 +72,17 @@ def _coerce(v, exact: bool):
     raise InvalidParameterError(f"non-finite or malformed number {v!r}")
 
 
+def _numerators(values, exact: bool):
+    """``values`` over one denominator: in exact mode their integer
+    numerators over their least common denominator, in float mode the
+    floats themselves over 1.0.  Returns (numerators, denominator)."""
+    nums = [_coerce(v, exact) for v in values]
+    if not exact:
+        return nums, 1.0
+    den = math.lcm(*(v.denominator for v in nums))
+    return [v.numerator * (den // v.denominator) for v in nums], den
+
+
 def _wsum(values, exact: bool):
     return sum(values, Fraction(0)) if exact else math.fsum(values)
 

@@ -67,7 +67,16 @@ import numpy as np
 
 from .discount import DiscountSeq, _in_arithmetic, is_regular
 from .errors import InvalidParameterError, NotRegularError, ResourceBudgetExceededError
-from .measures import DiscreteMeasure, Numeric, _coerce, _is_int, point_mass, to_exact, to_float
+from .measures import (
+    DiscreteMeasure,
+    Numeric,
+    _coerce,
+    _is_int,
+    _numerators,
+    point_mass,
+    to_exact,
+    to_float,
+)
 
 #: Environment variable overriding SolverOptions.memo_cap.
 MEMO_CAP_ENV = "BANDIT_MEMO_CAP"
@@ -237,17 +246,6 @@ def _lattice(s: int, n: int) -> _Lattice:
         for table in (lat.counts, *child):
             table.flags.writeable = False  # shared by every later solve
     return lat
-
-
-def _numerators(values, exact: bool):
-    """``values`` over one denominator: in exact mode their integer
-    numerators over their least common denominator, in float mode the
-    floats themselves over 1.0.  Returns (numerators, denominator)."""
-    nums = [_coerce(v, exact) for v in values]
-    if not exact:
-        return nums, 1.0
-    den = lcm(*(v.denominator for v in nums))
-    return [v.numerator * (den // v.denominator) for v in nums], den
 
 
 #: Elementwise Fraction(numerator, denominator).
@@ -662,6 +660,7 @@ def _stopping_form(arm: DiscreteMeasure, A: DiscountSeq, options: Optional[Solve
 def _observation_form(arm: DiscreteMeasure, A: DiscountSeq, opts: SolverOptions):
     """``pull(x, lam)``: the root's pull payoff at rate ``lam`` of ``arm``
     plus a unit mass at ``x`` under the nonempty ``A``, with its slope in x.
+    ``arm`` is already in the solve's arithmetic.
 
     The predictive probabilities of the posterior do not depend on x, so one
     table of the arm's atoms and one more, last, serves every x: a pass only
@@ -670,7 +669,6 @@ def _observation_form(arm: DiscreteMeasure, A: DiscountSeq, opts: SolverOptions)
     retiring sets it to zero.
     """
     exact = opts.exact
-    arm = to_exact(arm) if exact else to_float(arm)
     one = Fraction(1) if exact else 1.0
     # The new atom sits at 0 in the table, out of the location order; its
     # location enters only through the mean column each pass rewrites.

@@ -4,17 +4,18 @@ Every suite draws instances from a seeded generator, evaluates an inequality
 margin per instance (positive = satisfied with room, negative = violated),
 and reports every instance whose margin falls below the slack.  A suite's
 ``exact`` flag picks the ``SolverOptions`` its margins solve with and its
-slack: 1e-9 in float, zero in exact mode.  Draws are built once, in float,
-and an exact instance is the solver's exact conversion of the float draw,
-discount tails included.  Generated numerics are dyadic (multiples of 1/64,
-and of 1/64^(n-1) for ratio-built discounts of horizon n); past n = 9 a
-geometric or ratio-built discount's values are rounded, and the generator
-draws it again until the rationals of its float values are regular, so
-exact mode finds every sequence regular that float mode does.  Three draws
-feed a margin's own arithmetic and are built in the options' arithmetic:
-thm1's icx pair (its ``leq_icx`` self-check), lemma1's grid mixture
-(coefficients k/(grid_points - 1)) and lemma4's F (its weights form the
-expectation).
+slack: 1e-9 in float, zero in exact mode.  Every draw is built once, in
+float, and an exact instance is the solver's exact conversion of the float
+draw, discount tails included: the solve makes the only exact copy.
+Generated numerics are dyadic (multiples of 1/64, and of 1/64^(n-1) for
+ratio-built discounts of horizon n), so thm1's icx self-check on its float
+pair agrees with an exact one; past n = 9 a geometric or ratio-built
+discount's values are rounded, and the generator draws it again until the
+rationals of its float values are regular, so exact mode finds every
+sequence regular that float mode does.  Two margins compute in the options'
+arithmetic themselves: lemma1 mixes its grid there (the coefficients
+k/(grid_points - 1) need not be dyadic), and lemma4 forms its expectation
+over the atoms of F there.
 
 Instances are reproducible: instance ``i`` of a suite seeded with ``s`` uses
 an rng spawned from ``SeedSequence(s, spawn_key=(i,))``, so suites can run
@@ -45,6 +46,7 @@ from .index import RESIDUAL_TOL, break_even_value
 from .index import break_even_observation
 from .measures import (
     DiscreteMeasure,
+    _coerce,
     _is_int,
     _wsum,
     leq_icx,
@@ -132,9 +134,9 @@ def random_measure(
     atoms: int | None = None,
     min_atoms: int = 1,
     normalized: bool = False,
-    exact: bool = False,
 ) -> DiscreteMeasure:
-    """Random measure with distinct dyadic locations and dyadic weights."""
+    """Random measure, in float, with distinct dyadic locations and dyadic
+    weights."""
     s = atoms if atoms is not None else int(rng.integers(min_atoms, gen.max_atoms + 1))
     lo, hi = LOCATION_RANGE
     k0 = math.ceil(lo * GRID)
@@ -154,7 +156,7 @@ def random_measure(
             _dyadic(rng, max(1.0 / GRID, wlo / s), max(2.0 / GRID, whi / s))
             for _ in range(s)
         ]
-    return make_measure(zip(locs, weights), exact=exact)
+    return make_measure(zip(locs, weights))
 
 
 def random_discount(
@@ -365,10 +367,11 @@ def _convexity_margin(gen, index, *, opts, grid_points):
     )
 
 
-def _icx_pair(gen, rng, exact=False):
+def _icx_pair(gen, rng):
     """A pair F, Ft with F below Ft in the increasing convex order, built by
-    composing upward shifts with mean-preserving spreads."""
-    F = random_measure(gen, rng, normalized=True, exact=exact)
+    composing upward shifts with mean-preserving spreads.  The pair is dyadic,
+    so its float self-check agrees with an exact one."""
+    F = random_measure(gen, rng, normalized=True)
     Ft = F
     for _ in range(int(rng.integers(1, 4))):
         if rng.random() < 0.5:
@@ -386,7 +389,7 @@ def _icx_pair(gen, rng, exact=False):
 
 def _icx_margin(gen, index, *, opts):
     rng = gen.rng(index)
-    F, Ft = _icx_pair(gen, rng, opts.exact)
+    F, Ft = _icx_pair(gen, rng)
     M = _dyadic(rng, *MASS_RANGE)
     arm2 = random_measure(gen, rng)
     A = random_discount(gen, rng, kind="any")
@@ -424,8 +427,7 @@ def _dilution_margin(gen, index, *, opts):
 def _smoothing_margin(gen, index, *, opts):
     rng = gen.rng(index)
     alpha = random_measure(gen, rng)
-    # F's weights form the expectation below, in the solve's arithmetic.
-    F = random_measure(gen, rng, normalized=True, exact=opts.exact)
+    F = random_measure(gen, rng, normalized=True)
     arm2 = random_measure(gen, rng)
     A1 = drop_first(random_discount(gen, rng, kind="any", min_n=2))
     L = _dyadic(rng, 1 / GRID, 2.0)
@@ -435,9 +437,12 @@ def _smoothing_margin(gen, index, *, opts):
         for theta in thetas for x, _ in F.atoms
     ]
     ws = [rep.w for rep in _values(states, opts)]
-    values = []  # E over the atoms of F: one run of len(F) values per theta
+    # The expectation over the atoms of F, in the solve's arithmetic: one run
+    # of len(F) values per theta.
+    probs = [_coerce(p, opts.exact) for p in F.weights]
+    values = []
     for i in range(0, len(ws), len(F)):
-        terms = [p * w for (_, p), w in zip(F.atoms, ws[i:])]
+        terms = [p * w for p, w in zip(probs, ws[i:])]
         values.append(_wsum(terms, opts.exact))
     return min(values[k] - values[k + 1] for k in range(THETA_GRID - 1))
 

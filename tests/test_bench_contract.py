@@ -1,0 +1,72 @@
+"""What the benchmark harness under ``bench/`` reads of the package.
+
+The harness imports the package's suite table, wraps its public functions
+to trace them, and counts work from the arguments of a few of them.  These
+tests fail when a change to the package breaks a name or a parameter the
+harness relies on.  ``bench/`` is on ``sys.path`` only while its modules
+are imported.
+"""
+import importlib
+import inspect
+import sys
+from pathlib import Path
+from types import SimpleNamespace
+
+import pytest
+
+import dirichlet_bandits
+from dirichlet_bandits import BanditState, make_discount, make_measure, point_mass
+from dirichlet_bandits import solver, verify
+
+BENCH = str(Path(__file__).resolve().parents[1] / "bench")
+
+
+@pytest.fixture(scope="module")
+def bench():
+    sys.path.insert(0, BENCH)
+    try:
+        names = ("checks", "counts", "instances", "spans", "workloads")
+        return SimpleNamespace(**{name: importlib.import_module(name) for name in names})
+    finally:
+        sys.path.remove(BENCH)
+
+
+def test_suite_tables_match_the_harness(bench):
+    assert verify.SUITE_ORDER == bench.checks.SUITES
+    assert verify.REPORT_ONLY_SUITES == bench.checks.REPORT_ONLY
+    assert verify.DEFAULT_TRIALS == bench.workloads.BATTERY_TRIALS
+
+
+def test_tracer_counts_a_solve_and_restores_every_name(bench):
+    # The worked instance: a coin against a known arm paying 1/2, two stages.
+    state = BanditState(make_measure([(0, 1), (1, 1)]), point_mass(0.5), make_discount([1, 1]))
+    tracer = bench.spans.Tracer()
+    tracer.install(dirichlet_bandits)
+    patched = list(tracer._patched)
+    try:
+        tracer.active = True
+        assert dirichlet_bandits.solver.value(state).w == pytest.approx(13 / 12)
+        tracer.active = False
+    finally:
+        tracer.uninstall()
+    assert patched
+    assert tracer.layers()["solver.value"]["calls"] == 1
+    assert tracer.counters["solver.value.states"] == bench.counts.two_armed_states(state) > 0
+    for owner, name, fn in patched:
+        assert (owner[name] if isinstance(owner, dict) else getattr(owner, name)) is fn
+
+
+def _params(fn):
+    return [(p.name, p.kind) for p in inspect.signature(fn).parameters.values()]
+
+
+def test_counted_parameters_keep_their_names():
+    positional = inspect.Parameter.POSITIONAL_OR_KEYWORD
+    keyword = inspect.Parameter.KEYWORD_ONLY
+    assert _params(solver.value) == [("state", positional), ("options", positional)]
+    assert _params(solver.stopping_value) == [
+        ("arm", positional), ("lam", positional), ("A", positional), ("options", positional)
+    ]
+    assert _params(verify.simulate_policy) == [
+        ("state", positional), ("trials", positional), ("seed", positional), ("options", keyword)
+    ]

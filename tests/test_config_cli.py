@@ -196,6 +196,13 @@ class TestCliValue:
         assert captured.out == ""
         assert captured.err == f"error: {MEMO_CAP_ENV} must be nonnegative, got -5\n"
 
+    def test_malformed_memo_cap_env_exits_2(self, capsys, monkeypatch):
+        monkeypatch.setenv(MEMO_CAP_ENV, "12k")
+        assert main(["value", THREE_ATOM]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: bad {MEMO_CAP_ENV} value '12k'\n"
+
     @pytest.mark.parametrize("tie_tol", [-1, "-1e-300"])
     def test_negative_tie_tolerance_in_config_exits_2(self, tie_tol, tmp_path, capsys):
         doc = {**json.loads(Path(WORKED).read_text()), "options": {"tie_tol": tie_tol}}
@@ -463,6 +470,12 @@ class TestCliSweep:
         with pytest.raises(SystemExit) as exc:
             main(["sweep", ONE_ARMED, "--param", "mass", "--grid", "1,abc"])
         assert exc.value.code == 2
+
+    def test_grid_without_values_exits_2(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["sweep", ONE_ARMED, "--param", "mass", "--grid", ","])
+        assert exc.value.code == 2
+        assert "grid must contain at least one value" in capsys.readouterr().err
 
     def test_nonpositive_mass_grid_exits_2(self, capsys):
         assert main(["sweep", ONE_ARMED, "--param", "mass", "--grid", "0,1"]) == 2

@@ -67,8 +67,12 @@ def test_a_sequence_is_put_into_a_solve_arithmetic(exact):
     assert _in_arithmetic(B, exact) == (B if exact else make_discount(B.values))
     # A sequence already in the arithmetic is returned as it is.
     assert _in_arithmetic(A, False) is A and _in_arithmetic(B, True) is B
+    # A sequence's arithmetic is the type of its tails: the terminal suffix
+    # of an exact sequence is exact, and returned as it is.
+    E = drop_first(make_discount([1], exact=True))
+    assert E.exact and _in_arithmetic(E, True) is E
     # The terminal sequence and zero-total suffixes are accepted.
-    for C in (drop_first(make_discount([1])), drop_first(make_discount([1, 0]))):
+    for C in (drop_first(make_discount([1])), drop_first(make_discount([1, 0])), E):
         got = _in_arithmetic(C, exact)
         assert got.tails == tuple(Fraction(0) if exact else 0.0 for _ in C.tails)
         assert all(isinstance(t, Fraction) == exact for t in got.tails)
@@ -109,8 +113,10 @@ SMALL_GAPS = [1e-7, 0, 1e-7, 1e-7, 0, 1e-7]
 )
 def test_regularity_verdict_does_not_depend_on_scale(values):
     verdict = is_regular(make_discount(values))
+    exact = [Fraction(v) for v in values]
     for k in range(-12, 13):
         assert is_regular(make_discount([v * 10.0**k for v in values])) == verdict
+        assert is_regular(make_discount([v * Fraction(10)**k for v in exact], exact=True)) == verdict
 
 
 def test_small_weights_that_are_not_regular_are_refused():
@@ -139,6 +145,16 @@ def test_invalid_parameters():
         make_discount([0.0, 0.0])
     with pytest.raises(InvalidParameterError):
         make_discount([1.0, -0.5])
+
+
+@pytest.mark.parametrize(
+    "make", [make_uniform, lambda n: make_truncated_geometric(0.5, n)], ids=["uniform", "geometric"]
+)
+@pytest.mark.parametrize("n", [True, False, 2.5, 3.0, "3", None, 0, -1])
+def test_a_horizon_must_be_an_integer_of_at_least_1(make, n):
+    with pytest.raises(InvalidParameterError, match="horizon must be an integer of at least 1"):
+        make(n)
+    assert len(make(np.int64(3))) == 3
 
 
 def test_total_property():

@@ -354,6 +354,15 @@ class TestSweep:
         assert int(first[3]) >= 0
 
 
+    def test_empty_grid_is_refused(self):
+        with pytest.raises(InvalidParameterError, match="grid must be nonempty"):
+            index_sweep(lambda M: scale(COIN, M), A2, [])
+
+    def test_unknown_direction_is_refused(self):
+        with pytest.raises(InvalidParameterError, match="unknown expected direction"):
+            index_sweep(lambda M: scale(COIN, M), A2, [1.0], expected="increasing")
+
+
 @pytest.mark.parametrize("tol", [0.0, -1e-9, float("nan")])
 def test_tolerance_must_be_positive(tol):
     with pytest.raises(InvalidParameterError):

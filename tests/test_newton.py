@@ -12,6 +12,7 @@ from dirichlet_bandits import (
     make_measure,
     posterior_update,
     stopping_value,
+    to_exact,
     value_one_armed,
 )
 from dirichlet_bandits import index, solver
@@ -70,7 +71,7 @@ class TestExactRoots:
         gen = InstanceGen(seed=43)
         for i in range(10):
             rng = gen.rng(i)
-            arm = random_measure(gen, rng, exact=True)
+            arm = to_exact(random_measure(gen, rng))
             A = random_discount(gen, rng, kind="regular_positive", min_n=2, max_n=4)
             lam = break_even_value(arm, A, options=EXACT_OPTIONS).value
             b = break_even_observation(arm, A, options=EXACT_OPTIONS).value
@@ -87,7 +88,7 @@ class TestSlopeColumns:
         gen = InstanceGen(seed=44)
         for i in range(10):
             rng = gen.rng(i)
-            arm = random_measure(gen, rng, exact=True)
+            arm = to_exact(random_measure(gen, rng))
             A = random_discount(gen, rng, kind="regular")
             stop = solver._stopping_form(arm, A, EXACT_OPTIONS)
             lam = Fraction(int(rng.integers(0, 64)), 64) + Fraction(1, 997)
@@ -103,7 +104,7 @@ class TestSlopeColumns:
         gen = InstanceGen(seed=45)
         for i in range(10):
             rng = gen.rng(i)
-            arm = random_measure(gen, rng, exact=True)
+            arm = to_exact(random_measure(gen, rng))
             A = random_discount(gen, rng, kind="regular")
             pull = solver._observation_form(arm, A, EXACT_OPTIONS)
             lam = Fraction(1, 3)
@@ -153,3 +154,16 @@ class TestTrace:
             res = index._newton(objective.get, [(0, 1.0, -1.0)], 2, 0, 1e-9, False)
         assert not res.monotone
         assert res.value == 1 and res.iterations == 2
+
+    def test_a_slope_that_does_not_descend_ends_the_search(self):
+        # A positive objective with a flat slope: only rounding does that, so
+        # the start is as close as floats can tell, bracketed by the bound.
+        res = index._newton(None, [(0, 1.0, 0.0)], 2, -1, 1e-9, False)
+        assert res.value == 0 and res.bracket == (0, 1.0)
+        assert res.iterations == 1 and res.residual == 1.0
+
+    def test_a_step_that_stalls_ends_the_search(self):
+        # x - f / slope rounds back to x.
+        res = index._newton(None, [(1e20, 1.0, -1.0)], 1e21, -1e-30, 1e-9, False)
+        assert res.value == 1e20 and res.bracket == (1e20, 1e21)
+        assert res.iterations == 1 and res.residual == 1.0

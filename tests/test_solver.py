@@ -28,6 +28,7 @@ from dirichlet_bandits import (
     scale_locations,
     shift,
     stopping_value,
+    to_exact,
     value,
     value_one_armed,
 )
@@ -195,6 +196,12 @@ def test_memo_cap_raises(monkeypatch):
 def test_options_refuse_bad_values_on_construction(fields):
     with pytest.raises(InvalidParameterError, match=next(iter(fields))):
         SolverOptions(**fields)
+
+
+def test_malformed_memo_cap_env_is_a_parameter_error(monkeypatch):
+    monkeypatch.setenv(MEMO_CAP_ENV, "12k")
+    with pytest.raises(InvalidParameterError, match=f"bad {MEMO_CAP_ENV} value '12k'"):
+        value(BanditState(COIN, COIN, make_uniform(2)))
 
 
 def test_negative_memo_cap_is_a_parameter_error(monkeypatch):
@@ -587,7 +594,7 @@ class TestExactArithmetic:
         instances = []
         for i in range(50):
             rng = GEN.rng(9_000 + i)
-            arm = random_measure(GEN, rng, exact=True)
+            arm = to_exact(random_measure(GEN, rng))
             A = random_discount(GEN, rng, kind="regular")
             lam = Fraction(int(rng.integers(-20, 140)), int(rng.integers(1, 100)))
             instances.append((arm, lam, A))

@@ -3,6 +3,7 @@ import itertools
 import json
 import math
 import time
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -20,11 +21,13 @@ from dirichlet_bandits import (
     value,
 )
 from dirichlet_bandits import verify
-from dirichlet_bandits.solver import EXACT_OPTIONS, DiscountSeq
+from dirichlet_bandits.solver import DEFAULT_OPTIONS, EXACT_OPTIONS, DiscountSeq
 from dirichlet_bandits.verify import (
     DEFAULT_TRIALS,
+    _icx_margin,
     _icx_pair,
     _pool_size,
+    _smoothing_margin,
     format_reports,
     random_discount,
     random_measure,
@@ -86,10 +89,31 @@ def test_run_suites_all_order_and_names():
 def test_icx_pair_generator_is_sound():
     for i in range(200):
         rng = GEN.rng(i)
-        F, Ft = _icx_pair(GEN, rng, exact=False)
+        F, Ft = _icx_pair(GEN, rng)
         # holds by construction; _icx_pair raises GeneratorFailed otherwise
         assert abs(F.total_mass - 1) < 1e-9
         assert abs(Ft.total_mass - 1) < 1e-9
+
+
+@pytest.mark.parametrize("margin", [_icx_margin, _smoothing_margin], ids=["thm1", "lemma4"])
+def test_exact_margins_certify_the_float_draws(margin):
+    # Drawn once, in float: the exact margin is the float margin's instance
+    # solved exactly, so the two differ by float rounding alone.
+    gen = InstanceGen(seed=0)
+    for i in range(40):
+        exact = margin(gen, i, opts=EXACT_OPTIONS)
+        assert isinstance(exact, Fraction)
+        assert abs(exact - margin(gen, i, opts=DEFAULT_OPTIONS)) <= 1e-9
+
+
+def test_unknown_discount_kind_is_refused():
+    with pytest.raises(InvalidParameterError, match="unknown discount kind 'convex'"):
+        random_discount(GEN, GEN.rng(0), kind="convex")
+
+
+def test_unknown_suite_is_refused():
+    with pytest.raises(InvalidParameterError, match="unknown suite 'thm3'"):
+        run_suites(["thm3"], GEN, 1)
 
 
 def test_regular_positive_discount_generator_is_sound():

@@ -29,7 +29,7 @@ from typing import Optional
 
 from .discount import DiscountSeq, make_discount, make_truncated_geometric, make_uniform
 from .errors import BanditError, ConfigError, InvalidParameterError
-from .measures import DiscreteMeasure, _coerce, make_measure, point_mass
+from .measures import DiscreteMeasure, _coerce, _is_int, make_measure, point_mass
 from .solver import DEFAULT_OPTIONS, BanditState, SolverOptions
 
 
@@ -57,12 +57,12 @@ def _number(v, exact: bool, where: str):
 
 
 def _integer(v, where: str) -> int:
-    if isinstance(v, bool):
-        raise ConfigError(f"{where}: expected an integer, got {v!r}")
-    try:
+    """``v`` if it is an integer or an integral float; booleans, text and any
+    other number are refused.  A JSON number with a decimal point is read as
+    text (``parse_float=str``), so a file must write these fields without one."""
+    if _is_int(v) or (type(v) is float and v.is_integer()):
         return int(v)
-    except (TypeError, ValueError, OverflowError) as e:
-        raise ConfigError(f"{where}: {e}") from e
+    raise ConfigError(f"{where}: expected an integer, got {v!r}")
 
 
 def _parse_measure(node, exact: bool, where: str):

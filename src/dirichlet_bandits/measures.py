@@ -52,11 +52,14 @@ def _is_int(x) -> bool:
 def _coerce(v, exact: bool):
     """``v``, a real number (numpy floats too) or decimal or fraction text, as
     a Fraction (exact) or a float; anything that is not a finite number in
-    the mode, such as NaN or 1e999 in float mode, raises InvalidParameterError."""
+    the mode, such as NaN or 1e999 in float mode, or a boolean, raises
+    InvalidParameterError."""
     try:
         cls = type(v)
         if cls is float or cls is int or cls is Fraction:
             x = v  # the common types skip the numbers-ABC checks below
+        elif cls is bool:
+            raise TypeError("a boolean is not a number")
         else:
             x = Fraction(v) if isinstance(v, str) else v
             if isinstance(x, Integral):

@@ -24,9 +24,12 @@ The two-armed pass runs over a stack of B instances that share both arms'
 atom counts and the horizon: every array carries a leading batch axis, the
 discounts are a (B, n) table, and a block is (B, rows, columns).  ``value``
 is the pass at B = 1; ``_values`` groups a list of states by shape and
-solves each group as one stack, which is how the property suites solve
-their families of closely related priors.  Exact passes run at B = 1,
-as does the stopping form.
+solves each group as one stack of at most STACK_STATES lattice states.
+The property suites draw every instance of a chunk first and then solve
+all the states those instances name in one ``_values`` call, so a stack
+spans instances, not only one instance's family of closely related priors.
+A stacked instance's report has the bits of its one-instance pass.  Exact
+passes run at B = 1, as does the stopping form.
 
 The two-armed pass keeps only the stages its caller reads; the others are
 dropped as soon as the stage before them is solved.  ``value`` keeps the
@@ -80,6 +83,12 @@ from .measures import (
 
 #: Environment variable overriding SolverOptions.memo_cap.
 MEMO_CAP_ENV = "BANDIT_MEMO_CAP"
+
+#: Lattice states one stacked pass of ``_values`` holds at most, unless one
+#: instance alone needs more: a stack this large already spreads each
+#: block's fixed per-call cost over many states, and a larger one only
+#: holds more memory.
+STACK_STATES = 1 << 20
 
 
 class Action(Enum):
@@ -493,8 +502,11 @@ def _values(
 ) -> list[ValueReport]:
     """``value`` of each state, in input order, from few passes: the states
     sharing both arms' atom counts and the horizon are solved as one stack,
-    split only where a stack's states would exceed the lattice budget.
-    Exact passes take one state each.  Each report equals ``value``'s."""
+    split only where a stack's states would exceed the lattice budget or
+    STACK_STATES.  Exact passes take one state each.  Each report equals
+    ``value``'s.  The property suites call it once per chunk of instances,
+    with every state the chunk's instances name, whatever instance a state
+    comes from."""
     opts = options or DEFAULT_OPTIONS
     convert = to_exact if opts.exact else to_float
     states = list(states)
@@ -503,8 +515,9 @@ def _values(
         key = (len(convert(s.arm1)), len(convert(s.arm2)), len(s.discount.values))
         groups.setdefault(key, []).append(i)
     reports = [None] * len(states)
+    cap = min(_memo_cap(opts), STACK_STATES)
     for (s1, s2, n), members in groups.items():
-        size = 1 if opts.exact else max(1, _memo_cap(opts) // max(1, _lattice_states(s1 + s2, n)))
+        size = 1 if opts.exact else max(1, cap // max(1, _lattice_states(s1 + s2, n)))
         for j in range(0, len(members), size):
             stack = members[j : j + size]
             roots = BanditSolver([states[i] for i in stack], opts, keep=1).roots()

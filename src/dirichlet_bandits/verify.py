@@ -17,6 +17,19 @@ arithmetic themselves: lemma1 mixes its grid there (the coefficients
 k/(grid_points - 1) need not be dyadic), and lemma4 forms its expectation
 over the atoms of F there.
 
+A suite runs in two phases.  Its margin worker is a generator: it draws one
+instance, yields the two-armed states whose values it needs, and, sent their
+reports, returns the instance's margin.  The runner (``_margins``) draws
+every instance of a chunk first, solves all of their states in one
+``solver._values`` call -- one stacked float pass per shape (atoms per arm,
+horizon), whatever instance a state comes from -- and then forms the
+margins.  prop1 and strictness name no states; their break-even searches
+run after the draw.  With ``jobs`` = 1 a chunk is the whole suite; under
+``jobs`` = N each pool task is one chunk of consecutive indices, and only
+margins cross the process boundary.  A stacked float pass gives each
+instance the bits of a one-instance pass, and exact passes solve one state
+each, so no margin depends on the chunking.
+
 Instances are reproducible: instance ``i`` of a suite seeded with ``s`` uses
 an rng spawned from ``SeedSequence(s, spawn_key=(i,))``, so suites can run
 across processes in any order and still produce identical reports.
@@ -64,7 +77,6 @@ from .solver import (
     DEFAULT_OPTIONS,
     EXACT_OPTIONS,
     _values,
-    value,
 )
 
 #: Resolution of generated numerics: multiples of 1/GRID are dyadic, hence
@@ -294,30 +306,55 @@ def _pool_size(jobs: int, trials: int) -> int:
     return min(jobs, trials, cpus)
 
 
-def _map_instances(worker, trials, jobs):
+def _margins(margin, gen, indices, *, opts, **params) -> list:
+    """The margins of instances ``indices``, in order, in three steps: draw
+    every instance, each naming the two-armed states it needs; solve all of
+    their states in one ``_values`` call, one stack per shape; then give each
+    instance its states' reports and take its margin."""
+    workers = [margin(gen, i, opts=opts, **params) for i in indices]
+    wanted = [next(w) for w in workers]
+    reports = iter(_values([s for states in wanted for s in states], opts))
+    margins = []
+    for w, states in zip(workers, wanted):
+        try:
+            w.send([next(reports) for _ in states])
+        except StopIteration as done:
+            margins.append(done.value)
+        else:
+            raise RuntimeError(f"{margin.__name__} named states twice")
+    return margins
+
+
+def _map_instances(task, trials, jobs):
+    """``task(indices)`` over the instances 0..trials-1, margins in index
+    order: in-process as one chunk, or under ``jobs`` above 1 as chunks of
+    consecutive indices, one pool task each, of which only the margins come
+    back."""
     workers = _pool_size(jobs, trials)
     if workers > 1:
         # Imported here: concurrent.futures and multiprocessing add about
         # 30 ms to every import of the package, and only parallel runs use them.
         from concurrent import futures
 
+        size = -(-trials // (4 * workers))
+        chunks = [range(i, min(i + size, trials)) for i in range(0, trials, size)]
         with futures.ProcessPoolExecutor(max_workers=workers) as ex:
-            chunk = max(1, trials // (4 * workers))
-            return list(ex.map(worker, range(trials), chunksize=chunk))
-    return [worker(i) for i in range(trials)]
+            return [m for part in ex.map(task, chunks) for m in part]
+    return task(range(trials))
 
 
 def _collect(name, margin, gen, trials, jobs, *, exact=False, slack=None,
              float_slack=SLACK_FLOAT, details=None, **params) -> SuiteReport:
-    """Run suite ``name``: the margin of instance i is ``margin(gen, i, opts=opts,
-    **params)``; the slack defaults to zero in exact mode, else ``float_slack``."""
+    """Run suite ``name`` through ``_margins``, its instances drawn by the
+    margin worker ``margin(gen, i, opts=opts, **params)``; the slack defaults
+    to zero in exact mode, else ``float_slack``."""
     gen = gen or InstanceGen()
     opts = EXACT_OPTIONS if exact else DEFAULT_OPTIONS
     if slack is None:
         slack = 0.0 if exact else float_slack
     if not 0 <= slack < math.inf:  # also refuses NaN, which passes every margin
         raise InvalidParameterError(f"slack must be finite and nonnegative, got {slack!r}")
-    worker = partial(margin, gen, opts=opts, **params)
+    task = partial(_margins, margin, gen, opts=opts, **params)
     if trials is None:
         trials = DEFAULT_TRIALS[name]
     if not _is_int(trials) or trials < 1:
@@ -326,7 +363,7 @@ def _collect(name, margin, gen, trials, jobs, *, exact=False, slack=None,
         raise InvalidParameterError(f"jobs must be an integer of at least 1, got {jobs!r}")
     trials = int(trials)  # a numpy integer would not serialize in the report
     t0 = time.perf_counter()
-    margins = [float(m) for m in _map_instances(worker, trials, jobs)]
+    margins = [float(m) for m in _map_instances(task, trials, jobs)]
     violations = [(i, m) for i, m in enumerate(margins) if m < -slack]
     report = SuiteReport(
         name,
@@ -342,7 +379,10 @@ def _collect(name, margin, gen, trials, jobs, *, exact=False, slack=None,
 
 
 # ---------------------------------------------------------------------------
-# suite workers (module level so process pools can pickle them)
+# margin workers (module level so process pools can pickle them)
+#
+# Each draws instance ``index``, yields once the two-armed states it needs
+# (none for prop1 and strictness), and returns its margin from their reports.
 # ---------------------------------------------------------------------------
 
 
@@ -360,7 +400,8 @@ def _convexity_margin(gen, index, *, opts, grid_points):
         rho = Fraction(k, grid_points - 1) * r
         arm1 = mix([(1, base), (rho, point_mass(u)), (r - rho, point_mass(v))], exact=opts.exact)
         states.append(BanditState(arm1, arm2, A))
-    values = [rep.w for rep in _values(states, opts)]
+    reports = yield states
+    values = [rep.w for rep in reports]
     return min(
         values[k + 1] - 2 * values[k] + values[k - 1]
         for k in range(1, grid_points - 1)
@@ -393,7 +434,7 @@ def _icx_margin(gen, index, *, opts):
     M = _dyadic(rng, *MASS_RANGE)
     arm2 = random_measure(gen, rng)
     A = random_discount(gen, rng, kind="any")
-    lo, hi = _values([BanditState(scale(F, M), arm2, A), BanditState(scale(Ft, M), arm2, A)], opts)
+    lo, hi = yield [BanditState(scale(F, M), arm2, A), BanditState(scale(Ft, M), arm2, A)]
     return hi.w - lo.w
 
 
@@ -404,7 +445,7 @@ def _weight_margin(gen, index, *, opts):
     Mt = M + _dyadic(rng, 1 / GRID, 2.0)
     arm2 = random_measure(gen, rng)
     A = random_discount(gen, rng, kind="any")
-    small, large = _values([BanditState(scale(F, m), arm2, A) for m in (M, Mt)], opts)
+    small, large = yield [BanditState(scale(F, m), arm2, A) for m in (M, Mt)]
     margins = [small.w - large.w]
     if is_regular(A):
         lam_small, lam_large = (break_even_value(scale(F, m), A, 1e-10, opts) for m in (M, Mt))
@@ -420,7 +461,7 @@ def _dilution_margin(gen, index, *, opts):
     A = random_discount(gen, rng, kind="any")
     known = point_mass(lam)
     arms = [alpha] + [mix([(1, alpha), (c, known)]) for c in (0.5, 1, 2)]
-    base, *diluted = _values([BanditState(arm, known, A) for arm in arms], opts)
+    base, *diluted = yield [BanditState(arm, known, A) for arm in arms]
     return min(base.w - rep.w for rep in diluted)
 
 
@@ -436,7 +477,8 @@ def _smoothing_margin(gen, index, *, opts):
         BanditState(mix([(1, alpha), (theta, F), (L - theta, point_mass(x))]), arm2, A1)
         for theta in thetas for x, _ in F.atoms
     ]
-    ws = [rep.w for rep in _values(states, opts)]
+    reports = yield states
+    ws = [rep.w for rep in reports]
     # The expectation over the atoms of F, in the solve's arithmetic: one run
     # of len(F) values per theta.
     probs = [_coerce(p, opts.exact) for p in F.weights]
@@ -451,6 +493,7 @@ def _breakeven_margin(gen, index, *, opts, tol):
     rng = gen.rng(index)
     arm = random_measure(gen, rng)
     A = random_discount(gen, rng, kind="regular_positive", min_n=2)
+    yield []
     lam = break_even_value(arm, A, tol, opts)
     b = break_even_observation(arm, A, tol, opts)
     return min(b.value - lam.value, RESIDUAL_TOL - lam.residual)
@@ -463,6 +506,7 @@ def _strictness_margin(gen, index, *, opts):
     Mt = M + _dyadic(rng, 1 / GRID, 2.0)
     n = int(rng.integers(2, gen.max_horizon + 1))
     A = make_uniform(n)
+    yield []
     lam_small, lam_large = (break_even_value(scale(F, m), A, 1e-10, opts) for m in (M, Mt))
     return lam_small.value - lam_large.value - STRICT_MARGIN
 
@@ -474,18 +518,19 @@ def _oracle_margin(gen, index, *, opts, tol):
     arm2 = random_measure(gen, rng, atoms=int(rng.integers(1, 4)))
     A = random_discount(gen, rng, kind="any", min_n=n, max_n=n)
     state = BanditState(arm1, arm2, A)
-    return tol - abs(value(state, opts).w - brute_force_value(state))
+    (report,) = yield [state]
+    return tol - abs(report.w - brute_force_value(state))
 
 
 def _montecarlo_margin(gen, index, *, opts, samples):
     rng = gen.rng(index)
     state = random_state(gen, rng, kind="any")
-    dp = value(state, opts).w
+    (report,) = yield [state]
     seed = int(rng.integers(0, 2**63))
     mean_v, se = simulate_policy(state, samples, seed, options=opts)
     # The absolute floor absorbs summation-order rounding when the standard
     # error is exactly zero (both arms degenerate).
-    return 4.0 * se + 1e-12 - abs(mean_v - dp)
+    return 4.0 * se + 1e-12 - abs(mean_v - report.w)
 
 
 # ---------------------------------------------------------------------------

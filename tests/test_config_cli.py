@@ -260,6 +260,25 @@ class TestCliValue:
         assert captured.err.count("\n") == 1
         assert captured.err.startswith(f"config error: {field}: expected an integer")
 
+    @pytest.mark.parametrize(
+        "field, parts",
+        [
+            # 2.5 used to solve two stages, and "3" was read as 3.
+            ("discount.n", {"discount": {"family": "uniform", "n": 2.5}}),
+            ("discount.n", {"discount": {"family": "uniform", "n": "3"}}),
+            ("discount.n", {"discount": {"family": "geometric", "n": "3", "beta": 0.5}}),
+            ("options.memo_cap", {"options": {"memo_cap": 1000.5}}),
+            ("options.memo_cap", {"options": {"memo_cap": "1000"}}),
+        ],
+    )
+    def test_fractional_or_text_integer_exits_2(self, field, parts, tmp_path, capsys):
+        doc = {**json.loads(Path(WORKED).read_text()), **parts}
+        assert main(["value", write(tmp_path, "int.json", doc)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.count("\n") == 1
+        assert captured.err.startswith(f"config error: {field}: expected an integer")
+
 
 class TestCliIndices:
     @pytest.mark.parametrize("command, key, want", [("lambda", "lambda", "0.5555555556"),

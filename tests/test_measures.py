@@ -15,6 +15,7 @@ from dirichlet_bandits import (
     NegativeWeightError,
     NotNormalizedError,
     leq_cx,
+    make_discount,
     leq_icx,
     leq_st,
     make_measure,
@@ -416,6 +417,8 @@ class TestNonFiniteInputs:
             ("1/0", None, None),
             (None, None, None),
             (1j, None, None),
+            (True, None, None),
+            (False, None, None),
         ],
     )
     @pytest.mark.parametrize("exact", [False, True])
@@ -429,3 +432,13 @@ class TestNonFiniteInputs:
             assert loc == want and type(loc) is (Fraction if exact else float)
             if exact:
                 assert type(loc.numerator) is int
+
+    @pytest.mark.parametrize("exact", [False, True])
+    def test_booleans_are_refused_by_both_constructors(self, exact):
+        # make_discount([True, 1]) used to read (1.0, 1.0), and
+        # make_measure([(True, 1)]) put an atom at 1.0.
+        for args in ([(True, 1)], [(0, 1), (1, False)]):
+            with pytest.raises(InvalidParameterError, match="True|False"):
+                make_measure(args, exact=exact)
+        with pytest.raises(InvalidParameterError, match="True"):
+            make_discount([True, 1], exact=exact)

@@ -32,6 +32,7 @@ from dirichlet_bandits import (
     value,
     value_one_armed,
 )
+from dirichlet_bandits import solver
 from dirichlet_bandits.solver import (
     MEMO_CAP_ENV,
     BanditSolver,
@@ -693,6 +694,24 @@ class TestStackedPasses:
         with pytest.raises(ResourceBudgetExceededError, match="^stack of 3"):
             BanditSolver(states)
         assert _values(states) == [value(s) for s in states]
+
+    def test_stacks_hold_at_most_stack_states(self, monkeypatch):
+        # Three 35-state lattices under a stack cap of 70: a stack of two,
+        # then one, each report still value's.
+        arm2 = [make_measure([(0.25, 1), (0.75, w)]) for w in (1, 2, 3)]
+        states = [BanditState(COIN, arm, make_uniform(4)) for arm in arm2]
+        batches = []
+
+        class Counting(BanditSolver):
+            def __init__(self, *args, **kwargs):
+                super().__init__(*args, **kwargs)
+                batches.append(self.batch)
+
+        monkeypatch.setattr(solver, "BanditSolver", Counting)
+        monkeypatch.setattr(solver, "STACK_STATES", 70)
+        got = _values(states)
+        assert batches == [2, 1]
+        assert got == [value(s) for s in states]
 
     def test_malformed_stacks_are_refused(self):
         with pytest.raises(InvalidParameterError, match="one shape"):

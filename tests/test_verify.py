@@ -2,6 +2,7 @@
 import itertools
 import json
 import math
+import pickle
 import time
 from fractions import Fraction
 
@@ -20,12 +21,13 @@ from dirichlet_bandits import (
     simulate_policy,
     value,
 )
-from dirichlet_bandits import verify
+from dirichlet_bandits import solver, verify
 from dirichlet_bandits.solver import DEFAULT_OPTIONS, EXACT_OPTIONS, DiscountSeq
 from dirichlet_bandits.verify import (
     DEFAULT_TRIALS,
     _icx_margin,
     _icx_pair,
+    _margins,
     _pool_size,
     _smoothing_margin,
     format_reports,
@@ -70,12 +72,6 @@ def test_break_even_suites_run_exactly_with_zero_slack(name):
     assert json.dumps(a.to_dict()) == json.dumps(b.to_dict())
 
 
-def test_parallel_jobs_reproduce_sequential_reports():
-    seq = SUITES["lemma3"](InstanceGen(seed=12), 8, jobs=1).to_dict()
-    par = SUITES["lemma3"](InstanceGen(seed=12), 8, jobs=2).to_dict()
-    assert seq == par
-
-
 def test_run_suites_all_order_and_names():
     reports = run_suites("all", InstanceGen(seed=2), trials=2)
     assert [r.suite_name for r in reports] == [
@@ -95,15 +91,21 @@ def test_icx_pair_generator_is_sound():
         assert abs(Ft.total_mass - 1) < 1e-9
 
 
+def _one_margin(margin, gen, index, opts):
+    """Instance ``index``'s margin, run alone through the suite runner."""
+    (m,) = _margins(margin, gen, range(index, index + 1), opts=opts)
+    return m
+
+
 @pytest.mark.parametrize("margin", [_icx_margin, _smoothing_margin], ids=["thm1", "lemma4"])
 def test_exact_margins_certify_the_float_draws(margin):
     # Drawn once, in float: the exact margin is the float margin's instance
     # solved exactly, so the two differ by float rounding alone.
     gen = InstanceGen(seed=0)
     for i in range(40):
-        exact = margin(gen, i, opts=EXACT_OPTIONS)
+        exact = _one_margin(margin, gen, i, EXACT_OPTIONS)
         assert isinstance(exact, Fraction)
-        assert abs(exact - margin(gen, i, opts=DEFAULT_OPTIONS)) <= 1e-9
+        assert abs(exact - _one_margin(margin, gen, i, DEFAULT_OPTIONS)) <= 1e-9
 
 
 def test_unknown_discount_kind_is_refused():
@@ -339,9 +341,12 @@ def test_pool_size_is_capped_by_instances_and_usable_cpus(monkeypatch):
 
 
 class _InlinePool:
-    """Stands in for ProcessPoolExecutor: records its size, maps in-process."""
+    """Stands in for ProcessPoolExecutor: records its size and each task's
+    indices, and maps in-process, pickling each task and its result as a
+    process pool would."""
 
     sizes: list = []
+    tasks: list = []
 
     def __init__(self, max_workers):
         self.sizes.append(max_workers)
@@ -353,21 +358,57 @@ class _InlinePool:
         return False
 
     def map(self, fn, items, chunksize=1):
-        return map(fn, items)
+        for item in items:
+            self.tasks.append(item)
+            task, arg = pickle.loads(pickle.dumps((fn, item)))
+            yield pickle.loads(pickle.dumps(task(arg)))
 
 
-def test_parallel_run_starts_no_more_workers_than_instances(monkeypatch):
+@pytest.fixture
+def inline_pool(monkeypatch):
     from concurrent import futures
 
     monkeypatch.setattr(verify.os, "sched_getaffinity", lambda pid: set(range(8)))
     monkeypatch.setattr(futures, "ProcessPoolExecutor", _InlinePool)
     monkeypatch.setattr(_InlinePool, "sizes", [])
+    monkeypatch.setattr(_InlinePool, "tasks", [])
+    return _InlinePool
+
+
+@pytest.mark.parametrize("name", list(SUITES))
+def test_parallel_jobs_reproduce_sequential_reports(name, inline_pool):
+    # 13 instances over 3 workers: chunks of two consecutive indices, the last
+    # of one, each drawn and solved apart from the others.
+    par = SUITES[name](InstanceGen(seed=12), 13, jobs=3).to_dict()
+    assert inline_pool.tasks == [range(i, min(i + 2, 13)) for i in range(0, 13, 2)]
+    assert par == SUITES[name](InstanceGen(seed=12), 13, jobs=1).to_dict()
+
+
+def test_one_pass_per_shape(monkeypatch):
+    # lemma3 at its default trials: one instance per pass made 195 passes.
+    stacks = []
+
+    class Counting(solver.BanditSolver):
+        def __init__(self, state, *args, **kwargs):
+            super().__init__(state, *args, **kwargs)
+            stacks.append(list(state))
+
+    monkeypatch.setattr(solver, "BanditSolver", Counting)
+    report = SUITES["lemma3"](InstanceGen(seed=0))
+    assert report.trials == DEFAULT_TRIALS["lemma3"] and report.passed
+    # A stack has one shape (BanditSolver refuses any other), and no two
+    # stacks share one.
+    shapes = {(len(s.arm1), len(s.arm2), len(s.discount.values)) for s, *_ in stacks}
+    assert len(shapes) == len(stacks) <= 24
+
+
+def test_parallel_run_starts_no_more_workers_than_instances(inline_pool):
     par = SUITES["lemma3"](InstanceGen(seed=12), 3, jobs=64).to_dict()
-    assert _InlinePool.sizes == [3]
+    assert inline_pool.sizes == [3]
     assert par == SUITES["lemma3"](InstanceGen(seed=12), 3, jobs=1).to_dict()
     # A single instance runs in-process: no pool starts.
     SUITES["lemma3"](InstanceGen(seed=12), 1, jobs=64)
-    assert _InlinePool.sizes == [3]
+    assert inline_pool.sizes == [3]
 
 
 def test_negative_seed_is_rejected():

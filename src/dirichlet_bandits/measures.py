@@ -22,7 +22,7 @@ from bisect import bisect_left
 from dataclasses import dataclass
 from decimal import Decimal
 from fractions import Fraction
-from numbers import Integral
+from numbers import Integral, Real
 from typing import Optional, Union
 
 from .errors import (
@@ -50,16 +50,17 @@ def _is_int(x) -> bool:
 
 
 def _coerce(v, exact: bool):
-    """``v``, a real number (numpy floats too) or decimal or fraction text, as
-    a Fraction (exact) or a float; anything that is not a finite number in
-    the mode, such as NaN or 1e999 in float mode, or a boolean, raises
-    InvalidParameterError."""
+    """``v``, a real number (numpy floats too), a Decimal, or decimal or
+    fraction text, as a Fraction (exact) or a float; anything that is not a
+    finite number in the mode, such as NaN or 1e999 in float mode, or a
+    boolean (numpy's too), raises InvalidParameterError."""
     try:
         cls = type(v)
         if cls is float or cls is int or cls is Fraction:
             x = v  # the common types skip the numbers-ABC checks below
-        elif cls is bool:
-            raise TypeError("a boolean is not a number")
+        elif cls is bool or not isinstance(v, (Real, Decimal, str)):
+            # numpy's boolean is no Real, though float() would take it
+            raise TypeError(f"{cls.__name__} is not a number")
         else:
             x = Fraction(v) if isinstance(v, str) else v
             if isinstance(x, Integral):
@@ -245,15 +246,6 @@ def shift(m: DiscreteMeasure, t) -> DiscreteMeasure:
     return DiscreteMeasure(atoms, m.total_mass)
 
 
-def scale_locations(m: DiscreteMeasure, c) -> DiscreteMeasure:
-    """Multiply every atom location by ``c > 0``."""
-    c = _coerce(c, m.exact)
-    if c <= 0:
-        raise InvalidParameterError(f"location scale must be positive, got {c}")
-    atoms = tuple((x * c, w) for x, w in m.atoms)
-    return DiscreteMeasure(atoms, m.total_mass)
-
-
 def mix(components, *, exact: Optional[bool] = None) -> DiscreteMeasure:
     """Weighted sum of measures: ``mix([(c1, m1), (c2, m2), ...])``.
 
@@ -376,22 +368,3 @@ def mean_preserving_spread(f: DiscreteMeasure, atom_index: int, delta) -> Discre
     pairs = [a for i, a in enumerate(f.atoms) if i != atom_index]
     pairs.extend([(x - delta, half), (x + delta, half)])
     return make_measure(pairs, exact=f.exact)
-
-
-def measure_to_records(m: DiscreteMeasure) -> list[dict]:
-    """Serialize to ``{location, weight}`` records (exact values as strings)."""
-    if m.exact:
-        return [{"location": str(x), "weight": str(w)} for x, w in m.atoms]
-    return [{"location": x, "weight": w} for x, w in m.atoms]
-
-
-def measure_from_records(records, *, exact: bool = False) -> DiscreteMeasure:
-    """Parse ``{location, weight}`` records; values accept decimal or fraction
-    syntax ("0.25", "2/3") as well as plain numbers."""
-    pairs = []
-    for rec in records:
-        try:
-            pairs.append((rec["location"], rec["weight"]))
-        except (KeyError, TypeError) as e:
-            raise InvalidParameterError(f"bad measure record {rec!r}") from e
-    return make_measure(pairs, exact=exact)

@@ -14,7 +14,7 @@ discount's values are rounded, and the generator draws it again until the
 rationals of its float values are regular, so exact mode finds every
 sequence regular that float mode does.  Two margins compute in the options'
 arithmetic themselves: lemma1 mixes its grid there (the coefficients
-k/(grid_points - 1) need not be dyadic), and lemma4 forms its expectation
+k/(GRID_POINTS - 1) need not be dyadic), and lemma4 forms its expectation
 over the atoms of F there.
 
 A suite runs in two phases.  Its margin worker is a generator: it draws one
@@ -55,8 +55,7 @@ from .discount import (
     make_uniform,
 )
 from .errors import GeneratorFailedError, InvalidParameterError
-from .index import RESIDUAL_TOL, break_even_value
-from .index import break_even_observation
+from .index import DEFAULT_TOL, RESIDUAL_TOL, break_even_observation, break_even_value
 from .measures import (
     DiscreteMeasure,
     _coerce,
@@ -93,6 +92,9 @@ REDRAWS = 1000
 
 SLACK_FLOAT = 1e-9
 STRICT_MARGIN = 1e-7
+ORACLE_TOL = 1e-10  # largest gap between the solver and the oracle
+MC_SAMPLES = 100_000  # simulated trajectories per Monte Carlo instance
+GRID_POINTS = 9  # points of the lemma1 reallocation grid
 THETA_GRID = 5  # points of the lemma4 smoothing grid
 
 DEFAULT_TRIALS = {
@@ -306,12 +308,12 @@ def _pool_size(jobs: int, trials: int) -> int:
     return min(jobs, trials, cpus)
 
 
-def _margins(margin, gen, indices, *, opts, **params) -> list:
+def _margins(margin, gen, indices, *, opts) -> list:
     """The margins of instances ``indices``, in order, in three steps: draw
     every instance, each naming the two-armed states it needs; solve all of
     their states in one ``_values`` call, one stack per shape; then give each
     instance its states' reports and take its margin."""
-    workers = [margin(gen, i, opts=opts, **params) for i in indices]
+    workers = [margin(gen, i, opts=opts) for i in indices]
     wanted = [next(w) for w in workers]
     reports = iter(_values([s for states in wanted for s in states], opts))
     margins = []
@@ -343,18 +345,15 @@ def _map_instances(task, trials, jobs):
     return task(range(trials))
 
 
-def _collect(name, margin, gen, trials, jobs, *, exact=False, slack=None,
-             float_slack=SLACK_FLOAT, details=None, **params) -> SuiteReport:
+def _collect(name, margin, gen, trials, jobs, *, exact=False,
+             float_slack=SLACK_FLOAT, details=None) -> SuiteReport:
     """Run suite ``name`` through ``_margins``, its instances drawn by the
-    margin worker ``margin(gen, i, opts=opts, **params)``; the slack defaults
-    to zero in exact mode, else ``float_slack``."""
+    margin worker ``margin(gen, i, opts=opts)``; the slack is zero in exact
+    mode, else ``float_slack``."""
     gen = gen or InstanceGen()
     opts = EXACT_OPTIONS if exact else DEFAULT_OPTIONS
-    if slack is None:
-        slack = 0.0 if exact else float_slack
-    if not 0 <= slack < math.inf:  # also refuses NaN, which passes every margin
-        raise InvalidParameterError(f"slack must be finite and nonnegative, got {slack!r}")
-    task = partial(_margins, margin, gen, opts=opts, **params)
+    slack = 0.0 if exact else float_slack
+    task = partial(_margins, margin, gen, opts=opts)
     if trials is None:
         trials = DEFAULT_TRIALS[name]
     if not _is_int(trials) or trials < 1:
@@ -381,12 +380,14 @@ def _collect(name, margin, gen, trials, jobs, *, exact=False, slack=None,
 # ---------------------------------------------------------------------------
 # margin workers (module level so process pools can pickle them)
 #
-# Each draws instance ``index``, yields once the two-armed states it needs
-# (none for prop1 and strictness), and returns its margin from their reports.
+# Each draws instance ``index``, drops its rng, yields once the two-armed
+# states it needs (none for prop1 and strictness), and returns its margin
+# from their reports.  A suspended worker keeps its frame until its chunk is
+# solved, so the rng goes before the yield.
 # ---------------------------------------------------------------------------
 
 
-def _convexity_margin(gen, index, *, opts, grid_points):
+def _convexity_margin(gen, index, *, opts):
     rng = gen.rng(index)
     base = random_measure(gen, rng)
     arm2 = random_measure(gen, rng)
@@ -394,17 +395,18 @@ def _convexity_margin(gen, index, *, opts, grid_points):
     u = _dyadic(rng, *LOCATION_RANGE)
     v = _dyadic(rng, *LOCATION_RANGE)
     r = _dyadic(rng, 1 / GRID, 2.0)
+    del rng
     states = []
-    for k in range(grid_points):
-        # k / (grid_points - 1) need not be dyadic: mix in the solve's arithmetic.
-        rho = Fraction(k, grid_points - 1) * r
+    for k in range(GRID_POINTS):
+        # k / (GRID_POINTS - 1) need not be dyadic: mix in the solve's arithmetic.
+        rho = Fraction(k, GRID_POINTS - 1) * r
         arm1 = mix([(1, base), (rho, point_mass(u)), (r - rho, point_mass(v))], exact=opts.exact)
         states.append(BanditState(arm1, arm2, A))
     reports = yield states
     values = [rep.w for rep in reports]
     return min(
         values[k + 1] - 2 * values[k] + values[k - 1]
-        for k in range(1, grid_points - 1)
+        for k in range(1, GRID_POINTS - 1)
     )
 
 
@@ -434,6 +436,7 @@ def _icx_margin(gen, index, *, opts):
     M = _dyadic(rng, *MASS_RANGE)
     arm2 = random_measure(gen, rng)
     A = random_discount(gen, rng, kind="any")
+    del rng
     lo, hi = yield [BanditState(scale(F, M), arm2, A), BanditState(scale(Ft, M), arm2, A)]
     return hi.w - lo.w
 
@@ -445,6 +448,7 @@ def _weight_margin(gen, index, *, opts):
     Mt = M + _dyadic(rng, 1 / GRID, 2.0)
     arm2 = random_measure(gen, rng)
     A = random_discount(gen, rng, kind="any")
+    del rng
     small, large = yield [BanditState(scale(F, m), arm2, A) for m in (M, Mt)]
     margins = [small.w - large.w]
     if is_regular(A):
@@ -459,6 +463,7 @@ def _dilution_margin(gen, index, *, opts):
     alpha = random_measure(gen, rng)
     lam = _dyadic(rng, *LOCATION_RANGE)
     A = random_discount(gen, rng, kind="any")
+    del rng
     known = point_mass(lam)
     arms = [alpha] + [mix([(1, alpha), (c, known)]) for c in (0.5, 1, 2)]
     base, *diluted = yield [BanditState(arm, known, A) for arm in arms]
@@ -472,6 +477,7 @@ def _smoothing_margin(gen, index, *, opts):
     arm2 = random_measure(gen, rng)
     A1 = drop_first(random_discount(gen, rng, kind="any", min_n=2))
     L = _dyadic(rng, 1 / GRID, 2.0)
+    del rng
     thetas = [Fraction(k, THETA_GRID - 1) * L for k in range(THETA_GRID)]
     states = [
         BanditState(mix([(1, alpha), (theta, F), (L - theta, point_mass(x))]), arm2, A1)
@@ -489,13 +495,14 @@ def _smoothing_margin(gen, index, *, opts):
     return min(values[k] - values[k + 1] for k in range(THETA_GRID - 1))
 
 
-def _breakeven_margin(gen, index, *, opts, tol):
+def _breakeven_margin(gen, index, *, opts):
     rng = gen.rng(index)
     arm = random_measure(gen, rng)
     A = random_discount(gen, rng, kind="regular_positive", min_n=2)
+    del rng
     yield []
-    lam = break_even_value(arm, A, tol, opts)
-    b = break_even_observation(arm, A, tol, opts)
+    lam = break_even_value(arm, A, DEFAULT_TOL, opts)
+    b = break_even_observation(arm, A, DEFAULT_TOL, opts)
     return min(b.value - lam.value, RESIDUAL_TOL - lam.residual)
 
 
@@ -506,28 +513,31 @@ def _strictness_margin(gen, index, *, opts):
     Mt = M + _dyadic(rng, 1 / GRID, 2.0)
     n = int(rng.integers(2, gen.max_horizon + 1))
     A = make_uniform(n)
+    del rng
     yield []
     lam_small, lam_large = (break_even_value(scale(F, m), A, 1e-10, opts) for m in (M, Mt))
     return lam_small.value - lam_large.value - STRICT_MARGIN
 
 
-def _oracle_margin(gen, index, *, opts, tol):
+def _oracle_margin(gen, index, *, opts):
     rng = gen.rng(index)
     n = int(rng.integers(1, 5))
     arm1 = random_measure(gen, rng, atoms=int(rng.integers(1, 4)))
     arm2 = random_measure(gen, rng, atoms=int(rng.integers(1, 4)))
     A = random_discount(gen, rng, kind="any", min_n=n, max_n=n)
     state = BanditState(arm1, arm2, A)
+    del rng
     (report,) = yield [state]
-    return tol - abs(report.w - brute_force_value(state))
+    return ORACLE_TOL - abs(report.w - brute_force_value(state))
 
 
-def _montecarlo_margin(gen, index, *, opts, samples):
+def _montecarlo_margin(gen, index, *, opts):
     rng = gen.rng(index)
     state = random_state(gen, rng, kind="any")
-    (report,) = yield [state]
     seed = int(rng.integers(0, 2**63))
-    mean_v, se = simulate_policy(state, samples, seed, options=opts)
+    del rng
+    (report,) = yield [state]
+    mean_v, se = simulate_policy(state, MC_SAMPLES, seed, options=opts)
     # The absolute floor absorbs summation-order rounding when the standard
     # error is exactly zero (both arms degenerate).
     return 4.0 * se + 1e-12 - abs(mean_v - report.w)
@@ -538,51 +548,43 @@ def _montecarlo_margin(gen, index, *, opts, samples):
 # ---------------------------------------------------------------------------
 
 
-def check_reallocation_convexity(
-    gen=None, trials=None, *, grid_points=9, slack=None, exact=False, jobs=1
-) -> SuiteReport:
+def check_reallocation_convexity(gen=None, trials=None, *, exact=False, jobs=1) -> SuiteReport:
     """Value is convex in the amount of point mass moved between two
-    locations of one arm's prior, checked by second differences on a grid."""
-    if not _is_int(grid_points) or grid_points < 3:
-        raise InvalidParameterError(
-            f"convexity grid needs an integer of at least 3 points, got {grid_points!r}"
-        )
-    return _collect("lemma1", _convexity_margin, gen, trials, jobs, exact=exact, slack=slack,
-                    grid_points=grid_points)
+    locations of one arm's prior, checked by second differences on a grid
+    of GRID_POINTS."""
+    return _collect("lemma1", _convexity_margin, gen, trials, jobs, exact=exact)
 
 
-def check_icx_monotonicity(gen=None, trials=None, *, slack=None, exact=False, jobs=1) -> SuiteReport:
+def check_icx_monotonicity(gen=None, trials=None, *, exact=False, jobs=1) -> SuiteReport:
     """Raising one arm's prior mean distribution in the increasing convex
     order never lowers the value."""
-    return _collect("thm1", _icx_margin, gen, trials, jobs, exact=exact, slack=slack)
+    return _collect("thm1", _icx_margin, gen, trials, jobs, exact=exact)
 
 
-def check_weight_monotonicity(gen=None, trials=None, *, slack=None, exact=False, jobs=1) -> SuiteReport:
+def check_weight_monotonicity(gen=None, trials=None, *, exact=False, jobs=1) -> SuiteReport:
     """Raising an arm's prior weight (same mean distribution) never raises
     the value; with regular discounts the break-even value drops too."""
-    return _collect("thm2", _weight_margin, gen, trials, jobs, exact=exact, slack=slack)
+    return _collect("thm2", _weight_margin, gen, trials, jobs, exact=exact)
 
 
-def check_known_atom_dilution(gen=None, trials=None, *, slack=None, exact=False, jobs=1) -> SuiteReport:
+def check_known_atom_dilution(gen=None, trials=None, *, exact=False, jobs=1) -> SuiteReport:
     """Adding prior mass at the known arm's payoff level never raises the
     value of playing against that known arm."""
-    return _collect("lemma3", _dilution_margin, gen, trials, jobs, exact=exact, slack=slack)
+    return _collect("lemma3", _dilution_margin, gen, trials, jobs, exact=exact)
 
 
-def check_mass_smoothing(gen=None, trials=None, *, slack=None, exact=False, jobs=1) -> SuiteReport:
+def check_mass_smoothing(gen=None, trials=None, *, exact=False, jobs=1) -> SuiteReport:
     """Replacing a random unit of added prior mass by its average measure
     (same total, no information) never raises the expected value."""
-    return _collect("lemma4", _smoothing_margin, gen, trials, jobs, exact=exact, slack=slack)
+    return _collect("lemma4", _smoothing_margin, gen, trials, jobs, exact=exact)
 
 
-def check_breakeven_bound(
-    gen=None, trials=None, *, slack=None, tol=1e-9, exact=False, jobs=1
-) -> SuiteReport:
+def check_breakeven_bound(gen=None, trials=None, *, exact=False, jobs=1) -> SuiteReport:
     """The break-even observation never falls below the break-even value
     (regular, strictly positive discounts, at least two stages).  Float runs
     allow a slack of 1e-8, the residual tolerance of the two searches."""
-    return _collect("prop1", _breakeven_margin, gen, trials, jobs, exact=exact, slack=slack,
-                    float_slack=RESIDUAL_TOL, tol=tol)
+    return _collect("prop1", _breakeven_margin, gen, trials, jobs, exact=exact,
+                    float_slack=RESIDUAL_TOL)
 
 
 def check_strict_weight_gaps(gen=None, trials=None, *, exact=False, jobs=1) -> SuiteReport:
@@ -601,21 +603,20 @@ def check_strict_weight_gaps(gen=None, trials=None, *, exact=False, jobs=1) -> S
             "max_gap": gaps[-1],
         }
 
-    return _collect("strictness", _strictness_margin, gen, trials, jobs, exact=exact, slack=0.0,
-                    details=details)
+    return _collect("strictness", _strictness_margin, gen, trials, jobs, exact=exact,
+                    float_slack=0.0, details=details)
 
 
-def check_oracle_equivalence(gen=None, trials=None, *, tol=1e-10, jobs=1) -> SuiteReport:
-    """Lattice solver agrees with the exhaustive history-tree oracle."""
-    if not 0 <= tol < math.inf:  # also refuses NaN, which passes every margin
-        raise InvalidParameterError(f"tol must be finite and nonnegative, got {tol!r}")
-    return _collect("oracle", _oracle_margin, gen, trials, jobs, slack=0.0, tol=tol)
+def check_oracle_equivalence(gen=None, trials=None, *, jobs=1) -> SuiteReport:
+    """Lattice solver agrees with the exhaustive history-tree oracle within
+    ORACLE_TOL."""
+    return _collect("oracle", _oracle_margin, gen, trials, jobs, float_slack=0.0)
 
 
-def check_monte_carlo(gen=None, trials=None, *, samples=100_000, jobs=1) -> SuiteReport:
-    """Simulated optimal play agrees with the solver value within four
-    standard errors."""
-    return _collect("montecarlo", _montecarlo_margin, gen, trials, jobs, slack=0.0, samples=samples)
+def check_monte_carlo(gen=None, trials=None, *, jobs=1) -> SuiteReport:
+    """Simulated optimal play over MC_SAMPLES trajectories agrees with the
+    solver value within four standard errors."""
+    return _collect("montecarlo", _montecarlo_margin, gen, trials, jobs, float_slack=0.0)
 
 
 SUITES = {

@@ -1,7 +1,8 @@
 """Acceptance gate: one test per criterion, each printing a pass/fail line.
 
 Run with ``pytest tests/test_acceptance.py -v -s`` to see the per-criterion
-lines.  Tolerances are fixed here, not configurable.
+lines.  Tolerances are fixed here, not configurable: the suites read them
+from module constants, and each criterion pins the constants it relies on.
 """
 import time
 from fractions import Fraction
@@ -30,7 +31,15 @@ from dirichlet_bandits import (
     value,
     value_one_armed,
 )
-from dirichlet_bandits.verify import random_discount, random_measure
+from dirichlet_bandits.index import RESIDUAL_TOL
+from dirichlet_bandits.verify import (
+    GRID_POINTS,
+    MC_SAMPLES,
+    ORACLE_TOL,
+    SLACK_FLOAT,
+    random_discount,
+    random_measure,
+)
 
 SEED = 2026
 
@@ -42,9 +51,9 @@ def report(num, name, ok, detail):
 
 def test_criterion_01_oracle_equivalence():
     t0 = time.perf_counter()
-    r = check_oracle_equivalence(InstanceGen(seed=SEED), 100, tol=1e-10)
+    r = check_oracle_equivalence(InstanceGen(seed=SEED), 100)
     elapsed = time.perf_counter() - t0
-    ok = r.passed and elapsed < 60
+    ok = r.passed and elapsed < 60 and ORACLE_TOL == 1e-10
     report(1, "oracle equivalence (100 instances, 1e-10)", ok,
            f"violations={len(r.violations)} worst_margin={r.worst_margin:.3g} "
            f"elapsed={elapsed:.1f}s")
@@ -78,9 +87,9 @@ def test_criterion_02_closed_form_worked_instance():
 
 def test_criterion_03_icx_monotonicity_suite():
     t0 = time.perf_counter()
-    r = check_icx_monotonicity(InstanceGen(seed=SEED), 200, slack=1e-9)
+    r = check_icx_monotonicity(InstanceGen(seed=SEED), 200)
     elapsed = time.perf_counter() - t0
-    ok = r.passed and elapsed < 300
+    ok = r.passed and elapsed < 300 and SLACK_FLOAT == 1e-9
     report(3, "icx monotonicity (200 pairs)", ok,
            f"violations={len(r.violations)} worst_margin={r.worst_margin:.3g} "
            f"elapsed={elapsed:.1f}s")
@@ -88,7 +97,7 @@ def test_criterion_03_icx_monotonicity_suite():
 
 def test_criterion_04_weight_monotonicity_and_index_sweep():
     t0 = time.perf_counter()
-    r = check_weight_monotonicity(InstanceGen(seed=SEED), 200, slack=1e-9)
+    r = check_weight_monotonicity(InstanceGen(seed=SEED), 200)
     bernoulli = make_measure([(0, 0.5), (1, 0.5)])
     sweep = index_sweep(
         lambda M: scale(bernoulli, M),
@@ -98,7 +107,8 @@ def test_criterion_04_weight_monotonicity_and_index_sweep():
     )
     gaps = [a.value - b.value for a, b in zip(sweep.rows, sweep.rows[1:])]
     elapsed = time.perf_counter() - t0
-    ok = r.passed and all(g > 1e-7 for g in gaps) and not sweep.flags and elapsed < 300
+    ok = (r.passed and SLACK_FLOAT == 1e-9 and all(g > 1e-7 for g in gaps)
+          and not sweep.flags and elapsed < 300)
     report(4, "weight monotonicity (200 triples) + strictly decreasing sweep", ok,
            f"violations={len(r.violations)} gaps={[f'{g:.3g}' for g in gaps]} "
            f"elapsed={elapsed:.1f}s")
@@ -106,24 +116,24 @@ def test_criterion_04_weight_monotonicity_and_index_sweep():
 
 
 def test_criterion_05_reallocation_convexity():
-    r = check_reallocation_convexity(
-        InstanceGen(seed=SEED), 100, grid_points=9, slack=1e-9
-    )
-    report(5, "value convexity on 9-point reallocation grids", r.passed,
+    r = check_reallocation_convexity(InstanceGen(seed=SEED), 100)
+    ok = r.passed and GRID_POINTS == 9 and SLACK_FLOAT == 1e-9
+    report(5, "value convexity on 9-point reallocation grids", ok,
            f"violations={len(r.violations)} worst_margin={r.worst_margin:.3g}")
 
 
 def test_criterion_06_dilution_and_smoothing_suites():
-    r3 = check_known_atom_dilution(InstanceGen(seed=SEED), 100, slack=1e-9)
-    r4 = check_mass_smoothing(InstanceGen(seed=SEED), 100, slack=1e-9)
-    ok = r3.passed and r4.passed
+    r3 = check_known_atom_dilution(InstanceGen(seed=SEED), 100)
+    r4 = check_mass_smoothing(InstanceGen(seed=SEED), 100)
+    ok = r3.passed and r4.passed and SLACK_FLOAT == 1e-9
     report(6, "known-atom dilution + mass smoothing (100 each)", ok,
            f"dilution worst={r3.worst_margin:.3g} smoothing worst={r4.worst_margin:.3g}")
 
 
 def test_criterion_07_breakeven_bound():
-    r = check_breakeven_bound(InstanceGen(seed=SEED), 100, slack=1e-8)
-    report(7, "break-even observation >= break-even value (100 instances)", r.passed,
+    r = check_breakeven_bound(InstanceGen(seed=SEED), 100)
+    ok = r.passed and RESIDUAL_TOL == 1e-8
+    report(7, "break-even observation >= break-even value (100 instances)", ok,
            f"violations={len(r.violations)} worst_margin={r.worst_margin:.3g}")
 
 
@@ -147,10 +157,11 @@ def test_criterion_08_index_residuals():
 
 
 def test_criterion_09_monte_carlo():
-    r = check_monte_carlo(InstanceGen(seed=SEED), 50, samples=100_000)
+    r = check_monte_carlo(InstanceGen(seed=SEED), 50)
     rate = 1 - len(r.violations) / r.trials
-    report(9, "Monte Carlo within 4 standard errors on >= 99% of 50 instances",
-           rate >= 0.99, f"pass_rate={rate:.3f} worst_margin={r.worst_margin:.3g}")
+    ok = rate >= 0.99 and MC_SAMPLES == 100_000
+    report(9, "Monte Carlo within 4 standard errors on >= 99% of 50 instances", ok,
+           f"pass_rate={rate:.3f} worst_margin={r.worst_margin:.3g}")
 
 
 def test_criterion_10_optimal_stopping_above_the_index():

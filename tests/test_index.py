@@ -21,7 +21,6 @@ from dirichlet_bandits import (
     point_mass,
     posterior_update,
     scale,
-    scale_locations,
     shift,
     sweep_csv,
     value_one_armed,
@@ -94,7 +93,8 @@ class TestBreakEvenValue:
         assert break_even_value(shift(arm, 0.7), A).value == pytest.approx(
             base + 0.7, abs=1e-8
         )
-        assert break_even_value(scale_locations(arm, 3.0), A).value == pytest.approx(
+        tripled = make_measure([(3.0 * x, w) for x, w in arm.atoms])
+        assert break_even_value(tripled, A).value == pytest.approx(
             3.0 * base, abs=1e-8
         )
 

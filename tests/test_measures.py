@@ -21,8 +21,6 @@ from dirichlet_bandits import (
     make_measure,
     mean,
     mean_preserving_spread,
-    measure_from_records,
-    measure_to_records,
     mix,
     point_mass,
     posterior_update,
@@ -353,19 +351,8 @@ class TestSpread:
 
 
 class TestBackendsAndSerialization:
-    def test_roundtrip_float(self):
-        m = make_measure([(0, 0.5), (1, 0.5)])
-        assert measure_from_records(measure_to_records(m)).atoms == m.atoms
-
-    def test_roundtrip_exact(self):
-        m = make_measure([("1/3", "1/4"), ("2/3", "3/4")], exact=True)
-        rec = measure_to_records(m)
-        assert rec[0]["location"] == "1/3"
-        back = measure_from_records(rec, exact=True)
-        assert back == m
-
     def test_fraction_syntax_in_float_mode(self):
-        m = measure_from_records([{"location": "2/3", "weight": "1/2"}])
+        m = make_measure([("2/3", "1/2")])
         assert m.atoms[0][0] == pytest.approx(2 / 3)
 
     def test_to_exact_to_float_roundtrip(self):
@@ -442,3 +429,13 @@ class TestNonFiniteInputs:
                 make_measure(args, exact=exact)
         with pytest.raises(InvalidParameterError, match="True"):
             make_discount([True, 1], exact=exact)
+
+    @pytest.mark.parametrize("exact", [False, True])
+    def test_numpy_booleans_are_refused(self, exact):
+        # make_discount([numpy.True_, 1]) used to read (1, 1) in both modes.
+        with pytest.raises(InvalidParameterError, match="True"):
+            make_discount([np.True_, 1], exact=exact)
+        with pytest.raises(InvalidParameterError, match="False"):
+            make_measure([(0, 1), (1, np.False_)], exact=exact)
+        with pytest.raises(InvalidParameterError, match="True"):
+            point_mass(np.True_, exact=exact)

@@ -25,7 +25,6 @@ from dirichlet_bandits import (
     mean,
     point_mass,
     policy_tree,
-    scale_locations,
     shift,
     stopping_value,
     to_exact,
@@ -147,9 +146,9 @@ def test_location_scaling_equivariance():
         state = random_state(GEN, GEN.rng(4_000 + i))
         w = value(state).w
         c = 2.5
-        scaled = BanditState(
-            scale_locations(state.arm1, c), scale_locations(state.arm2, c), state.discount
-        )
+        arm1, arm2 = (make_measure([(c * x, w) for x, w in arm.atoms])
+                      for arm in (state.arm1, state.arm2))
+        scaled = BanditState(arm1, arm2, state.discount)
         assert value(scaled).w == pytest.approx(c * w, abs=1e-9)
 
 

@@ -1,7 +1,7 @@
 """Suite plumbing: determinism, generator soundness, Monte Carlo evaluation."""
+import inspect
 import itertools
 import json
-import math
 import pickle
 import time
 from fractions import Fraction
@@ -25,11 +25,18 @@ from dirichlet_bandits import solver, verify
 from dirichlet_bandits.solver import DEFAULT_OPTIONS, EXACT_OPTIONS, DiscountSeq
 from dirichlet_bandits.verify import (
     DEFAULT_TRIALS,
+    _breakeven_margin,
+    _convexity_margin,
+    _dilution_margin,
     _icx_margin,
     _icx_pair,
     _margins,
+    _montecarlo_margin,
+    _oracle_margin,
     _pool_size,
     _smoothing_margin,
+    _strictness_margin,
+    _weight_margin,
     format_reports,
     random_discount,
     random_measure,
@@ -307,23 +314,30 @@ def test_non_integer_jobs_are_refused(jobs):
         run_suites(["lemma3"], GEN, 2, jobs=jobs)
 
 
-@pytest.mark.parametrize("slack", [math.nan, math.inf, -1e-9])
-def test_a_slack_that_certifies_nothing_is_refused(slack):
-    with pytest.raises(InvalidParameterError, match="slack"):
-        SUITES["lemma3"](GEN, 2, slack=slack)
+#: Suites that take ``exact``; oracle and montecarlo have no exact form.
+EXACT_SUITES = {"lemma1", "thm1", "thm2", "lemma3", "lemma4", "prop1", "strictness"}
 
 
-@pytest.mark.parametrize("tol", [math.nan, math.inf, -1e-10])
-def test_an_oracle_tolerance_that_certifies_nothing_is_refused(tol):
-    # A NaN tolerance passed every instance and reported worst_margin nan.
-    with pytest.raises(InvalidParameterError, match="tol"):
-        verify.check_oracle_equivalence(GEN, 2, tol=tol)
+@pytest.mark.parametrize("name", list(SUITES))
+def test_suites_take_no_per_suite_settings(name):
+    # Slack, tolerances, grid and sample count are module constants; a suite
+    # takes only what the runner needs.
+    want = ["gen", "trials", "exact", "jobs"] if name in EXACT_SUITES else ["gen", "trials", "jobs"]
+    assert list(inspect.signature(SUITES[name]).parameters) == want
 
 
-@pytest.mark.parametrize("grid_points", [4.5, 9.0, True, 2])
-def test_a_convexity_grid_that_is_not_an_integer_of_at_least_three_is_refused(grid_points):
-    with pytest.raises(InvalidParameterError, match="grid"):
-        verify.check_reallocation_convexity(GEN, 2, grid_points=grid_points)
+@pytest.mark.parametrize("margin", [
+    _convexity_margin, _icx_margin, _weight_margin, _dilution_margin, _smoothing_margin,
+    _breakeven_margin, _strictness_margin, _oracle_margin, _montecarlo_margin,
+])
+def test_suspended_workers_hold_no_rng(margin):
+    # A worker waits for its chunk's solve; its frame used to keep the
+    # instance's numpy Generator until then.
+    w = margin(GEN, 3, opts=DEFAULT_OPTIONS)
+    next(w)
+    held = w.gi_frame.f_locals.values()
+    assert not any(isinstance(v, np.random.Generator) for v in held)
+    w.close()
 
 
 def test_numpy_integer_trials_and_jobs_are_accepted():

@@ -29,13 +29,24 @@ Float mode stops once the slope bound brackets the root within the
 tolerance, and reports the residual of the defining equation at the last
 iterate; exact mode, where both searches land on the root, reports a zero
 residual.
+
+The Newton loop is a coroutine (``_newton_steps``): it yields each point it
+needs a pass at and is sent back the objective there and its slope.  So
+many searches can run in lockstep (``_lockstep``): each round groups the
+live searches by shape -- search kind, atom count and horizon -- and makes
+one stacked stopping pass per shape, which gives each search the bits of
+its own pass; a search leaves its stack when it converges.  The public
+searches are its one-search case, one pass per iteration; ``index_sweep``
+runs its whole grid in one call, and the property suites every search of a
+chunk of instances.
 """
 from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass
-from typing import Optional
+from typing import NamedTuple, Optional
 
+from . import solver
 from .discount import DiscountSeq, _in_arithmetic, drop_first
 from .errors import (
     DegenerateHorizonError,
@@ -44,7 +55,7 @@ from .errors import (
     NonPositiveDiscountError,
 )
 from .measures import DiscreteMeasure, Numeric, mean, to_exact, to_float
-from .solver import DEFAULT_OPTIONS, SolverOptions, _observation_form, _stopping_form
+from .solver import DEFAULT_OPTIONS, SolverOptions
 
 DEFAULT_TOL = 1e-9
 #: Residual of the defining equation is expected below this (one order looser
@@ -82,24 +93,27 @@ def _check_weight(A: DiscountSeq) -> None:
         raise DegenerateHorizonError("total discount weight must be positive")
 
 
-def _newton(f, trace, limit, bound, tol, exact, down=False, stacklevel=4) -> IndexResult:
+def _newton_steps(x, limit, bound, tol, exact, down=False, stacklevel=2):
     """Newton steps to the root of a convex, monotone, piecewise-linear
-    objective.
+    objective, as a coroutine: it yields each point at which it needs one
+    stopping pass, the start ``x`` first, is sent back (objective, slope)
+    there, and returns the IndexResult.
 
-    ``f(x)`` is one stopping pass, giving the objective at x and its slope.
-    ``trace`` holds the start's pass, (x, objective, slope), where the
-    objective is nonnegative (in float, up to rounding), and the root lies
-    between x and ``limit``, past which no step goes.  The objective falls
-    towards the root, rising with x when ``down``.  Wherever it is positive
-    its slope has the sign of ``bound`` and at least its size (a zero
-    ``bound`` gives no size), so x - objective / bound is past the root
-    while no Newton step is: the two bracket it.  Float mode stops once the
-    bracket is narrower than ``tol``, exact mode on the root.  ``stacklevel``
-    points a warning of non-monotone iterates at the public search's caller.
+    The objective at the start is nonnegative (in float, up to rounding),
+    and the root lies between x and ``limit``, past which no step goes.  The
+    objective falls towards the root, rising with x when ``down``.  Wherever
+    it is positive its slope has the sign of ``bound`` and at least its size
+    (a zero ``bound`` gives no size), so x - objective / bound is past the
+    root while no Newton step is: the two bracket it.  Float mode stops once
+    the bracket is narrower than ``tol``, exact mode on the root.
+    ``stacklevel``, counted from ``_warn_if_not_monotone``, points a warning
+    of non-monotone iterates at the public search's caller.
     """
     toward = max if down else min
+    trace = []
     while True:
-        x, fx, slope = trace[-1]
+        fx, slope = yield x
+        trace.append((x, fx, slope))
         if fx <= 0:
             # On the root, or in float past it by rounding: the tangent
             # there, below the objective, bounds how far.
@@ -115,9 +129,125 @@ def _newton(f, trace, limit, bound, tol, exact, down=False, stacklevel=4) -> Ind
         nxt = toward(limit, x - fx / slope)
         if nxt == x:
             break
-        trace.append((nxt, *f(nxt)))
+        x = nxt
     monotone = _warn_if_not_monotone(trace, tol, stacklevel)
     return IndexResult(x, (min(x, far), max(x, far)), len(trace), abs(fx), tuple(trace), monotone)
+
+
+def _newton(f, trace, limit, bound, tol, exact, down=False, stacklevel=4) -> IndexResult:
+    """``_newton_steps`` driven by ``f(x)``, one stopping pass giving the
+    objective at x and its slope; ``trace`` holds the start's pass, (x,
+    objective, slope).  ``stacklevel`` counts frames from
+    ``_warn_if_not_monotone`` as if it were called here."""
+    ((x, *feedback),) = trace
+    steps = _newton_steps(x, limit, bound, tol, exact, down, stacklevel + 1)
+    next(steps)
+    try:
+        while True:
+            feedback = f(steps.send(tuple(feedback)))
+    except StopIteration as done:
+        return done.value
+
+
+class _Search(NamedTuple):
+    """One break-even search as ``_lockstep`` runs it: Newton steps from
+    ``start`` towards ``limit`` with slope bound ``bound`` (see
+    ``_newton_steps``), one stopping pass of ``arm`` under ``A`` a step, the
+    arm checked and both in the solve's arithmetic.
+
+    A value search (no ``lam0``) steps up on g(lam) = W(lam) - lam * T; an
+    observation search steps down on h(x) = P(lam0; x) / T - lam0, over the
+    arm plus a unit mass at x and the sequence with its first stage
+    dropped.  T is the first tail of ``A``: T_1 of a value search, T_2 of
+    the full sequence of an observation search."""
+
+    arm: DiscreteMeasure
+    A: DiscountSeq
+    start: Numeric
+    limit: Numeric
+    bound: Numeric
+    tol: float
+    lam0: Optional[Numeric] = None
+
+    @property
+    def shape(self) -> tuple[bool, int, int]:
+        """What one stacked pass shares: the kind, the atom count of the
+        lattice the pass walks and the horizon."""
+        observe = self.lam0 is not None
+        return observe, len(self.arm) + observe, len(self.A.values)
+
+    def objective(self, x, root):
+        """The objective at x and its slope, from x's pass ``root``."""
+        T = self.A.tails[0]
+        if self.lam0 is None:
+            # The stopping-form value equals lam * T1 bit for bit wherever
+            # retirement is optimal, so g is exactly zero from the root on.
+            (_, v), (_, slope) = root
+            return v - x * T, slope - T
+        p, slope = root
+        return p / T - self.lam0, slope / T
+
+
+def _value_search(arm: DiscreteMeasure, A: DiscountSeq, tol: float, opts: SolverOptions):
+    """The search of ``break_even_value``, the arm and the total weight
+    checked here.
+
+    Newton steps on g up from mean(arm): constant play of the unknown arm
+    earns its mean per pull, so the break-even rate is at least the mean;
+    it never exceeds the best possible observation per pull, which caps it
+    at the top of the support."""
+    arm = _validated_arm(arm, tol, opts)
+    _check_weight(A)
+    A = _in_arithmetic(A, opts.exact)
+    top = arm.max_location
+    # g falls with slope at most -a1; a1 = 0 (T1 = T2) leaves only the cap.
+    return _Search(arm, A, min(mean(arm), top), top, -A.values[0], tol)
+
+
+def _observation_search(value: _Search, lam0) -> _Search:
+    """The search of ``break_even_observation`` of the value search
+    ``value``'s arm and sequence, given its break-even value ``lam0``:
+    Newton steps on h down from the top of the support."""
+    A1 = drop_first(value.A)
+    # The root always pulls, adding a_2 * p_new = a_2 / (M + 1) to the slope.
+    bound = A1.values[0] / ((value.arm.total_mass + 1) * A1.tails[0])
+    return _Search(value.arm, A1, value.arm.max_location, lam0, bound, value.tol, lam0)
+
+
+def _lockstep(searches, opts: SolverOptions, stacklevel: int = 1) -> list[IndexResult]:
+    """The results of ``searches``, in order, run in lockstep: the searches
+    of one shape share a stack (``solver._stacks``) and one stacked stopping
+    pass per Newton round, one iterate per search; a search leaves its
+    stack when it converges.  A stacked pass gives each search the bits of
+    its own, so each result equals its search's run alone.  ``stacklevel``
+    points a warning of non-monotone iterates at a frame as
+    ``warnings.warn`` would, called in this function's caller."""
+    results = [None] * len(searches)
+    for members in solver._stacks([s.shape for s in searches], opts):
+        group = [searches[i] for i in members]
+        observe = group[0].lam0 is not None
+        setup = solver._observation_setup if observe else solver._stopping_setup
+        stack = setup([s.arm for s in group], [s.A for s in group], opts)
+        steps = [_newton_steps(s.start, s.limit, s.bound, s.tol, opts.exact, observe,
+                               stacklevel + 3) for s in group]
+        live, points = list(range(len(group))), [next(step) for step in steps]
+        while live:
+            if observe:
+                roots = solver._observation_pass(stack, points, [group[i].lam0 for i in live])
+            else:
+                roots = solver._rate_pass(stack, points, slope=True)
+            kept, nxt = [], []
+            for j, (i, x, root) in enumerate(zip(live, points, roots)):
+                try:
+                    nxt.append(steps[i].send(group[i].objective(x, root)))
+                except StopIteration as done:
+                    results[members[i]] = done.value
+                else:
+                    kept.append(j)
+            if 0 < len(kept) < len(live):
+                stack = stack.take(kept)
+            live, points = [live[j] for j in kept], nxt
+    return results
 
 
 def break_even_value(
@@ -128,35 +258,18 @@ def break_even_value(
 ) -> IndexResult:
     """Smallest known-arm rate at which retiring immediately is optimal.
 
-    Newton steps on g up from mean(arm): constant play of the unknown arm
-    earns its mean per pull, so the break-even rate is at least the mean;
-    it never exceeds the best possible observation per pull, which caps it
-    at the top of the support.  ``options`` selects the arithmetic (float
-    by default); in exact mode the value is the root as a Fraction.
+    Newton steps on g up from mean(arm), capped at the top of the support
+    (``_value_search``).  ``options`` selects the arithmetic (float by
+    default); in exact mode the value is the root as a Fraction.
     """
     opts = options or DEFAULT_OPTIONS
-    arm = _validated_arm(arm, tol, opts)
-    _check_weight(A)
-    return _break_even_value(arm, A, tol, opts)
+    return _break_even_value(_value_search(arm, A, tol, opts), opts)
 
 
-def _break_even_value(arm: DiscreteMeasure, A: DiscountSeq, tol: float, opts: SolverOptions):
-    """``break_even_value`` once the arm and the total weight are checked."""
-    exact = opts.exact
-    A = _in_arithmetic(A, exact)
-    T1, a1 = A.tails[0], A.values[0]
-    stop = _stopping_form(arm, A, opts)
-
-    def g(lam):
-        # The stopping-form value equals lam * T1 bit for bit wherever
-        # retirement is optimal, so g is exactly zero from the root on.
-        (_, v), (_, slope) = stop(lam, slope=True)
-        return v - lam * T1, slope - T1
-
-    top = arm.max_location
-    lam = min(mean(arm), top)
-    # g falls with slope at most -a1; a1 = 0 (T1 = T2) leaves only the cap.
-    return _newton(g, [(lam, *g(lam))], top, -a1, tol, exact, stacklevel=5)
+def _break_even_value(search: _Search, opts: SolverOptions) -> IndexResult:
+    """The value search ``search``, run alone: one pass per iteration."""
+    (result,) = _lockstep([search], opts, stacklevel=3)
+    return result
 
 
 def break_even_observation(
@@ -191,22 +304,10 @@ def break_even_observation(
             "break-even observation requires strictly positive discount weights"
         )
     opts = options or DEFAULT_OPTIONS
-    arm = _validated_arm(arm, tol, opts)
-    exact = opts.exact
-    A = _in_arithmetic(A, exact)
-    lam0 = _break_even_value(arm, A, tol, opts).value
-    A1 = drop_first(A)
-    T2, a2 = A1.tails[0], A1.values[0]
-    pull = _observation_form(arm, A1, opts)
-
-    def h(x):
-        p, slope = pull(x, lam0)
-        return p / T2 - lam0, slope / T2
-
-    # The root always pulls, adding a_2 * p_new = a_2 / (M + 1) to the slope.
-    bound = a2 / ((arm.total_mass + 1) * T2)
-    x = arm.max_location
-    return _newton(h, [(x, *h(x))], lam0, bound, tol, exact, down=True)
+    value = _value_search(arm, A, tol, opts)
+    lam0 = _break_even_value(value, opts).value
+    (result,) = _lockstep([_observation_search(value, lam0)], opts, stacklevel=2)
+    return result
 
 
 def _warn_if_not_monotone(trace, tol, stacklevel) -> bool:
@@ -233,8 +334,8 @@ def _warn_if_not_monotone(trace, tol, stacklevel) -> bool:
 @dataclass(frozen=True)
 class SweepRow:
     param: float
-    value: float
-    residual: float
+    value: Numeric
+    residual: Numeric
     iterations: int
 
 
@@ -258,21 +359,29 @@ def index_sweep(
     *,
     expected: str | None = None,
     tol: float = DEFAULT_TOL,
+    options: Optional[SolverOptions] = None,
 ) -> SweepResult:
-    """Break-even value of ``family(p)`` for each grid parameter ``p``.
+    """Break-even value of ``family(p)`` for each grid parameter ``p``, in
+    the arithmetic ``options`` selects (float by default; exact values are
+    Fractions).
 
-    ``expected`` may be "nonincreasing" or "nondecreasing"; adjacent pairs
-    violating that direction beyond SWEEP_MONOTONE_TOL are flagged.
+    The grid's searches run in lockstep: a family that keeps its atoms, as
+    the mass family does, makes one stacked pass per Newton round.  Each
+    value equals ``break_even_value``'s.  ``expected`` may be
+    "nonincreasing" or "nondecreasing"; adjacent pairs violating that
+    direction beyond SWEEP_MONOTONE_TOL are flagged.
     """
     grid = list(grid)
     if not grid:
         raise InvalidParameterError("sweep grid must be nonempty")
     if expected not in (None, "nonincreasing", "nondecreasing"):
         raise InvalidParameterError(f"unknown expected direction {expected!r}")
-    rows = []
-    for p in grid:
-        res = break_even_value(family(p), A, tol)
-        rows.append(SweepRow(float(p), res.value, res.residual, res.iterations))
+    opts = options or DEFAULT_OPTIONS
+    searches = [_value_search(family(p), A, tol, opts) for p in grid]
+    rows = [
+        SweepRow(float(p), res.value, res.residual, res.iterations)
+        for p, res in zip(grid, _lockstep(searches, opts, stacklevel=2))
+    ]
     flags = []
     if expected is not None:
         for prev, cur in zip(rows, rows[1:]):
@@ -285,10 +394,11 @@ def index_sweep(
 
 
 def sweep_csv(result: SweepResult) -> str:
-    """CSV rendering with the fixed header ``param,lambda,residual,iterations``."""
+    """CSV rendering with the fixed header ``param,lambda,residual,iterations``;
+    exact values are rounded to floats."""
     lines = ["param,lambda,residual,iterations"]
     for r in result.rows:
         lines.append(
-            f"{r.param:.10g},{r.value:.10g},{r.residual:.10g},{r.iterations}"
+            f"{r.param:.10g},{float(r.value):.10g},{float(r.residual):.10g},{r.iterations}"
         )
     return "\n".join(lines) + "\n"

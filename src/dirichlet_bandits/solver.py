@@ -29,7 +29,15 @@ The property suites draw every instance of a chunk first and then solve
 all the states those instances name in one ``_values`` call, so a stack
 spans instances, not only one instance's family of closely related priors.
 A stacked instance's report has the bits of its one-instance pass.  Exact
-passes run at B = 1, as does the stopping form.
+passes run at B = 1.
+
+The stopping pass runs over a stack too: B arms sharing an atom count and
+the horizon, their discounts a (B, n) table, and one rate (or one added
+observation) per instance.  Each level reads a (B, 1, 1) column of them,
+or at B = 1 a plain number, which numpy multiplies faster.  The break-even
+searches run in lockstep on it (``index._lockstep``), one Newton iterate
+per instance a pass; a stack of ``_stopping_setup`` drops the instances
+whose searches have converged (``_Stack.take``).
 
 The two-armed pass keeps only the stages its caller reads; the others are
 dropped as soon as the stage before them is solved.  ``value`` keeps the
@@ -59,6 +67,7 @@ with the same budget before it solves.
 """
 from __future__ import annotations
 
+import copy
 import os
 from dataclasses import dataclass
 from enum import Enum
@@ -263,8 +272,8 @@ _fractions = np.frompyfunc(Fraction, 2, 1)
 
 def _read(num, den):
     """A value read out of a pass, ``num / den``: a Fraction when ``den`` is
-    an integer (exact mode), else a division by 1.0, which is exact."""
-    return _fractions(num, den) if isinstance(den, int) else num / den
+    an integer (exact mode), else ``num`` itself, since ``den`` is 1.0."""
+    return _fractions(num, den) if isinstance(den, int) else num
 
 
 class _ArmRows:
@@ -313,11 +322,22 @@ class _ArmRows:
         self.atoms = p.shape[2]
         self.start = lat.start
         self.child = lat.child
-        self.means = p @ X
-        bounds = list(zip(lat.start[:n], lat.start[1 : n + 1]))
-        self.p = [p[:, i:j] for i, j in bounds]
+        self._bounds = list(zip(lat.start[:n], lat.start[1 : n + 1]))
+        self._levels(p, p @ X)
+
+    def _levels(self, probs, means) -> None:
+        """Keep the stack's probabilities and means, and their level views."""
+        self.probs, self.means = probs, means
+        self.p = [probs[:, i:j] for i, j in self._bounds]
         self.p_row = [p[:, :, None] for p in self.p]
-        self.mean = [self.means[:, i:j] for i, j in bounds]
+        self.mean = [means[:, i:j] for i, j in self._bounds]
+
+    def take(self, live) -> "_ArmRows":
+        """The rows of the stack's instances ``live``, in that order."""
+        rows = copy.copy(self)
+        rows.measures = [self.measures[i] for i in live]
+        rows._levels(self.probs[live], self.means[live])
+        return rows
 
     def zeros(self, k: int, width: int) -> np.ndarray:
         """Terminal values of the level-k states, ``width`` columns."""
@@ -331,14 +351,15 @@ def _times(c, x):
 
 def _pull(payoff, arm: _ArmRows, k: int, nxt: np.ndarray) -> np.ndarray:
     """Payoff of pulling ``arm`` at its level k and continuing optimally:
-    the immediate ``payoff``, a column over the level's states (or a
-    scalar), plus the predictive expectation of the next-stage values
+    the immediate ``payoff``, a column over the level's states, a scalar or
+    None for none, plus the predictive expectation of the next-stage values
     ``nxt``, whose rows (axis 1, after the stack) are the arm's level k + 1
     and whose columns are states of the other arm (one column in a
     stopping pass).  In exact mode these are numerators: the caller puts
     ``payoff`` over the denominator that ``p[k]`` gives the expectation."""
     gathered = nxt.take(arm.child[k], axis=1)  # (B, P, s, columns)
-    return payoff + np.matmul(arm.p_row[k], gathered)[:, :, 0]
+    expected = np.matmul(arm.p_row[k], gathered)[:, :, 0]
+    return expected if payoff is None else payoff + expected
 
 
 class BanditSolver:
@@ -501,29 +522,40 @@ def _values(
     states: Sequence[BanditState], options: Optional[SolverOptions] = None
 ) -> list[ValueReport]:
     """``value`` of each state, in input order, from few passes: the states
-    sharing both arms' atom counts and the horizon are solved as one stack,
-    split only where a stack's states would exceed the lattice budget or
-    STACK_STATES.  Exact passes take one state each.  Each report equals
-    ``value``'s.  The property suites call it once per chunk of instances,
-    with every state the chunk's instances name, whatever instance a state
-    comes from."""
+    sharing both arms' atom counts and the horizon are solved as one stack
+    (``_stacks``).  Each report equals ``value``'s.  The property suites
+    call it once per round of a chunk of instances, with every state the
+    chunk's instances name, whatever instance a state comes from."""
     opts = options or DEFAULT_OPTIONS
     convert = to_exact if opts.exact else to_float
     states = list(states)
-    groups: dict[tuple[int, int, int], list[int]] = {}
-    for i, s in enumerate(states):  # shapes in the pass's arithmetic, as BanditSolver sees them
-        key = (len(convert(s.arm1)), len(convert(s.arm2)), len(s.discount.values))
-        groups.setdefault(key, []).append(i)
+    shapes = []
+    for s in states:  # shapes in the pass's arithmetic, as BanditSolver sees them
+        s1, s2 = len(convert(s.arm1)), len(convert(s.arm2))
+        shapes.append((s1, s2, s1 + s2, len(s.discount.values)))
     reports = [None] * len(states)
-    cap = min(_memo_cap(opts), STACK_STATES)
-    for (s1, s2, n), members in groups.items():
-        size = 1 if opts.exact else max(1, cap // max(1, _lattice_states(s1 + s2, n)))
-        for j in range(0, len(members), size):
-            stack = members[j : j + size]
-            roots = BanditSolver([states[i] for i in stack], opts, keep=1).roots()
-            for i, report in zip(stack, roots):
-                reports[i] = report
+    for stack in _stacks(shapes, opts):
+        roots = BanditSolver([states[i] for i in stack], opts, keep=1).roots()
+        for i, report in zip(stack, roots):
+            reports[i] = report
     return reports
+
+
+def _stacks(shapes, opts: SolverOptions):
+    """The stacks of one pass each that solve a list of items, as lists of
+    item indices.  ``shapes[i]`` is item i's shape: a tuple ending in the
+    atom count of the lattice its pass walks and its horizon.  The items of
+    one shape share a stack, split only where a stack's states would exceed
+    the lattice budget or STACK_STATES; exact passes take one item each."""
+    groups: dict[tuple, list[int]] = {}
+    for i, shape in enumerate(shapes):
+        groups.setdefault(shape, []).append(i)
+    for (*_, atoms, n), members in groups.items():
+        size = 1
+        if len(members) > 1 and not opts.exact:
+            size = max(1, min(_memo_cap(opts), STACK_STATES) // max(1, _lattice_states(atoms, n)))
+        for j in range(0, len(members), size):
+            yield members[j : j + size]
 
 
 def policy_tree(
@@ -588,7 +620,8 @@ def _bump(counts: tuple, j: int) -> tuple:
 
 
 def _stopping_pass(arm: _ArmRows, columns, dx, lam_den, a, tails, da):
-    """Stopping form of the one-armed bandit under regular discounting.
+    """Stopping form of the one-armed bandit under regular discounting, over
+    a stack of B arms.
 
     Once the known arm is optimal it stays optimal, so each state compares
     pulling the unknown arm with retiring for ``lam * T_t``.  Where
@@ -597,48 +630,100 @@ def _stopping_pass(arm: _ArmRows, columns, dx, lam_den, a, tails, da):
     search relies on.
 
     ``columns`` lists (mean, rate) pairs, one column of the pass each:
-    ``mean[k]`` gives the level-k posterior means over ``dx`` (a column, or
-    a scalar), paid at rate a_t on a pull, and ``rate`` over ``lam_den`` is
-    paid at T_t on retirement.  The first column is the value, and its
-    choice of pull or retire is every column's: a column of the slopes of
-    the means and of the rate in some parameter thus carries the slope of
-    an optimal policy's payoff in it.  Each column is pulled on its own,
-    which keeps the value's float bits those of a one-column pass.
+    ``mean[k]`` gives the level-k posterior means over ``dx``, a (B, rows,
+    1) array paid at rate a_t on a pull (a ``mean`` of None pays nothing),
+    and ``rate`` over ``lam_den``, a scalar or one per instance as a (B, 1,
+    1) array, is paid at T_t on retirement.  The first column is the value,
+    and its choice of pull or retire is every column's: a column of the
+    slopes of the means and of the rate in some parameter thus carries the
+    slope of an optimal policy's payoff in it.  Each column is pulled on its
+    own, which keeps the value's float bits those of a one-column pass, as
+    each instance's are those of a one-instance pass.
 
-    ``a`` and ``tails`` are the discount numerators over ``da``.  Level t
-    holds numerators over ``da * dx * lam_den * Q[t]`` (all 1.0 in float
-    mode).  Returns the root's pull payoff and value, one pair per column.
+    ``a`` and ``tails`` are the discount numerators over ``da`` by level,
+    ``a[t]`` and ``tails[t]`` one per instance as ``_per_instance`` gives
+    them (see ``_Stack``).  Level t holds numerators over
+    ``da * dx * lam_den * Q[t]`` (all 1.0 in float mode).  Returns, per
+    instance, the root's pull payoff and value of each column.
     """
     Q = arm.Q
-    values = [arm.zeros(len(a), 1)] * len(columns)
+    n = len(a)
+    values = [arm.zeros(n, 1)] * len(columns)
     pulls = values
-    for t in reversed(range(len(a))):
-        a_t = a[t] * lam_den * Q[t + 1]
-        scale = tails[t] * dx * Q[t]
-        pulls = [_pull(a_t * mean[t], arm, t, v) for (mean, _), v in zip(columns, values)]
+    for t in reversed(range(n)):
+        # Big factors last: in exact mode Q[t] is the largest integer here.
+        a_t = _times(Q[t + 1], _times(lam_den, a[t]))
+        scale = _times(Q[t], _times(dx, tails[t]))
+        pulls = [_pull(None if mean is None else a_t * mean[t], arm, t, v)
+                 for (mean, _), v in zip(columns, values)]
         stay = pulls[0] >= columns[0][1] * scale
         values = [np.where(stay, pull, rate * scale) for pull, (_, rate) in zip(pulls, columns)]
     den = da * dx * lam_den * Q[0]
-    return [(_read(pull.item(0), den), _read(v.item(0), den)) for pull, v in zip(pulls, values)]
+    roots = [zip(_read(pull[:, 0, 0], den).tolist(), _read(v[:, 0, 0], den).tolist())
+             for pull, v in zip(pulls, values)]
+    return list(zip(*roots))
 
 
-def _stopping_setup(arm: DiscreteMeasure, A: DiscountSeq, opts: SolverOptions):
-    """What every stopping pass of ``arm`` under ``A`` shares:
-    regularity and the lattice budget checked, the arm's rows, and the
-    discounts and their tails over one denominator, all in the solve's
-    arithmetic.  Returns (rows, a, tails, da).  This is the one regularity
-    check: every stopping pass and break-even search refuses a non-regular
-    ``A`` here."""
-    A = _in_arithmetic(A, opts.exact)
-    n = len(A.values)
-    if not is_regular(A):
+def _per_instance(values: list):
+    """One number per instance of a stack as a (B, 1, 1) column, or for one
+    instance the number itself, which numpy multiplies faster."""
+    return values[0] if len(values) == 1 else np.array(values)[:, None, None]
+
+
+class _Stack:
+    """What every stopping pass of a stack of arms shares: the arms' rows,
+    the discount numerators over ``da`` as a (B, 2n + 1) ``table`` of each
+    instance's n values and n + 1 tails, the same numbers by level --
+    ``a[t]`` and ``tails[t]``, one per instance as ``_per_instance`` gives
+    them -- and the arithmetic."""
+
+    def __init__(self, rows: _ArmRows, table: np.ndarray, da, exact: bool):
+        self.rows, self.table, self.da, self.exact = rows, table, da, exact
+        n = table.shape[1] // 2
+        levels = table[0].tolist() if len(table) == 1 else list(table.T[:, :, None, None])
+        self.a, self.tails = levels[:n], levels[n:]
+
+    def take(self, live) -> "_Stack":
+        """The stack of the instances ``live``, in that order."""
+        return _Stack(self.rows.take(live), self.table[live], self.da, self.exact)
+
+
+def _stopping_setup(arms, As, opts: SolverOptions) -> _Stack:
+    """What every stopping pass of a stack shares, one arm of ``arms`` (of
+    one atom count) under one sequence of ``As`` (of one length) per
+    instance: regularity, per instance, and the lattice budget checked, and
+    the arms' rows and the discounts and their tails over one denominator
+    built, all in the solve's arithmetic.  This is the one regularity check:
+    every stopping pass and break-even search refuses a non-regular
+    sequence here."""
+    As = [_in_arithmetic(A, opts.exact) for A in As]
+    n = len(As[0].values)
+    if not all(map(is_regular, As)):
         raise NotRegularError(
             "the stopping form and break-even quantities require a regular discount sequence"
         )
-    _check_budget(len(arm.atoms), n, opts)
-    rows = _ArmRows([to_exact(arm) if opts.exact else to_float(arm)], n, opts.exact)
-    scaled, da = _numerators(A.values + A.tails, opts.exact)
-    return rows, scaled[:n], scaled[n:], da
+    _check_budget(len(arms[0].atoms), n, opts, len(arms))
+    convert = to_exact if opts.exact else to_float
+    rows = _ArmRows([convert(arm) for arm in arms], n, opts.exact)
+    scaled, (da, *_) = zip(*(_numerators(A.values + A.tails, opts.exact) for A in As))
+    return _Stack(rows, np.array(scaled, dtype=rows.dtype), da, opts.exact)
+
+
+def _rate_pass(stack: _Stack, lams, first=0, slope=False):
+    """The stopping pass of ``stack`` over the stages from ``first`` on, at
+    one rate of ``lams`` per instance, in the solve's arithmetic.  Returns,
+    per instance, the root's (pull payoff, value), or with ``slope``
+    [(pull, value), (their slopes in the rate)].
+
+    The slope column pays nothing on a pull, so pulling adds nothing to the
+    slope, and retiring at stage t sets it to T_t: the slope of the value
+    is the expected discounted tail at retirement."""
+    rows = stack.rows
+    lam, lam_den = _numerators(lams, stack.exact)
+    a, tails = stack.a[first:], stack.tails[first:]
+    columns = [(rows.mean, _per_instance(lam)), (None, lam_den)]
+    roots = _stopping_pass(rows, columns[: 1 + slope], rows.dx, lam_den, a, tails, stack.da)
+    return roots if slope else [root for root, in roots]
 
 
 def _stopping_form(arm: DiscreteMeasure, A: DiscountSeq, options: Optional[SolverOptions]):
@@ -646,61 +731,58 @@ def _stopping_form(arm: DiscreteMeasure, A: DiscountSeq, options: Optional[Solve
 
     Regularity and the lattice budget are checked, and the arm's rows
     and the discount numbers built, here; the returned
-    ``stop(lam, first=0, slope=False)`` is then the pass alone.  It gives
-    the root's pull payoff and value of the stopping problem over the stages
-    from ``first`` on, with ``lam`` in the solve's arithmetic.  The discount
-    sequence must be regular; an empty one passes no stage and is worth zero.
-
-    ``slope`` adds the column of their slopes in ``lam``, over a mean column
-    of zeros: pulling adds nothing to the slope and retiring at stage t sets
-    it to T_t, so the slope of the value is the expected discounted tail at
-    retirement.  ``stop`` then gives [(pull, value), (their slopes)].
+    ``stop(lam, first=0, slope=False)`` is then the pass alone: the
+    one-instance ``_rate_pass``.  It gives the root's pull payoff and value
+    of the stopping problem over the stages from ``first`` on, with ``lam``
+    in the solve's arithmetic, and with ``slope`` their slopes in ``lam``
+    too.  The discount sequence must be regular; an empty one passes no
+    stage and is worth zero.
     """
-    opts = options or DEFAULT_OPTIONS
-    exact = opts.exact
-    rows, a, tails, da = _stopping_setup(arm, A, opts)
-    flat = [0] * len(a)
+    stack = _stopping_setup([arm], [A], options or DEFAULT_OPTIONS)
+    return lambda lam, first=0, slope=False: _rate_pass(stack, [lam], first, slope)[0]
 
-    def stop(lam, first=0, slope=False):
-        (lam,), lam_den = _numerators([lam], exact)
-        columns = [(rows.mean, lam), (flat, lam_den)][: 1 + slope]
-        roots = _stopping_pass(rows, columns, rows.dx, lam_den, a[first:], tails[first:], da)
-        return roots if slope else roots[0]
 
-    return stop
+def _observation_setup(arms, As, opts: SolverOptions) -> _Stack:
+    """The stack of ``_observation_pass``: each arm's table, its atoms and
+    one more, last, of unit weight, under ``As``, which must be nonempty.
+
+    The predictive probabilities of the posterior after observing x do not
+    depend on x, so one table serves every x.  The new atom sits at 0 in
+    the table, out of the location order; its location enters only through
+    the mean column each pass rewrites."""
+    one = Fraction(1) if opts.exact else 1.0
+    tables = [DiscreteMeasure(arm.atoms + ((0 * one, one),), arm.total_mass + one) for arm in arms]
+    return _stopping_setup(tables, As, opts)
+
+
+def _observation_pass(stack: _Stack, xs, lams):
+    """Per instance of an ``_observation_setup`` stack, the root's pull
+    payoff at rate lams[b] of arm b plus a unit mass at xs[b], with its
+    slope in x; the arms are in the solve's arithmetic.
+
+    A pass rewrites the mean column, base + x * p_new, and carries a slope
+    column with means p_new and rate zero, so each pull adds p_new to the
+    slope and retiring sets it to zero.
+    """
+    rows, exact = stack.rows, stack.exact
+    lam, lam_den = _numerators(lams, exact)
+    x, x_den = _numerators(xs, exact)
+    # Locations over dx: the table's over rows.dx, x over x_den.
+    dx = lcm(rows.dx, x_den) if exact else 1.0
+    stretch, x = (dx // rows.dx, [v * (dx // x_den) for v in x]) if exact else (1.0, x)
+    x = _per_instance(x)
+    p_new = [p[..., -1:] for p in rows.p]
+    moved = [m * stretch + p * x for m, p in zip(rows.mean, p_new)]
+    columns = [(moved, _per_instance(lam)), ([p * dx for p in p_new], 0)]
+    roots = _stopping_pass(rows, columns, dx, lam_den, stack.a, stack.tails, stack.da)
+    return [(p, slope) for (p, _), (slope, _) in roots]
 
 
 def _observation_form(arm: DiscreteMeasure, A: DiscountSeq, opts: SolverOptions):
-    """``pull(x, lam)``: the root's pull payoff at rate ``lam`` of ``arm``
-    plus a unit mass at ``x`` under the nonempty ``A``, with its slope in x.
-    ``arm`` is already in the solve's arithmetic.
-
-    The predictive probabilities of the posterior do not depend on x, so one
-    table of the arm's atoms and one more, last, serves every x: a pass only
-    rewrites the mean column, base + x * p_new, and carries a slope column
-    with means p_new and rate zero, so each pull adds p_new to the slope and
-    retiring sets it to zero.
-    """
-    exact = opts.exact
-    one = Fraction(1) if exact else 1.0
-    # The new atom sits at 0 in the table, out of the location order; its
-    # location enters only through the mean column each pass rewrites.
-    table = DiscreteMeasure(arm.atoms + ((0 * one, one),), arm.total_mass + one)
-    rows, a, tails, da = _stopping_setup(table, A, opts)
-    base, p_new = rows.mean, [p[..., -1:] for p in rows.p]
-
-    def pull(x, lam):
-        (lam,), lam_den = _numerators([lam], exact)
-        (x,), x_den = _numerators([x], exact)
-        # Locations over dx: the table's over rows.dx, x over x_den.
-        dx = lcm(rows.dx, x_den) if exact else 1.0
-        stretch, x = (dx // rows.dx, x * (dx // x_den)) if exact else (1.0, x)
-        moved = [m * stretch + p * x for m, p in zip(base, p_new)]
-        columns = [(moved, lam), ([p * dx for p in p_new], 0)]
-        (p, _), (slope, _) = _stopping_pass(rows, columns, dx, lam_den, a, tails, da)
-        return p, slope
-
-    return pull
+    """``pull(x, lam)``: the one-instance ``_observation_pass`` of ``arm``,
+    already in the solve's arithmetic, under the nonempty ``A``."""
+    stack = _observation_setup([arm], [A], opts)
+    return lambda x, lam: _observation_pass(stack, [x], [lam])[0]
 
 
 def value_one_armed(

@@ -17,18 +17,23 @@ arithmetic themselves: lemma1 mixes its grid there (the coefficients
 k/(GRID_POINTS - 1) need not be dyadic), and lemma4 forms its expectation
 over the atoms of F there.
 
-A suite runs in two phases.  Its margin worker is a generator: it draws one
-instance, yields the two-armed states whose values it needs, and, sent their
-reports, returns the instance's margin.  The runner (``_margins``) draws
-every instance of a chunk first, solves all of their states in one
+A suite runs in rounds.  Its margin worker is a generator: it draws one
+instance and yields a request -- the two-armed states whose values it needs
+and the break-even searches it needs run -- and, sent their reports and
+results, either yields its next request or returns the instance's margin.
+The runner (``_margins``) draws every instance of a chunk first; then each
+round it solves all the states the waiting workers name in one
 ``solver._values`` call -- one stacked float pass per shape (atoms per arm,
-horizon), whatever instance a state comes from -- and then forms the
-margins.  prop1 and strictness name no states; their break-even searches
-run after the draw.  With ``jobs`` = 1 a chunk is the whole suite; under
-``jobs`` = N each pool task is one chunk of consecutive indices, and only
-margins cross the process boundary.  A stacked float pass gives each
-instance the bits of a one-instance pass, and exact passes solve one state
-each, so no margin depends on the chunking.
+horizon), whatever instance a state comes from -- runs all their searches
+in one ``index._lockstep`` call -- one stacked stopping pass per shape per
+Newton round -- and sends each worker its own.  thm2 and strictness ask
+for their two value searches with their states; prop1 asks for its value
+search, then for the observation search at that break-even value.  With
+``jobs`` = 1 a chunk is the whole suite; under ``jobs`` = N each pool task
+is one chunk of consecutive indices, and only margins cross the process
+boundary.  A stacked float pass gives each instance the bits of a
+one-instance pass, and exact passes solve one state or search each, so no
+margin depends on the chunking.
 
 Instances are reproducible: instance ``i`` of a suite seeded with ``s`` uses
 an rng spawned from ``SeedSequence(s, spawn_key=(i,))``, so suites can run
@@ -42,6 +47,7 @@ import time
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from functools import partial
+from itertools import islice
 
 import numpy as np
 
@@ -55,7 +61,7 @@ from .discount import (
     make_uniform,
 )
 from .errors import GeneratorFailedError, InvalidParameterError
-from .index import DEFAULT_TOL, RESIDUAL_TOL, break_even_observation, break_even_value
+from .index import DEFAULT_TOL, RESIDUAL_TOL, _lockstep, _observation_search, _value_search
 from .measures import (
     DiscreteMeasure,
     _coerce,
@@ -309,21 +315,31 @@ def _pool_size(jobs: int, trials: int) -> int:
 
 
 def _margins(margin, gen, indices, *, opts) -> list:
-    """The margins of instances ``indices``, in order, in three steps: draw
-    every instance, each naming the two-armed states it needs; solve all of
-    their states in one ``_values`` call, one stack per shape; then give each
-    instance its states' reports and take its margin."""
-    workers = [margin(gen, i, opts=opts) for i in indices]
-    wanted = [next(w) for w in workers]
-    reports = iter(_values([s for states in wanted for s in states], opts))
-    margins = []
-    for w, states in zip(workers, wanted):
-        try:
-            w.send([next(reports) for _ in states])
-        except StopIteration as done:
-            margins.append(done.value)
-        else:
-            raise RuntimeError(f"{margin.__name__} named states twice")
+    """The margins of instances ``indices``, in order, in rounds: draw every
+    instance, each yielding its first request of states and searches; then,
+    while some worker waits, solve all the requested states in one
+    ``_values`` call (one stack per shape), run all the requested searches
+    in one ``_lockstep`` call (one stack per shape), and send each worker its
+    own reports and results, to which it answers with its next request or
+    its margin."""
+    margins = [None] * len(indices)
+    waiting = []
+    for j, i in enumerate(indices):
+        worker = margin(gen, i, opts=opts)
+        waiting.append((j, worker, next(worker)))
+    while waiting:
+        reports = iter(_values([s for *_, (states, _) in waiting for s in states], opts))
+        results = iter(_lockstep([s for *_, (_, searches) in waiting for s in searches], opts))
+        still = []
+        for j, worker, (states, searches) in waiting:
+            try:
+                request = worker.send((list(islice(reports, len(states))),
+                                       list(islice(results, len(searches)))))
+            except StopIteration as done:
+                margins[j] = done.value
+            else:
+                still.append((j, worker, request))
+        waiting = still
     return margins
 
 
@@ -380,10 +396,12 @@ def _collect(name, margin, gen, trials, jobs, *, exact=False,
 # ---------------------------------------------------------------------------
 # margin workers (module level so process pools can pickle them)
 #
-# Each draws instance ``index``, drops its rng, yields once the two-armed
-# states it needs (none for prop1 and strictness), and returns its margin
-# from their reports.  A suspended worker keeps its frame until its chunk is
-# solved, so the rng goes before the yield.
+# Each draws instance ``index``, drops its rng, yields (states, searches):
+# the two-armed states and the break-even searches it needs, and is sent
+# (reports, results).  Every worker but prop1's then returns its margin;
+# prop1 yields once more, for its observation search.  A suspended worker
+# keeps its frame until its chunk's round is solved, so the rng goes before
+# the first yield.
 # ---------------------------------------------------------------------------
 
 
@@ -402,7 +420,7 @@ def _convexity_margin(gen, index, *, opts):
         rho = Fraction(k, GRID_POINTS - 1) * r
         arm1 = mix([(1, base), (rho, point_mass(u)), (r - rho, point_mass(v))], exact=opts.exact)
         states.append(BanditState(arm1, arm2, A))
-    reports = yield states
+    reports, _ = yield states, ()
     values = [rep.w for rep in reports]
     return min(
         values[k + 1] - 2 * values[k] + values[k - 1]
@@ -437,7 +455,7 @@ def _icx_margin(gen, index, *, opts):
     arm2 = random_measure(gen, rng)
     A = random_discount(gen, rng, kind="any")
     del rng
-    lo, hi = yield [BanditState(scale(F, M), arm2, A), BanditState(scale(Ft, M), arm2, A)]
+    (lo, hi), _ = yield [BanditState(scale(F, M), arm2, A), BanditState(scale(Ft, M), arm2, A)], ()
     return hi.w - lo.w
 
 
@@ -449,10 +467,13 @@ def _weight_margin(gen, index, *, opts):
     arm2 = random_measure(gen, rng)
     A = random_discount(gen, rng, kind="any")
     del rng
-    small, large = yield [BanditState(scale(F, m), arm2, A) for m in (M, Mt)]
+    states = [BanditState(scale(F, m), arm2, A) for m in (M, Mt)]
+    regular = is_regular(A)
+    searches = [_value_search(scale(F, m), A, 1e-10, opts) for m in (M, Mt) if regular]
+    (small, large), lams = yield states, searches
     margins = [small.w - large.w]
-    if is_regular(A):
-        lam_small, lam_large = (break_even_value(scale(F, m), A, 1e-10, opts) for m in (M, Mt))
+    if lams:
+        lam_small, lam_large = lams
         margins.append(lam_small.value - lam_large.value)
         margins.append(RESIDUAL_TOL - max(lam_small.residual, lam_large.residual))
     return min(margins)
@@ -466,7 +487,7 @@ def _dilution_margin(gen, index, *, opts):
     del rng
     known = point_mass(lam)
     arms = [alpha] + [mix([(1, alpha), (c, known)]) for c in (0.5, 1, 2)]
-    base, *diluted = yield [BanditState(arm, known, A) for arm in arms]
+    (base, *diluted), _ = yield [BanditState(arm, known, A) for arm in arms], ()
     return min(base.w - rep.w for rep in diluted)
 
 
@@ -483,7 +504,7 @@ def _smoothing_margin(gen, index, *, opts):
         BanditState(mix([(1, alpha), (theta, F), (L - theta, point_mass(x))]), arm2, A1)
         for theta in thetas for x, _ in F.atoms
     ]
-    reports = yield states
+    reports, _ = yield states, ()
     ws = [rep.w for rep in reports]
     # The expectation over the atoms of F, in the solve's arithmetic: one run
     # of len(F) values per theta.
@@ -500,9 +521,9 @@ def _breakeven_margin(gen, index, *, opts):
     arm = random_measure(gen, rng)
     A = random_discount(gen, rng, kind="regular_positive", min_n=2)
     del rng
-    yield []
-    lam = break_even_value(arm, A, DEFAULT_TOL, opts)
-    b = break_even_observation(arm, A, DEFAULT_TOL, opts)
+    search = _value_search(arm, A, DEFAULT_TOL, opts)
+    _, (lam,) = yield (), [search]
+    _, (b,) = yield (), [_observation_search(search, lam.value)]
     return min(b.value - lam.value, RESIDUAL_TOL - lam.residual)
 
 
@@ -514,8 +535,8 @@ def _strictness_margin(gen, index, *, opts):
     n = int(rng.integers(2, gen.max_horizon + 1))
     A = make_uniform(n)
     del rng
-    yield []
-    lam_small, lam_large = (break_even_value(scale(F, m), A, 1e-10, opts) for m in (M, Mt))
+    searches = [_value_search(scale(F, m), A, 1e-10, opts) for m in (M, Mt)]
+    _, (lam_small, lam_large) = yield (), searches
     return lam_small.value - lam_large.value - STRICT_MARGIN
 
 
@@ -527,7 +548,7 @@ def _oracle_margin(gen, index, *, opts):
     A = random_discount(gen, rng, kind="any", min_n=n, max_n=n)
     state = BanditState(arm1, arm2, A)
     del rng
-    (report,) = yield [state]
+    (report,), _ = yield [state], ()
     return ORACLE_TOL - abs(report.w - brute_force_value(state))
 
 
@@ -536,7 +557,7 @@ def _montecarlo_margin(gen, index, *, opts):
     state = random_state(gen, rng, kind="any")
     seed = int(rng.integers(0, 2**63))
     del rng
-    (report,) = yield [state]
+    (report,), _ = yield [state], ()
     mean_v, se = simulate_policy(state, MC_SAMPLES, seed, options=opts)
     # The absolute floor absorbs summation-order rounding when the standard
     # error is exactly zero (both arms degenerate).

@@ -14,6 +14,7 @@ from dirichlet_bandits import (
     InstanceGen,
     InvalidParameterError,
     SUITES,
+    break_even_value,
     make_discount,
     make_measure,
     point_mass,
@@ -414,6 +415,47 @@ def test_one_pass_per_shape(monkeypatch):
     # stacks share one.
     shapes = {(len(s.arm1), len(s.arm2), len(s.discount.values)) for s, *_ in stacks}
     assert len(shapes) == len(stacks) <= 24
+
+
+def test_prop1_runs_each_value_search_once(monkeypatch):
+    searches = []
+
+    def recorded(batch, *args, **kwargs):
+        searches.extend(batch)
+        return lockstep(batch, *args, **kwargs)
+
+    lockstep = verify._lockstep
+    monkeypatch.setattr(verify, "_lockstep", recorded)
+    trials = 30
+    report = SUITES["prop1"](InstanceGen(seed=0), trials)
+    assert report.passed
+    kinds = [s.lam0 is not None for s in searches]
+    assert kinds.count(False) == kinds.count(True) == trials
+
+
+def test_one_stopping_pass_per_shape_per_round(monkeypatch):
+    # strictness at seed 0 and its default trials: 200 value searches, run
+    # alone, made 548 stopping passes.  Stacked, a shape makes as many
+    # passes as its slowest search takes.
+    gen, trials = InstanceGen(seed=0), DEFAULT_TRIALS["strictness"]
+    searches = []
+    for i in range(trials):
+        worker = verify._strictness_margin(gen, i, opts=DEFAULT_OPTIONS)
+        searches += next(worker)[1]
+    slowest = {}
+    for s in searches:
+        res = break_even_value(s.arm, s.A, s.tol)
+        slowest[s.shape] = max(slowest.get(s.shape, 0), res.iterations)
+    passes = []
+
+    def counted_pass(*args):
+        passes.append(args)
+        return stopping_pass(*args)
+
+    stopping_pass = solver._stopping_pass
+    monkeypatch.setattr(solver, "_stopping_pass", counted_pass)
+    assert SUITES["strictness"](gen).trials == trials
+    assert len(passes) == sum(slowest.values()) == 35
 
 
 def test_parallel_run_starts_no_more_workers_than_instances(inline_pool):

@@ -134,21 +134,6 @@ def _newton_steps(x, limit, bound, tol, exact, down=False, stacklevel=2):
     return IndexResult(x, (min(x, far), max(x, far)), len(trace), abs(fx), tuple(trace), monotone)
 
 
-def _newton(f, trace, limit, bound, tol, exact, down=False, stacklevel=4) -> IndexResult:
-    """``_newton_steps`` driven by ``f(x)``, one stopping pass giving the
-    objective at x and its slope; ``trace`` holds the start's pass, (x,
-    objective, slope).  ``stacklevel`` counts frames from
-    ``_warn_if_not_monotone`` as if it were called here."""
-    ((x, *feedback),) = trace
-    steps = _newton_steps(x, limit, bound, tol, exact, down, stacklevel + 1)
-    next(steps)
-    try:
-        while True:
-            feedback = f(steps.send(tuple(feedback)))
-    except StopIteration as done:
-        return done.value
-
-
 class _Search(NamedTuple):
     """One break-even search as ``_lockstep`` runs it: Newton steps from
     ``start`` towards ``limit`` with slope bound ``bound`` (see
@@ -228,25 +213,26 @@ def _lockstep(searches, opts: SolverOptions, stacklevel: int = 1) -> list[IndexR
         observe = group[0].lam0 is not None
         setup = solver._observation_setup if observe else solver._stopping_setup
         stack = setup([s.arm for s in group], [s.A for s in group], opts)
-        steps = [_newton_steps(s.start, s.limit, s.bound, s.tol, opts.exact, observe,
-                               stacklevel + 3) for s in group]
-        live, points = list(range(len(group))), [next(step) for step in steps]
+        live = [(i, s, _newton_steps(s.start, s.limit, s.bound, s.tol, opts.exact, observe,
+                                     stacklevel + 3)) for i, s in zip(members, group)]
+        points = [next(steps) for *_, steps in live]
         while live:
             if observe:
-                roots = solver._observation_pass(stack, points, [group[i].lam0 for i in live])
+                roots = solver._observation_pass(stack, points, [s.lam0 for _, s, _ in live])
             else:
                 roots = solver._rate_pass(stack, points, slope=True)
-            kept, nxt = [], []
-            for j, (i, x, root) in enumerate(zip(live, points, roots)):
+            kept = []
+            for j, ((i, s, steps), x, root) in enumerate(zip(live, points, roots)):
                 try:
-                    nxt.append(steps[i].send(group[i].objective(x, root)))
+                    points[j] = steps.send(s.objective(x, root))
                 except StopIteration as done:
-                    results[members[i]] = done.value
+                    results[i] = done.value
                 else:
                     kept.append(j)
-            if 0 < len(kept) < len(live):
-                stack = stack.take(kept)
-            live, points = [live[j] for j in kept], nxt
+            if len(kept) < len(live):
+                live, points = [live[j] for j in kept], [points[j] for j in kept]
+                if live:
+                    stack = stack.take(kept)
     return results
 
 
@@ -334,8 +320,8 @@ def _warn_if_not_monotone(trace, tol, stacklevel) -> bool:
 @dataclass(frozen=True)
 class SweepRow:
     param: float
-    value: Numeric
-    residual: Numeric
+    value: float
+    residual: float
     iterations: int
 
 
@@ -359,11 +345,8 @@ def index_sweep(
     *,
     expected: str | None = None,
     tol: float = DEFAULT_TOL,
-    options: Optional[SolverOptions] = None,
 ) -> SweepResult:
-    """Break-even value of ``family(p)`` for each grid parameter ``p``, in
-    the arithmetic ``options`` selects (float by default; exact values are
-    Fractions).
+    """Break-even value of ``family(p)`` for each grid parameter ``p``.
 
     The grid's searches run in lockstep: a family that keeps its atoms, as
     the mass family does, makes one stacked pass per Newton round.  Each
@@ -376,11 +359,10 @@ def index_sweep(
         raise InvalidParameterError("sweep grid must be nonempty")
     if expected not in (None, "nonincreasing", "nondecreasing"):
         raise InvalidParameterError(f"unknown expected direction {expected!r}")
-    opts = options or DEFAULT_OPTIONS
-    searches = [_value_search(family(p), A, tol, opts) for p in grid]
+    searches = [_value_search(family(p), A, tol, DEFAULT_OPTIONS) for p in grid]
     rows = [
         SweepRow(float(p), res.value, res.residual, res.iterations)
-        for p, res in zip(grid, _lockstep(searches, opts, stacklevel=2))
+        for p, res in zip(grid, _lockstep(searches, DEFAULT_OPTIONS, stacklevel=2))
     ]
     flags = []
     if expected is not None:
@@ -394,11 +376,10 @@ def index_sweep(
 
 
 def sweep_csv(result: SweepResult) -> str:
-    """CSV rendering with the fixed header ``param,lambda,residual,iterations``;
-    exact values are rounded to floats."""
+    """CSV rendering with the fixed header ``param,lambda,residual,iterations``."""
     lines = ["param,lambda,residual,iterations"]
     for r in result.rows:
         lines.append(
-            f"{r.param:.10g},{float(r.value):.10g},{float(r.residual):.10g},{r.iterations}"
+            f"{r.param:.10g},{r.value:.10g},{r.residual:.10g},{r.iterations}"
         )
     return "\n".join(lines) + "\n"

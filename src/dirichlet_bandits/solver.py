@@ -272,8 +272,8 @@ _fractions = np.frompyfunc(Fraction, 2, 1)
 
 def _read(num, den):
     """A value read out of a pass, ``num / den``: a Fraction when ``den`` is
-    an integer (exact mode), else ``num`` itself, since ``den`` is 1.0."""
-    return _fractions(num, den) if isinstance(den, int) else num
+    an integer (exact mode), else a division by 1.0, which is exact."""
+    return _fractions(num, den) if isinstance(den, int) else num / den
 
 
 class _ArmRows:
@@ -651,14 +651,15 @@ def _stopping_pass(arm: _ArmRows, columns, dx, lam_den, a, tails, da):
     values = [arm.zeros(n, 1)] * len(columns)
     pulls = values
     for t in reversed(range(n)):
-        # Big factors last: in exact mode Q[t] is the largest integer here.
-        a_t = _times(Q[t + 1], _times(lam_den, a[t]))
-        scale = _times(Q[t], _times(dx, tails[t]))
+        a_t = a[t] * lam_den * Q[t + 1]
+        scale = tails[t] * dx * Q[t]
         pulls = [_pull(None if mean is None else a_t * mean[t], arm, t, v)
                  for (mean, _), v in zip(columns, values)]
         stay = pulls[0] >= columns[0][1] * scale
         values = [np.where(stay, pull, rate * scale) for pull, (_, rate) in zip(pulls, columns)]
     den = da * dx * lam_den * Q[0]
+    if len(arm.measures) == 1:
+        return [[(_read(pull.item(0), den), _read(v.item(0), den)) for pull, v in zip(pulls, values)]]
     roots = [zip(_read(pull[:, 0, 0], den).tolist(), _read(v[:, 0, 0], den).tolist())
              for pull, v in zip(pulls, values)]
     return list(zip(*roots))
@@ -672,20 +673,23 @@ def _per_instance(values: list):
 
 class _Stack:
     """What every stopping pass of a stack of arms shares: the arms' rows,
-    the discount numerators over ``da`` as a (B, 2n + 1) ``table`` of each
-    instance's n values and n + 1 tails, the same numbers by level --
-    ``a[t]`` and ``tails[t]``, one per instance as ``_per_instance`` gives
-    them -- and the arithmetic."""
+    each instance's ``scaled`` discount numerators over ``da`` -- its n
+    values, then its n + 1 tails -- the same numbers by level, ``a[t]`` and
+    ``tails[t]``, one per instance as ``_per_instance`` gives them, and the
+    arithmetic."""
 
-    def __init__(self, rows: _ArmRows, table: np.ndarray, da, exact: bool):
-        self.rows, self.table, self.da, self.exact = rows, table, da, exact
-        n = table.shape[1] // 2
-        levels = table[0].tolist() if len(table) == 1 else list(table.T[:, :, None, None])
+    def __init__(self, rows: _ArmRows, scaled: list, da, exact: bool):
+        self.rows, self.scaled, self.da, self.exact = rows, scaled, da, exact
+        n = len(scaled[0]) // 2
+        if len(scaled) == 1:
+            levels = scaled[0]
+        else:
+            levels = list(np.array(scaled, rows.dtype).T[:, :, None, None])
         self.a, self.tails = levels[:n], levels[n:]
 
     def take(self, live) -> "_Stack":
         """The stack of the instances ``live``, in that order."""
-        return _Stack(self.rows.take(live), self.table[live], self.da, self.exact)
+        return _Stack(self.rows.take(live), [self.scaled[i] for i in live], self.da, self.exact)
 
 
 def _stopping_setup(arms, As, opts: SolverOptions) -> _Stack:
@@ -705,8 +709,9 @@ def _stopping_setup(arms, As, opts: SolverOptions) -> _Stack:
     _check_budget(len(arms[0].atoms), n, opts, len(arms))
     convert = to_exact if opts.exact else to_float
     rows = _ArmRows([convert(arm) for arm in arms], n, opts.exact)
-    scaled, (da, *_) = zip(*(_numerators(A.values + A.tails, opts.exact) for A in As))
-    return _Stack(rows, np.array(scaled, dtype=rows.dtype), da, opts.exact)
+    scaled, dens = zip(*(_numerators(A.values + A.tails, opts.exact) for A in As))
+    # Float denominators are all 1.0, and an exact stack holds one instance.
+    return _Stack(rows, list(scaled), dens[0], opts.exact)
 
 
 def _rate_pass(stack: _Stack, lams, first=0, slope=False):
@@ -776,13 +781,6 @@ def _observation_pass(stack: _Stack, xs, lams):
     columns = [(moved, _per_instance(lam)), ([p * dx for p in p_new], 0)]
     roots = _stopping_pass(rows, columns, dx, lam_den, stack.a, stack.tails, stack.da)
     return [(p, slope) for (p, _), (slope, _) in roots]
-
-
-def _observation_form(arm: DiscreteMeasure, A: DiscountSeq, opts: SolverOptions):
-    """``pull(x, lam)``: the one-instance ``_observation_pass`` of ``arm``,
-    already in the solve's arithmetic, under the nonempty ``A``."""
-    stack = _observation_setup([arm], [A], opts)
-    return lambda x, lam: _observation_pass(stack, [x], [lam])[0]
 
 
 def value_one_armed(

@@ -13,8 +13,6 @@ from dirichlet_bandits import (
     make_measure,
     make_uniform,
     scale,
-    sweep_csv,
-    to_exact,
 )
 from dirichlet_bandits import index, solver
 from dirichlet_bandits.index import DEFAULT_TOL, _lockstep, _observation_search, _value_search
@@ -131,15 +129,3 @@ class TestSweep:
         ]
         # A mass family shares its atoms: one stacked pass per Newton round.
         assert len(passes) == max(r.iterations for r in alone)
-
-    def test_exact_sweep_equals_exact_searches(self):
-        A = make_uniform(4)
-        result = index_sweep(self.family, A, self.GRID, options=EXACT_OPTIONS)
-        want = [
-            break_even_value(to_exact(self.family(p)), A, options=EXACT_OPTIONS) for p in self.GRID
-        ]
-        assert [r.value for r in result.rows] == [r.value for r in want]
-        assert all(isinstance(r.value, Fraction) for r in result.rows)
-        assert [r.iterations for r in result.rows] == [r.iterations for r in want]
-        values = [line.split(",")[1] for line in sweep_csv(result).splitlines()[1:]]
-        assert values == [f"{float(r.value):.10g}" for r in want]

@@ -24,6 +24,19 @@ COIN = make_measure([(0, 1), (1, 1)])
 A2 = make_discount([1, 1])
 
 
+def newton(f, start, limit, bound, tol, exact):
+    """Run ``index._newton_steps`` from the pass ``start`` = (x, objective,
+    slope), with ``f(x)`` giving each later pass."""
+    x, *feedback = start
+    steps = index._newton_steps(x, limit, bound, tol, exact)
+    next(steps)
+    try:
+        while True:
+            feedback = f(steps.send(tuple(feedback)))
+    except StopIteration as done:
+        return done.value
+
+
 def count_passes(monkeypatch):
     passes = []
 
@@ -106,12 +119,13 @@ class TestSlopeColumns:
             rng = gen.rng(i)
             arm = to_exact(random_measure(gen, rng))
             A = random_discount(gen, rng, kind="regular")
-            pull = solver._observation_form(arm, A, EXACT_OPTIONS)
+            stack = solver._observation_setup([arm], [A], EXACT_OPTIONS)
             lam = Fraction(1, 3)
             for x in (arm.locations[0], Fraction(2, 7)):
-                p, slope = pull(x, lam)
+                ((p, slope),) = solver._observation_pass(stack, [x], [lam])
                 assert p == value_one_armed(posterior_update(arm, x), lam, A, EXACT_OPTIONS).w1
-                assert (pull(x + self.EPS, lam)[0] - p) / self.EPS == slope
+                ((p_eps, _),) = solver._observation_pass(stack, [x + self.EPS], [lam])
+                assert (p_eps - p) / self.EPS == slope
 
     def test_one_column_passes_stay_one_column(self, monkeypatch):
         passes = count_passes(monkeypatch)
@@ -151,19 +165,19 @@ class TestTrace:
         # below zero: no convex objective does that.
         objective = {1: (-0.5, -1.0)}
         with pytest.warns(RuntimeWarning, match="Newton iterates"):
-            res = index._newton(objective.get, [(0, 1.0, -1.0)], 2, 0, 1e-9, False)
+            res = newton(objective.get, (0, 1.0, -1.0), 2, 0, 1e-9, False)
         assert not res.monotone
         assert res.value == 1 and res.iterations == 2
 
     def test_a_slope_that_does_not_descend_ends_the_search(self):
         # A positive objective with a flat slope: only rounding does that, so
         # the start is as close as floats can tell, bracketed by the bound.
-        res = index._newton(None, [(0, 1.0, 0.0)], 2, -1, 1e-9, False)
+        res = newton(None, (0, 1.0, 0.0), 2, -1, 1e-9, False)
         assert res.value == 0 and res.bracket == (0, 1.0)
         assert res.iterations == 1 and res.residual == 1.0
 
     def test_a_step_that_stalls_ends_the_search(self):
         # x - f / slope rounds back to x.
-        res = index._newton(None, [(1e20, 1.0, -1.0)], 1e21, -1e-30, 1e-9, False)
+        res = newton(None, (1e20, 1.0, -1.0), 1e21, -1e-30, 1e-9, False)
         assert res.value == 1e20 and res.bracket == (1e20, 1e21)
         assert res.iterations == 1 and res.residual == 1.0

@@ -22,6 +22,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from contextlib import nullcontext
 from fractions import Fraction
 from functools import partial
 
@@ -110,20 +111,33 @@ def _cmd_index(search, key, args) -> int:
     return 0
 
 
-def _write_out(path, text) -> None:
+def _open_out(path):
+    """The --out file opened for writing, before any work runs, so an
+    unwritable path fails at once; no path gives a null context."""
+    if not path:
+        return nullcontext()
     try:
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write(text)
+        return open(path, "w", encoding="utf-8")
+    except OSError as e:
+        raise InvalidParameterError(f"cannot write --out file: {e}") from e
+
+
+def _write_out(fh, text) -> None:
+    try:
+        fh.write(text)
+        fh.flush()
     except OSError as e:
         raise InvalidParameterError(f"cannot write --out file: {e}") from e
 
 
 def _cmd_verify(args) -> int:
-    reports = run_suites([args.suite], InstanceGen(seed=args.seed), args.trials, jobs=args.jobs)
-    print(format_reports(reports))
-    if args.out:
-        doc = {"suites": [r.to_dict() for r in reports]}
-        _write_out(args.out, json.dumps(doc, indent=2) + "\n")
+    with _open_out(args.out) as out:
+        reports = run_suites([args.suite], InstanceGen(seed=args.seed), args.trials,
+                             jobs=args.jobs)
+        print(format_reports(reports))
+        if out:
+            doc = {"suites": [r.to_dict() for r in reports]}
+            _write_out(out, json.dumps(doc, indent=2) + "\n")
     failed = any(
         r.violations for r in reports if r.suite_name not in REPORT_ONLY_SUITES
     )
@@ -151,12 +165,13 @@ def _cmd_sweep(args) -> int:
     else:
         family = partial(shift, arm)
         expected = "nondecreasing"
-    result = index_sweep(family, cfg.discount, args.grid, expected=expected, tol=args.tol)
-    text = sweep_csv(result)
-    if args.out:
-        _write_out(args.out, text)
-    else:
-        sys.stdout.write(text)
+    with _open_out(args.out) as out:
+        result = index_sweep(family, cfg.discount, args.grid, expected=expected, tol=args.tol)
+        text = sweep_csv(result)
+        if out:
+            _write_out(out, text)
+        else:
+            sys.stdout.write(text)
     for prev_p, cur_p, delta in result.flags:
         print(
             f"warning: lambda moves {delta:+.3g} against the expected "

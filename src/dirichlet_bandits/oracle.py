@@ -7,7 +7,9 @@ history-dependent strategies (the best strategy's expected payoff is the
 max-over-choices of outcome-averaged subtree payoffs) without materializing
 each strategy.  Nothing is shared with the solver: histories stay raw tuples
 of observed values, posterior weights are recounted from the history on
-every visit, there is no memoization, and all arithmetic is exact rational.
+every visit, and there is no memoization.  The arithmetic is exact, on
+integer numerators over one denominator per node, and one ``Fraction`` is
+built at the root.
 
 `enumerate_strategy_values` is the literal version -- every deterministic
 strategy built explicitly and scored by summing path probabilities -- kept
@@ -17,6 +19,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from itertools import product
+from math import lcm
 
 from .errors import TooLargeError
 from .solver import BanditState
@@ -46,32 +49,59 @@ def _check_size(state: BanditState, max_horizon: int, max_atoms: int):
 
 
 def brute_force_value_exact(state: BanditState) -> Fraction:
-    """Exact rational value of a small instance via the full history tree."""
+    """Exact rational value of a small instance via the full history tree.
+
+    The walk adds and multiplies Python integers, with no gcd, and builds
+    one ``Fraction`` at the root.  Locations are numerators over Dx, the lcm
+    of both arms' location denominators; discounts over Da, the lcm of
+    theirs; arm i's weights over Dw_i, the lcm of its own, so one
+    observation adds Dw_i to a weight.  A node with r stages left returns
+    ``(N, L)``, worth ``N / (Da·Dx·L)``, where L is the product over those r
+    stages of both arms' scaled posterior masses counted from the node.
+    The children of one arm share their L'.  Pulling arm i gives
+    ``N_i = e·Σ_j W_ij·(G_tij·L' + N'_j)`` and ``L = m_i·L'·e``: m_i is arm
+    i's mass now, e the other arm's mass after r - 1 more observations, and
+    ``G_tij = a_t·x_ij·Da·Dx``.  L comes out the same for either arm, so the
+    larger N_i picks the better arm.
+    """
     n = _check_size(state, MAX_HORIZON, MAX_TOTAL_ATOMS)
     arms = (_exact_atoms(state.arm1), _exact_atoms(state.arm2))
-    base_mass = tuple(sum(w for _, w in atoms) for atoms in arms)
     a = tuple(Fraction(v) for v in state.discount.values)
+    dx = lcm(*(x.denominator for atoms in arms for x, _ in atoms))
+    da = lcm(*(v.denominator for v in a))
+    a_num = [v.numerator * (da // v.denominator) for v in a]
+    # Per arm: Dw, the scaled base mass, and per atom its location numerator
+    # (what a history records), its base weight W and its payoffs G[t].
+    scaled = []
+    for atoms in arms:
+        dw = lcm(*(w.denominator for _, w in atoms))
+        xs = [x.numerator * (dx // x.denominator) for x, _ in atoms]
+        ws = [w.numerator * (dw // w.denominator) for _, w in atoms]
+        pays = [tuple(at * x for at in a_num) for x in xs]
+        scaled.append((dw, sum(ws), tuple(zip(xs, ws, pays))))
 
     def best(h1, h2, t):
         if t == n:
-            return Fraction(0)
-        value = None
-        for arm, hist in ((0, h1), (1, h2)):
-            mass = base_mass[arm] + len(hist)
-            acc = Fraction(0)
-            for x, w0 in arms[arm]:
-                w = w0 + hist.count(x)
+            return 0, 1
+        later = n - t - 1
+        pulls = []
+        for arm, hist, other in ((0, h1, h2), (1, h2, h1)):
+            dw, base, atoms = scaled[arm]
+            acc = 0
+            for x, w0, g in atoms:
                 if arm == 0:
-                    cont = best(h1 + (x,), h2, t + 1)
+                    num, den = best(h1 + (x,), h2, t + 1)
                 else:
-                    cont = best(h1, h2 + (x,), t + 1)
-                acc += w * (a[t] * x + cont)
-            acc /= mass
-            if value is None or acc > value:
-                value = acc
-        return value
+                    num, den = best(h1, h2 + (x,), t + 1)
+                acc += (w0 + dw * hist.count(x)) * (g[t] * den + num)
+            dw_o, base_o, _ = scaled[1 - arm]
+            e = base_o + dw_o * (len(other) + later)
+            pulls.append((acc * e, (base + dw * len(hist)) * den * e))
+        # Both pulls share L, so the larger pair is the larger numerator.
+        return max(pulls)
 
-    return best((), (), 0)
+    num, den = best((), (), 0)
+    return Fraction(num, da * dx * den)
 
 
 def brute_force_value(state: BanditState) -> float:

@@ -16,7 +16,7 @@ import pytest
 
 import dirichlet_bandits
 from dirichlet_bandits import BanditState, make_discount, make_measure, point_mass
-from dirichlet_bandits import solver, verify
+from dirichlet_bandits import oracle, solver, verify
 
 BENCH = str(Path(__file__).resolve().parents[1] / "bench")
 
@@ -56,6 +56,20 @@ def test_tracer_counts_a_solve_and_restores_every_name(bench):
         assert (owner[name] if isinstance(owner, dict) else getattr(owner, name)) is fn
 
 
+def test_tracer_counts_one_oracle_call_per_oracle_instance(bench):
+    # The span behind oracle.brute_force_value.us_per_call.
+    tracer = bench.spans.Tracer()
+    tracer.install(dirichlet_bandits)
+    try:
+        tracer.active = True
+        report = dirichlet_bandits.verify.check_oracle_equivalence(verify.InstanceGen(seed=0), 2)
+        tracer.active = False
+    finally:
+        tracer.uninstall()
+    assert report.trials == 2
+    assert tracer.layers()["oracle.brute_force_value"]["calls"] == 2
+
+
 def _params(fn):
     return [(p.name, p.kind) for p in inspect.signature(fn).parameters.values()]
 
@@ -67,6 +81,9 @@ def test_counted_parameters_keep_their_names():
     assert _params(solver.stopping_value) == [
         ("arm", positional), ("lam", positional), ("A", positional), ("options", positional)
     ]
+    # bench/workloads.py calls brute_force_value_exact in its set-up.
+    assert _params(oracle.brute_force_value) == [("state", positional)]
+    assert _params(oracle.brute_force_value_exact) == [("state", positional)]
     assert _params(verify.simulate_policy) == [
         ("state", positional), ("trials", positional), ("seed", positional), ("options", keyword)
     ]

@@ -439,14 +439,35 @@ class TestCliVerify:
     def test_unwritable_report_file_exits_2(self, tmp_path, capsys):
         out_path = tmp_path / "missing" / "report.json"
         assert main(["verify", "oracle", "--trials", "2", "--out", str(out_path)]) == 2
-        err = capsys.readouterr().err
-        assert err.count("\n") == 1 and str(out_path) in err
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.count("\n") == 1 and str(out_path) in captured.err
 
     def test_report_files_are_identical_across_runs(self, tmp_path):
         p1, p2 = tmp_path / "a.json", tmp_path / "b.json"
         main(["verify", "thm2", "--seed", "3", "--trials", "5", "--out", str(p1)])
         main(["verify", "thm2", "--seed", "3", "--trials", "5", "--out", str(p2)])
         assert p1.read_bytes() == p2.read_bytes()
+
+
+class TestCliOutFile:
+    """An unwritable --out file fails before any work runs."""
+
+    @pytest.mark.parametrize("argv, work", [
+        (["verify", "all"], "run_suites"),
+        (["sweep", ONE_ARMED, "--param", "mass", "--grid", "1,2"], "index_sweep"),
+    ], ids=["verify", "sweep"])
+    def test_no_work_runs(self, argv, work, tmp_path, capsys, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError(f"{work} ran before the --out file was opened")
+
+        monkeypatch.setattr(cli, work, refuse)
+        out_path = tmp_path / "missing" / "out"
+        assert main(argv + ["--out", str(out_path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: cannot write --out file: ")
+        assert captured.err.count("\n") == 1 and str(out_path) in captured.err
 
 
 class TestCliSweep:

@@ -9,13 +9,16 @@ float, and an exact instance is the solver's exact conversion of the float
 draw, discount tails included: the solve makes the only exact copy.
 Generated numerics are dyadic (multiples of 1/64, and of 1/64^(n-1) for
 ratio-built discounts of horizon n), so thm1's icx self-check on its float
-pair agrees with an exact one; past n = 9 a geometric or ratio-built
-discount's values are rounded, and the generator draws it again until the
-rationals of its float values are regular, so exact mode finds every
-sequence regular that float mode does.  Two margins compute in the options'
-arithmetic themselves: lemma1 mixes its grid there (the coefficients
-k/(GRID_POINTS - 1) need not be dyadic), and lemma4 forms its expectation
-over the atoms of F there.
+pair agrees with an exact one.  Each number is built once, as a float,
+from its integer grid numerator (k/64; a ratio-built discount's values
+from integer tail products over 64^i).  Past n = 9 a geometric or
+ratio-built discount's values are rounded, and the generator draws it
+again until the rationals of its float values are regular, judged on
+their integer numerators over one power-of-two denominator, so exact mode
+finds every sequence regular that float mode does.  Two margins compute
+in the options' arithmetic themselves: lemma1 mixes its grid there (the
+coefficients k/(GRID_POINTS - 1) need not be dyadic), and lemma4 forms
+its expectation over the atoms of F there.
 
 A suite runs in rounds.  Its margin worker is a generator: it draws one
 instance and yields a request -- the two-armed states whose values it needs
@@ -45,21 +48,12 @@ import math
 import os
 import time
 from dataclasses import dataclass, field, replace
-from fractions import Fraction
 from functools import partial
 from itertools import islice
 
 import numpy as np
 
-from .discount import (
-    DiscountSeq,
-    _in_arithmetic,
-    drop_first,
-    is_regular,
-    make_discount,
-    make_truncated_geometric,
-    make_uniform,
-)
+from .discount import DiscountSeq, drop_first, is_regular, make_uniform
 from .errors import GeneratorFailedError, InvalidParameterError
 from .index import DEFAULT_TOL, RESIDUAL_TOL, _lockstep, _observation_search, _value_search
 from .measures import (
@@ -68,7 +62,6 @@ from .measures import (
     _is_int,
     _wsum,
     leq_icx,
-    make_measure,
     mean_preserving_spread,
     mix,
     point_mass,
@@ -139,12 +132,12 @@ class InstanceGen:
         return np.random.default_rng(np.random.SeedSequence(self.seed, spawn_key=(index,)))
 
 
-def _dyadic(rng, lo, hi) -> Fraction:
-    """Dyadic rational (multiple of 1/GRID) in [lo, hi]; lo = 1/GRID draws
-    a positive one."""
+def _dyadic(rng, lo, hi) -> float:
+    """Dyadic number (multiple of 1/GRID) in [lo, hi], as a float built
+    from its grid numerator; lo = 1/GRID draws a positive one."""
     k0 = math.ceil(lo * GRID)
     k1 = max(k0, math.floor(hi * GRID))
-    return Fraction(int(rng.integers(k0, k1 + 1)), GRID)
+    return int(rng.integers(k0, k1 + 1)) / GRID
 
 
 def random_measure(
@@ -156,27 +149,82 @@ def random_measure(
     normalized: bool = False,
 ) -> DiscreteMeasure:
     """Random measure, in float, with distinct dyadic locations and dyadic
-    weights."""
-    s = atoms if atoms is not None else int(rng.integers(min_atoms, gen.max_atoms + 1))
+    weights, each built once from its integer grid numerator.  ``atoms``
+    fixes the atom count, at most GRID + 1 (GRID if ``normalized``);
+    otherwise it is drawn from [min_atoms, gen.max_atoms]."""
     lo, hi = LOCATION_RANGE
     k0 = math.ceil(lo * GRID)
     k1 = math.floor(hi * GRID)
-    ks = rng.choice(np.arange(k0, k1 + 1), size=s, replace=False)
-    locs = [Fraction(int(k), GRID) for k in sorted(ks.tolist())]
+    if atoms is not None:
+        most = GRID if normalized else k1 - k0 + 1
+        if not _is_int(atoms) or not 1 <= atoms <= most:
+            raise InvalidParameterError(f"atoms must be an integer in [1, {most}], got {atoms!r}")
+    elif not _is_int(min_atoms) or not 1 <= min_atoms <= gen.max_atoms:
+        raise InvalidParameterError(
+            f"min_atoms must be an integer in [1, {gen.max_atoms}], got {min_atoms!r}"
+        )
+    s = atoms if atoms is not None else int(rng.integers(min_atoms, gen.max_atoms + 1))
+    # Drawing indices into the grid consumes the stream as drawing from the
+    # grid itself would.
+    ks = sorted(rng.choice(k1 - k0 + 1, size=s, replace=False).tolist())
+    locs = [(k0 + k) / GRID for k in ks]
     if normalized:
         if s == 1:
-            weights = [Fraction(1)]
+            weights = [1.0]
         else:
-            cuts = sorted(int(c) for c in rng.choice(np.arange(1, GRID), size=s - 1, replace=False))
-            edges = [0] + cuts + [GRID]
-            weights = [Fraction(edges[i + 1] - edges[i], GRID) for i in range(s)]
+            cuts = sorted(rng.choice(GRID - 1, size=s - 1, replace=False).tolist())
+            edges = [0] + [1 + c for c in cuts] + [GRID]
+            weights = [(edges[i + 1] - edges[i]) / GRID for i in range(s)]
     else:
         wlo, whi = MASS_RANGE
-        weights = [
-            _dyadic(rng, max(1.0 / GRID, wlo / s), max(2.0 / GRID, whi / s))
-            for _ in range(s)
-        ]
-    return make_measure(zip(locs, weights))
+        wlo, whi = max(1.0 / GRID, wlo / s), max(2.0 / GRID, whi / s)
+        weights = [_dyadic(rng, wlo, whi) for _ in range(s)]
+    # Sorted distinct locations and positive weights: a measure as it stands.
+    return DiscreteMeasure(tuple(zip(locs, weights)), math.fsum(weights))
+
+
+#: The families each discount kind draws from, in the order of its draw.
+#: "regular_positive" is another name for "regular"; the acceptance tests
+#: draw with it.
+_REGULAR_FAMILIES = ("uniform", "geometric", "ratio")
+_FAMILIES = {
+    "any": ("uniform", "geometric", "arbitrary", "ratio"),
+    "regular": _REGULAR_FAMILIES,
+    "regular_positive": _REGULAR_FAMILIES,
+}
+
+
+def _dyadic_discount(values) -> tuple[DiscountSeq, bool]:
+    """The float discount sequence ``values`` with its tails, and whether it
+    is regular as the rationals of its values, as an exact solve reads it.
+    Both come from one set of integer tails: every float is a dyadic
+    rational, so the values are integer numerators over their largest
+    denominator, a power of two; each float tail is its integer tail over
+    that denominator, rounded once, as ``make_discount`` sums it."""
+    ratios = [v.as_integer_ratio() for v in values]
+    den = max(d for _, d in ratios)
+    tails = [0]
+    for num, d in reversed(ratios):
+        tails.append(tails[-1] + num * (den // d))
+    tails.reverse()
+    regular = all(
+        tails[j] * tails[j] >= tails[j - 1] * tails[j + 1] for j in range(1, len(values))
+    )
+    return DiscountSeq(tuple(values), tuple(t / den for t in tails)), regular
+
+
+def _discount_kind(gen, kind, min_n, max_n):
+    """The families of discount ``kind`` and the most stages a draw may
+    have; refuses a kind or stage range no draw can meet."""
+    families = _FAMILIES.get(kind)
+    if families is None:
+        raise InvalidParameterError(f"unknown discount kind {kind!r}")
+    hi_n = max_n if max_n is not None else gen.max_horizon
+    if not (_is_int(min_n) and _is_int(hi_n) and 1 <= min_n <= hi_n):
+        raise InvalidParameterError(
+            f"discount stages must satisfy 1 <= min_n <= max_n, got {min_n!r} and {hi_n!r}"
+        )
+    return families, hi_n
 
 
 def random_discount(
@@ -187,45 +235,48 @@ def random_discount(
     min_n: int = 1,
     max_n: int | None = None,
 ) -> DiscountSeq:
-    """Random discount sequence, in float.
+    """Random discount sequence of min_n..max_n stages (max_n defaults to
+    gen.max_horizon), in float, built from integer grid numerators.
 
     kind "any" mixes uniform, truncated geometric, arbitrary nonnegative
     (zeros allowed, possibly not regular), and ratio-built sequences;
-    "regular" and "regular_positive" both draw from the three families that
-    are regular with strictly positive weights: uniform, truncated geometric
-    and ratio-built.  Ratio-built sequences have nonincreasing tail ratios,
-    which forces regularity.  Regular draws are regular as the rationals of
-    their float values, which an exact solve reads: past n = 9 the values
-    are rounded, and a geometric or ratio-built draw that is not is drawn
-    again, at most REDRAWS times before GeneratorFailedError.  Tied ratios
-    leave rounding no room: past about 40 stages a ratio-built draw rarely
-    survives.
+    "regular" draws from the three families that are regular with strictly
+    positive weights: uniform, truncated geometric and ratio-built.
+    Ratio-built sequences have nonincreasing tail ratios, which forces
+    regularity.  Regular draws are regular as the rationals of their float
+    values, which an exact solve reads: past n = 9 the values are rounded,
+    and a geometric or ratio-built draw that is not is drawn again, at most
+    REDRAWS times before GeneratorFailedError.  Tied ratios leave rounding
+    no room: past about 40 stages a ratio-built draw rarely survives.
     """
-    hi_n = max_n if max_n is not None else gen.max_horizon
+    families, hi_n = _discount_kind(gen, kind, min_n, max_n)
     n = int(rng.integers(min_n, hi_n + 1))
-    if kind == "any":
-        fam = ("uniform", "geometric", "arbitrary", "ratio")[int(rng.integers(0, 4))]
-    elif kind in ("regular", "regular_positive"):
-        fam = ("uniform", "geometric", "ratio")[int(rng.integers(0, 3))]
-    else:
-        raise InvalidParameterError(f"unknown discount kind {kind!r}")
+    fam = families[int(rng.integers(0, len(families)))]
     if fam == "uniform":
-        return make_uniform(n)
+        return _dyadic_discount([1.0] * n)[0]
     if fam == "arbitrary":
-        ks = [int(k) for k in rng.integers(0, GRID + 1, size=n)]
+        ks = rng.integers(0, GRID + 1, size=n).tolist()
         if not any(ks):
             ks[int(rng.integers(0, n))] = 1
-        return make_discount([Fraction(k, GRID) for k in ks])
+        return _dyadic_discount([k / GRID for k in ks])[0]
     for _ in range(REDRAWS):
         if fam == "geometric":
-            A = make_truncated_geometric(Fraction(int(rng.integers(1, GRID)), GRID), n)
+            # Powers of beta, each product rounded as make_truncated_geometric's.
+            beta = int(rng.integers(1, GRID)) / GRID
+            values = [1.0]
+            for _ in range(n - 1):
+                values.append(values[-1] * beta)
         else:
-            ratios = sorted((int(k) for k in rng.integers(1, GRID, size=n - 1)), reverse=True)
-            tails = [Fraction(1)]
+            # Tail i is the product of the i largest ratios, over GRID**i; value i
+            # is tail i less tail i + 1, rounded once.
+            ratios = sorted(rng.integers(1, GRID, size=n - 1).tolist(), reverse=True)
+            tails = [1]
             for k in ratios:
-                tails.append(tails[-1] * Fraction(k, GRID))
-            A = make_discount([tails[i] - tails[i + 1] for i in range(n - 1)] + [tails[-1]])
-        if is_regular(_in_arithmetic(A, True)):
+                tails.append(tails[-1] * k)
+            values = [(GRID * tails[i] - tails[i + 1]) / GRID ** (i + 1) for i in range(n - 1)]
+            values.append(tails[-1] / GRID ** (n - 1))
+        A, regular = _dyadic_discount(values)
+        if regular:
             return A
     raise GeneratorFailedError(
         f"no {fam} discount sequence of {n} stages stayed regular after rounding "
@@ -241,6 +292,7 @@ def random_state(
     min_n: int = 1,
     max_n: int | None = None,
 ) -> BanditState:
+    _discount_kind(gen, kind, min_n, max_n)  # refused before the arms are drawn
     arm1 = random_measure(gen, rng)
     arm2 = random_measure(gen, rng)
     A = random_discount(gen, rng, kind=kind, min_n=min_n, max_n=max_n)
@@ -414,12 +466,16 @@ def _convexity_margin(gen, index, *, opts):
     v = _dyadic(rng, *LOCATION_RANGE)
     r = _dyadic(rng, 1 / GRID, 2.0)
     del rng
-    states = []
-    for k in range(GRID_POINTS):
-        # k / (GRID_POINTS - 1) need not be dyadic: mix in the solve's arithmetic.
-        rho = Fraction(k, GRID_POINTS - 1) * r
-        arm1 = mix([(1, base), (rho, point_mass(u)), (r - rho, point_mass(v))], exact=opts.exact)
-        states.append(BanditState(arm1, arm2, A))
+    # k / (GRID_POINTS - 1) need not be dyadic: mix in the solve's arithmetic,
+    # each coefficient one rounding of its rational in float.
+    r = _coerce(r, opts.exact)
+    at_u, at_v = point_mass(u), point_mass(v)
+    last = GRID_POINTS - 1
+    states = [
+        BanditState(mix([(1, base), (k * r / last, at_u), ((last - k) * r / last, at_v)],
+                        exact=opts.exact), arm2, A)
+        for k in range(GRID_POINTS)
+    ]
     reports, _ = yield states, ()
     values = [rep.w for rep in reports]
     return min(
@@ -499,10 +555,12 @@ def _smoothing_margin(gen, index, *, opts):
     A1 = drop_first(random_discount(gen, rng, kind="any", min_n=2))
     L = _dyadic(rng, 1 / GRID, 2.0)
     del rng
-    thetas = [Fraction(k, THETA_GRID - 1) * L for k in range(THETA_GRID)]
+    # Float mixtures, each coefficient one rounding of its rational.
+    last = THETA_GRID - 1
+    at_x = [point_mass(x) for x, _ in F.atoms]
     states = [
-        BanditState(mix([(1, alpha), (theta, F), (L - theta, point_mass(x))]), arm2, A1)
-        for theta in thetas for x, _ in F.atoms
+        BanditState(mix([(1, alpha), (k * L / last, F), ((last - k) * L / last, at)]), arm2, A1)
+        for k in range(THETA_GRID) for at in at_x
     ]
     reports, _ = yield states, ()
     ws = [rep.w for rep in reports]
@@ -519,7 +577,7 @@ def _smoothing_margin(gen, index, *, opts):
 def _breakeven_margin(gen, index, *, opts):
     rng = gen.rng(index)
     arm = random_measure(gen, rng)
-    A = random_discount(gen, rng, kind="regular_positive", min_n=2)
+    A = random_discount(gen, rng, kind="regular", min_n=2)
     del rng
     search = _value_search(arm, A, DEFAULT_TOL, opts)
     _, (lam,) = yield (), [search]

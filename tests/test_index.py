@@ -37,7 +37,7 @@ A2 = make_discount([1, 1])
 def one_armed_instance(gen, i):
     rng = gen.rng(i)
     arm = random_measure(gen, rng)
-    return arm, random_discount(gen, rng, kind="regular_positive", min_n=2)
+    return arm, random_discount(gen, rng, kind="regular", min_n=2)
 
 
 #: Point-mass arms whose float observation search reads h = -1.1e-16 at
@@ -77,7 +77,7 @@ class TestBreakEvenValue:
         for i in range(40):
             rng = GEN.rng(200 + i)
             arm = random_measure(GEN, rng)
-            A = random_discount(GEN, rng, kind="regular_positive")
+            A = random_discount(GEN, rng, kind="regular")
             lam_star = break_even_value(arm, A).value
             above = value_one_armed(arm, lam_star + 0.01, A)
             assert above.action is Action.ARM2
@@ -236,7 +236,7 @@ class TestBreakEvenObservation:
         for i in range(25):
             rng = GEN.rng(300 + i)
             arm = random_measure(GEN, rng)
-            A = random_discount(GEN, rng, kind="regular_positive", min_n=2)
+            A = random_discount(GEN, rng, kind="regular", min_n=2)
             lam = break_even_value(arm, A).value
             b = break_even_observation(arm, A).value
             assert b >= lam - 1e-8
@@ -245,7 +245,7 @@ class TestBreakEvenObservation:
         for i in range(15):
             rng = GEN.rng(400 + i)
             arm = random_measure(GEN, rng)
-            A = random_discount(GEN, rng, kind="regular_positive", min_n=2)
+            A = random_discount(GEN, rng, kind="regular", min_n=2)
             lam = break_even_value(arm, A).value
             b = break_even_observation(arm, A).value
             A1 = drop_first(A)

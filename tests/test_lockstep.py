@@ -25,7 +25,7 @@ HALVES = make_measure([(0, 0.5), (1, 0.5)])
 def one_armed(gen, i):
     rng = gen.rng(i)
     arm = random_measure(gen, rng)
-    return arm, random_discount(gen, rng, kind="regular_positive", min_n=2)
+    return arm, random_discount(gen, rng, kind="regular", min_n=2)
 
 
 def count_passes(monkeypatch):

@@ -85,7 +85,7 @@ class TestExactRoots:
         for i in range(10):
             rng = gen.rng(i)
             arm = to_exact(random_measure(gen, rng))
-            A = random_discount(gen, rng, kind="regular_positive", min_n=2, max_n=4)
+            A = random_discount(gen, rng, kind="regular", min_n=2, max_n=4)
             lam = break_even_value(arm, A, options=EXACT_OPTIONS).value
             b = break_even_observation(arm, A, options=EXACT_OPTIONS).value
             A1 = make_discount(A.values[1:], exact=True)
@@ -141,7 +141,7 @@ class TestTrace:
         for i in range(20):
             rng = gen.rng(i)
             arm = random_measure(gen, rng)
-            A = random_discount(gen, rng, kind="regular_positive", min_n=2)
+            A = random_discount(gen, rng, kind="regular", min_n=2)
             lam = break_even_value(arm, A)
             b = break_even_observation(arm, A)
             for res, sign in ((lam, 1), (b, -1)):

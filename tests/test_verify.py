@@ -1,10 +1,12 @@
 """Suite plumbing: determinism, generator soundness, Monte Carlo evaluation."""
+import hashlib
 import inspect
 import itertools
 import json
 import pickle
 import time
 from fractions import Fraction
+from functools import partial
 
 import numpy as np
 import pytest
@@ -121,6 +123,106 @@ def test_unknown_discount_kind_is_refused():
         random_discount(GEN, GEN.rng(0), kind="convex")
 
 
+@pytest.mark.parametrize(
+    "draw",
+    [
+        partial(random_discount, min_n=10),  # above max_horizon
+        partial(random_discount, min_n=0, max_n=0),
+        partial(random_discount, min_n=3, max_n=2),
+        partial(random_discount, min_n=1.5),
+        partial(random_discount, kind="convex"),
+        partial(random_measure, atoms=70),  # the grid has 65 points
+        partial(random_measure, atoms=65, normalized=True),
+        partial(random_measure, atoms=0),
+        partial(random_measure, min_atoms=5),  # above max_atoms
+        partial(random_measure, min_atoms=0),
+        partial(random_state, min_n=7),
+    ],
+    ids=lambda draw: " ".join(
+        [draw.func.__name__] + [f"{k}={v}" for k, v in draw.keywords.items()]
+    ),
+)
+def test_generator_inputs_no_draw_can_meet_are_refused_before_drawing(draw):
+    gen = InstanceGen(seed=3, max_horizon=6, max_atoms=3)
+    rng = gen.rng(0)
+    with pytest.raises(InvalidParameterError):
+        draw(gen, rng)
+    assert rng.integers(2**63) == gen.rng(0).integers(2**63)  # nothing was drawn
+
+
+@pytest.mark.parametrize("atoms, normalized", [(65, False), (64, True), (1, True)])
+def test_measures_draw_up_to_the_grid(atoms, normalized):
+    m = random_measure(GEN, GEN.rng(0), atoms=atoms, normalized=normalized)
+    assert len(m) == atoms
+    if normalized:
+        assert m.total_mass == 1.0
+
+
+#: sha256 of the draws of ``_draw_stream`` by max_horizon, captured before
+#: the draws were built from integer grid numerators; a change that moves a
+#: draw, its bits or the stream it leaves behind changes it.
+DRAW_STREAM_SHA256 = {
+    6: "6c5890429d8bb67327c69f20a214d91faa3baf8a24670634b3b889d6ec83eb07",
+    16: "3af5d394764868587b4d8c50db80035728c1a619169546a066146b9a903b0d11",
+    32: "b710443a00f1df162144ccb80ead208aa2ce3d6ab44c9f70bd2072b24f33b693",
+}
+
+
+def _draw_stream(max_horizon, instances=200):
+    """The reprs of every draw form on instances 0..instances-1, each on its
+    own rng and followed by that rng's next integer draw."""
+    gen = InstanceGen(seed=0, max_horizon=max_horizon, max_atoms=4)
+    forms = (
+        lambda rng, i: random_measure(gen, rng),
+        lambda rng, i: random_measure(gen, rng, normalized=True),
+        lambda rng, i: random_measure(gen, rng, atoms=1 + i % 65),
+        lambda rng, i: random_discount(gen, rng, kind="any"),
+        lambda rng, i: random_discount(gen, rng, kind="regular"),
+        lambda rng, i: random_state(gen, rng),
+    )
+    for i in range(instances):
+        for form in forms:
+            rng = gen.rng(i)
+            drawn = form(rng, i)
+            yield repr((drawn, int(rng.integers(2**63))))
+
+
+@pytest.mark.parametrize("max_horizon", sorted(DRAW_STREAM_SHA256))
+def test_draw_stream_is_pinned(max_horizon):
+    digest = hashlib.sha256()
+    for line in _draw_stream(max_horizon):
+        digest.update(line.encode())
+    assert digest.hexdigest() == DRAW_STREAM_SHA256[max_horizon]
+
+
+def _ratio_built(ratios):
+    """The ratio-built sequence of the sorted ``ratios``, as rationals rounded
+    to floats: tail i is the product of the i largest ratios over GRID**i."""
+    tails = [Fraction(1)]
+    for k in sorted(ratios, reverse=True):
+        tails.append(tails[-1] * Fraction(k, verify.GRID))
+    return make_discount([tails[i] - tails[i + 1] for i in range(len(ratios))] + [tails[-1]])
+
+
+def test_integer_regularity_verdict_matches_the_exact_one():
+    from dirichlet_bandits.discount import _in_arithmetic, is_regular, make_truncated_geometric
+
+    rng = np.random.default_rng(20)
+    verdicts = []
+    for i in range(2_000):
+        n = 2 + i % 47  # 2..48 stages
+        if i % 2:
+            A = make_truncated_geometric(int(rng.integers(1, verify.GRID)) / verify.GRID, n)
+        else:
+            A = _ratio_built(rng.integers(1, verify.GRID, size=n - 1).tolist())
+        drawn, regular = verify._dyadic_discount(list(A.values))
+        assert drawn == A  # the same values and tails, bit for bit
+        assert regular == is_regular(_in_arithmetic(A, True)), (i, A.values)
+        verdicts.append(regular)
+    # Rounding breaks the regularity of long ratio-built sequences.
+    assert 100 < verdicts.count(False) < len(verdicts) - 100
+
+
 def test_unknown_suite_is_refused():
     with pytest.raises(InvalidParameterError, match="unknown suite 'thm3'"):
         run_suites(["thm3"], GEN, 1)
@@ -133,7 +235,7 @@ def test_regular_positive_discount_generator_is_sound():
     # index 34 drew a sequence regular in float but not as its rationals.
     for gen, first in ((GEN, 1_000), (InstanceGen(seed=0, max_horizon=16), 0)):
         for i in range(200):
-            A = random_discount(gen, gen.rng(first + i), kind="regular_positive", min_n=2)
+            A = random_discount(gen, gen.rng(first + i), kind="regular", min_n=2)
             assert is_regular(A)
             assert is_regular(make_discount(A.values, exact=True))
             assert all(v > 0 for v in A.values)

@@ -212,7 +212,8 @@ def _lockstep(searches, opts: SolverOptions, stacklevel: int = 1) -> list[IndexR
         group = [searches[i] for i in members]
         observe = group[0].lam0 is not None
         setup = solver._observation_setup if observe else solver._stopping_setup
-        stack = setup([s.arm for s in group], [s.A for s in group], opts)
+        discounts = [solver._discount_table(s.A, opts.exact) for s in group]
+        stack = setup([s.arm for s in group], discounts, opts)
         live = [(i, s, _newton_steps(s.start, s.limit, s.bound, s.tol, opts.exact, observe,
                                      stacklevel + 3)) for i, s in zip(members, group)]
         points = [next(steps) for *_, steps in live]

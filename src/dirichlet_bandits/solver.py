@@ -22,9 +22,9 @@ the slope of each value in ``lam`` or in the location of an added atom.
 
 The two-armed pass runs over a stack of B instances that share both arms'
 atom counts and the horizon: every array carries a leading batch axis, the
-discounts are a (B, n) table, and a block is (B, rows, columns).  ``value``
-is the pass at B = 1; ``_values`` groups a list of states by shape and
-solves each group as one stack of at most STACK_STATES lattice states.
+discounts are a (B, n) table, and a block is (B, rows, columns).  ``_values``
+solves states by shape in stacks of at most STACK_STATES lattice states, and
+one with a known (one-atom) arm under a regular sequence in stopping form.
 The property suites draw every instance of a chunk first and then solve
 all the states those instances name in one ``_values`` call, so a stack
 spans instances, not only one instance's family of closely related priors.
@@ -40,9 +40,8 @@ per instance a pass; a stack of ``_stopping_setup`` drops the instances
 whose searches have converged (``_Stack.take``).
 
 The two-armed pass keeps only the stages its caller reads; the others are
-dropped as soon as the stage before them is solved.  ``value`` keeps the
-root stage (so does the non-regular ``value_one_armed`` fallback, which
-goes through it), ``policy_tree(depth)`` the stages below ``depth``, and a
+dropped as soon as the stage before them is solved.  ``_values`` keeps the
+root stage, ``policy_tree(depth)`` the stages below ``depth``, and a
 ``BanditSolver`` built without ``keep`` -- as ``policy_tables`` and
 ``simulate_policy`` need -- every stage.  A policy tree walks the lattice by
 rank: each node carries arm 1's level and both arms' ranks, so a child is
@@ -82,7 +81,6 @@ from .errors import InvalidParameterError, NotRegularError, ResourceBudgetExceed
 from .measures import (
     DiscreteMeasure,
     Numeric,
-    _coerce,
     _is_int,
     _numerators,
     point_mass,
@@ -512,33 +510,61 @@ class BanditSolver:
 
 def value(state: BanditState, options: Optional[SolverOptions] = None) -> ValueReport:
     """Maximum expected payoff of a two-armed instance, with both pull-first
-    payoffs and the initial action.  Horizon zero yields zero.  The pass
-    keeps the root stage alone: it is the one-instance case of the stacked
-    pass of ``BanditSolver``."""
-    return BanditSolver(state, options, keep=1).report()
+    payoffs and the initial action.  Horizon zero yields zero.  It is the
+    one-state ``_values``: a known arm under a regular sequence is solved in
+    stopping form."""
+    return _values([state], options)[0]
 
 
 def _values(
     states: Sequence[BanditState], options: Optional[SolverOptions] = None
 ) -> list[ValueReport]:
-    """``value`` of each state, in input order, from few passes: the states
-    sharing both arms' atom counts and the horizon are solved as one stack
-    (``_stacks``).  Each report equals ``value``'s.  The property suites
-    call it once per round of a chunk of instances, with every state the
-    chunk's instances name, whatever instance a state comes from."""
+    """``value`` of each state, in input order, from one pass per stack of
+    states of one shape (``_stacks``).  A one-atom arm never learns, so it
+    is a known arm, and under regular discounting a bandit with a known arm
+    is an optimal-stopping problem: a state with a stage, a one-atom arm
+    (arm 2 where both are) and a regular sequence is solved in stopping
+    form, budgeted on its other arm's lattice alone.  Any other state takes
+    the two-armed pass."""
     opts = options or DEFAULT_OPTIONS
     convert = to_exact if opts.exact else to_float
     states = list(states)
-    shapes = []
-    for s in states:  # shapes in the pass's arithmetic, as BanditSolver sees them
-        s1, s2 = len(convert(s.arm1)), len(convert(s.arm2))
-        shapes.append((s1, s2, s1 + s2, len(s.discount.values)))
+    shapes, known, tables = [], {}, {}  # tables: each sequence judged once, by id
+    for i, s in enumerate(states):  # shapes in the pass's arithmetic, as the passes see them
+        arm1, arm2 = convert(s.arm1), convert(s.arm2)
+        s1, s2, n = len(arm1), len(arm2), len(s.discount.values)
+        if n and 1 in (s1, s2) and id(s.discount) not in tables:
+            tables[id(s.discount)] = _discount_table(s.discount, opts.exact)
+        if n and 1 in (s1, s2) and tables[id(s.discount)] is not None:
+            arm, known_arm = (arm2, arm1) if s2 > 1 else (arm1, arm2)
+            known[i] = (arm, known_arm.atoms[0][0], tables[id(s.discount)], s2 > 1)
+            shapes.append((len(arm), n))
+        else:
+            shapes.append((s1, s2, s1 + s2, n))
     reports = [None] * len(states)
     for stack in _stacks(shapes, opts):
-        roots = BanditSolver([states[i] for i in stack], opts, keep=1).roots()
+        roots = (_known_arm_reports([known[i] for i in stack], opts) if stack[0] in known
+                 else BanditSolver([states[i] for i in stack], opts, keep=1).roots())
         for i, report in zip(stack, roots):
             reports[i] = report
     return reports
+
+
+def _known_arm_reports(items, opts: SolverOptions) -> list[ValueReport]:
+    """Root reports of (unknown arm, rate, discount table, arm 1 is known)
+    items: pulling first is the stopping pass's root pull payoff; retiring
+    first earns a_1 times the rate, then the pass's value from stage 2 on."""
+    arms, lams, tables, swaps = zip(*items)
+    stack = _stopping_setup(arms, tables, opts)
+    rows = stack.rows
+    lam, lam_den = _numerators(lams, opts.exact)
+    column = [(rows.mean, _per_instance(lam))]
+    pulls = _stopping_pass(rows, column, rows.dx, lam_den, stack.a, stack.tails, stack.da)
+    later = _stopping_pass(rows, column, rows.dx, lam_den, stack.a[1:], stack.tails[1:], stack.da)
+    retire = (_read(a[0], stack.da) * lam + rest  # a[0] / da is a_1
+              for a, lam, ((_, rest),) in zip(stack.scaled, lams, later))
+    return [_make_report(*((r, p) if swap else (p, r)), opts.tie_tol)
+            for ((p, _),), r, swap in zip(pulls, retire, swaps)]
 
 
 def _stacks(shapes, opts: SolverOptions):
@@ -651,8 +677,8 @@ def _stopping_pass(arm: _ArmRows, columns, dx, lam_den, a, tails, da):
     values = [arm.zeros(n, 1)] * len(columns)
     pulls = values
     for t in reversed(range(n)):
-        a_t = a[t] * lam_den * Q[t + 1]
-        scale = tails[t] * dx * Q[t]
+        a_t = _times(lam_den * Q[t + 1], a[t])
+        scale = _times(dx * Q[t], tails[t])
         pulls = [_pull(None if mean is None else a_t * mean[t], arm, t, v)
                  for (mean, _), v in zip(columns, values)]
         stay = pulls[0] >= columns[0][1] * scale
@@ -692,64 +718,47 @@ class _Stack:
         return _Stack(self.rows.take(live), [self.scaled[i] for i in live], self.da, self.exact)
 
 
-def _stopping_setup(arms, As, opts: SolverOptions) -> _Stack:
-    """What every stopping pass of a stack shares, one arm of ``arms`` (of
-    one atom count) under one sequence of ``As`` (of one length) per
-    instance: regularity, per instance, and the lattice budget checked, and
-    the arms' rows and the discounts and their tails over one denominator
-    built, all in the solve's arithmetic.  This is the one regularity check:
-    every stopping pass and break-even search refuses a non-regular
-    sequence here."""
-    As = [_in_arithmetic(A, opts.exact) for A in As]
-    n = len(As[0].values)
-    if not all(map(is_regular, As)):
+def _discount_table(A: DiscountSeq, exact: bool):
+    """``A``'s n values, then its n + 1 tails, over one denominator in the
+    solve's arithmetic, or None where ``A`` is not regular in it: the one
+    regularity check of the stopping form and of ``_values``' routing."""
+    A = _in_arithmetic(A, exact)
+    return _numerators(A.values + A.tails, exact) if is_regular(A) else None
+
+
+def _stopping_setup(arms, discounts, opts: SolverOptions) -> _Stack:
+    """What every stopping pass of a stack shares: ``arms`` of one atom count
+    in the solve's arithmetic, under one ``_discount_table`` each, of one
+    length, the budget checked.  A table of None raises NotRegularError."""
+    if None in discounts:
         raise NotRegularError(
             "the stopping form and break-even quantities require a regular discount sequence"
         )
+    scaled, dens = zip(*discounts)
+    n = len(scaled[0]) // 2
     _check_budget(len(arms[0].atoms), n, opts, len(arms))
-    convert = to_exact if opts.exact else to_float
-    rows = _ArmRows([convert(arm) for arm in arms], n, opts.exact)
-    scaled, dens = zip(*(_numerators(A.values + A.tails, opts.exact) for A in As))
     # Float denominators are all 1.0, and an exact stack holds one instance.
-    return _Stack(rows, list(scaled), dens[0], opts.exact)
+    return _Stack(_ArmRows(arms, n, opts.exact), list(scaled), dens[0], opts.exact)
 
 
-def _rate_pass(stack: _Stack, lams, first=0, slope=False):
-    """The stopping pass of ``stack`` over the stages from ``first`` on, at
-    one rate of ``lams`` per instance, in the solve's arithmetic.  Returns,
-    per instance, the root's (pull payoff, value), or with ``slope``
-    [(pull, value), (their slopes in the rate)].
+def _rate_pass(stack: _Stack, lams, slope=False):
+    """The stopping pass of ``stack`` at one rate of ``lams`` per instance, in
+    the solve's arithmetic.  Returns, per instance, the root's (pull payoff,
+    value), or with ``slope`` [(pull, value), (their slopes in the rate)].
 
     The slope column pays nothing on a pull, so pulling adds nothing to the
     slope, and retiring at stage t sets it to T_t: the slope of the value
     is the expected discounted tail at retirement."""
     rows = stack.rows
     lam, lam_den = _numerators(lams, stack.exact)
-    a, tails = stack.a[first:], stack.tails[first:]
     columns = [(rows.mean, _per_instance(lam)), (None, lam_den)]
-    roots = _stopping_pass(rows, columns[: 1 + slope], rows.dx, lam_den, a, tails, stack.da)
+    roots = _stopping_pass(rows, columns[: 1 + slope], rows.dx, lam_den, stack.a, stack.tails, stack.da)
     return roots if slope else [root for root, in roots]
 
 
-def _stopping_form(arm: DiscreteMeasure, A: DiscountSeq, options: Optional[SolverOptions]):
-    """The stopping pass of ``arm`` under ``A``, checked and set up once.
-
-    Regularity and the lattice budget are checked, and the arm's rows
-    and the discount numbers built, here; the returned
-    ``stop(lam, first=0, slope=False)`` is then the pass alone: the
-    one-instance ``_rate_pass``.  It gives the root's pull payoff and value
-    of the stopping problem over the stages from ``first`` on, with ``lam``
-    in the solve's arithmetic, and with ``slope`` their slopes in ``lam``
-    too.  The discount sequence must be regular; an empty one passes no
-    stage and is worth zero.
-    """
-    stack = _stopping_setup([arm], [A], options or DEFAULT_OPTIONS)
-    return lambda lam, first=0, slope=False: _rate_pass(stack, [lam], first, slope)[0]
-
-
-def _observation_setup(arms, As, opts: SolverOptions) -> _Stack:
+def _observation_setup(arms, discounts, opts: SolverOptions) -> _Stack:
     """The stack of ``_observation_pass``: each arm's table, its atoms and
-    one more, last, of unit weight, under ``As``, which must be nonempty.
+    one more, last, of unit weight, under ``discounts``, which must be nonempty.
 
     The predictive probabilities of the posterior after observing x do not
     depend on x, so one table serves every x.  The new atom sits at 0 in
@@ -757,7 +766,7 @@ def _observation_setup(arms, As, opts: SolverOptions) -> _Stack:
     the mean column each pass rewrites."""
     one = Fraction(1) if opts.exact else 1.0
     tables = [DiscreteMeasure(arm.atoms + ((0 * one, one),), arm.total_mass + one) for arm in arms]
-    return _stopping_setup(tables, As, opts)
+    return _stopping_setup(tables, discounts, opts)
 
 
 def _observation_pass(stack: _Stack, xs, lams):
@@ -789,24 +798,10 @@ def value_one_armed(
     A: DiscountSeq,
     options: Optional[SolverOptions] = None,
 ) -> ValueReport:
-    """Value of the one-armed bandit against a known arm paying ``lam``.
-
-    Equals :func:`value` with a point mass at ``lam`` as arm 2; with a
-    regular discount sequence the stopping pass over the unknown arm is
-    used instead of the two-armed lattice.
-    """
+    """Value of the one-armed bandit against a known arm paying ``lam``:
+    :func:`value` with a point mass at ``lam`` as arm 2."""
     opts = options or DEFAULT_OPTIONS
-    lam = _coerce(lam, opts.exact)
-    A = _in_arithmetic(A, opts.exact)
-    if len(A.values) == 0:
-        zero = Fraction(0) if opts.exact else 0.0
-        return ValueReport(zero, zero, zero, Action.TIE)
-    try:
-        stop = _stopping_form(arm, A, opts)
-    except NotRegularError:
-        return value(BanditState(arm, point_mass(lam, exact=opts.exact), A), opts)
-    # Retiring first leaves the stopping problem one stage shorter.
-    return _make_report(stop(lam)[0], A.values[0] * lam + stop(lam, 1)[1], opts.tie_tol)
+    return value(BanditState(arm, point_mass(lam, exact=opts.exact), A), opts)
 
 
 def stopping_value(
@@ -815,11 +810,14 @@ def stopping_value(
     A: DiscountSeq,
     options: Optional[SolverOptions] = None,
 ):
-    """Root value of the stopping-form pass (regular discounts only).
+    """Root value of the stopping pass that :func:`value` runs for a known
+    arm (regular discounts only).
 
     Mathematically equal to ``value_one_armed(...).w``; numerically it
     reproduces ``lam * T_1`` exactly whenever immediate retirement is
     optimal, which makes it the preferred objective for root-finding on the
     retirement boundary.
     """
-    return _stopping_form(arm, A, options)(lam)[1]
+    opts = options or DEFAULT_OPTIONS
+    arm = to_exact(arm) if opts.exact else to_float(arm)
+    return _rate_pass(_stopping_setup([arm], [_discount_table(A, opts.exact)], opts), [lam])[0][1]

@@ -81,6 +81,10 @@ def test_counted_parameters_keep_their_names():
     assert _params(solver.stopping_value) == [
         ("arm", positional), ("lam", positional), ("A", positional), ("options", positional)
     ]
+    # bench/workloads.py calls value_one_armed(arm, lam, A, options) positionally.
+    assert _params(solver.value_one_armed) == [
+        ("arm", positional), ("lam", positional), ("A", positional), ("options", positional)
+    ]
     # bench/workloads.py calls brute_force_value_exact in its set-up.
     assert _params(oracle.brute_force_value) == [("state", positional)]
     assert _params(oracle.brute_force_value_exact) == [("state", positional)]

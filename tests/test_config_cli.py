@@ -15,12 +15,18 @@ from dirichlet_bandits import (
     SolverOptions,
     load_instance,
     point_mass,
-    value,
     value_one_armed,
 )
 from dirichlet_bandits import cli
 from dirichlet_bandits.cli import main
-from dirichlet_bandits.solver import MEMO_CAP_ENV, Action, PolicyNode, StateKey, ValueReport
+from dirichlet_bandits.solver import (
+    MEMO_CAP_ENV,
+    Action,
+    BanditSolver,
+    PolicyNode,
+    StateKey,
+    ValueReport,
+)
 
 CONFIG_DIR = Path(__file__).resolve().parents[1] / "demos" / "configs"
 WORKED = str(CONFIG_DIR / "coin_vs_known_half.json")
@@ -187,6 +193,21 @@ class TestCliValue:
         assert captured.err == (
             "solver resource error: policy tree to depth 30 with up to 2 branches a node "
             "exceeds the cap of 50000000 nodes\n"
+        )
+
+    def test_known_arm_is_budgeted_on_the_unknown_arm_alone(self, tmp_path, capsys):
+        # A coin against a known 1/2 at n = 1200 is solved in stopping form
+        # over the coin's 720,600 lattice states; the two-armed lattice holds
+        # 288,720,400, over the default cap, and a non-regular sequence takes it.
+        doc = {**json.loads(Path(WORKED).read_text()), "discount": {"family": "uniform", "n": 1200}}
+        assert main(["value", write(tmp_path, "long.json", doc)]) == 0
+        assert capsys.readouterr().out.splitlines()[0] == "W = 747.3124842"
+        doc["discount"] = {"values": [1, 0] + [1] * 1198}
+        assert main(["value", write(tmp_path, "long.json", doc)]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            "solver resource error: lattice of 288720400 states exceeds the cap of 50000000\n"
         )
 
     def test_negative_memo_cap_env_exits_2(self, capsys, monkeypatch):
@@ -359,7 +380,8 @@ class TestCliIndices:
         assert captured.out == "" and "regular" in captured.err
         cfg = load_instance(write(tmp_path, "small.json", doc))
         one_armed = value_one_armed(cfg.arm1, 0.3, cfg.discount)
-        assert one_armed == value(BanditState(cfg.arm1, point_mass(0.3), cfg.discount))
+        state = BanditState(cfg.arm1, point_mass(0.3), cfg.discount)
+        assert one_armed == BanditSolver(state, keep=1).report()
 
     @pytest.mark.parametrize("command", ["lambda", "breakeven"])
     def test_nan_tolerance_exits_2(self, command, capsys):

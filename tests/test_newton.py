@@ -103,10 +103,11 @@ class TestSlopeColumns:
             rng = gen.rng(i)
             arm = to_exact(random_measure(gen, rng))
             A = random_discount(gen, rng, kind="regular")
-            stop = solver._stopping_form(arm, A, EXACT_OPTIONS)
+            stack = solver._stopping_setup([arm], [solver._discount_table(A, True)], EXACT_OPTIONS)
             lam = Fraction(int(rng.integers(0, 64)), 64) + Fraction(1, 997)
-            (pull, v), (dpull, dv) = stop(lam, slope=True)
-            (pull_eps, v_eps), _ = stop(lam + self.EPS, slope=True)
+            ((pull, v), (dpull, dv)), ((pull_eps, v_eps), _) = (
+                solver._rate_pass(stack, [x], slope=True)[0] for x in (lam, lam + self.EPS)
+            )
             assert v == stopping_value(arm, lam, A, EXACT_OPTIONS)
             assert (pull_eps - pull) / self.EPS == dpull
             assert (v_eps - v) / self.EPS == dv
@@ -119,7 +120,8 @@ class TestSlopeColumns:
             rng = gen.rng(i)
             arm = to_exact(random_measure(gen, rng))
             A = random_discount(gen, rng, kind="regular")
-            stack = solver._observation_setup([arm], [A], EXACT_OPTIONS)
+            discounts = [solver._discount_table(A, True)]
+            stack = solver._observation_setup([arm], discounts, EXACT_OPTIONS)
             lam = Fraction(1, 3)
             for x in (arm.locations[0], Fraction(2, 7)):
                 ((p, slope),) = solver._observation_pass(stack, [x], [lam])

@@ -244,9 +244,15 @@ def test_two_armed_pass_holds_the_closed_form_count():
         assert states == comb(n - 1 + atoms1 + atoms2, atoms1 + atoms2)
 
 
+def lattice_report(state, options=None):
+    """The root report of the two-armed pass, which ``value`` skips for a
+    known arm under a regular sequence: the reference it is checked against."""
+    return BanditSolver(state, options, keep=1).report()
+
+
 def test_long_horizon_two_armed_matches_stopping_form():
     A = make_uniform(200)
-    rep = value(BanditState(COIN, point_mass(0.5), A))
+    rep = lattice_report(BanditState(COIN, point_mass(0.5), A))
     assert rep.action is Action.ARM1
     assert rep.w > 0.5 * A.total
     assert rep.w == pytest.approx(value_one_armed(COIN, 0.5, A).w, abs=1e-9)
@@ -292,7 +298,7 @@ class TestOneArmed:
             A = random_discount(GEN, rng, kind="regular")
             lam = float(rng.uniform(-0.2, 1.2))
             pruned = value_one_armed(arm, lam, A)
-            full = value(BanditState(arm, point_mass(lam), A))
+            full = lattice_report(BanditState(arm, point_mass(lam), A))
             assert pruned.w == pytest.approx(full.w, abs=1e-12)
             assert pruned.w1 == pytest.approx(full.w1, abs=1e-12)
             assert pruned.w2 == pytest.approx(full.w2, abs=1e-12)
@@ -308,7 +314,7 @@ class TestOneArmed:
         A = make_discount([1, 0, 1])
         arm = COIN
         rep = value_one_armed(arm, 0.5, A)
-        full = value(BanditState(arm, point_mass(0.5), A))
+        full = lattice_report(BanditState(arm, point_mass(0.5), A))
         assert rep.w == pytest.approx(full.w, abs=1e-12)
 
     @pytest.mark.parametrize("options", [None, EXACT], ids=["float", "exact"])
@@ -349,9 +355,68 @@ class TestOneArmed:
         assert stopping_value(COIN, 0.5, A) > 0.5 * A.total
         with pytest.raises(NotRegularError):
             stopping_value(COIN, Fraction(1, 2), A, EXACT)
-        # value_one_armed falls back to the two-armed pass instead.
+        # value_one_armed, through value, takes the two-armed pass instead.
         half = point_mass(Fraction(1, 2), exact=True)
-        assert value_one_armed(COIN, Fraction(1, 2), A, EXACT) == value(BanditState(COIN, half, A), EXACT)
+        state = BanditState(COIN, half, A)
+        assert value_one_armed(COIN, Fraction(1, 2), A, EXACT) == lattice_report(state, EXACT)
+
+
+class TestKnownArmRoute:
+    """``value`` solves a state with a one-atom arm -- a known arm -- under a
+    regular sequence in stopping form, over its other arm alone; any other
+    state takes the two-armed pass."""
+
+    @staticmethod
+    def known_arm_states(count):
+        # The known arm on either side, some unknown arms of one atom too,
+        # and sequences of every kind, regular or not.
+        gen = InstanceGen(seed=51)
+        states = []
+        for i in range(count):
+            rng = gen.rng(i)
+            arm = random_measure(gen, rng, atoms=1 if i % 10 == 0 else None)
+            known = point_mass(float(rng.uniform(-0.2, 1.2)))
+            A = random_discount(gen, rng, kind="any")
+            states.append(BanditState(arm, known, A) if i % 2 else BanditState(known, arm, A))
+        return states
+
+    def test_routed_reports_equal_the_two_armed_pass_exactly(self):
+        states = self.known_arm_states(100)
+        routed = [solver._discount_table(s.discount, True) is not None for s in states]
+        assert 0 < sum(routed[0::2]) < 50 and 0 < sum(routed[1::2]) < 50
+        for state in states:
+            assert value(state, EXACT) == lattice_report(state, EXACT)
+
+    def test_routed_float_reports_agree_with_the_two_armed_pass(self):
+        for state in self.known_arm_states(100):
+            got, want = value(state), lattice_report(state)
+            assert got.action is want.action
+            for g, w in ((got.w, want.w), (got.w1, want.w1), (got.w2, want.w2)):
+                assert math.isclose(g, w, rel_tol=1e-12)
+
+    def test_only_a_non_regular_known_arm_takes_the_two_armed_pass(self, monkeypatch):
+        passes = []
+
+        class Counting(BanditSolver):
+            def __init__(self, *args, **kwargs):
+                super().__init__(*args, **kwargs)
+                passes.append(self.batch)
+
+        monkeypatch.setattr(solver, "BanditSolver", Counting)
+        value(WORKED)
+        value(BanditState(point_mass(0.5), COIN, A2))
+        assert passes == []
+        value(BanditState(COIN, point_mass(0.5), make_discount([1, 0, 1])))
+        assert passes == [1]
+
+    def test_one_atom_against_a_known_arm_at_n1200_is_quick(self):
+        # The two-armed pass walks 720,600 one-by-one blocks here: 5.8 s on a
+        # 2-vCPU machine.
+        state = BanditState(point_mass(0.3), point_mass(0.4), make_uniform(1200))
+        t0 = time.perf_counter()
+        rep = value(state)
+        assert time.perf_counter() - t0 < 0.5
+        assert rep.w == pytest.approx(0.4 * 1200) and rep.action is Action.ARM2
 
 
 class TestPolicyTree:
@@ -603,7 +668,7 @@ class TestExactArithmetic:
         for arm, lam, A in instances:
             stop = stopping_value(arm, lam, A, EXACT)
             one = value_one_armed(arm, lam, A, EXACT)
-            two = value(BanditState(arm, point_mass(lam, exact=True), A), EXACT)
+            two = lattice_report(BanditState(arm, point_mass(lam, exact=True), A), EXACT)
             # w2 retires first: the stopping pass from the second stage on.
             for got in (stop, one.w, one.w1, one.w2, two.w, two.w1, two.w2):
                 assert type(got) is Fraction

@@ -17,6 +17,7 @@ from dirichlet_bandits import (
     InvalidParameterError,
     SUITES,
     break_even_value,
+    is_regular,
     make_discount,
     make_measure,
     point_mass,
@@ -517,6 +518,9 @@ def test_one_pass_per_shape(monkeypatch):
     # stacks share one.
     shapes = {(len(s.arm1), len(s.arm2), len(s.discount.values)) for s, *_ in stacks}
     assert len(shapes) == len(stacks) <= 24
+    # Every state plays a known arm, so only a non-regular sequence leaves
+    # the stopping form for the two-armed pass.
+    assert not any(is_regular(s.discount) for stack in stacks for s in stack)
 
 
 def test_prop1_runs_each_value_search_once(monkeypatch):

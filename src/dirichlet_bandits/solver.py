@@ -14,7 +14,10 @@ the rank of the vector with one more count at j.  These tables depend on
 last stage to the first; stage t of the two-armed pass splits into blocks
 of k1 counts on arm 1 and t - k1 on arm 2, and pulling either arm is its
 immediate payoff plus a gather from a next-stage block and a weighted sum
-over its atoms (``_pull``).  The one-armed stopping form is the same pass
+over its atoms (``_pull``).  Where arm 2 has one atom, every block is one
+column wide, and the stage is laid out flat instead: one array over arm
+1's rows of levels 0..t, each arm pulled once for all of them, with the
+bits the blocks would give.  The one-armed stopping form is the same pass
 over the unknown arm alone, against retirement at ``lam * T_t``.  It runs
 over a list of columns, each an immediate payoff and a retirement rate:
 the value, and for the Newton steps of the break-even searches one more,
@@ -23,8 +26,9 @@ the slope of each value in ``lam`` or in the location of an added atom.
 The two-armed pass runs over a stack of B instances that share both arms'
 atom counts and the horizon: every array carries a leading batch axis, the
 discounts are a (B, n) table, and a block is (B, rows, columns).  ``_values``
-solves states by shape in stacks of at most STACK_STATES lattice states, and
-one with a known (one-atom) arm under a regular sequence in stopping form.
+solves states by shape in stacks of at most STACK_STATES lattice states, one
+with a known (one-atom) arm under a regular sequence in stopping form, and
+one with a known arm under any other sequence with the known arm as arm 2.
 The property suites draw every instance of a chunk first and then solve
 all the states those instances name in one ``_values`` call, so a stack
 spans instances, not only one instance's family of closely related priors.
@@ -71,6 +75,7 @@ import os
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
+from functools import cached_property
 from math import comb, isfinite, lcm
 from typing import NamedTuple, Optional, Sequence
 
@@ -337,6 +342,16 @@ class _ArmRows:
         rows._levels(self.probs[live], self.means[live])
         return rows
 
+    @cached_property
+    def child_rows(self) -> np.ndarray:
+        """The whole-lattice child table: row r of levels 0..n-1 and atom j
+        map to the row of levels 0..n that adds a count at j,
+        ``start[k + 1] + child[k]`` stacked over the levels k."""
+        levels = [self.start[k + 1] + c for k, c in enumerate(self.child[: len(self._bounds)])]
+        table = np.concatenate(levels) if levels else np.zeros((0, self.atoms), np.int64)
+        table.flags.writeable = False  # policy_tables hands it out
+        return table
+
     def zeros(self, k: int, width: int) -> np.ndarray:
         """Terminal values of the level-k states, ``width`` columns."""
         return np.zeros((len(self.measures), self.start[k + 1] - self.start[k], width), self.dtype)
@@ -347,17 +362,25 @@ def _times(c, x):
     return x if c == 1 else c * x
 
 
-def _pull(payoff, arm: _ArmRows, k: int, nxt: np.ndarray) -> np.ndarray:
-    """Payoff of pulling ``arm`` at its level k and continuing optimally:
-    the immediate ``payoff``, a column over the level's states, a scalar or
-    None for none, plus the predictive expectation of the next-stage values
-    ``nxt``, whose rows (axis 1, after the stack) are the arm's level k + 1
-    and whose columns are states of the other arm (one column in a
-    stopping pass).  In exact mode these are numerators: the caller puts
-    ``payoff`` over the denominator that ``p[k]`` gives the expectation."""
-    gathered = nxt.take(arm.child[k], axis=1)  # (B, P, s, columns)
-    expected = np.matmul(arm.p_row[k], gathered)[:, :, 0]
+def _pull(payoff, p_row, child, nxt: np.ndarray) -> np.ndarray:
+    """Payoff of pulling an arm at some of its states and continuing
+    optimally: the immediate ``payoff``, a column over those states, a
+    scalar or None for none, plus the predictive expectation of the
+    next-stage values ``nxt``.  ``child`` maps each state and atom to a row
+    of ``nxt`` (axis 1, after the stack), whose columns are states of the
+    other arm (one column in a stopping pass), or is None where ``nxt`` is
+    gathered already, (B, states, atoms, columns); ``p_row`` holds each
+    state's predictive probabilities as a row, (B, states, 1, atoms).  In
+    exact mode these are numerators: the caller puts ``payoff`` over the
+    denominator that ``p_row`` gives the expectation."""
+    gathered = nxt if child is None else nxt.take(child, axis=1)  # (B, P, s, columns)
+    expected = np.matmul(p_row, gathered)[:, :, 0]
     return expected if payoff is None else payoff + expected
+
+
+class _InArithmetic(list):
+    """States whose arms are already in the arithmetic of the pass that takes
+    them, as ``_values`` hands them over: ``BanditSolver`` converts none."""
 
 
 class BanditSolver:
@@ -373,7 +396,9 @@ class BanditSolver:
     Da Dx1 Dx2 Q1[k1] Q2[k2], for Da the discounts' least common
     denominator (all 1.0 in float mode): both payoffs of a block share it,
     and the continuation from a child block needs no factor.  Each
-    instance's discounts are one row of a (B, n) table.
+    instance's discounts are one row of a (B, n) table.  Where arm 2 has one
+    atom, each stage is one flat (B, rows, 1) array over arm 1's rows of
+    levels 0..t (``_flat_stages``), and its blocks are row slices of it.
 
     The pass keeps the blocks of the first ``keep`` stages only (default:
     every stage, which ``policy_tables`` needs); later stages are dropped as
@@ -389,8 +414,10 @@ class BanditSolver:
     ):
         opts = options or DEFAULT_OPTIONS
         states = [state] if isinstance(state, BanditState) else list(state)
-        convert = to_exact if opts.exact else to_float
-        arms1, arms2 = [convert(s.arm1) for s in states], [convert(s.arm2) for s in states]
+        arms1, arms2 = [s.arm1 for s in states], [s.arm2 for s in states]
+        if not isinstance(state, _InArithmetic):
+            convert = to_exact if opts.exact else to_float
+            arms1, arms2 = list(map(convert, arms1)), list(map(convert, arms2))
         shapes = {(len(x), len(y), len(s.discount.values)) for x, y, s in zip(arms1, arms2, states)}
         if len(shapes) != 1:
             raise InvalidParameterError(
@@ -412,24 +439,73 @@ class BanditSolver:
             _ArmRows(arms1, n, opts.exact), _ArmRows(arms2, n, opts.exact),
         )
         self.scale = da * rows1.dx * rows2.dx
+        self.w1, self.w2 = [None] * self.kept, [None] * self.kept
+        (self._flat_stages if s2 == 1 else self._block_stages)(a)
+
+    def _block_stages(self, a) -> None:
+        """The stages of the pass, block by block."""
+        rows1, rows2 = self.arms
+        n = self.horizon
         Q1, Q2 = rows1.Q, rows2.Q
         start1, start2 = rows1.start, rows2.start
         dx1, dx2 = rows1.dx, rows2.dx
-        self.w1, self.w2 = [None] * self.kept, [None] * self.kept
         nxt = [rows1.zeros(k1, start2[n - k1 + 1] - start2[n - k1]) for k1 in range(n + 1)]
         for t in reversed(range(n)):
             # Both arms' means of levels 0..t at this stage's discounts.
             a_t = a[:, t, None, None]
             am1, am2 = a_t * rows1.means[:, : start1[t + 1]], a_t * rows2.means[:, : start2[t + 1]]
             w1 = [_pull(_times(dx2 * Q1[k1 + 1] * Q2[t - k1], am1[:, start1[k1] : start1[k1 + 1]]),
-                        rows1, k1, nxt[k1 + 1])
+                        rows1.p_row[k1], rows1.child[k1], nxt[k1 + 1])
                   for k1 in range(t + 1)]
             w2 = [_pull(_times(dx1 * Q2[k2 + 1] * Q1[t - k2], am2[:, start2[k2] : start2[k2 + 1]]),
-                        rows2, k2, nxt[t - k2].mT).mT
+                        rows2.p_row[k2], rows2.child[k2], nxt[t - k2].mT).mT
                   for k2 in reversed(range(t + 1))]
             nxt = list(map(np.maximum, w1, w2))
             if t < self.kept:
                 self.w1[t], self.w2[t] = w1, w2
+
+    def _flat_stages(self, a) -> None:
+        """The stages of a pass whose arm 2 has one atom, laid out flat.
+
+        Every block is then one column wide, so stage t is one (B, rows, 1)
+        array over arm 1's lattice rows of levels 0..t, and the block of k1
+        counts on arm 1 is its rows ``start1[k1]:start1[k1 + 1]``.  Arm 1 is
+        pulled by one gather through ``child_rows`` and one matmul; each row
+        is the (1 x s) @ (s x 1) product its block computes, so the blocks'
+        bits stay (a wider block, (1 x s) @ (s x C), could round otherwise).
+        Arm 2 is pulled by one matmul of 1 x 1 products, which numpy sums
+        from 0.0 as the blocks' matmul does.  The block scales and arm 2's
+        probability and mean depend on a row's level alone: they are
+        per-level values repeated over the rows, and float mode skips the
+        scales, which are all 1.0.
+        """
+        rows1, rows2 = self.arms
+        n, start1 = self.horizon, rows1.start
+        Q1, Q2 = rows1.Q, rows2.Q
+        dx1, dx2 = rows1.dx, rows2.dx
+        sizes = np.diff(start1[: n + 1])  # arm 1's rows per level
+        child, p_row = rows1.child_rows, rows1.probs[:, :, None]
+        p_known = rows2.probs[:, :, None]  # (B, n, 1, 1): one state per level
+        nxt = np.zeros((self.batch, start1[n + 1], 1), rows1.dtype)
+        for t in reversed(range(n)):
+            # A row of arm 1's level k1 has t - k1 counts on arm 2: arm 2's
+            # levels t..0, each repeated over arm 1's rows of levels 0..t.
+            rows, levels = start1[t + 1], sizes[: t + 1]
+            a_t = a[:, t, None, None]
+            pay1 = a_t * rows1.means[:, :rows]
+            pay2 = np.repeat(a_t * rows2.means[:, t::-1], levels, axis=1)
+            if self.options.exact:
+                scale1 = [dx2 * Q1[k1 + 1] * Q2[t - k1] for k1 in range(t + 1)]
+                scale2 = [dx1 * Q2[t - k1 + 1] * Q1[k1] for k1 in range(t + 1)]
+                pay1 = pay1 * np.repeat(np.array(scale1, object), levels)[:, None]
+                pay2 = pay2 * np.repeat(np.array(scale2, object), levels)[:, None]
+            w1 = _pull(pay1, p_row[:, :rows], child[:rows], nxt)
+            w2 = _pull(pay2, np.repeat(p_known[:, t::-1], levels, axis=1), None, nxt[:, :rows, None])
+            nxt = np.maximum(w1, w2)
+            if t < self.kept:
+                blocks = list(zip(start1[: t + 1], start1[1 : t + 2]))
+                self.w1[t] = [w1[:, i:j] for i, j in blocks]
+                self.w2[t] = [w2[:, i:j] for i, j in blocks]
 
     def den(self, k1: int, k2: int):
         """The denominator of the block with k1 counts on arm 1 and k2 on arm 2."""
@@ -502,8 +578,7 @@ class BanditSolver:
         # integer ratio once in exact mode.
         return pulls_arm2, [
             (np.concatenate([p[0] / q for p, q in zip(rows.p, rows.q)]).astype(np.float64),
-             np.concatenate([rows.start[k + 1] + c for k, c in enumerate(rows.child[:n])]),
-             np.array(rows.measures[0].locations))
+             rows.child_rows, np.array(rows.measures[0].locations))
             for rows in self.arms
         ]
 
@@ -520,41 +595,51 @@ def _values(
     states: Sequence[BanditState], options: Optional[SolverOptions] = None
 ) -> list[ValueReport]:
     """``value`` of each state, in input order, from one pass per stack of
-    states of one shape (``_stacks``).  A one-atom arm never learns, so it
-    is a known arm, and under regular discounting a bandit with a known arm
-    is an optimal-stopping problem: a state with a stage, a one-atom arm
-    (arm 2 where both are) and a regular sequence is solved in stopping
-    form, budgeted on its other arm's lattice alone.  Any other state takes
-    the two-armed pass."""
+    states of one shape (``_stacks``).  Each state's arms are put in the
+    solve's arithmetic once, here, and handed to its pass as they are.
+
+    A one-atom arm never learns, so it is a known arm, and under regular
+    discounting a bandit with a known arm is an optimal-stopping problem: a
+    state with a stage, a one-atom arm (arm 2 where both are) and a regular
+    sequence is solved in stopping form, budgeted on its other arm's lattice
+    alone.  Any other state takes the two-armed pass, a known arm as arm 2,
+    where the pass lays its stages out flat.  A state whose known arm is arm
+    1 is solved with its arms swapped and its report swapped back."""
     opts = options or DEFAULT_OPTIONS
     convert = to_exact if opts.exact else to_float
     states = list(states)
-    shapes, known, tables = [], {}, {}  # tables: each sequence judged once, by id
+    shapes, known, lattice, swapped, tables = [], {}, {}, set(), {}  # tables: each sequence judged once, by id
     for i, s in enumerate(states):  # shapes in the pass's arithmetic, as the passes see them
         arm1, arm2 = convert(s.arm1), convert(s.arm2)
+        if len(arm1) == 1 < len(arm2):
+            arm1, arm2 = arm2, arm1
+            swapped.add(i)
         s1, s2, n = len(arm1), len(arm2), len(s.discount.values)
-        if n and 1 in (s1, s2) and id(s.discount) not in tables:
+        if n and s2 == 1 and id(s.discount) not in tables:
             tables[id(s.discount)] = _discount_table(s.discount, opts.exact)
-        if n and 1 in (s1, s2) and tables[id(s.discount)] is not None:
-            arm, known_arm = (arm2, arm1) if s2 > 1 else (arm1, arm2)
-            known[i] = (arm, known_arm.atoms[0][0], tables[id(s.discount)], s2 > 1)
-            shapes.append((len(arm), n))
+        if n and s2 == 1 and tables[id(s.discount)] is not None:
+            known[i] = (arm1, arm2.atoms[0][0], tables[id(s.discount)])
+            shapes.append((s1, n))
         else:
+            lattice[i] = BanditState(arm1, arm2, s.discount)
             shapes.append((s1, s2, s1 + s2, n))
     reports = [None] * len(states)
     for stack in _stacks(shapes, opts):
-        roots = (_known_arm_reports([known[i] for i in stack], opts) if stack[0] in known
-                 else BanditSolver([states[i] for i in stack], opts, keep=1).roots())
-        for i, report in zip(stack, roots):
-            reports[i] = report
+        if stack[0] in known:
+            roots = _known_arm_reports([known[i] for i in stack], opts)
+        else:
+            roots = BanditSolver(_InArithmetic(lattice[i] for i in stack), opts, keep=1).roots()
+        for i, r in zip(stack, roots):
+            reports[i] = _make_report(r.w2, r.w1, opts.tie_tol) if i in swapped else r
     return reports
 
 
 def _known_arm_reports(items, opts: SolverOptions) -> list[ValueReport]:
-    """Root reports of (unknown arm, rate, discount table, arm 1 is known)
-    items: pulling first is the stopping pass's root pull payoff; retiring
-    first earns a_1 times the rate, then the pass's value from stage 2 on."""
-    arms, lams, tables, swaps = zip(*items)
+    """Root reports of (unknown arm, rate, discount table) items, the known
+    arm as arm 2: pulling first is the stopping pass's root pull payoff;
+    retiring first earns a_1 times the rate, then the pass's value from
+    stage 2 on."""
+    arms, lams, tables = zip(*items)
     stack = _stopping_setup(arms, tables, opts)
     rows = stack.rows
     lam, lam_den = _numerators(lams, opts.exact)
@@ -563,8 +648,7 @@ def _known_arm_reports(items, opts: SolverOptions) -> list[ValueReport]:
     later = _stopping_pass(rows, column, rows.dx, lam_den, stack.a[1:], stack.tails[1:], stack.da)
     retire = (_read(a[0], stack.da) * lam + rest  # a[0] / da is a_1
               for a, lam, ((_, rest),) in zip(stack.scaled, lams, later))
-    return [_make_report(*((r, p) if swap else (p, r)), opts.tie_tol)
-            for ((p, _),), r, swap in zip(pulls, retire, swaps)]
+    return [_make_report(p, r, opts.tie_tol) for ((p, _),), r in zip(pulls, retire)]
 
 
 def _stacks(shapes, opts: SolverOptions):
@@ -679,7 +763,7 @@ def _stopping_pass(arm: _ArmRows, columns, dx, lam_den, a, tails, da):
     for t in reversed(range(n)):
         a_t = _times(lam_den * Q[t + 1], a[t])
         scale = _times(dx * Q[t], tails[t])
-        pulls = [_pull(None if mean is None else a_t * mean[t], arm, t, v)
+        pulls = [_pull(None if mean is None else a_t * mean[t], arm.p_row[t], arm.child[t], v)
                  for (mean, _), v in zip(columns, values)]
         stay = pulls[0] >= columns[0][1] * scale
         values = [np.where(stay, pull, rate * scale) for pull, (_, rate) in zip(pulls, columns)]

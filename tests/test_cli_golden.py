@@ -29,11 +29,16 @@ GOLDEN = ROOT / "tests" / "golden"
 COIN = "demos/configs/coin_vs_known_half.json"
 ONE_ARMED = "demos/configs/coin_one_armed.json"
 THREE_ATOM = "demos/configs/three_atom_two_armed.json"
+NON_REGULAR = "demos/configs/coin_vs_known_nonregular.json"
 
 COMMANDS = {
     "value_coin": ["value", COIN],
     "value_coin_exact": ["value", COIN, "--exact"],
     "value_coin_policy2": ["value", COIN, "--policy", "2"],
+    "value_coin_nonregular": ["value", NON_REGULAR],
+    "value_coin_nonregular_exact": ["value", NON_REGULAR, "--exact"],
+    "value_coin_nonregular_policy3": ["value", NON_REGULAR, "--policy", "3"],
+    "value_coin_nonregular_exact_policy3": ["value", NON_REGULAR, "--exact", "--policy", "3"],
     "value_three_atom": ["value", THREE_ATOM],
     "value_three_atom_exact": ["value", THREE_ATOM, "--exact"],
     "value_three_atom_policy2": ["value", THREE_ATOM, "--policy", "2"],

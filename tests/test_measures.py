@@ -370,6 +370,40 @@ class TestBackendsAndSerialization:
         m = mix([(0, point_mass(0)), (1, point_mass(1))])
         assert m.atoms == ((1.0, 1.0),)
 
+    def test_mix_is_make_measure_of_the_weighted_atoms(self):
+        # Components in either arithmetic, near-equal and shared locations,
+        # zero coefficients and products that underflow or overflow.
+        rng = np.random.default_rng(4)
+        coefs = [0, 0.5, 1, Fraction(1, 3), 1e-320, 1e300, 2.75]
+        for _ in range(400):
+            comps = []
+            for _ in range(int(rng.integers(1, 4))):
+                atoms = int(rng.integers(1, 4))
+                locs = rng.choice([0.0, 0.5, 5e-13, float(rng.uniform(-1, 1))], atoms)
+                pairs = zip(locs.tolist(), rng.uniform(0.01, 3, atoms).tolist())
+                comps.append((coefs[int(rng.integers(len(coefs)))],
+                              make_measure(pairs, exact=bool(rng.random() < 0.3))))
+            exact = [None, False, True][int(rng.integers(3))]
+            mode = all(m.exact for _, m in comps) if exact is None else exact
+            products = [(x, Fraction(c) * Fraction(w) if mode else float(c) * float(w))
+                        for c, m in comps if c for x, w in m.atoms]
+            try:
+                want = make_measure(products, exact=mode)
+            except (EmptyMeasureError, InvalidParameterError) as e:
+                with pytest.raises(type(e), match=f"^{e}$"):
+                    mix(comps, exact=exact)
+            else:
+                assert repr(mix(comps, exact=exact)) == repr(want)
+
+    def test_mix_refusals(self):
+        with pytest.raises(NegativeWeightError, match="negative mixture coefficient -1"):
+            mix([(1, point_mass(0)), (-1, point_mass(1))])
+        for empty in ([], [(0, point_mass(1))], [(1e-320, point_mass(0, 1e-10))]):
+            with pytest.raises(EmptyMeasureError, match="measure has no mass"):
+                mix(empty)
+        with pytest.raises(InvalidParameterError, match="non-finite or malformed number inf"):
+            mix([(1e300, point_mass(0, 1e10))])
+
 
 class TestNonFiniteInputs:
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])

@@ -18,6 +18,7 @@ from dirichlet_bandits import (
     SolverOptions,
     brute_force_value_exact,
     drop_first,
+    is_regular,
     make_discount,
     make_measure,
     make_truncated_geometric,
@@ -40,7 +41,7 @@ from dirichlet_bandits.solver import (
     _lattice,
     _values,
 )
-from dirichlet_bandits.verify import random_discount, random_measure, random_state
+from dirichlet_bandits.verify import random_discount, random_measure, random_state, simulate_policy
 
 GEN = InstanceGen(seed=21)
 EXACT = SolverOptions(mode="exact")
@@ -417,6 +418,135 @@ class TestKnownArmRoute:
         rep = value(state)
         assert time.perf_counter() - t0 < 0.5
         assert rep.w == pytest.approx(0.4 * 1200) and rep.action is Action.ARM2
+
+
+class TestFlatPass:
+    """A pass whose arm 2 has one atom lays each stage out flat; with the
+    known arm as arm 1 the pass still walks blocks.  Swapping the arms
+    swaps the two payoffs, so the flat pass must equal the block pass, bit
+    for bit, under the swap."""
+
+    @staticmethod
+    def known_arm_states(count, seed, max_n):
+        # Non-dyadic floats, negative locations, zero discount weights and
+        # sequences that are mostly not regular.
+        rng = np.random.default_rng(seed)
+        states = []
+        for _ in range(count):
+            atoms = int(rng.integers(1, 4))
+            locs = rng.choice([-1, 1], atoms) * rng.uniform(0, 1.5, atoms)
+            arm = make_measure(zip(locs.tolist(), rng.uniform(0.05, 2, atoms).tolist()))
+            known = point_mass(float(rng.choice([-0.5, 0.0, rng.uniform(-1, 1)])))
+            n = int(rng.integers(1, max_n + 1))
+            values = np.where(rng.random(n) < 0.3, 0.0, rng.uniform(0, 1, n))
+            values[int(rng.integers(n))] = 1.0
+            states.append((arm, known, make_discount(values.tolist())))
+        return states
+
+    @staticmethod
+    def assert_swapped(flat, block):
+        """``flat`` solves (U, K), ``block`` (K, U): at every kept stage the
+        flat pulls of U and K are the block pulls of U and K, transposed."""
+        exact = flat.options.exact
+        for t in range(flat.kept):
+            for k in range(t + 1):  # k counts on U, t - k on K
+                pairs = ((flat.w1[t][k], block.w2[t][t - k]), (flat.w2[t][k], block.w1[t][t - k]))
+                for got, want in pairs:
+                    want = want.mT
+                    assert got.shape == want.shape
+                    if exact:
+                        assert got.tolist() == want.tolist()
+                    else:  # the bytes, so the signs of zeros too
+                        assert np.ascontiguousarray(got).tobytes() == np.ascontiguousarray(want).tobytes()
+                assert flat.den(k, t - k) == block.den(t - k, k)
+
+    def test_flat_float_pass_is_the_block_pass_swapped(self):
+        states = self.known_arm_states(240, seed=7, max_n=10)
+        assert sum(not is_regular(A) for *_, A in states) > 120
+        for arm, known, A in states:
+            flat = BanditSolver(BanditState(arm, known, A))
+            block = BanditSolver(BanditState(known, arm, A))
+            self.assert_swapped(flat, block)
+
+    def test_flat_stacks_are_the_block_stacks_swapped(self):
+        groups = {}
+        for arm, known, A in self.known_arm_states(240, seed=8, max_n=8):
+            groups.setdefault((len(arm), len(A.values)), []).append((arm, known, A))
+        stacks = [g for g in groups.values() if len(g) > 1]
+        assert len(stacks) > 10
+        for group in stacks:
+            flat = BanditSolver([BanditState(arm, known, A) for arm, known, A in group])
+            block = BanditSolver([BanditState(known, arm, A) for arm, known, A in group])
+            assert flat.batch == len(group) > 1
+            self.assert_swapped(flat, block)
+
+    def test_flat_exact_pass_is_the_block_pass_swapped(self):
+        for arm, known, A in self.known_arm_states(200, seed=9, max_n=6):
+            flat = BanditSolver(BanditState(arm, known, A), EXACT)
+            block = BanditSolver(BanditState(known, arm, A), EXACT)
+            self.assert_swapped(flat, block)
+
+    @pytest.mark.parametrize("mode", ["float", "exact"])
+    def test_policy_tables_agree_under_the_swap(self, mode):
+        opts = SolverOptions(mode=mode)
+        for arm, known, A in self.known_arm_states(30, seed=10, max_n=6):
+            n = len(A.values)
+            flat = BanditSolver(BanditState(arm, known, A), opts)
+            block = BanditSolver(BanditState(known, arm, A), opts)
+            pulls, (arm_rows, known_rows) = flat.policy_tables()
+            block_pulls, (block_known, block_arm) = block.policy_tables()
+            for got, want in ((arm_rows, block_arm), (known_rows, block_known)):
+                assert all(np.array_equal(g, w) for g, w in zip(got, want))
+            # Ties go to arm 1 in both tables: the flat pass plays K where
+            # K wins, and the block pass plays U where U wins.
+            counts = _lattice(len(arm), n).counts
+            for r, c in enumerate(counts[: len(pulls)]):
+                for k in range(n - int(c.sum())):
+                    action = block.report((k,), c).action
+                    assert pulls[r, k] == (action is Action.ARM1)
+                    assert block_pulls[k, r] == (action is Action.ARM2)
+
+    def test_simulate_policy_agrees_under_the_swap(self):
+        for arm, known, A in self.known_arm_states(6, seed=11, max_n=6):
+            flat, block = BanditState(arm, known, A), BanditState(known, arm, A)
+            (m1, se1), (m2, se2) = simulate_policy(flat, 20_000, 3), simulate_policy(block, 20_000, 3)
+            w = value(flat).w
+            assert value(block).w == w
+            for m, se in ((m1, se1), (m2, se2)):
+                assert abs(m - w) <= 5 * se + 1e-12
+
+    def test_one_pull_per_arm_per_stage(self, monkeypatch):
+        # A flat stage pulls arm 1 through one gather and arm 2 through
+        # none; a stage of blocks pulls each arm once per block.
+        pulls = []
+        real = solver._pull
+
+        def counted(payoff, p_row, child, nxt):
+            pulls.append(child is None)
+            return real(payoff, p_row, child, nxt)
+
+        monkeypatch.setattr(solver, "_pull", counted)
+        A = make_discount([1, 0, 1, 0.5, 0.25, 1])
+        three = make_measure([(-0.5, 1), (0.25, 2), (1, 1)])
+        BanditSolver(BanditState(three, point_mass(0.3), A))
+        assert pulls == [False, True] * 6
+        pulls.clear()
+        BanditSolver(BanditState(point_mass(0.3), three, A))
+        assert len(pulls) == 2 * sum(t + 1 for t in range(6))
+
+    def test_zero_horizon_flat_pass_reports_zero(self):
+        empty = DiscountSeq((), (0.0,))
+        for state in (BanditState(COIN, point_mass(0.5), empty), BanditState(point_mass(0.5), COIN, empty)):
+            solved = BanditSolver(state)
+            assert solved.w1 == [] and solved.roots() == [ValueReport(0.0, 0.0, 0.0, Action.TIE)]
+            assert value(state) == ValueReport(0.0, 0.0, 0.0, Action.TIE)
+
+    def test_known_arm_one_is_budgeted_like_known_arm_two(self):
+        A = make_discount([1, 0] + [1] * 1198)
+        message = "^lattice of 288720400 states exceeds the cap of 50000000$"
+        for state in (BanditState(COIN, point_mass(0.5), A), BanditState(point_mass(0.5), COIN, A)):
+            with pytest.raises(ResourceBudgetExceededError, match=message):
+                value(state)
 
 
 class TestPolicyTree:

@@ -23,7 +23,6 @@ from dataclasses import dataclass
 from decimal import Decimal
 from fractions import Fraction
 from numbers import Integral, Real
-from operator import itemgetter
 from typing import Optional, Union
 
 from .errors import (
@@ -157,20 +156,13 @@ def make_measure(pairs, *, exact: bool = False) -> DiscreteMeasure:
         if w == 0:
             continue
         cleaned.append((loc, w))
-    return _merged(cleaned, exact)
-
-
-def _merged(pairs: list, exact: bool) -> DiscreteMeasure:
-    """The measure of positive-weight ``pairs`` already in the arithmetic, in
-    any order: sorted by location, duplicate locations merged."""
-    if not pairs:
+    if not cleaned:
         raise EmptyMeasureError("measure has no mass")
-    pairs.sort(key=itemgetter(0))
-    atoms: list[tuple[Numeric, Numeric]] = [pairs[0]]
-    for loc, w in pairs[1:]:
-        first, weight = atoms[-1]
-        if _same_location(first, loc, exact):
-            atoms[-1] = (first, weight + w)
+    cleaned.sort(key=lambda p: p[0])
+    atoms: list[tuple[Numeric, Numeric]] = []
+    for loc, w in cleaned:
+        if atoms and _same_location(atoms[-1][0], loc, exact):
+            atoms[-1] = (atoms[-1][0], atoms[-1][1] + w)
         else:
             atoms.append((loc, w))
     total = _wsum([w for _, w in atoms], exact)
@@ -258,14 +250,11 @@ def mix(components, *, exact: Optional[bool] = None) -> DiscreteMeasure:
     """Weighted sum of measures: ``mix([(c1, m1), (c2, m2), ...])``.
 
     Zero coefficients are dropped, so callers can form boundary mixtures
-    like ``alpha + 0*F`` without special-casing.  Each coefficient is
-    coerced once, and a component's atoms only where its arithmetic is not
-    the result's.
+    like ``alpha + 0*F`` without special-casing.
     """
     components = list(components)
     if exact is None:
         exact = bool(components) and all(m.exact for _, m in components)
-    same = Fraction if exact else float  # the type of a total in the result's arithmetic
     pairs = []
     for coef, m in components:
         coef = _coerce(coef, exact)
@@ -273,15 +262,9 @@ def mix(components, *, exact: Optional[bool] = None) -> DiscreteMeasure:
             raise NegativeWeightError(f"negative mixture coefficient {coef}")
         if coef == 0:
             continue
-        atoms = m.atoms
-        if type(m.total_mass) is not same:
-            atoms = [(_coerce(x, exact), _coerce(w, exact)) for x, w in atoms]
-        pairs += [(x, coef * w) for x, w in atoms]
-    if not all(0 < w < math.inf for _, w in pairs):
-        # A float product underflowed to zero or overflowed: make_measure
-        # drops or refuses it.
-        return make_measure(pairs, exact=exact)
-    return _merged(pairs, exact)
+        for x, w in m.atoms:
+            pairs.append((x, coef * _coerce(w, exact)))
+    return make_measure(pairs, exact=exact)
 
 
 def _require_probability(m: DiscreteMeasure, what: str) -> None:

@@ -378,11 +378,6 @@ def _pull(payoff, p_row, child, nxt: np.ndarray) -> np.ndarray:
     return expected if payoff is None else payoff + expected
 
 
-class _InArithmetic(list):
-    """States whose arms are already in the arithmetic of the pass that takes
-    them, as ``_values`` hands them over: ``BanditSolver`` converts none."""
-
-
 class BanditSolver:
     """One bottom-up pass over the count lattice of a two-armed instance, or
     of a stack of B instances that share both arms' atom counts and the
@@ -414,10 +409,8 @@ class BanditSolver:
     ):
         opts = options or DEFAULT_OPTIONS
         states = [state] if isinstance(state, BanditState) else list(state)
-        arms1, arms2 = [s.arm1 for s in states], [s.arm2 for s in states]
-        if not isinstance(state, _InArithmetic):
-            convert = to_exact if opts.exact else to_float
-            arms1, arms2 = list(map(convert, arms1)), list(map(convert, arms2))
+        convert = to_exact if opts.exact else to_float
+        arms1, arms2 = [convert(s.arm1) for s in states], [convert(s.arm2) for s in states]
         shapes = {(len(x), len(y), len(s.discount.values)) for x, y, s in zip(arms1, arms2, states)}
         if len(shapes) != 1:
             raise InvalidParameterError(
@@ -596,7 +589,8 @@ def _values(
 ) -> list[ValueReport]:
     """``value`` of each state, in input order, from one pass per stack of
     states of one shape (``_stacks``).  Each state's arms are put in the
-    solve's arithmetic once, here, and handed to its pass as they are.
+    solve's arithmetic once, here: the pass's own conversion of them is an
+    identity call.
 
     A one-atom arm never learns, so it is a known arm, and under regular
     discounting a bandit with a known arm is an optimal-stopping problem: a
@@ -628,7 +622,7 @@ def _values(
         if stack[0] in known:
             roots = _known_arm_reports([known[i] for i in stack], opts)
         else:
-            roots = BanditSolver(_InArithmetic(lattice[i] for i in stack), opts, keep=1).roots()
+            roots = BanditSolver([lattice[i] for i in stack], opts, keep=1).roots()
         for i, r in zip(stack, roots):
             reports[i] = _make_report(r.w2, r.w1, opts.tie_tol) if i in swapped else r
     return reports

@@ -14,11 +14,15 @@ the rank of the vector with one more count at j.  These tables depend on
 last stage to the first; stage t of the two-armed pass splits into blocks
 of k1 counts on arm 1 and t - k1 on arm 2, and pulling either arm is its
 immediate payoff plus a gather from a next-stage block and a weighted sum
-over its atoms (``_pull``).  Where arm 2 has one atom, every block is one
-column wide, and the stage is laid out flat instead: one array over arm
-1's rows of levels 0..t, each arm pulled once for all of them, with the
-bits the blocks would give.  The one-armed stopping form is the same pass
-over the unknown arm alone, against retirement at ``lam * T_t``.  It runs
+over its atoms (``_pull``).  An exact pass, and a float pass whose arm 2
+has one atom, lays each stage out flat instead: one array over the stage's
+blocks in turn, each arm pulled once for all of them through tables of
+each state's rows and next-stage indices (``_flat_layout``, which depends
+on the two atom counts only; where arm 2 has one atom the layout is arm
+1's own rows).  A float pass whose arm 2 has more atoms walks blocks,
+because only a one-column block keeps its float bits when laid out flat.
+The one-armed stopping form is the same pass over the unknown arm alone,
+against retirement at ``lam * T_t``.  It runs
 over a list of columns, each an immediate payoff and a retirement rate:
 the value, and for the Newton steps of the break-even searches one more,
 the slope of each value in ``lam`` or in the location of an added atom.
@@ -56,8 +60,8 @@ arrays of Python-int numerators: the weights, locations, discounts and
 ``lam`` are scaled to integers once, every state of a lattice block shares
 one integer denominator, and a Fraction is built only where a value is read
 out (reports, stopping-form roots, policy tables).  Float mode is the same
-arithmetic with every scale equal to 1.0, which changes no bit; the
-two-armed pass skips multiplying by such a unit scale.
+arithmetic with every scale equal to 1.0, which changes no bit; the passes
+skip multiplying by such a unit scale.
 
 Stages with zero discount weight still consume a stage and still update the
 posterior of the pulled arm: with general nonnegative discounting the
@@ -269,6 +273,59 @@ def _lattice(s: int, n: int) -> _Lattice:
     return lat
 
 
+class _FlatStage(NamedTuple):
+    """Stage t of the flat layout of an s1- and an s2-atom lattice: blocks
+    k1 = 0..t of ``sizes[k1]`` states, block k1 being arm 1's level k1 by
+    arm 2's level t - k1 in row-major order.  ``rows1`` and ``rows2`` give
+    each state's row in each arm's levels 0..t, as ``_ArmRows`` stacks them,
+    and ``next1`` and ``next2`` its index at stage t + 1 after that arm
+    observes each atom, shape (states, atoms)."""
+
+    rows1: np.ndarray
+    rows2: np.ndarray
+    next1: np.ndarray
+    next2: np.ndarray
+    sizes: np.ndarray
+
+
+#: Flat layouts by (s1, s2), deepened on demand.
+_LAYOUTS: dict[tuple[int, int], tuple[_FlatStage, ...]] = {}
+
+
+def _flat_layout(s1: int, s2: int, n: int) -> tuple[_FlatStage, ...]:
+    """Stages 0..n-1 at least of the flat layout of s1- and s2-atom lattices.
+
+    A state of block k1 at row r1 of arm 1's level and r2 of arm 2's, where
+    arm 2's level k2 = t - k1 has L2(k2) rows, sits at ``r1 L2(k2) + r2``
+    in its block.  After arm 1 observes atom j it sits in block k1 + 1 of
+    stage t + 1 at ``child1[k1][r1, j] L2(k2) + r2``; after arm 2 does, in
+    block k1 at ``r1 L2(k2 + 1) + child2[k2][r2, j]``."""
+    layout = _LAYOUTS.get((s1, s2), ())
+    if len(layout) < n:
+        lat1, lat2 = _lattice(s1, n), _lattice(s2, n)
+        size1, size2 = np.diff(lat1.start[: n + 2]), np.diff(lat2.start[: n + 2])
+        stages = list(layout)
+        for t in range(len(stages), n):
+            later = size1[: t + 2] * size2[t + 1 :: -1]  # stage t + 1's block sizes,
+            later = np.cumsum(later) - later  # and where its blocks start
+            blocks = []
+            for k1 in range(t + 1):
+                k2 = t - k1
+                r1, r2 = np.arange(size1[k1])[:, None, None], np.arange(size2[k2])[:, None]
+                blocks.append((
+                    np.repeat(lat1.start[k1] + r1.ravel(), size2[k2]),
+                    np.tile(lat2.start[k2] + r2.ravel(), size1[k1]),
+                    (later[k1 + 1] + lat1.child[k1][:, None] * size2[k2] + r2).reshape(-1, s1),
+                    (later[k1] + r1 * size2[k2 + 1] + lat2.child[k2]).reshape(-1, s2),
+                ))
+            stage = _FlatStage(*map(np.concatenate, zip(*blocks)), size1[: t + 1] * size2[t::-1])
+            for table in stage:
+                table.flags.writeable = False  # shared by every later solve
+            stages.append(stage)
+        layout = _LAYOUTS[s1, s2] = tuple(stages)
+    return layout
+
+
 #: Elementwise Fraction(numerator, denominator).
 _fractions = np.frompyfunc(Fraction, 2, 1)
 
@@ -326,20 +383,29 @@ class _ArmRows:
         self.start = lat.start
         self.child = lat.child
         self._bounds = list(zip(lat.start[:n], lat.start[1 : n + 1]))
-        self._levels(p, p @ X)
+        self.probs, self.means = p, p @ X
 
-    def _levels(self, probs, means) -> None:
-        """Keep the stack's probabilities and means, and their level views."""
-        self.probs, self.means = probs, means
-        self.p = [probs[:, i:j] for i, j in self._bounds]
-        self.p_row = [p[:, :, None] for p in self.p]
-        self.mean = [means[:, i:j] for i, j in self._bounds]
+    # The level views are built on first use: the flat two-armed pass reads
+    # only ``probs`` and ``means``.
+    @cached_property
+    def p(self) -> list[np.ndarray]:
+        return [self.probs[:, i:j] for i, j in self._bounds]
+
+    @cached_property
+    def p_row(self) -> list[np.ndarray]:
+        return [p[:, :, None] for p in self.p]
+
+    @cached_property
+    def mean(self) -> list[np.ndarray]:
+        return [self.means[:, i:j] for i, j in self._bounds]
 
     def take(self, live) -> "_ArmRows":
         """The rows of the stack's instances ``live``, in that order."""
         rows = copy.copy(self)
+        for view in ("p", "p_row", "mean"):  # the copy's own views come from its own rows
+            rows.__dict__.pop(view, None)
         rows.measures = [self.measures[i] for i in live]
-        rows._levels(self.probs[live], self.means[live])
+        rows.probs, rows.means = self.probs[live], self.means[live]
         return rows
 
     @cached_property
@@ -391,9 +457,11 @@ class BanditSolver:
     Da Dx1 Dx2 Q1[k1] Q2[k2], for Da the discounts' least common
     denominator (all 1.0 in float mode): both payoffs of a block share it,
     and the continuation from a child block needs no factor.  Each
-    instance's discounts are one row of a (B, n) table.  Where arm 2 has one
-    atom, each stage is one flat (B, rows, 1) array over arm 1's rows of
-    levels 0..t (``_flat_stages``), and its blocks are row slices of it.
+    instance's discounts are one row of a (B, n) table.  An exact pass, and
+    a float pass whose arm 2 has one atom, solves each stage as one flat
+    (B, states, 1) array (``_flat_stages``), and its blocks are reshaped
+    slices of it; a float pass whose arm 2 has more atoms solves block by
+    block (``_block_stages``).
 
     The pass keeps the blocks of the first ``keep`` stages only (default:
     every stage, which ``policy_tables`` needs); later stages are dropped as
@@ -433,72 +501,94 @@ class BanditSolver:
         )
         self.scale = da * rows1.dx * rows2.dx
         self.w1, self.w2 = [None] * self.kept, [None] * self.kept
-        (self._flat_stages if s2 == 1 else self._block_stages)(a)
+        (self._flat_stages if opts.exact or s2 == 1 else self._block_stages)(a)
 
     def _block_stages(self, a) -> None:
-        """The stages of the pass, block by block."""
+        """The stages of a float pass whose arm 2 has more than one atom,
+        block by block."""
         rows1, rows2 = self.arms
         n = self.horizon
-        Q1, Q2 = rows1.Q, rows2.Q
         start1, start2 = rows1.start, rows2.start
-        dx1, dx2 = rows1.dx, rows2.dx
         nxt = [rows1.zeros(k1, start2[n - k1 + 1] - start2[n - k1]) for k1 in range(n + 1)]
         for t in reversed(range(n)):
             # Both arms' means of levels 0..t at this stage's discounts.
             a_t = a[:, t, None, None]
             am1, am2 = a_t * rows1.means[:, : start1[t + 1]], a_t * rows2.means[:, : start2[t + 1]]
-            w1 = [_pull(_times(dx2 * Q1[k1 + 1] * Q2[t - k1], am1[:, start1[k1] : start1[k1 + 1]]),
-                        rows1.p_row[k1], rows1.child[k1], nxt[k1 + 1])
+            w1 = [_pull(am1[:, start1[k1] : start1[k1 + 1]], rows1.p_row[k1], rows1.child[k1],
+                        nxt[k1 + 1])
                   for k1 in range(t + 1)]
-            w2 = [_pull(_times(dx1 * Q2[k2 + 1] * Q1[t - k2], am2[:, start2[k2] : start2[k2 + 1]]),
-                        rows2.p_row[k2], rows2.child[k2], nxt[t - k2].mT).mT
+            w2 = [_pull(am2[:, start2[k2] : start2[k2 + 1]], rows2.p_row[k2], rows2.child[k2],
+                        nxt[t - k2].mT).mT
                   for k2 in reversed(range(t + 1))]
             nxt = list(map(np.maximum, w1, w2))
             if t < self.kept:
                 self.w1[t], self.w2[t] = w1, w2
 
     def _flat_stages(self, a) -> None:
-        """The stages of a pass whose arm 2 has one atom, laid out flat.
+        """The stages of an exact pass, or of a float pass whose arm 2 has
+        one atom, laid out flat.
 
-        Every block is then one column wide, so stage t is one (B, rows, 1)
-        array over arm 1's lattice rows of levels 0..t, and the block of k1
-        counts on arm 1 is its rows ``start1[k1]:start1[k1 + 1]``.  Arm 1 is
-        pulled by one gather through ``child_rows`` and one matmul; each row
-        is the (1 x s) @ (s x 1) product its block computes, so the blocks'
-        bits stay (a wider block, (1 x s) @ (s x C), could round otherwise).
-        Arm 2 is pulled by one matmul of 1 x 1 products, which numpy sums
-        from 0.0 as the blocks' matmul does.  The block scales and arm 2's
-        probability and mean depend on a row's level alone: they are
-        per-level values repeated over the rows, and float mode skips the
-        scales, which are all 1.0.
+        Stage t is one (B, states, 1) array: its blocks k1 = 0..t in turn,
+        each in row-major order, rows ranking arm 1's count vector and
+        columns arm 2's.  Each arm is pulled once a stage: its payoffs are
+        computed on its own rows of levels 0..t, gathered with its
+        probabilities to the states, and the next stage is gathered through
+        the states' next indices into one matmul.  Block k1 of a kept stage
+        is a reshaped slice of the array.
+
+        Where arm 2 has one atom the layout is arm 1's own rows of levels
+        0..t, block k1 being their level k1: arm 1 gathers nothing but the
+        next stage, through ``child_rows``, and arm 2, at level t - k1, is
+        pulled at each row's own index, its payoff and probability repeated
+        over a level's rows.  Any other shape reads ``_flat_layout``.
+
+        A float pass keeps the blocks' bits: each row of a one-column block
+        is the (1 x s) @ (s x 1) product the block computes, and arm 2's
+        1 x 1 products are summed from 0.0 as the blocks' matmul does.  A
+        wider float block, (1 x s) @ (s x C), can round otherwise, so it
+        stays a block (``_block_stages``).  In exact mode the layout changes
+        no number, and a row's payoff is its mean times one factor per
+        level, a_t dx_other Q_me[k_me + 1] Q_other[k_other], which puts it
+        over its block's denominator (``den``); in float mode the factor is
+        a_t.
         """
         rows1, rows2 = self.arms
-        n, start1 = self.horizon, rows1.start
-        Q1, Q2 = rows1.Q, rows2.Q
-        dx1, dx2 = rows1.dx, rows2.dx
-        sizes = np.diff(start1[: n + 1])  # arm 1's rows per level
-        child, p_row = rows1.child_rows, rows1.probs[:, :, None]
-        p_known = rows2.probs[:, :, None]  # (B, n, 1, 1): one state per level
-        nxt = np.zeros((self.batch, start1[n + 1], 1), rows1.dtype)
+        n, exact = self.horizon, self.options.exact
+        Q1, Q2, dx1, dx2 = rows1.Q, rows2.Q, rows1.dx, rows2.dx
+        size1, size2 = np.diff(rows1.start[: n + 1]), np.diff(rows2.start[: n + 1])
+        p_row1, p_row2 = rows1.probs[:, :, None], rows2.probs[:, :, None]
+        layout = None if rows2.atoms == 1 else _flat_layout(rows1.atoms, rows2.atoms, n)
+        s = rows1.atoms + rows2.atoms
+        nxt = np.zeros((self.batch, comb(n + s - 1, s - 1), 1), rows1.dtype)
         for t in reversed(range(n)):
-            # A row of arm 1's level k1 has t - k1 counts on arm 2: arm 2's
-            # levels t..0, each repeated over arm 1's rows of levels 0..t.
-            rows, levels = start1[t + 1], sizes[: t + 1]
-            a_t = a[:, t, None, None]
-            pay1 = a_t * rows1.means[:, :rows]
-            pay2 = np.repeat(a_t * rows2.means[:, t::-1], levels, axis=1)
-            if self.options.exact:
-                scale1 = [dx2 * Q1[k1 + 1] * Q2[t - k1] for k1 in range(t + 1)]
-                scale2 = [dx1 * Q2[t - k1 + 1] * Q1[k1] for k1 in range(t + 1)]
-                pay1 = pay1 * np.repeat(np.array(scale1, object), levels)[:, None]
-                pay2 = pay2 * np.repeat(np.array(scale2, object), levels)[:, None]
-            w1 = _pull(pay1, p_row[:, :rows], child[:rows], nxt)
-            w2 = _pull(pay2, np.repeat(p_known[:, t::-1], levels, axis=1), None, nxt[:, :rows, None])
+            if exact:  # one instance: a Python-int factor per level, repeated over its rows
+                a1, a2 = a[0, t] * dx2, a[0, t] * dx1
+                col1 = np.array([a1 * Q1[k + 1] * Q2[t - k] for k in range(t + 1)], object)
+                col2 = np.array([a2 * Q2[k + 1] * Q1[t - k] for k in range(t + 1)], object)
+                col1 = np.repeat(col1, size1[: t + 1])[:, None]
+                col2 = np.repeat(col2, size2[: t + 1])[:, None]
+            else:
+                col1 = col2 = a[:, t, None, None]
+            end1, end2 = rows1.start[t + 1], rows2.start[t + 1]
+            pay1, pay2 = rows1.means[:, :end1] * col1, rows2.means[:, :end2] * col2
+            if layout is None:
+                sizes = size1[: t + 1]
+                pick1 = pay1, p_row1[:, :end1], rows1.child_rows[:end1], nxt
+                pick2 = (np.repeat(pay2[:, ::-1], sizes, axis=1),
+                         np.repeat(p_row2[:, t::-1], sizes, axis=1), None, nxt[:, :end1, None])
+            else:
+                stage = layout[t]
+                sizes = stage.sizes
+                pick1 = pay1[:, stage.rows1], p_row1[:, stage.rows1], stage.next1, nxt
+                pick2 = pay2[:, stage.rows2], p_row2[:, stage.rows2], stage.next2, nxt
+            w1, w2 = _pull(*pick1), _pull(*pick2)
             nxt = np.maximum(w1, w2)
             if t < self.kept:
-                blocks = list(zip(start1[: t + 1], start1[1 : t + 2]))
-                self.w1[t] = [w1[:, i:j] for i, j in blocks]
-                self.w2[t] = [w2[:, i:j] for i, j in blocks]
+                ends = np.cumsum(sizes).tolist()
+                blocks = list(zip([0] + ends, ends, size1.tolist()))
+                self.w1[t], self.w2[t] = (
+                    [w[:, i:j].reshape(self.batch, r1, -1) for i, j, r1 in blocks] for w in (w1, w2)
+                )
 
     def den(self, k1: int, k2: int):
         """The denominator of the block with k1 counts on arm 1 and k2 on arm 2."""
@@ -567,13 +657,14 @@ class BanditSolver:
                 pulls_arm2[start1[k1] : start1[k1 + 1], start2[k2] : start2[k2 + 1]] = (
                     diff < -self.options.tie_tol
                 )
-        # Dividing by q is exact in float mode (q is 1.0) and rounds each
-        # integer ratio once in exact mode.
-        return pulls_arm2, [
-            (np.concatenate([p[0] / q for p, q in zip(rows.p, rows.q)]).astype(np.float64),
-             rows.child_rows, np.array(rows.measures[0].locations))
-            for rows in self.arms
-        ]
+        # Each row over its level's q: dividing is exact in float mode (q is
+        # 1.0) and rounds each integer ratio once in exact mode.
+        tables = []
+        for rows in self.arms:
+            q = np.repeat(np.array(rows.q, rows.dtype), np.diff(rows.start[: n + 1]))[:, None]
+            tables.append(((rows.probs[0] / q).astype(np.float64), rows.child_rows,
+                           np.array(rows.measures[0].locations)))
+        return pulls_arm2, tables
 
 
 def value(state: BanditState, options: Optional[SolverOptions] = None) -> ValueReport:

@@ -39,6 +39,7 @@ from dirichlet_bandits.solver import (
     DiscountSeq,
     ValueReport,
     _lattice,
+    _lattice_states,
     _values,
 )
 from dirichlet_bandits.verify import random_discount, random_measure, random_state, simulate_policy
@@ -422,7 +423,7 @@ class TestKnownArmRoute:
 
 class TestFlatPass:
     """A pass whose arm 2 has one atom lays each stage out flat; with the
-    known arm as arm 1 the pass still walks blocks.  Swapping the arms
+    known arm as arm 1 a float pass still walks blocks.  Swapping the arms
     swaps the two payoffs, so the flat pass must equal the block pass, bit
     for bit, under the swap."""
 
@@ -549,6 +550,106 @@ class TestFlatPass:
                 value(state)
 
 
+class TestExactFlatPass:
+    """Every exact two-armed pass lays its stages out flat, whatever its
+    shape: its reports equal the exhaustive oracle at every node, its kept
+    blocks agree with the float pass, and it pulls each arm once a stage."""
+
+    SHAPES = [(s1, s2) for s1 in (1, 2, 3) for s2 in (1, 2, 3)]
+
+    @staticmethod
+    def draw(rng, s1, s2, n):
+        """A state of that shape in dyadic floats, so its exact conversion
+        holds the same numbers: negative locations, zero discount weights
+        and mostly non-regular sequences; n = 0 gives the empty sequence."""
+        def arm(s):
+            locs = rng.choice(np.arange(-48, 81), s, replace=False) / 32
+            return make_measure(zip(locs.tolist(), (rng.integers(1, 129, s) / 64).tolist()))
+
+        if n == 0:
+            return BanditState(arm(s1), arm(s2), DiscountSeq((), (0.0,)))
+        values = rng.integers(1, 65, n) / 64 * (rng.random(n) < 0.7)
+        values[int(rng.integers(n))] = 1.0
+        return BanditState(arm(s1), arm(s2), make_discount(values.tolist()))
+
+    @staticmethod
+    def posterior(arm, counts):
+        return make_measure([(x, w + c) for (x, w), c in zip(arm.atoms, counts)])
+
+    @pytest.mark.parametrize("s1, s2", SHAPES)
+    def test_reports_at_every_node_equal_the_oracle(self, s1, s2):
+        rng = np.random.default_rng(10 * s1 + s2)
+        for n in (1, 2, 4, 5):
+            state = self.draw(rng, s1, s2, n)
+            solved = BanditSolver(state, EXACT)
+            rest = [state.discount]
+            while len(rest) < n:
+                rest.append(drop_first(rest[-1]))
+            lat1, lat2 = _lattice(s1, n), _lattice(s2, n)
+            for c1 in lat1.counts[: lat1.start[n]].tolist():
+                for c2 in lat2.counts[: lat2.start[n - sum(c1)]].tolist():
+                    node = BanditState(self.posterior(state.arm1, c1), self.posterior(state.arm2, c2),
+                                       rest[sum(c1) + sum(c2)])
+                    assert solved.report(c1, c2).w == brute_force_value_exact(node)
+
+    @pytest.mark.parametrize("keep", [1, 2, None])
+    def test_kept_blocks_agree_with_the_float_pass(self, keep):
+        rng = np.random.default_rng(7 + (keep or 0))
+        irregular = 0
+        for s1, s2 in self.SHAPES:
+            for n in (0, 1, 2, 5):
+                state = self.draw(rng, s1, s2, n)
+                irregular += n > 0 and not is_regular(state.discount)
+                exact, fl = BanditSolver(state, EXACT, keep=keep), BanditSolver(state, keep=keep)
+                assert exact.kept == fl.kept == (n if keep is None else min(keep, n))
+                for t in range(exact.kept):
+                    for k1 in range(t + 1):
+                        den = exact.den(k1, t - k1)
+                        for got, want in ((exact.w1[t][k1], fl.w1[t][k1]), (exact.w2[t][k1], fl.w2[t][k1])):
+                            assert got.shape == want.shape
+                            got = np.array([float(Fraction(v, den)) for v in got.ravel()])
+                            np.testing.assert_allclose(got, want.ravel(), rtol=1e-12, atol=1e-12)
+                for w1, w2 in zip(exact.roots(), fl.roots()):
+                    assert float(w1.w) == pytest.approx(w2.w, rel=1e-12, abs=1e-12)
+        assert irregular >= 5
+
+    def test_two_pulls_per_stage_for_every_shape(self, monkeypatch):
+        pulls = []
+        real = solver._pull
+
+        def counted(*args):
+            pulls.append(1)
+            return real(*args)
+
+        monkeypatch.setattr(solver, "_pull", counted)
+        rng = np.random.default_rng(5)
+        for s1, s2 in self.SHAPES:
+            for n in (0, 1, 4):
+                pulls.clear()
+                BanditSolver(self.draw(rng, s1, s2, n), EXACT)
+                assert len(pulls) == 2 * n
+
+    def test_layout_tables_are_shared_read_only_and_deepened(self):
+        shallow = solver._flat_layout(3, 2, 3)
+        deep = solver._flat_layout(3, 2, 6)
+        assert len(shallow) >= 3 and len(deep) >= 6
+        assert all(a is b for a, b in zip(shallow, deep))
+        for t, stage in enumerate(deep[:6]):
+            assert stage.sizes.sum() == comb(t + 4, 4) == len(stage.rows1) == len(stage.next2)
+            assert not any(table.flags.writeable for table in stage)
+
+    def test_a_refused_pass_builds_no_layout(self, monkeypatch):
+        before = solver._LAYOUTS.get((2, 3))
+        n = len(before or ()) + 3
+        monkeypatch.setenv(MEMO_CAP_ENV, str(_lattice_states(5, n) - 1))
+        with pytest.raises(ResourceBudgetExceededError):
+            BanditSolver(self.draw(np.random.default_rng(3), 2, 3, n), EXACT)
+        assert solver._LAYOUTS.get((2, 3)) is before
+        monkeypatch.setenv(MEMO_CAP_ENV, str(_lattice_states(5, n)))
+        BanditSolver(self.draw(np.random.default_rng(3), 2, 3, n), EXACT)
+        assert len(solver._LAYOUTS[2, 3]) >= n
+
+
 class TestPolicyTree:
     @pytest.mark.parametrize("tie_tol", [0.0, 1e-11, 0.05])
     @pytest.mark.parametrize("mode, instances", [("float", 40), ("exact", 10)])
@@ -570,6 +671,18 @@ class TestPolicyTree:
                                 action = solver._report_at(t, k1, r1, r2).action
                                 pulled = pulls_arm2[start1[k1] + r1, start2[k2] + r2]
                                 assert pulled == (action is Action.ARM2)
+
+    @pytest.mark.parametrize("mode", ["float", "exact"])
+    def test_policy_tables_at_horizon_zero_are_empty(self, mode):
+        three = make_measure([(-0.5, 1), (0.25, 2), (1, 1)])
+        empty = DiscountSeq((), (0.0,))
+        for state in (BanditState(COIN, three, empty), BanditState(three, point_mass(0.5), empty)):
+            pulls, arms = BanditSolver(state, SolverOptions(mode=mode)).policy_tables()
+            assert pulls.shape == (0, 0) and pulls.dtype == bool
+            for (probs, child, locs), arm in zip(arms, (state.arm1, state.arm2)):
+                assert probs.shape == child.shape == (0, len(arm))
+                assert probs.dtype == np.float64 and child.dtype == np.int64
+                assert locs.tolist() == list(arm.locations)
 
     def test_root_action_on_worked_instance(self):
         tree = policy_tree(WORKED, 1)

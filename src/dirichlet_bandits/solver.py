@@ -57,9 +57,10 @@ one child-table lookup and a report one block lookup.
 
 Float mode runs on float64 arrays.  Exact mode runs the same code on object
 arrays of Python-int numerators: the weights, locations, discounts and
-``lam`` are scaled to integers once, every state of a lattice block shares
-one integer denominator, and a Fraction is built only where a value is read
-out (reports, stopping-form roots, policy tables).  Float mode is the same
+``lam`` are scaled to integers once, and every state of a lattice block
+shares one integer denominator.  Ties are decided on the numerators
+(``_tie_terms``), so a Fraction is built only for a value that is reported:
+a report's two payoffs and a stopping-form root.  Float mode is the same
 arithmetic with every scale equal to 1.0, which changes no bit; the passes
 skip multiplying by such a unit scale.
 
@@ -80,7 +81,9 @@ from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 from functools import cached_property
+from itertools import accumulate
 from math import comb, isfinite, lcm
+from numbers import Rational
 from typing import NamedTuple, Optional, Sequence
 
 import numpy as np
@@ -187,10 +190,30 @@ class PolicyNode:
     branches: tuple[tuple[Numeric, "PolicyNode"], ...]
 
 
+def _action(diff, tie_tol) -> Action:
+    """The tie rule: TIE when |diff| <= tie_tol, else the arm ``diff``
+    (arm 1's payoff minus arm 2's) favours."""
+    return Action.TIE if abs(diff) <= tie_tol else Action.ARM1 if diff > 0 else Action.ARM2
+
+
 def _make_report(w1, w2, tie_tol) -> ValueReport:
-    diff = w1 - w2
-    action = Action.TIE if abs(diff) <= tie_tol else Action.ARM1 if diff > 0 else Action.ARM2
-    return ValueReport(w1 if w1 >= w2 else w2, w1, w2, action)
+    return ValueReport(w1 if w1 >= w2 else w2, w1, w2, _action(w1 - w2, tie_tol))
+
+
+def _tie_terms(diff, den, tie_tol):
+    """A payoff difference read out of a pass, ``diff / den``, and
+    ``tie_tol``, as two numbers that compare as they do.  In exact mode
+    (integer ``diff`` and ``den``, den > 0) these are the integers diff D and
+    N den, for tie_tol = N / D exactly, so the tie rule builds no Fraction; in
+    float mode ``diff / den``, which divides by 1.0 exactly, and ``tie_tol``.
+    Elementwise over arrays of ``diff``."""
+    if isinstance(den, int):
+        # Floats, Decimals and numpy floats have an integer ratio, and Fraction
+        # gives one to every Rational, numpy integers among them.
+        tol = Fraction(tie_tol) if isinstance(tie_tol, Rational) else tie_tol
+        tol_num, tol_den = tol.as_integer_ratio()
+        return diff * tol_den, tol_num * den
+    return diff / den, tie_tol
 
 
 def _memo_cap(options: SolverOptions) -> int:
@@ -326,14 +349,11 @@ def _flat_layout(s1: int, s2: int, n: int) -> tuple[_FlatStage, ...]:
     return layout
 
 
-#: Elementwise Fraction(numerator, denominator).
-_fractions = np.frompyfunc(Fraction, 2, 1)
-
-
 def _read(num, den):
     """A value read out of a pass, ``num / den``: a Fraction when ``den`` is
-    an integer (exact mode), else a division by 1.0, which is exact."""
-    return _fractions(num, den) if isinstance(den, int) else num / den
+    an integer (exact mode, one value), else a division by 1.0, which is
+    exact."""
+    return Fraction(num, den) if isinstance(den, int) else num / den
 
 
 class _ArmRows:
@@ -365,7 +385,7 @@ class _ArmRows:
             weights, dw = _numerators(measure.weights, exact)
             locs, self.dx = _numerators(measure.locations, exact)
             self.dtype = object
-            p = np.array([weights], dtype=object)[:, None] + counts.astype(object) * dw
+            p = (counts.astype(object) * dw + np.array(weights, object))[None]
             X = np.array([locs], dtype=object)[:, :, None]
             self.q = [sum(weights) + k * dw for k in range(n)]
             self.Q = [1] * (n + 1)
@@ -534,7 +554,8 @@ class BanditSolver:
         computed on its own rows of levels 0..t, gathered with its
         probabilities to the states, and the next stage is gathered through
         the states' next indices into one matmul.  Block k1 of a kept stage
-        is a reshaped slice of the array.
+        is a reshaped slice of the array, between block ends summed in Python
+        ints from the layout's sizes or read off arm 1's level starts.
 
         Where arm 2 has one atom the layout is arm 1's own rows of levels
         0..t, block k1 being their level k1: arm 1 gathers nothing but the
@@ -549,8 +570,11 @@ class BanditSolver:
         stays a block (``_block_stages``).  In exact mode the layout changes
         no number, and a row's payoff is its mean times one factor per
         level, a_t dx_other Q_me[k_me + 1] Q_other[k_other], which puts it
-        over its block's denominator (``den``); in float mode the factor is
-        a_t.
+        over its block's denominator (``den``): a stage builds its t + 1
+        factors and reads them through each row's level, an index built once
+        a pass.  In float mode the factor is a_t.  The pass builds no
+        Fraction; ``_report_at`` and ``policy_tables`` decide ties on the
+        numerators.
         """
         rows1, rows2 = self.arms
         n, exact = self.horizon, self.options.exact
@@ -560,16 +584,17 @@ class BanditSolver:
         layout = None if rows2.atoms == 1 else _flat_layout(rows1.atoms, rows2.atoms, n)
         s = rows1.atoms + rows2.atoms
         nxt = np.zeros((self.batch, comb(n + s - 1, s - 1), 1), rows1.dtype)
+        if exact:  # each row's level, built once a pass
+            level1, level2 = (np.repeat(np.arange(n), size)[:, None] for size in (size1, size2))
         for t in reversed(range(n)):
-            if exact:  # one instance: a Python-int factor per level, repeated over its rows
+            end1, end2 = rows1.start[t + 1], rows2.start[t + 1]
+            if exact:  # one instance: a Python-int factor per level, read at each row's level
                 a1, a2 = a[0, t] * dx2, a[0, t] * dx1
                 col1 = np.array([a1 * Q1[k + 1] * Q2[t - k] for k in range(t + 1)], object)
                 col2 = np.array([a2 * Q2[k + 1] * Q1[t - k] for k in range(t + 1)], object)
-                col1 = np.repeat(col1, size1[: t + 1])[:, None]
-                col2 = np.repeat(col2, size2[: t + 1])[:, None]
+                col1, col2 = col1[level1[:end1]], col2[level2[:end2]]
             else:
                 col1 = col2 = a[:, t, None, None]
-            end1, end2 = rows1.start[t + 1], rows2.start[t + 1]
             pay1, pay2 = rows1.means[:, :end1] * col1, rows2.means[:, :end2] * col2
             if layout is None:
                 sizes = size1[: t + 1]
@@ -577,15 +602,14 @@ class BanditSolver:
                 pick2 = (np.repeat(pay2[:, ::-1], sizes, axis=1),
                          np.repeat(p_row2[:, t::-1], sizes, axis=1), None, nxt[:, :end1, None])
             else:
-                stage = layout[t]
-                sizes = stage.sizes
-                pick1 = pay1[:, stage.rows1], p_row1[:, stage.rows1], stage.next1, nxt
-                pick2 = pay2[:, stage.rows2], p_row2[:, stage.rows2], stage.next2, nxt
+                stage = layout[t]  # ``take`` gathers faster than indexing
+                pick1 = pay1.take(stage.rows1, 1), p_row1.take(stage.rows1, 1), stage.next1, nxt
+                pick2 = pay2.take(stage.rows2, 1), p_row2.take(stage.rows2, 1), stage.next2, nxt
             w1, w2 = _pull(*pick1), _pull(*pick2)
             nxt = np.maximum(w1, w2)
-            if t < self.kept:
-                ends = np.cumsum(sizes).tolist()
-                blocks = list(zip([0] + ends, ends, size1.tolist()))
+            if t < self.kept:  # block k1 ends at ends[k1], in Python ints
+                ends = rows1.start[1 : t + 2] if layout is None else [*accumulate(stage.sizes.tolist())]
+                blocks = list(zip([0, *ends], ends, size1.tolist()))
                 self.w1[t], self.w2[t] = (
                     [w[:, i:j].reshape(self.batch, r1, -1) for i, j, r1 in blocks] for w in (w1, w2)
                 )
@@ -630,10 +654,19 @@ class BanditSolver:
 
     def _report_at(self, t: int, k1: int, r1: int, r2: int, b: int = 0) -> ValueReport:
         """Value report of instance b's kept stage-t node whose arm-1 count
-        vector has rank r1 at level k1 and whose arm-2 vector has rank r2."""
+        vector has rank r1 at level k1 and whose arm-2 vector has rank r2.
+
+        In exact mode the tie rule compares the two numerators over their
+        shared denominator (``_tie_terms``), and only the two payoffs become
+        Fractions; float mode reads the payoffs and applies
+        ``_make_report``."""
         den = self.den(k1, t - k1)
         w1, w2 = self.w1[t][k1].item(b, r1, r2), self.w2[t][k1].item(b, r1, r2)
-        return _make_report(_read(w1, den), _read(w2, den), self.options.tie_tol)
+        if not self.options.exact:
+            return _make_report(w1 / den, w2 / den, self.options.tie_tol)
+        f1, f2 = Fraction(w1, den), Fraction(w2, den)
+        action = _action(*_tie_terms(w1 - w2, den, self.options.tie_tol))
+        return ValueReport(f1 if w1 >= w2 else f2, f1, f2, action)
 
     def policy_tables(self):
         """Optimal play as lookups over each arm's count vectors, the levels
@@ -641,7 +674,9 @@ class BanditSolver:
         the root's): ``pulls_arm2[row1, row2]`` (ties go to arm 1), and per
         arm the float predictive probabilities and the row reached by
         observing each atom, both shape (rows, atoms), and the atom
-        locations, all of the first instance.  Needs every stage kept."""
+        locations, all of the first instance.  Needs every stage kept.
+        ``pulls_arm2`` follows the reports' tie rule, in exact mode on each
+        block's numerators (``_tie_terms``), with no Fraction built."""
         n = self.horizon
         if self.kept < n:
             raise InvalidParameterError(
@@ -652,11 +687,9 @@ class BanditSolver:
         for t in range(n):
             for k1 in range(t + 1):
                 k2 = t - k1
-                # The tie rule of _make_report, on the read-out difference.
-                diff = _read(self.w1[t][k1][0] - self.w2[t][k1][0], self.den(k1, k2))
-                pulls_arm2[start1[k1] : start1[k1 + 1], start2[k2] : start2[k2 + 1]] = (
-                    diff < -self.options.tie_tol
-                )
+                diff, tol = _tie_terms(self.w1[t][k1][0] - self.w2[t][k1][0], self.den(k1, k2),
+                                       self.options.tie_tol)
+                pulls_arm2[start1[k1] : start1[k1 + 1], start2[k2] : start2[k2 + 1]] = diff < -tol
         # Each row over its level's q: dividing is exact in float mode (q is
         # 1.0) and rounds each integer ratio once in exact mode.
         tables = []

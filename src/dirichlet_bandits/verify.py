@@ -129,7 +129,10 @@ class InstanceGen:
             raise InvalidParameterError(f"max_atoms must be an integer in [2, {GRID}], got {s!r}")
 
     def rng(self, index: int) -> np.random.Generator:
-        return np.random.default_rng(np.random.SeedSequence(self.seed, spawn_key=(index,)))
+        """Instance ``index``'s stream: the Generator ``default_rng`` builds
+        from the same seed sequence, built directly."""
+        seq = np.random.SeedSequence(self.seed, spawn_key=(index,))
+        return np.random.Generator(np.random.PCG64(seq))
 
 
 def _dyadic(rng, lo, hi) -> float:

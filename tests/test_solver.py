@@ -898,6 +898,40 @@ class TestExactArithmetic:
         assert any(-tie_tol <= gap < 0 for gap in gaps) and any(gap < -tie_tol for gap in gaps)
         assert (pulls_arm2 == expected).all()
 
+    @pytest.mark.parametrize("mode", ["exact", "float"])
+    def test_tie_rule_at_its_exact_edge(self, mode):
+        # W1 - W2 = 1/2 - 3/4 = -1/4, a float exactly: a tolerance of 1/4
+        # ties, and plays arm 1; the float just below it plays arm 2.
+        state = BanditState(make_measure([(0, 1), (1, 1)]), make_measure([(0.5, 1), (1, 1)]),
+                            make_discount([1]))
+        tolerances = [(tol, Action.TIE) for tol in (0.25, Fraction(1, 4), np.float32(0.25))]
+        for tie_tol, action in tolerances + [(math.nextafter(0.25, 0), Action.ARM2)]:
+            opts = SolverOptions(mode=mode, tie_tol=tie_tol)
+            solved = BanditSolver(state, opts)
+            for rep in (value(state, opts), solved.report()):
+                assert rep.w1 - rep.w2 == -0.25
+                assert rep.action is action
+            assert solved.policy_tables()[0].tolist() == [[action is Action.ARM2]]
+
+    def test_tie_rule_on_numerators_decides_as_fractions_do(self):
+        # A tolerance at each root gap |W1 - W2| rounded to a float, and at
+        # that float's two neighbours: the rule on numerators over a large
+        # denominator decides as a comparison of Fractions does.
+        decided = set()
+        for i in range(30):
+            state = random_state(GEN, GEN.rng(14_000 + i))
+            root = BanditSolver(state, EXACT).report()
+            gap = root.w1 - root.w2
+            near = float(abs(gap))
+            for tie_tol in (near, math.nextafter(near, 0), math.nextafter(near, 1)):
+                tie = abs(gap) <= Fraction(tie_tol)
+                action = Action.TIE if tie else Action.ARM1 if gap > 0 else Action.ARM2
+                solved = BanditSolver(state, SolverOptions(mode="exact", tie_tol=tie_tol))
+                assert solved.report().action is action
+                assert solved.policy_tables()[0][0, 0] == (action is Action.ARM2)
+                decided.add(tie)
+        assert decided == {True, False}
+
     def test_stopping_form_and_two_armed_pass_agree_exactly(self):
         instances = []
         for i in range(50):
@@ -927,8 +961,8 @@ class TestExactArithmetic:
 
     @pytest.mark.parametrize("tie_tol", [math.nan, math.inf])
     def test_non_finite_tie_tolerance_is_refused(self, tie_tol):
-        # The exact policy table compares numerators with the tolerance as a
-        # Fraction, which a NaN or infinity has no value as.
+        # The exact tie rule compares numerators with the tolerance as an
+        # integer ratio, which a NaN or infinity has none of.
         with pytest.raises(InvalidParameterError):
             BanditSolver(WORKED, SolverOptions(mode="exact", tie_tol=tie_tol))
 

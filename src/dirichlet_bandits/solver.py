@@ -16,11 +16,14 @@ of k1 counts on arm 1 and t - k1 on arm 2, and pulling either arm is its
 immediate payoff plus a gather from a next-stage block and a weighted sum
 over its atoms (``_pull``).  An exact pass, and a float pass whose arm 2
 has one atom, lays each stage out flat instead: one array over the stage's
-blocks in turn, each arm pulled once for all of them through tables of
-each state's rows and next-stage indices (``_flat_layout``, which depends
-on the two atom counts only; where arm 2 has one atom the layout is arm
-1's own rows).  A float pass whose arm 2 has more atoms walks blocks,
-because only a one-column block keeps its float bits when laid out flat.
+blocks in turn.  An exact pass pulls both arms together through one table
+of both arms' lattice rows, interleaved by level, and each stage's pulls
+with their next-stage indices (``_pull_layout``, which depends on the two
+atom counts only): where the arms have equally many atoms, one gather, one
+matmul and one add a stage serve both; otherwise one each per arm.  A
+float pass whose arm 2 has one atom pulls each arm once a stage over arm
+1's own rows, and one whose arm 2 has more atoms walks blocks, because
+only a one-column block keeps its float bits when laid out flat.
 The one-armed stopping form is the same pass over the unknown arm alone,
 against retirement at ``lam * T_t``.  It runs
 over a list of columns, each an immediate payoff and a retirement rate:
@@ -296,38 +299,55 @@ def _lattice(s: int, n: int) -> _Lattice:
     return lat
 
 
-class _FlatStage(NamedTuple):
-    """Stage t of the flat layout of an s1- and an s2-atom lattice: blocks
-    k1 = 0..t of ``sizes[k1]`` states, block k1 being arm 1's level k1 by
-    arm 2's level t - k1 in row-major order.  ``rows1`` and ``rows2`` give
-    each state's row in each arm's levels 0..t, as ``_ArmRows`` stacks them,
-    and ``next1`` and ``next2`` its index at stage t + 1 after that arm
-    observes each atom, shape (states, atoms)."""
+class _PullStage(NamedTuple):
+    """Stage t of the pull layout of an s1- and an s2-atom lattice.  Its
+    states are blocks k1 = 0..t in turn, block k1 being arm 1's level k1 by
+    arm 2's level t - k1 in row-major order and ending at ``ends[k1]``.
+    Its pulls are arm 1's at each state, then arm 2's, in ``groups`` of
+    (rows, next): each pull's row in the layout's table and its state's
+    index at stage t + 1 after the pulled arm observes each atom.  Where
+    s1 = s2 one group holds every pull; otherwise each arm's pulls are a
+    group, with s1 or s2 columns of ``next``."""
 
-    rows1: np.ndarray
-    rows2: np.ndarray
-    next1: np.ndarray
-    next2: np.ndarray
-    sizes: np.ndarray
-
-
-#: Flat layouts by (s1, s2), deepened on demand.
-_LAYOUTS: dict[tuple[int, int], tuple[_FlatStage, ...]] = {}
+    groups: tuple[tuple[np.ndarray, np.ndarray], ...]
+    ends: tuple[int, ...]
 
 
-def _flat_layout(s1: int, s2: int, n: int) -> tuple[_FlatStage, ...]:
-    """Stages 0..n-1 at least of the flat layout of s1- and s2-atom lattices.
+class _PullLayout(NamedTuple):
+    """One table of both arms' lattice rows of levels 0..depth-1,
+    interleaved by level -- arm 1's level 0, arm 2's level 0, arm 1's level
+    1, and so on -- so that both arms' levels 0..t are its first
+    ``start1[t + 1] + start2[t + 1]`` rows.  ``pos1`` and ``pos2`` give the
+    table row of each arm's lattice rows, and ``factor`` each table row's
+    factor index, as a column: 2k for arm 1's level k, 2k + 1 for arm 2's.
+    ``stages`` lists stages 0..depth-1."""
+
+    pos1: np.ndarray
+    pos2: np.ndarray
+    factor: np.ndarray
+    stages: tuple[_PullStage, ...]
+
+
+#: Pull layouts by (s1, s2), deepened on demand.
+_LAYOUTS: dict[tuple[int, int], _PullLayout] = {}
+
+
+def _pull_layout(s1: int, s2: int, n: int) -> _PullLayout:
+    """The pull layout of s1- and s2-atom lattices, depth n at least.
 
     A state of block k1 at row r1 of arm 1's level and r2 of arm 2's, where
     arm 2's level k2 = t - k1 has L2(k2) rows, sits at ``r1 L2(k2) + r2``
     in its block.  After arm 1 observes atom j it sits in block k1 + 1 of
     stage t + 1 at ``child1[k1][r1, j] L2(k2) + r2``; after arm 2 does, in
-    block k1 at ``r1 L2(k2 + 1) + child2[k2][r2, j]``."""
-    layout = _LAYOUTS.get((s1, s2), ())
-    if len(layout) < n:
+    block k1 at ``r1 L2(k2 + 1) + child2[k2][r2, j]``.  In the table, arm
+    1's level k starts at row start1[k] + start2[k] and arm 2's at
+    start1[k + 1] + start2[k]."""
+    layout = _LAYOUTS.get((s1, s2))
+    if layout is None or len(layout.stages) < n:
         lat1, lat2 = _lattice(s1, n), _lattice(s2, n)
-        size1, size2 = np.diff(lat1.start[: n + 2]), np.diff(lat2.start[: n + 2])
-        stages = list(layout)
+        start1, start2 = lat1.start, lat2.start
+        size1, size2 = np.diff(start1[: n + 2]), np.diff(start2[: n + 2])
+        stages = list(layout.stages) if layout else []
         for t in range(len(stages), n):
             later = size1[: t + 2] * size2[t + 1 :: -1]  # stage t + 1's block sizes,
             later = np.cumsum(later) - later  # and where its blocks start
@@ -336,16 +356,26 @@ def _flat_layout(s1: int, s2: int, n: int) -> tuple[_FlatStage, ...]:
                 k2 = t - k1
                 r1, r2 = np.arange(size1[k1])[:, None, None], np.arange(size2[k2])[:, None]
                 blocks.append((
-                    np.repeat(lat1.start[k1] + r1.ravel(), size2[k2]),
-                    np.tile(lat2.start[k2] + r2.ravel(), size1[k1]),
+                    np.repeat(start1[k1] + start2[k1] + r1.ravel(), size2[k2]),
+                    np.tile(start1[k2 + 1] + start2[k2] + r2.ravel(), size1[k1]),
                     (later[k1 + 1] + lat1.child[k1][:, None] * size2[k2] + r2).reshape(-1, s1),
                     (later[k1] + r1 * size2[k2 + 1] + lat2.child[k2]).reshape(-1, s2),
                 ))
-            stage = _FlatStage(*map(np.concatenate, zip(*blocks)), size1[: t + 1] * size2[t::-1])
-            for table in stage:
-                table.flags.writeable = False  # shared by every later solve
-            stages.append(stage)
-        layout = _LAYOUTS[s1, s2] = tuple(stages)
+            rows1, rows2, next1, next2 = map(np.concatenate, zip(*blocks))
+            groups = ((rows1, next1), (rows2, next2))
+            if s1 == s2:  # one product shape: one gather serves both arms
+                groups = (tuple(map(np.concatenate, zip(*groups))),)
+            sizes = (size1[: t + 1] * size2[t::-1]).tolist()
+            stages.append(_PullStage(groups, tuple(accumulate(sizes))))
+        layout = _LAYOUTS[s1, s2] = _PullLayout(
+            np.arange(start1[n]) + np.repeat(np.array(start2[:n], np.int64), size1[:n]),
+            np.arange(start2[n]) + np.repeat(np.array(start1[1 : n + 1], np.int64), size2[:n]),
+            np.repeat(np.arange(2 * n), np.stack((size1[:n], size2[:n]), 1).ravel())[:, None],
+            tuple(stages),
+        )
+        for table in (layout.pos1, layout.pos2, layout.factor, *(
+                table for stage in stages for group in stage.groups for table in group)):
+            table.flags.writeable = False  # shared by every later solve
     return layout
 
 
@@ -354,6 +384,13 @@ def _read(num, den):
     an integer (exact mode, one value), else a division by 1.0, which is
     exact."""
     return Fraction(num, den) if isinstance(den, int) else num / den
+
+
+def _over_lcm(ratios):
+    """Integer (numerator, denominator) pairs as numerators over their least
+    common denominator: (numerators, denominator)."""
+    den = lcm(*(d for _, d in ratios))
+    return [num * (den // d) for num, d in ratios], den
 
 
 class _ArmRows:
@@ -381,9 +418,10 @@ class _ArmRows:
         lat = _lattice(len(measures[0]), n)
         counts = lat.counts[: lat.start[n]]
         if exact:  # Python ints throughout: numpy int64 would wrap silently
-            (measure,) = measures
-            weights, dw = _numerators(measure.weights, exact)
-            locs, self.dx = _numerators(measure.locations, exact)
+            (measure,) = measures  # in exact arithmetic: its numbers are read, not coerced
+            (locs, self.dx), (weights, dw) = (
+                _over_lcm([v.as_integer_ratio() for v in values]) for values in zip(*measure.atoms)
+            )
             self.dtype = object
             p = (counts.astype(object) * dw + np.array(weights, object))[None]
             X = np.array([locs], dtype=object)[:, :, None]
@@ -479,9 +517,12 @@ class BanditSolver:
     and the continuation from a child block needs no factor.  Each
     instance's discounts are one row of a (B, n) table.  An exact pass, and
     a float pass whose arm 2 has one atom, solves each stage as one flat
-    (B, states, 1) array (``_flat_stages``), and its blocks are reshaped
-    slices of it; a float pass whose arm 2 has more atoms solves block by
-    block (``_block_stages``).
+    (B, states, 1) array, and its blocks are reshaped slices of it: an exact
+    pass pulls both arms together (``_exact_stages``), in one ``_pull`` a
+    stage where they have equally many atoms, a float one each arm in turn
+    (``_flat_stages``).  A float pass whose arm 2 has more atoms solves
+    block by block (``_block_stages``).  Float passes keep their arithmetic
+    and bits whatever exact passes do.
 
     The pass keeps the blocks of the first ``keep`` stages only (default:
     every stage, which ``policy_tables`` needs); later stages are dropped as
@@ -521,7 +562,8 @@ class BanditSolver:
         )
         self.scale = da * rows1.dx * rows2.dx
         self.w1, self.w2 = [None] * self.kept, [None] * self.kept
-        (self._flat_stages if opts.exact or s2 == 1 else self._block_stages)(a)
+        (self._exact_stages if opts.exact else self._flat_stages if s2 == 1
+         else self._block_stages)(a)
 
     def _block_stages(self, a) -> None:
         """The stages of a float pass whose arm 2 has more than one atom,
@@ -545,74 +587,101 @@ class BanditSolver:
                 self.w1[t], self.w2[t] = w1, w2
 
     def _flat_stages(self, a) -> None:
-        """The stages of an exact pass, or of a float pass whose arm 2 has
-        one atom, laid out flat.
+        """The stages of a float pass whose arm 2 has one atom, laid out
+        flat: stage t is one (B, states, 1) array over arm 1's rows of
+        levels 0..t, block k1 being their level k1.  Arm 1 gathers nothing
+        but the next stage, through ``child_rows``, and arm 2, at level t -
+        k1, is pulled at each row's own index, its payoff and probability
+        repeated over a level's rows.
 
-        Stage t is one (B, states, 1) array: its blocks k1 = 0..t in turn,
-        each in row-major order, rows ranking arm 1's count vector and
-        columns arm 2's.  Each arm is pulled once a stage: its payoffs are
-        computed on its own rows of levels 0..t, gathered with its
-        probabilities to the states, and the next stage is gathered through
-        the states' next indices into one matmul.  Block k1 of a kept stage
-        is a reshaped slice of the array, between block ends summed in Python
-        ints from the layout's sizes or read off arm 1's level starts.
-
-        Where arm 2 has one atom the layout is arm 1's own rows of levels
-        0..t, block k1 being their level k1: arm 1 gathers nothing but the
-        next stage, through ``child_rows``, and arm 2, at level t - k1, is
-        pulled at each row's own index, its payoff and probability repeated
-        over a level's rows.  Any other shape reads ``_flat_layout``.
-
-        A float pass keeps the blocks' bits: each row of a one-column block
-        is the (1 x s) @ (s x 1) product the block computes, and arm 2's
-        1 x 1 products are summed from 0.0 as the blocks' matmul does.  A
-        wider float block, (1 x s) @ (s x C), can round otherwise, so it
-        stays a block (``_block_stages``).  In exact mode the layout changes
-        no number, and a row's payoff is its mean times one factor per
-        level, a_t dx_other Q_me[k_me + 1] Q_other[k_other], which puts it
-        over its block's denominator (``den``): a stage builds its t + 1
-        factors and reads them through each row's level, an index built once
-        a pass.  In float mode the factor is a_t.  The pass builds no
-        Fraction; ``_report_at`` and ``policy_tables`` decide ties on the
-        numerators.
+        The pass keeps the blocks' bits: each row of a one-column block is
+        the (1 x s) @ (s x 1) product the block computes, and arm 2's 1 x 1
+        products are summed from 0.0 as the blocks' matmul does.  A wider
+        float block, (1 x s) @ (s x C), can round otherwise, so it stays a
+        block (``_block_stages``).
         """
         rows1, rows2 = self.arms
-        n, exact = self.horizon, self.options.exact
-        Q1, Q2, dx1, dx2 = rows1.Q, rows2.Q, rows1.dx, rows2.dx
-        size1, size2 = np.diff(rows1.start[: n + 1]), np.diff(rows2.start[: n + 1])
+        n = self.horizon
+        size1 = np.diff(rows1.start[: n + 1])
         p_row1, p_row2 = rows1.probs[:, :, None], rows2.probs[:, :, None]
-        layout = None if rows2.atoms == 1 else _flat_layout(rows1.atoms, rows2.atoms, n)
-        s = rows1.atoms + rows2.atoms
-        nxt = np.zeros((self.batch, comb(n + s - 1, s - 1), 1), rows1.dtype)
-        if exact:  # each row's level, built once a pass
-            level1, level2 = (np.repeat(np.arange(n), size)[:, None] for size in (size1, size2))
+        nxt = np.zeros((self.batch, rows1.start[n + 1], 1), rows1.dtype)
         for t in reversed(range(n)):
-            end1, end2 = rows1.start[t + 1], rows2.start[t + 1]
-            if exact:  # one instance: a Python-int factor per level, read at each row's level
-                a1, a2 = a[0, t] * dx2, a[0, t] * dx1
-                col1 = np.array([a1 * Q1[k + 1] * Q2[t - k] for k in range(t + 1)], object)
-                col2 = np.array([a2 * Q2[k + 1] * Q1[t - k] for k in range(t + 1)], object)
-                col1, col2 = col1[level1[:end1]], col2[level2[:end2]]
-            else:
-                col1 = col2 = a[:, t, None, None]
-            pay1, pay2 = rows1.means[:, :end1] * col1, rows2.means[:, :end2] * col2
-            if layout is None:
-                sizes = size1[: t + 1]
-                pick1 = pay1, p_row1[:, :end1], rows1.child_rows[:end1], nxt
-                pick2 = (np.repeat(pay2[:, ::-1], sizes, axis=1),
-                         np.repeat(p_row2[:, t::-1], sizes, axis=1), None, nxt[:, :end1, None])
-            else:
-                stage = layout[t]  # ``take`` gathers faster than indexing
-                pick1 = pay1.take(stage.rows1, 1), p_row1.take(stage.rows1, 1), stage.next1, nxt
-                pick2 = pay2.take(stage.rows2, 1), p_row2.take(stage.rows2, 1), stage.next2, nxt
-            w1, w2 = _pull(*pick1), _pull(*pick2)
+            end1 = rows1.start[t + 1]
+            a_t = a[:, t, None, None]  # arm 2's levels 0..t are its first t + 1 rows
+            pay1, pay2 = rows1.means[:, :end1] * a_t, rows2.means[:, : t + 1] * a_t
+            sizes = size1[: t + 1]
+            w1 = _pull(pay1, p_row1[:, :end1], rows1.child_rows[:end1], nxt)
+            w2 = _pull(np.repeat(pay2[:, ::-1], sizes, axis=1),
+                       np.repeat(p_row2[:, t::-1], sizes, axis=1), None, nxt[:, :end1, None])
             nxt = np.maximum(w1, w2)
-            if t < self.kept:  # block k1 ends at ends[k1], in Python ints
-                ends = rows1.start[1 : t + 2] if layout is None else [*accumulate(stage.sizes.tolist())]
-                blocks = list(zip([0, *ends], ends, size1.tolist()))
-                self.w1[t], self.w2[t] = (
-                    [w[:, i:j].reshape(self.batch, r1, -1) for i, j, r1 in blocks] for w in (w1, w2)
-                )
+            if t < self.kept:
+                self._keep(t, w1, w2, rows1.start[1 : t + 2])
+
+    def _exact_stages(self, a) -> None:
+        """The stages of an exact pass, whatever its shape, laid out flat,
+        both arms pulled together.
+
+        Stage t is one (1, states, 1) array: its blocks k1 = 0..t in turn,
+        each in row-major order, rows ranking arm 1's count vector and
+        columns arm 2's.  Both arms' rows of levels 0..t are the first rows
+        of one table (``_pull_layout``), with their means and probabilities.
+        A row's payoff is its mean times one factor per level and arm,
+        a_t dx_other Q_me[k_me + 1] Q_other[k_other], which puts it over its
+        block's denominator (``den``): a stage builds its 2(t + 1) factors
+        and multiplies the table's rows by them.  Where the arms have
+        equally many atoms, one ``_pull`` then gathers the payoffs and
+        probabilities of all the stage's pulls -- arm 1's at each state, then
+        arm 2's -- and the next stage through their next indices.  Otherwise
+        each arm has its own ``_pull``: padding the arm with fewer atoms with
+        zero-probability atoms would multiply by those too, which made the
+        exact suites slower.  The stage's values are the larger of the two
+        pulls at each state.  The layout changes no number, and the pass
+        builds no Fraction; ``_report_at`` and ``policy_tables`` decide ties
+        on the numerators.
+        """
+        rows1, rows2 = self.arms
+        n, s1, s2 = self.horizon, rows1.atoms, rows2.atoms
+        start1, start2, Q1, Q2 = rows1.start, rows2.start, rows1.Q, rows2.Q
+        layout = _pull_layout(s1, s2, n)
+        table = start1[n] + start2[n]
+        means = np.empty((1, table, 1), object)
+        probs = np.empty((1, table, 1, max(s1, s2)), object)
+        for rows, pos in ((rows1, layout.pos1), (rows2, layout.pos2)):
+            pos = pos[: rows.start[n]]
+            means[0, pos] = rows.means[0]
+            probs[0, pos, 0, : rows.atoms] = rows.probs[0]
+        # Each arm's probabilities: a row of the arm with fewer atoms leaves
+        # the last entries unread.
+        probs1, probs2 = probs[..., :s1], probs[..., :s2]
+        nxt = np.zeros((1, comb(n + s1 + s2 - 1, n), 1), object)  # stage n
+        for t in reversed(range(n)):
+            stage = layout.stages[t]
+            a1, a2 = a[0, t] * rows2.dx, a[0, t] * rows1.dx
+            factors = np.array([f for k in range(t + 1)
+                                for f in (a1 * Q1[k + 1] * Q2[t - k], a2 * Q2[k + 1] * Q1[t - k])],
+                               object)
+            end = start1[t + 1] + start2[t + 1]
+            pay = means[:, :end] * factors.take(layout.factor[:end])
+            if s1 == s2:  # one pull serves both arms
+                ((rows, child),) = stage.groups
+                w = _pull(pay.take(rows, 1), probs.take(rows, 1), child, nxt)
+                w1, w2 = w[:, : stage.ends[-1]], w[:, stage.ends[-1] :]
+            else:
+                w1, w2 = (_pull(pay.take(rows, 1), p.take(rows, 1), child, nxt)
+                          for (rows, child), p in zip(stage.groups, (probs1, probs2)))
+            nxt = np.maximum(w1, w2)
+            if t < self.kept:
+                self._keep(t, w1, w2, stage.ends)
+
+    def _keep(self, t: int, w1, w2, ends) -> None:
+        """Keep stage t's blocks of a flat pass: block k1 is the reshaped
+        slice of each payoff array that ends at ``ends[k1]``, a Python int."""
+        start1 = self.arms[0].start
+        blocks = list(enumerate(zip([0, *ends], ends)))
+        self.w1[t], self.w2[t] = (
+            [w[:, i:j].reshape(self.batch, start1[k1 + 1] - start1[k1], -1) for k1, (i, j) in blocks]
+            for w in (w1, w2)
+        )
 
     def den(self, k1: int, k2: int):
         """The denominator of the block with k1 counts on arm 1 and k2 on arm 2."""

@@ -613,7 +613,50 @@ class TestExactFlatPass:
                     assert float(w1.w) == pytest.approx(w2.w, rel=1e-12, abs=1e-12)
         assert irregular >= 5
 
-    def test_two_pulls_per_stage_for_every_shape(self, monkeypatch):
+    @pytest.mark.parametrize("s1, s2", [(1, 2), (1, 3), (2, 3), (2, 1), (3, 1), (3, 2)])
+    def test_unequal_shapes_equal_the_oracle_and_their_swap(self, s1, s2):
+        # Each arm is pulled on its own where the atom counts differ.
+        # Non-regular sequences keep a one-atom arm on the lattice in value.
+        rng = np.random.default_rng(100 + 10 * s1 + s2)
+        mirror = {Action.ARM1: Action.ARM2, Action.ARM2: Action.ARM1, Action.TIE: Action.TIE}
+        for n in (3, 4, 5):  # two stages are always regular
+            state = self.draw(rng, s1, s2, n)
+            while is_regular(state.discount):
+                state = self.draw(rng, s1, s2, n)
+            solved = BanditSolver(state, EXACT)
+            swapped = BanditSolver(BanditState(state.arm2, state.arm1, state.discount), EXACT)
+            root = solved.report()
+            assert root.w == brute_force_value_exact(state)
+            assert value(state, EXACT) == root
+            # Each pull-first payoff: a_1 times the arm's mean, then the
+            # oracle's value after each observation at its probability.
+            a1, rest = Fraction(state.discount.values[0]), drop_first(state.discount)
+            arm1, arm2 = to_exact(state.arm1), to_exact(state.arm2)
+            for got, arm, node in ((root.w1, arm1, lambda m: BanditState(m, arm2, rest)),
+                                   (root.w2, arm2, lambda m: BanditState(arm1, m, rest))):
+                later = sum(w / arm.total_mass * brute_force_value_exact(
+                    node(self.posterior(arm, np.eye(len(arm), dtype=int)[j].tolist())))
+                    for j, (_, w) in enumerate(arm.atoms))
+                assert got == a1 * mean(arm) + later
+            lat1, lat2 = _lattice(s1, n), _lattice(s2, n)
+            for c1 in lat1.counts[: lat1.start[n]].tolist():
+                for c2 in lat2.counts[: lat2.start[n - sum(c1)]].tolist():
+                    got, back = solved.report(c1, c2), swapped.report(c2, c1)
+                    assert (got.w, got.w1, got.w2, got.action) == (
+                        back.w, back.w2, back.w1, mirror[back.action])
+
+    @pytest.mark.parametrize("s1, s2", [(1, 1), (1, 3), (3, 1), (2, 3)])
+    def test_horizon_zero_reports_zero_with_empty_tables(self, s1, s2):
+        solved = BanditSolver(self.draw(np.random.default_rng(s1 + s2), s1, s2, 0), EXACT)
+        assert solved.report() == ValueReport(0, 0, 0, Action.TIE)
+        assert solved.roots() == [solved.report()]
+        pulls, arms = solved.policy_tables()
+        assert pulls.shape == (0, 0)
+        assert [probs.shape for probs, _, _ in arms] == [(0, s1), (0, s2)]
+
+    def test_one_pull_per_stage_for_every_shape(self, monkeypatch):
+        # Both arms share a pull where their atom counts agree; an arm with
+        # fewer atoms is pulled on its own rather than padded.
         pulls = []
         real = solver._pull
 
@@ -627,27 +670,41 @@ class TestExactFlatPass:
             for n in (0, 1, 4):
                 pulls.clear()
                 BanditSolver(self.draw(rng, s1, s2, n), EXACT)
-                assert len(pulls) == 2 * n
+                assert len(pulls) == (n if s1 == s2 else 2 * n)
 
     def test_layout_tables_are_shared_read_only_and_deepened(self):
-        shallow = solver._flat_layout(3, 2, 3)
-        deep = solver._flat_layout(3, 2, 6)
-        assert len(shallow) >= 3 and len(deep) >= 6
-        assert all(a is b for a, b in zip(shallow, deep))
-        for t, stage in enumerate(deep[:6]):
-            assert stage.sizes.sum() == comb(t + 4, 4) == len(stage.rows1) == len(stage.next2)
-            assert not any(table.flags.writeable for table in stage)
+        for s1, s2 in ((3, 3), (3, 2)):
+            shallow = solver._pull_layout(s1, s2, 3)
+            deep = solver._pull_layout(s1, s2, 6)
+            assert len(shallow.stages) >= 3 and len(deep.stages) >= 6
+            assert all(a is b for a, b in zip(shallow.stages, deep.stages))
+            lat1, lat2 = _lattice(s1, 6), _lattice(s2, 6)
+            # Both arms' rows of levels 0..5 fill the table once, by level.
+            rows = lat1.start[6] + lat2.start[6]
+            assert sorted([*deep.pos1[: lat1.start[6]], *deep.pos2[: lat2.start[6]]]) == list(range(rows))
+            assert not any(table.flags.writeable for table in (deep.pos1, deep.pos2, deep.factor))
+            for t, stage in enumerate(deep.stages[:6]):
+                states = comb(t + s1 + s2 - 1, s1 + s2 - 1)
+                assert stage.ends[-1] == states
+                # Arm 1's pulls at each state, then arm 2's: one group, or one an arm.
+                tables = [table for group in stage.groups for table in group]
+                assert [table.shape for table in tables] == (
+                    [(2 * states,), (2 * states, s1)] if s1 == s2
+                    else [(states,), (states, s1), (states,), (states, s2)])
+                assert max(r.max() for r, _ in stage.groups) < lat1.start[t + 1] + lat2.start[t + 1]
+                assert max(c.max() for _, c in stage.groups) < comb(t + s1 + s2, s1 + s2 - 1)
+                assert not any(table.flags.writeable for table in tables)
 
     def test_a_refused_pass_builds_no_layout(self, monkeypatch):
         before = solver._LAYOUTS.get((2, 3))
-        n = len(before or ()) + 3
+        n = len(before.stages if before else ()) + 3
         monkeypatch.setenv(MEMO_CAP_ENV, str(_lattice_states(5, n) - 1))
         with pytest.raises(ResourceBudgetExceededError):
             BanditSolver(self.draw(np.random.default_rng(3), 2, 3, n), EXACT)
         assert solver._LAYOUTS.get((2, 3)) is before
         monkeypatch.setenv(MEMO_CAP_ENV, str(_lattice_states(5, n)))
         BanditSolver(self.draw(np.random.default_rng(3), 2, 3, n), EXACT)
-        assert len(solver._LAYOUTS[2, 3]) >= n
+        assert len(solver._LAYOUTS[2, 3].stages) >= n
 
 
 class TestPolicyTree:

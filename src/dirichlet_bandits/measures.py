@@ -195,8 +195,21 @@ def to_float(m: DiscreteMeasure) -> DiscreteMeasure:
 
 
 def mean(m: DiscreteMeasure) -> Numeric:
-    """First moment of the normalized measure (the expected observation)."""
-    return _wsum([w * x for x, w in m.atoms], m.exact) / m.total_mass
+    """First moment of the normalized measure (the expected observation).
+
+    A float measure whose weighted locations sum beyond the float range is
+    refused with InvalidParameterError, even where the mean would be
+    finite."""
+    try:
+        total = _wsum([w * x for x, w in m.atoms], m.exact)
+    except (OverflowError, ValueError):  # fsum's intermediate overflow, or inf - inf
+        total = math.inf
+    if not (m.exact or math.isfinite(total)):
+        raise InvalidParameterError(
+            f"the weighted locations of a measure with {len(m.atoms)} atoms in "
+            f"[{m.atoms[0][0]:g}, {m.atoms[-1][0]:g}] sum beyond the float range"
+        )
+    return total / m.total_mass
 
 
 def posterior_update(m: DiscreteMeasure, x) -> DiscreteMeasure:

@@ -25,10 +25,14 @@ float pass whose arm 2 has one atom pulls each arm once a stage over arm
 1's own rows, and one whose arm 2 has more atoms walks blocks, because
 only a one-column block keeps its float bits when laid out flat.
 The one-armed stopping form is the same pass over the unknown arm alone,
-against retirement at ``lam * T_t``.  It runs
-over a list of columns, each an immediate payoff and a retirement rate:
-the value, and for the Newton steps of the break-even searches one more,
-the slope of each value in ``lam`` or in the location of an added atom.
+against retirement at ``lam * T_t``.  It runs over columns, each an
+immediate payoff and a retirement rate: the value, and for the Newton steps
+of the break-even searches one more, the slope of each value in ``lam`` or
+in the location of an added atom.  The columns share each level: they lie
+along a leading axis of one array, so a level makes one gather, one product
+and one choice between pulling and retiring for all of them.  The product
+broadcasts each state's probabilities over the columns and still takes one
+dot per state and column, so no column's float bits depend on the others.
 
 The two-armed pass runs over a stack of B instances that share both arms'
 atom counts and the horizon: every array carries a leading batch axis, the
@@ -396,21 +400,22 @@ def _over_lcm(ratios):
 class _ArmRows:
     """One arm's posterior on levels 0..n-1 of its lattice, for a stack of B
     prior measures with one atom count, each already in the pass's
-    arithmetic (``to_exact`` or ``to_float``): ``p[k]`` holds the predictive
-    probabilities of each count vector at level k, shape (B, rows, atoms)
-    with one row per rank, and ``mean[k]`` the posterior means, shape
-    (B, rows, 1), both over the level's one denominator ``q[k]``, and over
-    ``dx`` too for the means; ``p_row[k]`` is ``p[k]`` as one row vector per
-    state, (B, rows, 1, atoms), and ``means`` stacks the levels' means;
-    ``measures`` lists the stack, and ``start`` and ``child`` come from the
-    lattice.
+    arithmetic (``to_exact`` or ``to_float``): ``probs`` holds the
+    predictive probabilities of each count vector, shape (B, rows, atoms)
+    with one row per rank, level k in rows ``start[k]:start[k + 1]``, and
+    ``means`` the posterior means, shape (B, rows, 1), a level's rows over
+    its one denominator ``q[k]``, and over ``dx`` too for the means;
+    ``p_row[k]`` is level k of ``probs`` as one row vector per state,
+    (B, rows, 1, atoms); ``measures`` lists the stack, and ``start`` and
+    ``child`` come from the lattice.
 
     In exact mode the stack holds one measure and these are integers.  With
     the weights W_j over their least common denominator Dw and the
-    locations over Dx, ``p[k]`` holds the numerators W_j + c_j Dw, ``q[k]``
-    is (M + k) Dw for total prior mass M, and ``mean[k]`` holds P @ X for
-    the scaled locations X.  In float mode ``p[k]`` and ``mean[k]`` are the
-    probabilities and means themselves and every scale is 1.0.  ``Q[k]``,
+    locations over Dx, level k of ``probs`` holds the numerators
+    W_j + c_j Dw, ``q[k]`` is (M + k) Dw for total prior mass M, and
+    ``means`` holds P @ X for the scaled locations X.  In float mode
+    ``probs`` and ``means`` are the probabilities and means themselves and
+    every scale is 1.0.  ``Q[k]``,
     the product of ``q`` over levels k..n-1, is the arm's factor in the
     denominators of a pass (``Q[n]`` is 1)."""
 
@@ -433,7 +438,9 @@ class _ArmRows:
             self.dtype = np.float64
             atoms = np.array([m.atoms for m in measures])  # (B, s, 2): location, weight
             mass = np.array([m.total_mass for m in measures])[:, None, None]
-            p = (atoms[:, None, :, 1] + counts) / (mass + counts.sum(axis=1, keepdims=True))
+            # A row's count total is its level.
+            totals = np.repeat(np.arange(n, dtype=np.float64), np.diff(lat.start[: n + 1]))
+            p = (atoms[:, None, :, 1] + counts) / (mass + totals[:, None])
             X = np.ascontiguousarray(atoms[:, :, :1])
             self.dx, self.q, self.Q = 1.0, [1.0] * n, [1.0] * (n + 1)
         self.measures = measures
@@ -443,25 +450,16 @@ class _ArmRows:
         self._bounds = list(zip(lat.start[:n], lat.start[1 : n + 1]))
         self.probs, self.means = p, p @ X
 
-    # The level views are built on first use: the flat two-armed pass reads
+    # The level views are built on first use: the flat two-armed passes read
     # only ``probs`` and ``means``.
     @cached_property
-    def p(self) -> list[np.ndarray]:
-        return [self.probs[:, i:j] for i, j in self._bounds]
-
-    @cached_property
     def p_row(self) -> list[np.ndarray]:
-        return [p[:, :, None] for p in self.p]
-
-    @cached_property
-    def mean(self) -> list[np.ndarray]:
-        return [self.means[:, i:j] for i, j in self._bounds]
+        return [self.probs[:, i:j, None] for i, j in self._bounds]
 
     def take(self, live) -> "_ArmRows":
         """The rows of the stack's instances ``live``, in that order."""
         rows = copy.copy(self)
-        for view in ("p", "p_row", "mean"):  # the copy's own views come from its own rows
-            rows.__dict__.pop(view, None)
+        rows.__dict__.pop("p_row", None)  # the copy's own views come from its own rows
         rows.measures = [self.measures[i] for i in live]
         rows.probs, rows.means = self.probs[live], self.means[live]
         return rows
@@ -491,14 +489,15 @@ def _pull(payoff, p_row, child, nxt: np.ndarray) -> np.ndarray:
     optimally: the immediate ``payoff``, a column over those states, a
     scalar or None for none, plus the predictive expectation of the
     next-stage values ``nxt``.  ``child`` maps each state and atom to a row
-    of ``nxt`` (axis 1, after the stack), whose columns are states of the
-    other arm (one column in a stopping pass), or is None where ``nxt`` is
-    gathered already, (B, states, atoms, columns); ``p_row`` holds each
-    state's predictive probabilities as a row, (B, states, 1, atoms).  In
-    exact mode these are numerators: the caller puts ``payoff`` over the
-    denominator that ``p_row`` gives the expectation."""
-    gathered = nxt if child is None else nxt.take(child, axis=1)  # (B, P, s, columns)
-    expected = np.matmul(p_row, gathered)[:, :, 0]
+    of ``nxt`` (axis -2), whose columns are states of the other arm (one
+    column in a stopping pass), or is None where ``nxt`` is gathered
+    already, (..., B, states, atoms, columns); ``p_row`` holds each state's
+    predictive probabilities as a row, (B, states, 1, atoms), broadcast
+    over any axes of ``nxt`` before the stack's.  In exact mode these are
+    numerators: the caller puts ``payoff`` over the denominator that
+    ``p_row`` gives the expectation."""
+    gathered = nxt if child is None else nxt.take(child, axis=-2)  # (..., B, P, s, columns)
+    expected = np.matmul(p_row, gathered)[..., 0, :]
     return expected if payoff is None else payoff + expected
 
 
@@ -830,7 +829,7 @@ def _known_arm_reports(items, opts: SolverOptions) -> list[ValueReport]:
     stack = _stopping_setup(arms, tables, opts)
     rows = stack.rows
     lam, lam_den = _numerators(lams, opts.exact)
-    column = [(rows.mean, _per_instance(lam))]
+    column = [(rows.means, _per_instance(lam))]
     pulls = _stopping_pass(rows, column, rows.dx, lam_den, stack.a, stack.tails, stack.da)
     later = _stopping_pass(rows, column, rows.dx, lam_den, stack.a[1:], stack.tails[1:], stack.da)
     retire = (_read(a[0], stack.da) * lam + rest  # a[0] / da is a_1
@@ -927,15 +926,23 @@ def _stopping_pass(arm: _ArmRows, columns, dx, lam_den, a, tails, da):
     search relies on.
 
     ``columns`` lists (mean, rate) pairs, one column of the pass each:
-    ``mean[k]`` gives the level-k posterior means over ``dx``, a (B, rows,
-    1) array paid at rate a_t on a pull (a ``mean`` of None pays nothing),
-    and ``rate`` over ``lam_den``, a scalar or one per instance as a (B, 1,
-    1) array, is paid at T_t on retirement.  The first column is the value,
-    and its choice of pull or retire is every column's: a column of the
-    slopes of the means and of the rate in some parameter thus carries the
-    slope of an optimal policy's payoff in it.  Each column is pulled on its
-    own, which keeps the value's float bits those of a one-column pass, as
-    each instance's are those of a one-instance pass.
+    ``mean`` gives the posterior means over ``dx`` of the lattice's levels
+    0..n-1, a (B, rows, 1) array like ``arm.means``, paid at rate a_t on a
+    pull (a ``mean`` of None pays nothing), and ``rate`` over ``lam_den``, a
+    scalar or one per instance as a (B, 1, 1) array, is paid at T_t on
+    retirement.  The first column is the value, and its choice of pull or
+    retire is every column's: a column of the slopes of the means and of
+    the rate in some parameter thus carries the slope of an optimal
+    policy's payoff in it.
+
+    The columns share each level: the pass holds them as one (columns, B,
+    rows, 1) array, and a level makes one gather of the children, one
+    product -- each state's probabilities broadcast over the column axis --
+    and one choice between pulling and retiring.  The product is still one
+    (1 x s) @ (s x 1) dot per row and column, and a column's payoff is added
+    to its own dots only, so each column keeps the float bits of a
+    one-column pass, as each instance keeps those of a one-instance pass.
+    (One (1 x s) @ (s x C) product over the columns would round otherwise.)
 
     ``a`` and ``tails`` are the discount numerators over ``da`` by level,
     ``a[t]`` and ``tails[t]`` one per instance as ``_per_instance`` gives
@@ -943,23 +950,30 @@ def _stopping_pass(arm: _ArmRows, columns, dx, lam_den, a, tails, da):
     ``da * dx * lam_den * Q[t]`` (all 1.0 in float mode).  Returns, per
     instance, the root's pull payoff and value of each column.
     """
-    Q = arm.Q
-    n = len(a)
-    values = [arm.zeros(n, 1)] * len(columns)
+    Q, start = arm.Q, arm.start
+    n, batch = len(a), len(arm.measures)
+    rates = np.empty((len(columns), batch, 1, 1), arm.dtype)
+    for c, (_, rate) in enumerate(columns):
+        rates[c] = rate
+    # Adding a zero payoff would turn a -0.0 into +0.0: only columns with a
+    # mean are paid.
+    paid = [(c, mean) for c, (mean, _) in enumerate(columns) if mean is not None]
+    values = np.zeros((len(columns), batch, start[n + 1] - start[n], 1), arm.dtype)
     pulls = values
     for t in reversed(range(n)):
         a_t = _times(lam_den * Q[t + 1], a[t])
-        scale = _times(dx * Q[t], tails[t])
-        pulls = [_pull(None if mean is None else a_t * mean[t], arm.p_row[t], arm.child[t], v)
-                 for (mean, _), v in zip(columns, values)]
-        stay = pulls[0] >= columns[0][1] * scale
-        values = [np.where(stay, pull, rate * scale) for pull, (_, rate) in zip(pulls, columns)]
+        pulls = _pull(None, arm.p_row[t], arm.child[t], values)
+        for c, mean in paid:
+            pull = pulls[c]
+            pull += a_t * mean[:, start[t] : start[t + 1]]
+        retire = rates * _times(dx * Q[t], tails[t])
+        values = np.where(pulls[0] >= retire[0], pulls, retire)
     den = da * dx * lam_den * Q[0]
-    if len(arm.measures) == 1:
-        return [[(_read(pull.item(0), den), _read(v.item(0), den)) for pull, v in zip(pulls, values)]]
-    roots = [zip(_read(pull[:, 0, 0], den).tolist(), _read(v[:, 0, 0], den).tolist())
-             for pull, v in zip(pulls, values)]
-    return list(zip(*roots))
+    if batch == 1:
+        return [[(_read(p, den), _read(v, den))
+                 for p, v in zip(pulls.ravel().tolist(), values.ravel().tolist())]]
+    roots = zip(*((x[:, :, 0, 0] / den).T.tolist() for x in (pulls, values)))
+    return [list(zip(p, v)) for p, v in roots]
 
 
 def _per_instance(values: list):
@@ -1022,7 +1036,7 @@ def _rate_pass(stack: _Stack, lams, slope=False):
     is the expected discounted tail at retirement."""
     rows = stack.rows
     lam, lam_den = _numerators(lams, stack.exact)
-    columns = [(rows.mean, _per_instance(lam)), (None, lam_den)]
+    columns = [(rows.means, _per_instance(lam)), (None, lam_den)]
     roots = _stopping_pass(rows, columns[: 1 + slope], rows.dx, lam_den, stack.a, stack.tails, stack.da)
     return roots if slope else [root for root, in roots]
 
@@ -1055,10 +1069,9 @@ def _observation_pass(stack: _Stack, xs, lams):
     # Locations over dx: the table's over rows.dx, x over x_den.
     dx = lcm(rows.dx, x_den) if exact else 1.0
     stretch, x = (dx // rows.dx, [v * (dx // x_den) for v in x]) if exact else (1.0, x)
-    x = _per_instance(x)
-    p_new = [p[..., -1:] for p in rows.p]
-    moved = [m * stretch + p * x for m, p in zip(rows.mean, p_new)]
-    columns = [(moved, _per_instance(lam)), ([p * dx for p in p_new], 0)]
+    p_new = rows.probs[..., -1:]
+    moved = _times(stretch, rows.means) + p_new * _per_instance(x)
+    columns = [(moved, _per_instance(lam)), (_times(dx, p_new), 0)]
     roots = _stopping_pass(rows, columns, dx, lam_den, stack.a, stack.tails, stack.da)
     return [(p, slope) for (p, _), (slope, _) in roots]
 

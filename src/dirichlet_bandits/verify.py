@@ -420,7 +420,8 @@ def _collect(name, margin, gen, trials, jobs, *, exact=False,
              float_slack=SLACK_FLOAT, details=None) -> SuiteReport:
     """Run suite ``name`` through ``_margins``, its instances drawn by the
     margin worker ``margin(gen, i, opts=opts)``; the slack is zero in exact
-    mode, else ``float_slack``."""
+    mode, else ``float_slack``.  Each margin is compared with the slack as
+    the worker returned it and made a float for the report only after."""
     gen = gen or InstanceGen()
     opts = EXACT_OPTIONS if exact else DEFAULT_OPTIONS
     slack = 0.0 if exact else float_slack
@@ -433,8 +434,10 @@ def _collect(name, margin, gen, trials, jobs, *, exact=False,
         raise InvalidParameterError(f"jobs must be an integer of at least 1, got {jobs!r}")
     trials = int(trials)  # a numpy integer would not serialize in the report
     t0 = time.perf_counter()
-    margins = [float(m) for m in _map_instances(task, trials, jobs)]
-    violations = [(i, m) for i, m in enumerate(margins) if m < -slack]
+    returned = _map_instances(task, trials, jobs)
+    margins = [float(m) for m in returned]
+    # An exact margin nearer zero than 2**-1075 reads -0.0 as a float.
+    violations = [(i, margins[i]) for i, m in enumerate(returned) if m < -slack]
     report = SuiteReport(
         name,
         gen.seed,

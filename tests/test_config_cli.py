@@ -549,6 +549,14 @@ class TestCliSweep:
         assert captured.out == ""
         assert captured.err.count("\n") == 1 and "non-finite" in captured.err
 
+    def test_shift_past_the_float_range_exits_2(self, capsys):
+        # The mean, 1e308, is finite, but its weighted sum, 2e308, is not.
+        assert main(["sweep", ONE_ARMED, "--param", "shift", "--grid", "1e308"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.count("\n") == 1 and "float range" in captured.err
+        assert main(["sweep", ONE_ARMED, "--param", "shift", "--grid", "1e300"]) == 0
+
     def test_jobs_option_is_gone(self, capsys):
         with pytest.raises(SystemExit) as exc:
             main(["sweep", ONE_ARMED, "--param", "mass", "--grid", "1,2", "--jobs", "2"])

@@ -29,6 +29,7 @@ from dirichlet_bandits import (
     shift,
     stopping_value,
     to_exact,
+    to_float,
     value,
     value_one_armed,
 )
@@ -419,6 +420,91 @@ class TestKnownArmRoute:
         rep = value(state)
         assert time.perf_counter() - t0 < 0.5
         assert rep.w == pytest.approx(0.4 * 1200) and rep.action is Action.ARM2
+
+
+class TestStackedStoppingPass:
+    """The stopping pass pulls its columns together, one gather and one
+    product a level; each column keeps the bits of a one-column pass and
+    each instance those of a one-instance pass."""
+
+    @staticmethod
+    def stacks(count, seed, exact=False):
+        """``count`` random (arms, sequence, rates, observations) stacks:
+        1 to 6 atoms, 1 to 10 stages, 1 to 4 instances (one when exact),
+        uniform or truncated geometric discounts."""
+        rng = np.random.default_rng(seed)
+        for i in range(count):
+            s, n = int(rng.integers(1, 7)), int(rng.integers(1, 11))
+            batch = 1 if exact else int(rng.integers(1, 5))
+            A = (make_uniform(n, exact=exact) if i % 2 else
+                 make_truncated_geometric(rng.choice([0.5, 0.75, 0.9]), n, exact=exact))
+            arms = []
+            for _ in range(batch):
+                locs = rng.choice(np.arange(-32, 33), s, replace=False) / 32
+                weights = rng.integers(1, 65, s) / 16
+                arms.append(make_measure(zip(locs.tolist(), weights.tolist()), exact=exact))
+            lams, xs = (rng.integers(-32, 33, batch) / 32 for _ in range(2))
+            yield arms, A, lams.tolist(), xs.tolist()
+
+    @staticmethod
+    def setups(arms, A, options):
+        tables = [solver._discount_table(A, options.exact)] * len(arms)
+        return (solver._stopping_setup(arms, tables, options),
+                solver._observation_setup(arms, tables, options))
+
+    def test_the_value_column_has_the_bits_of_a_one_column_pass(self):
+        for arms, A, lams, _ in self.stacks(80, seed=1):
+            stack, _ = self.setups(arms, A, solver.DEFAULT_OPTIONS)
+            alone = solver._rate_pass(stack, lams)
+            both = solver._rate_pass(stack, lams, slope=True)
+            assert repr([value for value, _ in both]) == repr(alone)
+
+    def test_each_stacked_instance_has_the_bits_of_its_own_pass(self):
+        for arms, A, lams, xs in self.stacks(80, seed=2):
+            stack, observed = self.setups(arms, A, solver.DEFAULT_OPTIONS)
+            rates = solver._rate_pass(stack, lams, slope=True)
+            observations = solver._observation_pass(observed, xs, lams)
+            for b, arm in enumerate(arms):
+                one, one_observed = self.setups([arm], A, solver.DEFAULT_OPTIONS)
+                assert repr(rates[b]) == repr(solver._rate_pass(one, lams[b : b + 1], slope=True)[0])
+                assert repr(observations[b]) == repr(
+                    solver._observation_pass(one_observed, xs[b : b + 1], lams[b : b + 1])[0])
+
+    def test_exact_columns_are_equal_fractions(self):
+        for arms, A, lams, xs in self.stacks(30, seed=3, exact=True):
+            stack, observed = self.setups(arms, A, EXACT)
+            lams, xs = [Fraction(v) for v in lams], [Fraction(v) for v in xs]
+            ((value, slope),) = solver._rate_pass(stack, lams, slope=True)
+            assert [value] == solver._rate_pass(stack, lams)
+            observation = solver._observation_pass(observed, xs, lams)
+            for got in (*value, *slope, *observation[0]):
+                assert isinstance(got, Fraction)
+            # The same arms in float: dyadic numbers, so they differ by rounding alone.
+            stack, observed = self.setups([to_float(a) for a in arms], A, solver.DEFAULT_OPTIONS)
+            ((fvalue, fslope),) = solver._rate_pass(stack, lams, slope=True)
+            (fobservation,) = solver._observation_pass(observed, xs, lams)
+            for exact, approx in zip((*value, *slope, *observation[0]),
+                                     (*fvalue, *fslope, *fobservation)):
+                assert exact == pytest.approx(approx, abs=1e-9)
+
+    def test_one_gather_per_level_per_pass(self, monkeypatch):
+        gathers = []
+        real = solver._pull
+
+        def counted(payoff, p_row, child, nxt):
+            gathers.append(nxt.shape[0])  # the columns share one gather
+            return real(payoff, p_row, child, nxt)
+
+        monkeypatch.setattr(solver, "_pull", counted)
+        for arms, A, lams, xs in self.stacks(10, seed=4):
+            n = len(A.values)
+            stack, observed = self.setups(arms, A, solver.DEFAULT_OPTIONS)
+            for run, columns in ((lambda: solver._rate_pass(stack, lams), 1),
+                                 (lambda: solver._rate_pass(stack, lams, slope=True), 2),
+                                 (lambda: solver._observation_pass(observed, xs, lams), 2)):
+                gathers.clear()
+                run()
+                assert gathers == [columns] * n
 
 
 class TestFlatPass:

@@ -119,6 +119,23 @@ def test_exact_margins_certify_the_float_draws(margin):
         assert abs(exact - _one_margin(margin, gen, i, DEFAULT_OPTIONS)) <= 1e-9
 
 
+def _tiny_negative_margin(gen, index, *, opts):
+    """A margin worker that asks for nothing and returns a negative exact
+    margin too small for a float: it reads -0.0."""
+    yield [], []
+    return Fraction(-1, 2**1100)
+
+
+def test_exact_violations_are_decided_before_rounding():
+    assert float(Fraction(-1, 2**1100)) == 0.0
+    report = verify._collect("lemma1", _tiny_negative_margin, GEN, 3, 1, exact=True)
+    assert not report.passed
+    assert [i for i, _ in report.violations] == [0, 1, 2]
+    # The report still shows floats.
+    assert all(isinstance(m, float) and m == 0.0 for _, m in report.violations)
+    assert repr(report.worst_margin) == "-0.0"
+
+
 def test_unknown_discount_kind_is_refused():
     with pytest.raises(InvalidParameterError, match="unknown discount kind 'convex'"):
         random_discount(GEN, GEN.rng(0), kind="convex")

@@ -7,7 +7,8 @@ Results go to stdout, diagnostics to stderr.  Exit codes:
     1  verify found violations
     2  configuration/usage errors (bad config, unknown suite, bad grid,
        trial count below 1, --jobs below 1, negative seed, tolerance not
-       positive, non-finite number, unwritable --out file)
+       positive, non-finite number, float solve past the float range,
+       unwritable --out file or failed write to it)
     3  solver resource budget exceeded
     4  discount sequence not regular where an index computation needs one
     5  precondition failure (one-armed command on a two-armed config,
@@ -22,7 +23,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from contextlib import nullcontext
+from contextlib import nullcontext, suppress
 from fractions import Fraction
 from functools import partial
 
@@ -123,10 +124,15 @@ def _open_out(path):
 
 
 def _write_out(fh, text) -> None:
+    """Write ``text`` to the --out file ``fh`` and flush it.  A failed write
+    closes the file, dropping what it could not write, so the ``with`` block
+    that opened it does not flush it again on exit."""
     try:
         fh.write(text)
         fh.flush()
     except OSError as e:
+        with suppress(OSError):
+            fh.close()
         raise InvalidParameterError(f"cannot write --out file: {e}") from e
 
 

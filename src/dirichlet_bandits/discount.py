@@ -3,10 +3,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import lcm
+from itertools import accumulate
 
 from .errors import InvalidParameterError
-from .measures import Numeric, _coerce, _is_int, _numerators
+from .measures import Numeric, _coerce, _is_int, _numerators, _over_lcm
 
 #: Float-mode slack on the regularity inequality, with tails relative to the total.
 REGULARITY_SLACK = 1e-12
@@ -51,17 +51,25 @@ def make_discount(values, *, exact: bool = False) -> DiscountSeq:
     return DiscountSeq(vals, tails)
 
 
+def _integer_tails(values):
+    """(numerators, D, tails): ``values`` as integers over their least common
+    denominator D, with their n + 1 tail sums; non-finite values are refused."""
+    try:
+        nums, den = _over_lcm(values)
+    except (AttributeError, ArithmeticError, ValueError):
+        nums, den = _numerators(values, True)
+    return nums, den, list(accumulate(reversed(nums), initial=0))[::-1]
+
+
 def _tail_sums(vals, exact: bool):
-    """The sums of ``vals[j:]`` for j = 0..n in one pass: exact sums of
-    numerators over the values' least common denominator, each rounded once,
-    so a float tail equals ``math.fsum`` of its suffix bit for bit."""
-    ratios = [v.as_integer_ratio() for v in vals]
-    den = lcm(*(d for _, d in ratios))
-    total, tails = 0, [Fraction(0) if exact else 0.0]
-    for num, d in reversed(ratios):
-        total += num * (den // d)
-        tails.append(Fraction(total, den) if exact else total / den)
-    return tuple(reversed(tails))
+    """The sums of ``vals[j:]`` for j = 0..n: :func:`_integer_tails`' tails,
+    each rounded once, so a float tail equals ``math.fsum`` of its suffix bit
+    for bit; one past the float range raises InvalidParameterError."""
+    _, den, tails = _integer_tails(vals)
+    try:
+        return tuple(Fraction(t, den) if exact else t / den for t in tails)
+    except OverflowError:
+        raise InvalidParameterError("discount tail sums exceed the float range") from None
 
 
 def _in_arithmetic(A: DiscountSeq, exact: bool) -> DiscountSeq:
@@ -84,6 +92,14 @@ def drop_first(A: DiscountSeq) -> DiscountSeq:
     return DiscountSeq(A.values[1:], A.tails[1:])
 
 
+def _regular(t, slack=0) -> bool:
+    """Regularity of tails t_0..t_n: t_j^2 >= t_(j-1) t_(j+1) - slack, 0 < j < n."""
+    for j in range(1, len(t) - 1):
+        if t[j] * t[j] < t[j - 1] * t[j + 1] - slack:
+            return False
+    return True
+
+
 def is_regular(A: DiscountSeq) -> bool:
     """Whether squared tail sums dominate the products of their neighbours.
 
@@ -91,17 +107,14 @@ def is_regular(A: DiscountSeq) -> bool:
     problem and the break-even value well defined.  The verdict does not
     depend on the scale of the weights: float tails are compared relative to
     the total, within REGULARITY_SLACK; exact ones exactly, as the integer
-    numerators of the tails over one denominator.
+    tails of :func:`_integer_tails`.
     """
     t, slack = A.tails, 0
     if A.exact:
-        t = _numerators(t, True)[0]
+        t = _integer_tails(A.values)[2]
     elif t[0] > 0:
         t, slack = [x / t[0] for x in t], REGULARITY_SLACK
-    for j in range(1, len(A.values)):
-        if t[j] * t[j] < t[j - 1] * t[j + 1] - slack:
-            return False
-    return True
+    return _regular(t, slack)
 
 
 def _check_horizon(n) -> None:

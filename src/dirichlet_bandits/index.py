@@ -207,13 +207,15 @@ def _lockstep(searches, opts: SolverOptions, stacklevel: int = 1) -> list[IndexR
     its own, so each result equals its search's run alone.  ``stacklevel``
     points a warning of non-monotone iterates at a frame as
     ``warnings.warn`` would, called in this function's caller."""
-    results = [None] * len(searches)
+    results, tables = [None] * len(searches), {}  # tables: one per sequence, by id
     for members in solver._stacks([s.shape for s in searches], opts):
         group = [searches[i] for i in members]
         observe = group[0].lam0 is not None
         setup = solver._observation_setup if observe else solver._stopping_setup
-        discounts = [solver._discount_table(s.A, opts.exact) for s in group]
-        stack = setup([s.arm for s in group], discounts, opts)
+        for s in group:
+            if id(s.A) not in tables:
+                tables[id(s.A)] = solver._discount_table(s.A, opts.exact)
+        stack = setup([s.arm for s in group], [tables[id(s.A)] for s in group], opts)
         live = [(i, s, _newton_steps(s.start, s.limit, s.bound, s.tol, opts.exact, observe,
                                      stacklevel + 3)) for i, s in zip(members, group)]
         points = [next(steps) for *_, steps in live]

@@ -76,15 +76,20 @@ def _coerce(v, exact: bool):
     raise InvalidParameterError(f"non-finite or malformed number {v!r}")
 
 
+def _over_lcm(values):
+    """Rationals (floats, Fractions) as integer numerators over their least
+    common denominator: (numerators, denominator)."""
+    ratios = [v.as_integer_ratio() for v in values]
+    den = math.lcm(*{d for _, d in ratios})
+    return [num * (den // d) for num, d in ratios], den
+
+
 def _numerators(values, exact: bool):
     """``values`` over one denominator: in exact mode their integer
     numerators over their least common denominator, in float mode the
     floats themselves over 1.0.  Returns (numerators, denominator)."""
     nums = [_coerce(v, exact) for v in values]
-    if not exact:
-        return nums, 1.0
-    den = math.lcm(*(v.denominator for v in nums))
-    return [v.numerator * (den // v.denominator) for v in nums], den
+    return _over_lcm(nums) if exact else (nums, 1.0)
 
 
 def _wsum(values, exact: bool):

@@ -95,13 +95,14 @@ from typing import NamedTuple, Optional, Sequence
 
 import numpy as np
 
-from .discount import DiscountSeq, _in_arithmetic, is_regular
+from .discount import DiscountSeq, _in_arithmetic, _integer_tails, _regular, is_regular
 from .errors import InvalidParameterError, NotRegularError, ResourceBudgetExceededError
 from .measures import (
     DiscreteMeasure,
     Numeric,
     _is_int,
     _numerators,
+    _over_lcm,
     point_mass,
     to_exact,
     to_float,
@@ -251,6 +252,25 @@ def _check_budget(atoms: int, n: int, options: SolverOptions, batch: int = 1) ->
         raise ResourceBudgetExceededError(f"{stack}{states} states exceeds the cap of {cap}")
 
 
+def _check_range(reaches, totals) -> None:
+    """Refuse a float pass that can leave the float range.  Every value,
+    payoff and retirement term of an instance's pass is at most its T_1
+    (``totals``) times the largest |location| of its arms or |rate| of a
+    known arm (``reaches``)."""
+    for reach, total in zip(reaches, totals):
+        if not isfinite(reach * total):
+            raise InvalidParameterError(
+                f"a float solve with |locations| up to {reach:g} under discounts totalling "
+                f"{total:g} leaves the float range; solve it in exact mode"
+            )
+
+
+def _reach(measure: DiscreteMeasure):
+    """The largest |location| of ``measure``, whose atoms are in location
+    order: the larger of its ends' magnitudes."""
+    return max(-measure.atoms[0][0], measure.atoms[-1][0])
+
+
 class _Lattice(NamedTuple):
     """Levels 0..depth of the s-atom count lattice; level k holds the count
     vectors totalling k in rank order and occupies rows start[k]:start[k+1]
@@ -390,13 +410,6 @@ def _read(num, den):
     return Fraction(num, den) if isinstance(den, int) else num / den
 
 
-def _over_lcm(ratios):
-    """Integer (numerator, denominator) pairs as numerators over their least
-    common denominator: (numerators, denominator)."""
-    den = lcm(*(d for _, d in ratios))
-    return [num * (den // d) for num, d in ratios], den
-
-
 class _ArmRows:
     """One arm's posterior on levels 0..n-1 of its lattice, for a stack of B
     prior measures with one atom count, each already in the pass's
@@ -424,9 +437,7 @@ class _ArmRows:
         counts = lat.counts[: lat.start[n]]
         if exact:  # Python ints throughout: numpy int64 would wrap silently
             (measure,) = measures  # in exact arithmetic: its numbers are read, not coerced
-            (locs, self.dx), (weights, dw) = (
-                _over_lcm([v.as_integer_ratio() for v in values]) for values in zip(*measure.atoms)
-            )
+            (locs, self.dx), (weights, dw) = map(_over_lcm, zip(*measure.atoms))
             self.dtype = object
             p = (counts.astype(object) * dw + np.array(weights, object))[None]
             X = np.array([locs], dtype=object)[:, :, None]
@@ -527,7 +538,8 @@ class BanditSolver:
     every stage, which ``policy_tables`` needs); later stages are dropped as
     soon as the stage before them is solved, so a pass that keeps the root
     alone holds about two stages at a time.  The lattice budget counts B
-    times one instance's states.
+    times one instance's states; a float stack is refused where an
+    instance's values could leave the float range (``_check_range``).
     """
 
     def __init__(
@@ -548,7 +560,10 @@ class BanditSolver:
             raise InvalidParameterError("an exact pass solves one instance at a time")
         ((s1, s2, n),) = shapes
         _check_budget(s1 + s2, n, opts, len(states))
-        a, (da, *_) = zip(*(_numerators(s.discount.values, opts.exact) for s in states))
+        a, (da, *_) = zip(*(_integer_tails(s.discount.values)[:2] if opts.exact
+                            else _numerators(s.discount.values, False) for s in states))
+        if not opts.exact:
+            _check_range(map(max, map(_reach, arms1), map(_reach, arms2)), map(sum, a))
         a = np.array(a, dtype=object if opts.exact else np.float64)
         self.options = opts
         self.horizon = n
@@ -826,7 +841,7 @@ def _known_arm_reports(items, opts: SolverOptions) -> list[ValueReport]:
     retiring first earns a_1 times the rate, then the pass's value from
     stage 2 on."""
     arms, lams, tables = zip(*items)
-    stack = _stopping_setup(arms, tables, opts)
+    stack = _stopping_setup(arms, tables, opts, lams)
     rows = stack.rows
     lam, lam_den = _numerators(lams, opts.exact)
     column = [(rows.means, _per_instance(lam))]
@@ -1006,15 +1021,22 @@ class _Stack:
 def _discount_table(A: DiscountSeq, exact: bool):
     """``A``'s n values, then its n + 1 tails, over one denominator in the
     solve's arithmetic, or None where ``A`` is not regular in it: the one
-    regularity check of the stopping form and of ``_values``' routing."""
+    regularity check of the stopping form and of ``_values``' routing,
+    exact ones read off :func:`_integer_tails`."""
+    if exact:
+        nums, den, tails = _integer_tails(A.values)
+        return (nums + tails, den) if _regular(tails) else None
     A = _in_arithmetic(A, exact)
     return _numerators(A.values + A.tails, exact) if is_regular(A) else None
 
 
-def _stopping_setup(arms, discounts, opts: SolverOptions) -> _Stack:
+def _stopping_setup(arms, discounts, opts: SolverOptions, rates=None) -> _Stack:
     """What every stopping pass of a stack shares: ``arms`` of one atom count
     in the solve's arithmetic, under one ``_discount_table`` each, of one
-    length, the budget checked.  A table of None raises NotRegularError."""
+    length, the budget and, in float mode, the range checked: ``rates``,
+    where given, holds one rate per instance that its passes run at, or
+    that bounds them, where its arm's locations need not.  A table of None
+    raises NotRegularError."""
     if None in discounts:
         raise NotRegularError(
             "the stopping form and break-even quantities require a regular discount sequence"
@@ -1022,6 +1044,11 @@ def _stopping_setup(arms, discounts, opts: SolverOptions) -> _Stack:
     scaled, dens = zip(*discounts)
     n = len(scaled[0]) // 2
     _check_budget(len(arms[0].atoms), n, opts, len(arms))
+    if not opts.exact:
+        reaches = map(_reach, arms)
+        if rates is not None:
+            reaches = map(max, reaches, map(abs, _numerators(rates, False)[0]))
+        _check_range(reaches, (t[n] for t in scaled))
     # Float denominators are all 1.0, and an exact stack holds one instance.
     return _Stack(_ArmRows(arms, n, opts.exact), list(scaled), dens[0], opts.exact)
 
@@ -1051,7 +1078,9 @@ def _observation_setup(arms, discounts, opts: SolverOptions) -> _Stack:
     the mean column each pass rewrites."""
     one = Fraction(1) if opts.exact else 1.0
     tables = [DiscreteMeasure(arm.atoms + ((0 * one, one),), arm.total_mass + one) for arm in arms]
-    return _stopping_setup(tables, discounts, opts)
+    # A table's last atom is the new one, so its reach misses the arm's top,
+    # which bounds every x a search observes.
+    return _stopping_setup(tables, discounts, opts, [arm.max_location for arm in arms])
 
 
 def _observation_pass(stack: _Stack, xs, lams):
@@ -1104,4 +1133,5 @@ def stopping_value(
     """
     opts = options or DEFAULT_OPTIONS
     arm = to_exact(arm) if opts.exact else to_float(arm)
-    return _rate_pass(_stopping_setup([arm], [_discount_table(A, opts.exact)], opts), [lam])[0][1]
+    stack = _stopping_setup([arm], [_discount_table(A, opts.exact)], opts, [lam])
+    return _rate_pass(stack, [lam])[0][1]

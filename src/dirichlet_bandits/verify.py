@@ -13,9 +13,9 @@ pair agrees with an exact one.  Each number is built once, as a float,
 from its integer grid numerator (k/64; a ratio-built discount's values
 from integer tail products over 64^i).  Past n = 9 a geometric or
 ratio-built discount's values are rounded, and the generator draws it
-again until the rationals of its float values are regular, judged on
-their integer numerators over one power-of-two denominator, so exact mode
-finds every sequence regular that float mode does.  Two margins compute
+again until the rationals of its float values are regular, judged on the
+integer tails ``discount._integer_tails`` gives an exact solve, so exact
+mode finds every sequence regular that float mode does.  Two margins compute
 in the options' arithmetic themselves: lemma1 mixes its grid there (the
 coefficients k/(GRID_POINTS - 1) need not be dyadic), and lemma4 forms
 its expectation over the atoms of F there.
@@ -53,7 +53,7 @@ from itertools import islice
 
 import numpy as np
 
-from .discount import DiscountSeq, drop_first, is_regular, make_uniform
+from .discount import DiscountSeq, _integer_tails, _regular, drop_first, is_regular, make_uniform
 from .errors import GeneratorFailedError, InvalidParameterError
 from .index import DEFAULT_TOL, RESIDUAL_TOL, _lockstep, _observation_search, _value_search
 from .measures import (
@@ -198,22 +198,10 @@ _FAMILIES = {
 
 
 def _dyadic_discount(values) -> tuple[DiscountSeq, bool]:
-    """The float discount sequence ``values`` with its tails, and whether it
-    is regular as the rationals of its values, as an exact solve reads it.
-    Both come from one set of integer tails: every float is a dyadic
-    rational, so the values are integer numerators over their largest
-    denominator, a power of two; each float tail is its integer tail over
-    that denominator, rounded once, as ``make_discount`` sums it."""
-    ratios = [v.as_integer_ratio() for v in values]
-    den = max(d for _, d in ratios)
-    tails = [0]
-    for num, d in reversed(ratios):
-        tails.append(tails[-1] + num * (den // d))
-    tails.reverse()
-    regular = all(
-        tails[j] * tails[j] >= tails[j - 1] * tails[j + 1] for j in range(1, len(values))
-    )
-    return DiscountSeq(tuple(values), tuple(t / den for t in tails)), regular
+    """The float sequence ``values``, its tails rounded once from its
+    ``_integer_tails``, and whether those are regular, as an exact solve finds."""
+    _, den, tails = _integer_tails(values)
+    return DiscountSeq(tuple(values), tuple(t / den for t in tails)), _regular(tails)
 
 
 def _discount_kind(gen, kind, min_n, max_n):

@@ -111,6 +111,30 @@ class TestConfig:
         with pytest.raises(ConfigError):
             load_instance(path)
 
+    @pytest.mark.parametrize("patch, message", [
+        ({"arm1": {"atoms": [{"location": None, "weight": 1}]}},
+         "arm1.atoms[0]: expected a number, got None"),
+        ({"arm1": 3}, "arm1: expected an object"),
+        ({"arm1": {}}, "arm1: needs 'atoms' or 'known'"),
+        ({"discount": 5}, "discount: expected an object"),
+        ({"discount": {"values": []}}, "discount.values must be a nonempty list"),
+        ({"discount": {"family": "uniform"}}, "discount: 'n'"),
+        ({"options": 5}, "options: expected an object"),
+        (None, "top level must be an object"),
+    ], ids=["null-location", "arm-number", "arm-empty", "discount-number", "values-empty",
+            "uniform-without-n", "options-number", "top-level-list"])
+    def test_each_refusal_exits_2_with_its_message(self, patch, message, tmp_path, capsys):
+        doc = [] if patch is None else {
+            "arm1": {"atoms": [{"location": 0, "weight": 1}, {"location": 1, "weight": 1}]},
+            "discount": {"values": [1, 1]}, **patch,
+        }
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(doc))
+        assert main(["lambda", str(path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"config error: {message}\n"
+
 
 class TestCliValue:
     def test_float_output(self, capsys):
@@ -414,6 +438,45 @@ class TestCliIndices:
         assert main(["breakeven", path]) == 5
 
 
+class TestCliFloatRange:
+    """A float solve whose values can pass the float range is refused
+    before its pass runs, rather than printing inf or nan.  Any numpy
+    overflow warning would fail these tests (pyproject.toml)."""
+
+    HUGE = {"atoms": [{"location": 1e307, "weight": 1}, {"location": 0, "weight": 1}]}
+    COIN = {"atoms": [{"location": 0, "weight": 1}, {"location": 1, "weight": 1}]}
+
+    @pytest.mark.parametrize("argv, doc, total", [
+        (["value"], {"arm1": HUGE, "arm2": COIN}, 30),
+        (["value"], {"arm1": COIN, "arm2": {"known": 1e307}}, 30),
+        (["lambda"], {"arm1": HUGE}, 100),
+        (["breakeven"], {"arm1": HUGE}, 100),
+        (["sweep", "--param", "mass", "--grid", "1,2"], {"arm1": HUGE}, 100),
+    ], ids=["value", "value-known-rate", "lambda", "breakeven", "sweep"])
+    def test_out_of_range_float_solve_exits_2(self, argv, doc, total, tmp_path, capsys):
+        doc = {**doc, "discount": {"family": "uniform", "n": total}}
+        path = write(tmp_path, "huge.json", doc)
+        assert main(argv[:1] + [path] + argv[1:]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            f"error: a float solve with |locations| up to 1e+307 under discounts totalling "
+            f"{total} leaves the float range; solve it in exact mode\n"
+        )
+        # Exact arithmetic has no range to leave.
+        if argv == ["value"]:
+            assert main(["value", path, "--exact"]) == 0
+
+    def test_locations_within_range_still_solve(self, tmp_path, capsys):
+        atoms = [{"location": 1e306, "weight": 1}, {"location": 0, "weight": 1}]
+        path = write(tmp_path, "large.json",
+                     {"arm1": {"atoms": atoms}, "discount": {"family": "uniform", "n": 100}})
+        assert main(["lambda", path]) == 0
+        captured = capsys.readouterr()
+        assert captured.out.splitlines()[0] == "lambda = 8.684566588e+305"
+        assert captured.err == ""
+
+
 class TestCliVerify:
     def test_single_suite_with_report_file(self, tmp_path, capsys):
         out_path = tmp_path / "report.json"
@@ -490,6 +553,17 @@ class TestCliOutFile:
         assert captured.out == ""
         assert captured.err.startswith("error: cannot write --out file: ")
         assert captured.err.count("\n") == 1 and str(out_path) in captured.err
+
+    @pytest.mark.skipif(not Path("/dev/full").exists(), reason="needs /dev/full")
+    @pytest.mark.parametrize("argv", [
+        ["verify", "lemma3", "--trials", "1"],
+        ["sweep", ONE_ARMED, "--param", "mass", "--grid", "1,2"],
+    ], ids=["verify", "sweep"])
+    def test_a_failed_write_exits_2(self, argv, capsys):
+        # The write fails on flush; closing the file must not flush it again.
+        assert main(argv + ["--out", "/dev/full"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: cannot write --out file: ") and err.count("\n") == 1
 
 
 class TestCliSweep:

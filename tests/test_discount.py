@@ -166,3 +166,14 @@ def test_total_property():
 def test_non_finite_weights_rejected(bad, exact):
     with pytest.raises(InvalidParameterError):
         make_discount([1, bad], exact=exact)
+
+
+def test_tails_past_the_float_range_are_refused():
+    # Each weight is finite; their float sum is not.
+    with pytest.raises(InvalidParameterError, match="exceed the float range"):
+        make_discount([1e308, 1e308])
+    A = make_discount([1e308, 1e308], exact=True)
+    assert A.total == 2 * Fraction(1e308)
+    with pytest.raises(InvalidParameterError, match="exceed the float range"):
+        _in_arithmetic(A, False)
+    assert make_discount([1e308, 7e307]).total == 1.7e308

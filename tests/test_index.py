@@ -134,21 +134,16 @@ class TestBreakEvenValue:
             )
 
     @pytest.mark.parametrize("arm", [COIN, point_mass(0.3, weight=2.5)])
-    def test_one_table_and_one_pass_per_iteration(self, arm, monkeypatch):
-        tables, passes = [], []
+    def test_one_table_and_one_pass_per_iteration(self, arm, monkeypatch, count_passes):
+        tables = []
 
         class CountedRows(solver._ArmRows):
             def __init__(self, *args):
                 tables.append(args)
                 super().__init__(*args)
 
-        def counted_pass(*args):
-            passes.append(args)
-            return stopping_pass(*args)
-
-        stopping_pass = solver._stopping_pass
         monkeypatch.setattr(solver, "_ArmRows", CountedRows)
-        monkeypatch.setattr(solver, "_stopping_pass", counted_pass)
+        passes = count_passes()
         res = break_even_value(arm, A2)
         assert len(tables) == 1
         # One Newton step per pass; the residual is read off the last one.
@@ -203,20 +198,16 @@ class TestBreakEvenObservation:
         [(COIN, A2), (point_mass(0.4, weight=3), A2), *ROUNDED_POINT_MASSES],
         ids=["arm0", "arm1", "rounded122", "rounded341", "rounded808"],
     )
-    def test_one_value_search_and_one_pass_per_probe(self, arm, A, monkeypatch):
-        values, passes = [], []
+    def test_one_value_search_and_one_pass_per_probe(self, arm, A, monkeypatch, count_passes):
+        values = []
 
         def counted_value(*args):
             values.append(value_search(*args))
             return values[-1]
 
-        def counted_pass(*args):
-            passes.append(args)
-            return stopping_pass(*args)
-
-        value_search, stopping_pass = index._break_even_value, solver._stopping_pass
+        value_search = index._break_even_value
         monkeypatch.setattr(index, "_break_even_value", counted_value)
-        monkeypatch.setattr(solver, "_stopping_pass", counted_pass)
+        passes = count_passes()
         res = break_even_observation(arm, A)
         assert len(values) == 1
         assert len(passes) == values[0].iterations + res.iterations

@@ -28,18 +28,6 @@ def one_armed(gen, i):
     return arm, random_discount(gen, rng, kind="regular", min_n=2)
 
 
-def count_passes(monkeypatch):
-    passes = []
-
-    def counted_pass(*args):
-        passes.append(args)
-        return stopping_pass(*args)
-
-    stopping_pass = solver._stopping_pass
-    monkeypatch.setattr(solver, "_stopping_pass", counted_pass)
-    return passes
-
-
 @pytest.mark.parametrize("tol", [1e-9, 1e-10])
 def test_lockstep_results_equal_one_search_each(tol):
     # 300 arms of one to three atoms and two to six stages: value and
@@ -76,13 +64,13 @@ def test_exact_lockstep_results_equal_one_search_each():
     assert [repr(r) for r in got] == [repr(r) for r in alone]
 
 
-def test_one_stacked_pass_per_shape_per_round(monkeypatch):
+def test_one_stacked_pass_per_shape_per_round(count_passes):
     # Eight arms of one shape: the stack makes as many passes as its
     # slowest search takes, one per round, each over the live searches.
     arms = [scale(HALVES, m) for m in (0.5, 1, 1.5, 2, 3, 4, 6, 8)]
     A = make_uniform(5)
     alone = [break_even_value(arm, A) for arm in arms]
-    passes = count_passes(monkeypatch)
+    passes = count_passes()
     got = _lockstep([_value_search(arm, A, DEFAULT_TOL, DEFAULT_OPTIONS) for arm in arms],
                     DEFAULT_OPTIONS)
     assert got == alone
@@ -90,6 +78,26 @@ def test_one_stacked_pass_per_shape_per_round(monkeypatch):
     assert len(passes) == rounds
     live = [len(rows.measures) for rows, *_ in passes]
     assert live == [sum(r.iterations > k for r in alone) for k in range(rounds)]
+
+
+def test_searches_sharing_a_sequence_share_its_table(monkeypatch):
+    # Two shapes over one sequence, and a third search over another: one
+    # discount table per sequence, and the results of the searches alone.
+    A, B = make_uniform(5), make_uniform(5)
+    arms = [scale(HALVES, 1), scale(HALVES, 2), make_measure([(0, 1), (0.5, 1), (1, 1)])]
+    searches = [_value_search(arm, A, DEFAULT_TOL, DEFAULT_OPTIONS) for arm in arms]
+    searches.append(_value_search(arms[0], B, DEFAULT_TOL, DEFAULT_OPTIONS))
+    alone = [break_even_value(s.arm, s.A) for s in searches]
+    tables = []
+
+    def counted_table(seq, exact):
+        tables.append(seq)
+        return discount_table(seq, exact)
+
+    discount_table = solver._discount_table
+    monkeypatch.setattr(solver, "_discount_table", counted_table)
+    assert _lockstep(searches, DEFAULT_OPTIONS) == alone
+    assert sorted(map(id, tables)) == sorted([id(A), id(B)])
 
 
 def test_a_non_monotone_search_warns_once_and_leaves_the_others_alone():
@@ -119,10 +127,10 @@ class TestSweep:
     def family(self, M):
         return scale(HALVES, M)
 
-    def test_rows_equal_one_search_each(self, monkeypatch):
+    def test_rows_equal_one_search_each(self, count_passes):
         A = make_uniform(6)
         alone = [break_even_value(self.family(p), A) for p in self.GRID]
-        passes = count_passes(monkeypatch)
+        passes = count_passes()
         result = index_sweep(self.family, A, self.GRID, expected="nonincreasing")
         assert [(r.value, r.residual, r.iterations) for r in result.rows] == [
             (r.value, r.residual, r.iterations) for r in alone

@@ -14,6 +14,7 @@ from dirichlet_bandits import (
     InvalidParameterError,
     NegativeWeightError,
     NotNormalizedError,
+    OrderCheckResult,
     leq_cx,
     make_discount,
     leq_icx,
@@ -473,3 +474,26 @@ class TestNonFiniteInputs:
             make_measure([(0, 1), (1, np.False_)], exact=exact)
         with pytest.raises(InvalidParameterError, match="True"):
             point_mass(np.True_, exact=exact)
+
+
+COIN_PROB = make_measure([(0, 0.5), (1, 0.5)])
+INNER = make_measure([(0.25, 0.5), (0.75, 0.5)])
+
+
+@pytest.mark.parametrize("call, outcome", [
+    # A float and an exact measure are compared in float.
+    (lambda: leq_icx(COIN_PROB, to_exact(INNER)), OrderCheckResult(False, 0.25, -0.125)),
+    (lambda: leq_icx(to_exact(COIN_PROB), INNER), OrderCheckResult(False, 0.25, -0.125)),
+    (lambda: mean_preserving_spread(COIN_PROB, 0, 0),
+     (InvalidParameterError, "spread delta must be positive, got 0.0")),
+], ids=["float-exact-order", "exact-float-order", "zero-spread"])
+def test_edge_outcomes(call, outcome):
+    if isinstance(outcome, OrderCheckResult):
+        got = call()
+        assert got == outcome
+        assert type(got.witness) is float and type(got.margin) is float
+        return
+    error, message = outcome
+    with pytest.raises(error) as info:
+        call()
+    assert str(info.value) == message

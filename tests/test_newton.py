@@ -37,18 +37,6 @@ def newton(f, start, limit, bound, tol, exact):
         return done.value
 
 
-def count_passes(monkeypatch):
-    passes = []
-
-    def counted_pass(*args):
-        passes.append(args)
-        return stopping_pass(*args)
-
-    stopping_pass = solver._stopping_pass
-    monkeypatch.setattr(solver, "_stopping_pass", counted_pass)
-    return passes
-
-
 class TestExactRoots:
     @pytest.mark.parametrize(
         "search, A, want",
@@ -59,8 +47,8 @@ class TestExactRoots:
             (break_even_value, make_discount([0, 1]), Fraction(2, 3)),
         ],
     )
-    def test_coin(self, search, A, want, monkeypatch):
-        passes = count_passes(monkeypatch)
+    def test_coin(self, search, A, want, count_passes):
+        passes = count_passes()
         res = search(COIN, A, options=EXACT_OPTIONS)
         assert res.value == want
         assert res.bracket == (want, want)
@@ -129,8 +117,8 @@ class TestSlopeColumns:
                 ((p_eps, _),) = solver._observation_pass(stack, [x + self.EPS], [lam])
                 assert (p_eps - p) / self.EPS == slope
 
-    def test_one_column_passes_stay_one_column(self, monkeypatch):
-        passes = count_passes(monkeypatch)
+    def test_one_column_passes_stay_one_column(self, count_passes):
+        passes = count_passes()
         stopping_value(COIN, 0.5, A2)
         value_one_armed(COIN, 0.5, A2)
         assert len(passes) == 3

@@ -3,6 +3,7 @@ import hashlib
 import inspect
 import itertools
 import json
+import math
 import pickle
 import time
 from fractions import Fraction
@@ -91,6 +92,23 @@ def test_run_suites_all_order_and_names():
     ]
     text = format_reports(reports)
     assert "suite" in text and "worst_margin" in text
+
+
+HEADER = "suite         trials  violations   worst_margin   elapsed"
+
+
+@pytest.mark.parametrize("report, lines", [
+    (verify.SuiteReport("lemma3", 0, 5, [], 0.125, 0.25),
+     ["lemma3             5           0          0.125     0.25s"]),
+    (verify.SuiteReport("thm2", 0, 5, [(3, -0.001234567), (4, -2.5e-12)], -0.001234567, 0.25,
+                        {"searches": 10}),
+     ["thm2               5           2      -0.001235     0.25s",
+      "    violation: instance=3 margin=-0.001235",
+      "    violation: instance=4 margin=-2.5e-12",
+      "    searches = 10"]),
+], ids=["clean", "violations"])
+def test_format_reports_lines(report, lines):
+    assert format_reports([report]) == "\n".join([HEADER] + lines)
 
 
 def test_icx_pair_generator_is_sound():
@@ -223,7 +241,9 @@ def _ratio_built(ratios):
 
 
 def test_integer_regularity_verdict_matches_the_exact_one():
-    from dirichlet_bandits.discount import _in_arithmetic, is_regular, make_truncated_geometric
+    # The integer tails that the draws, is_regular and exact pass tables all
+    # read, against tails and a verdict computed here in Fractions.
+    from dirichlet_bandits.discount import _integer_tails, make_truncated_geometric
 
     rng = np.random.default_rng(20)
     verdicts = []
@@ -235,7 +255,17 @@ def test_integer_regularity_verdict_matches_the_exact_one():
             A = _ratio_built(rng.integers(1, verify.GRID, size=n - 1).tolist())
         drawn, regular = verify._dyadic_discount(list(A.values))
         assert drawn == A  # the same values and tails, bit for bit
-        assert regular == is_regular(_in_arithmetic(A, True)), (i, A.values)
+        values = [Fraction(v) for v in A.values]
+        tails = [Fraction(0)]
+        for v in reversed(values):
+            tails.append(tails[-1] + v)
+        tails.reverse()
+        nums, den, int_tails = _integer_tails(A.values)
+        assert den == math.lcm(*(v.denominator for v in values))
+        assert [Fraction(k, den) for k in nums] == values
+        assert [Fraction(t, den) for t in int_tails] == tails
+        exact = all(tails[j] ** 2 >= tails[j - 1] * tails[j + 1] for j in range(1, n))
+        assert regular == exact, (i, A.values)
         verdicts.append(regular)
     # Rounding breaks the regularity of long ratio-built sequences.
     assert 100 < verdicts.count(False) < len(verdicts) - 100
@@ -556,7 +586,7 @@ def test_prop1_runs_each_value_search_once(monkeypatch):
     assert kinds.count(False) == kinds.count(True) == trials
 
 
-def test_one_stopping_pass_per_shape_per_round(monkeypatch):
+def test_one_stopping_pass_per_shape_per_round(count_passes):
     # strictness at seed 0 and its default trials: 200 value searches, run
     # alone, made 548 stopping passes.  Stacked, a shape makes as many
     # passes as its slowest search takes.
@@ -569,14 +599,7 @@ def test_one_stopping_pass_per_shape_per_round(monkeypatch):
     for s in searches:
         res = break_even_value(s.arm, s.A, s.tol)
         slowest[s.shape] = max(slowest.get(s.shape, 0), res.iterations)
-    passes = []
-
-    def counted_pass(*args):
-        passes.append(args)
-        return stopping_pass(*args)
-
-    stopping_pass = solver._stopping_pass
-    monkeypatch.setattr(solver, "_stopping_pass", counted_pass)
+    passes = count_passes()
     assert SUITES["strictness"](gen).trials == trials
     assert len(passes) == sum(slowest.values()) == 35
 

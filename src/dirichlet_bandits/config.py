@@ -109,7 +109,9 @@ def _parse_discount(node, exact: bool):
             )
     except ConfigError:
         raise
-    except (BanditError, KeyError, TypeError, ValueError, OverflowError) as e:
+    except KeyError as e:
+        raise ConfigError(f"discount: missing field {e}") from e
+    except (BanditError, TypeError, ValueError, OverflowError) as e:
         raise ConfigError(f"discount: {e}") from e
     raise ConfigError("discount: needs 'values' or a family in {'uniform', 'geometric'}")
 

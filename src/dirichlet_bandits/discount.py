@@ -1,4 +1,5 @@
-"""Discount sequences with cached tail sums and the regularity predicate."""
+"""Discount sequences with cached tail sums, the regularity predicate, and
+the pass table (``_pass_table``) through which every solve reads them."""
 from __future__ import annotations
 
 from dataclasses import dataclass
@@ -72,19 +73,6 @@ def _tail_sums(vals, exact: bool):
         raise InvalidParameterError("discount tail sums exceed the float range") from None
 
 
-def _in_arithmetic(A: DiscountSeq, exact: bool) -> DiscountSeq:
-    """``A`` in a solve's arithmetic: its values coerced and its tails
-    re-summed from them, so that regularity is judged, and tails are read,
-    in the arithmetic the pass runs in.  A sequence already in that
-    arithmetic is returned as it is.  Unlike :func:`make_discount` this
-    accepts every sequence a solve does, the empty terminal sequence and
-    zero-total suffixes of :func:`drop_first` included."""
-    if A.exact == exact:
-        return A
-    vals = tuple(_coerce(v, exact) for v in A.values)
-    return DiscountSeq(vals, _tail_sums(vals, exact))
-
-
 def drop_first(A: DiscountSeq) -> DiscountSeq:
     """The length n-1 suffix; for n = 1 the empty terminal sequence."""
     if len(A.values) == 0:
@@ -107,14 +95,35 @@ def is_regular(A: DiscountSeq) -> bool:
     problem and the break-even value well defined.  The verdict does not
     depend on the scale of the weights: float tails are compared relative to
     the total, within REGULARITY_SLACK; exact ones exactly, as the integer
-    tails of :func:`_integer_tails`.
+    tails of :func:`_integer_tails`.  It is the verdict of ``A``'s pass
+    table in its own arithmetic.
     """
-    t, slack = A.tails, 0
-    if A.exact:
-        t = _integer_tails(A.values)[2]
-    elif t[0] > 0:
-        t, slack = [x / t[0] for x in t], REGULARITY_SLACK
-    return _regular(t, slack)
+    return _pass_table(A, A.exact)[2]
+
+
+def _pass_table(A: DiscountSeq, exact: bool):
+    """``A`` as a pass reads it in a solve's arithmetic, built on first use
+    and kept in ``A``'s ``__dict__``, one per arithmetic: (its n values, then
+    its n + 1 tails, over one denominator; that denominator; whether ``A``
+    is regular there).  An exact table holds :func:`_integer_tails`'
+    integers, judged exactly; a float one the values as floats over 1.0 and
+    the tails re-summed from them (a float sequence's own), judged relative
+    to the total.  Every sequence a solve takes is accepted, the empty
+    terminal sequence and zero-total :func:`drop_first` suffixes included."""
+    key = "_exact_table" if exact else "_float_table"
+    table = A.__dict__.get(key)
+    if table is None:
+        if exact:
+            nums, den, tails = _integer_tails(A.values)
+            t, slack = tails, 0
+        else:
+            nums, den = _numerators(A.values, False)
+            t = tails = _tail_sums(nums, False) if A.exact else A.tails
+            slack = 0
+            if tails[0] > 0:
+                t, slack = [x / tails[0] for x in tails], REGULARITY_SLACK
+        table = A.__dict__[key] = (*nums, *tails), den, _regular(t, slack)
+    return table
 
 
 def _check_horizon(n) -> None:

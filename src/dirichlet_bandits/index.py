@@ -47,7 +47,7 @@ from dataclasses import dataclass
 from typing import NamedTuple, Optional
 
 from . import solver
-from .discount import DiscountSeq, _in_arithmetic, drop_first
+from .discount import DiscountSeq, _pass_table, drop_first
 from .errors import (
     DegenerateHorizonError,
     HorizonTooShortError,
@@ -138,16 +138,17 @@ class _Search(NamedTuple):
     """One break-even search as ``_lockstep`` runs it: Newton steps from
     ``start`` towards ``limit`` with slope bound ``bound`` (see
     ``_newton_steps``), one stopping pass of ``arm`` under ``A`` a step, the
-    arm checked and both in the solve's arithmetic.
+    arm checked and in the solve's arithmetic.
 
     A value search (no ``lam0``) steps up on g(lam) = W(lam) - lam * T; an
     observation search steps down on h(x) = P(lam0; x) / T - lam0, over the
     arm plus a unit mass at x and the sequence with its first stage
-    dropped.  T is the first tail of ``A``: T_1 of a value search, T_2 of
-    the full sequence of an observation search."""
+    dropped.  T is the first tail of ``A`` in the solve's arithmetic: T_1
+    of a value search, T_2 of the full sequence of an observation search."""
 
     arm: DiscreteMeasure
     A: DiscountSeq
+    T: Numeric
     start: Numeric
     limit: Numeric
     bound: Numeric
@@ -163,7 +164,7 @@ class _Search(NamedTuple):
 
     def objective(self, x, root):
         """The objective at x and its slope, from x's pass ``root``."""
-        T = self.A.tails[0]
+        T = self.T
         if self.lam0 is None:
             # The stopping-form value equals lam * T1 bit for bit wherever
             # retirement is optimal, so g is exactly zero from the root on.
@@ -171,6 +172,12 @@ class _Search(NamedTuple):
             return v - x * T, slope - T
         p, slope = root
         return p / T - self.lam0, slope / T
+
+
+def _head(A: DiscountSeq, exact: bool):
+    """``A``'s first value and first tail in a solve's arithmetic, off its pass table."""
+    scaled, den, _ = _pass_table(A, exact)
+    return solver._read(scaled[0], den), solver._read(scaled[len(A.values)], den)
 
 
 def _value_search(arm: DiscreteMeasure, A: DiscountSeq, tol: float, opts: SolverOptions):
@@ -183,10 +190,10 @@ def _value_search(arm: DiscreteMeasure, A: DiscountSeq, tol: float, opts: Solver
     at the top of the support."""
     arm = _validated_arm(arm, tol, opts)
     _check_weight(A)
-    A = _in_arithmetic(A, opts.exact)
+    a1, T1 = _head(A, opts.exact)
     top = arm.max_location
     # g falls with slope at most -a1; a1 = 0 (T1 = T2) leaves only the cap.
-    return _Search(arm, A, min(mean(arm), top), top, -A.values[0], tol)
+    return _Search(arm, A, T1, min(mean(arm), top), top, -a1, tol)
 
 
 def _observation_search(value: _Search, lam0) -> _Search:
@@ -194,9 +201,10 @@ def _observation_search(value: _Search, lam0) -> _Search:
     ``value``'s arm and sequence, given its break-even value ``lam0``:
     Newton steps on h down from the top of the support."""
     A1 = drop_first(value.A)
+    a2, T2 = _head(A1, value.arm.exact)
     # The root always pulls, adding a_2 * p_new = a_2 / (M + 1) to the slope.
-    bound = A1.values[0] / ((value.arm.total_mass + 1) * A1.tails[0])
-    return _Search(value.arm, A1, value.arm.max_location, lam0, bound, value.tol, lam0)
+    bound = a2 / ((value.arm.total_mass + 1) * T2)
+    return _Search(value.arm, A1, T2, value.arm.max_location, lam0, bound, value.tol, lam0)
 
 
 def _lockstep(searches, opts: SolverOptions, stacklevel: int = 1) -> list[IndexResult]:
@@ -207,15 +215,12 @@ def _lockstep(searches, opts: SolverOptions, stacklevel: int = 1) -> list[IndexR
     its own, so each result equals its search's run alone.  ``stacklevel``
     points a warning of non-monotone iterates at a frame as
     ``warnings.warn`` would, called in this function's caller."""
-    results, tables = [None] * len(searches), {}  # tables: one per sequence, by id
+    results = [None] * len(searches)
     for members in solver._stacks([s.shape for s in searches], opts):
         group = [searches[i] for i in members]
         observe = group[0].lam0 is not None
         setup = solver._observation_setup if observe else solver._stopping_setup
-        for s in group:
-            if id(s.A) not in tables:
-                tables[id(s.A)] = solver._discount_table(s.A, opts.exact)
-        stack = setup([s.arm for s in group], [tables[id(s.A)] for s in group], opts)
+        stack = setup([s.arm for s in group], [s.A for s in group], opts)
         live = [(i, s, _newton_steps(s.start, s.limit, s.bound, s.tol, opts.exact, observe,
                                      stacklevel + 3)) for i, s in zip(members, group)]
         points = [next(steps) for *_, steps in live]

@@ -44,7 +44,9 @@ The property suites draw every instance of a chunk first and then solve
 all the states those instances name in one ``_values`` call, so a stack
 spans instances, not only one instance's family of closely related priors.
 A stacked instance's report has the bits of its one-instance pass.  Exact
-passes run at B = 1.
+passes run at B = 1.  Every pass, route and search reads a sequence's
+values, tails and regularity off its pass table (``discount._pass_table``),
+built once per sequence object and arithmetic.
 
 The stopping pass runs over a stack too: B arms sharing an atom count and
 the horizon, their discounts a (B, n) table, and one rate (or one added
@@ -95,7 +97,7 @@ from typing import NamedTuple, Optional, Sequence
 
 import numpy as np
 
-from .discount import DiscountSeq, _in_arithmetic, _integer_tails, _regular, is_regular
+from .discount import DiscountSeq, _pass_table
 from .errors import InvalidParameterError, NotRegularError, ResourceBudgetExceededError
 from .measures import (
     DiscreteMeasure,
@@ -560,11 +562,10 @@ class BanditSolver:
             raise InvalidParameterError("an exact pass solves one instance at a time")
         ((s1, s2, n),) = shapes
         _check_budget(s1 + s2, n, opts, len(states))
-        a, (da, *_) = zip(*(_integer_tails(s.discount.values)[:2] if opts.exact
-                            else _numerators(s.discount.values, False) for s in states))
+        scaled, (da, *_), _ = zip(*(_pass_table(s.discount, opts.exact) for s in states))
         if not opts.exact:
-            _check_range(map(max, map(_reach, arms1), map(_reach, arms2)), map(sum, a))
-        a = np.array(a, dtype=object if opts.exact else np.float64)
+            _check_range(map(max, map(_reach, arms1), map(_reach, arms2)), (t[n] for t in scaled))
+        a = np.array([t[:n] for t in scaled], dtype=object if opts.exact else np.float64)
         self.options = opts
         self.horizon = n
         self.batch = len(states)
@@ -739,15 +740,13 @@ class BanditSolver:
         """Value report of instance b's kept stage-t node whose arm-1 count
         vector has rank r1 at level k1 and whose arm-2 vector has rank r2.
 
-        In exact mode the tie rule compares the two numerators over their
-        shared denominator (``_tie_terms``), and only the two payoffs become
-        Fractions; float mode reads the payoffs and applies
-        ``_make_report``."""
+        The tie rule compares the two numerators over their shared
+        denominator (``_tie_terms``), and only the two payoffs are read out
+        (``_read``): Fractions in exact mode, in float mode divisions by
+        1.0, which change no bit."""
         den = self.den(k1, t - k1)
         w1, w2 = self.w1[t][k1].item(b, r1, r2), self.w2[t][k1].item(b, r1, r2)
-        if not self.options.exact:
-            return _make_report(w1 / den, w2 / den, self.options.tie_tol)
-        f1, f2 = Fraction(w1, den), Fraction(w2, den)
+        f1, f2 = _read(w1, den), _read(w2, den)
         action = _action(*_tie_terms(w1 - w2, den, self.options.tie_tol))
         return ValueReport(f1 if w1 >= w2 else f2, f1, f2, action)
 
@@ -809,17 +808,15 @@ def _values(
     opts = options or DEFAULT_OPTIONS
     convert = to_exact if opts.exact else to_float
     states = list(states)
-    shapes, known, lattice, swapped, tables = [], {}, {}, set(), {}  # tables: each sequence judged once, by id
+    shapes, known, lattice, swapped = [], {}, {}, set()
     for i, s in enumerate(states):  # shapes in the pass's arithmetic, as the passes see them
         arm1, arm2 = convert(s.arm1), convert(s.arm2)
         if len(arm1) == 1 < len(arm2):
             arm1, arm2 = arm2, arm1
             swapped.add(i)
         s1, s2, n = len(arm1), len(arm2), len(s.discount.values)
-        if n and s2 == 1 and id(s.discount) not in tables:
-            tables[id(s.discount)] = _discount_table(s.discount, opts.exact)
-        if n and s2 == 1 and tables[id(s.discount)] is not None:
-            known[i] = (arm1, arm2.atoms[0][0], tables[id(s.discount)])
+        if n and s2 == 1 and _pass_table(s.discount, opts.exact)[2]:
+            known[i] = (arm1, arm2.atoms[0][0], s.discount)
             shapes.append((s1, n))
         else:
             lattice[i] = BanditState(arm1, arm2, s.discount)
@@ -836,20 +833,16 @@ def _values(
 
 
 def _known_arm_reports(items, opts: SolverOptions) -> list[ValueReport]:
-    """Root reports of (unknown arm, rate, discount table) items, the known
-    arm as arm 2: pulling first is the stopping pass's root pull payoff;
-    retiring first earns a_1 times the rate, then the pass's value from
-    stage 2 on."""
-    arms, lams, tables = zip(*items)
-    stack = _stopping_setup(arms, tables, opts, lams)
-    rows = stack.rows
-    lam, lam_den = _numerators(lams, opts.exact)
-    column = [(rows.means, _per_instance(lam))]
-    pulls = _stopping_pass(rows, column, rows.dx, lam_den, stack.a, stack.tails, stack.da)
-    later = _stopping_pass(rows, column, rows.dx, lam_den, stack.a[1:], stack.tails[1:], stack.da)
+    """Root reports of (unknown arm, rate, discount) items, the known arm as
+    arm 2: pulling first is the stopping pass's root pull payoff; retiring
+    first earns a_1 times the rate, then the value of the pass from stage 2
+    on (``first=1``)."""
+    arms, lams, discounts = zip(*items)
+    stack = _stopping_setup(arms, discounts, opts, lams)
+    pulls, later = _rate_pass(stack, lams), _rate_pass(stack, lams, first=1)
     retire = (_read(a[0], stack.da) * lam + rest  # a[0] / da is a_1
-              for a, lam, ((_, rest),) in zip(stack.scaled, lams, later))
-    return [_make_report(p, r, opts.tie_tol) for ((p, _),), r in zip(pulls, retire)]
+              for a, lam, (_, rest) in zip(stack.scaled, lams, later))
+    return [_make_report(p, r, opts.tie_tol) for (p, _), r in zip(pulls, retire)]
 
 
 def _stacks(shapes, opts: SolverOptions):
@@ -930,9 +923,10 @@ def _bump(counts: tuple, j: int) -> tuple:
     return counts[:j] + (counts[j] + 1,) + counts[j + 1 :]
 
 
-def _stopping_pass(arm: _ArmRows, columns, dx, lam_den, a, tails, da):
+def _stopping_pass(stack: _Stack, columns, lam_den, dx=None, first=0):
     """Stopping form of the one-armed bandit under regular discounting, over
-    a stack of B arms.
+    a stack of B arms, from stage ``first`` + 1 of its sequences on: with
+    ``first=1`` the pass over their :func:`drop_first` suffixes.
 
     Once the known arm is optimal it stays optimal, so each state compares
     pulling the unknown arm with retiring for ``lam * T_t``.  Where
@@ -941,14 +935,14 @@ def _stopping_pass(arm: _ArmRows, columns, dx, lam_den, a, tails, da):
     search relies on.
 
     ``columns`` lists (mean, rate) pairs, one column of the pass each:
-    ``mean`` gives the posterior means over ``dx`` of the lattice's levels
-    0..n-1, a (B, rows, 1) array like ``arm.means``, paid at rate a_t on a
-    pull (a ``mean`` of None pays nothing), and ``rate`` over ``lam_den``, a
-    scalar or one per instance as a (B, 1, 1) array, is paid at T_t on
-    retirement.  The first column is the value, and its choice of pull or
-    retire is every column's: a column of the slopes of the means and of
-    the rate in some parameter thus carries the slope of an optimal
-    policy's payoff in it.
+    ``mean`` gives the posterior means over ``dx`` (default: the rows') of
+    the lattice's levels 0..n-1, a (B, rows, 1) array like the rows' means,
+    paid at rate a_t on a pull (a ``mean`` of None pays nothing), and
+    ``rate`` over ``lam_den``, a scalar or one per instance as a (B, 1, 1)
+    array, is paid at T_t on retirement.  The first column is the value,
+    and its choice of pull or retire is every column's: a column of the
+    slopes of the means and of the rate in some parameter thus carries the
+    slope of an optimal policy's payoff in it.
 
     The columns share each level: the pass holds them as one (columns, B,
     rows, 1) array, and a level makes one gather of the children, one
@@ -959,12 +953,14 @@ def _stopping_pass(arm: _ArmRows, columns, dx, lam_den, a, tails, da):
     one-column pass, as each instance keeps those of a one-instance pass.
     (One (1 x s) @ (s x C) product over the columns would round otherwise.)
 
-    ``a`` and ``tails`` are the discount numerators over ``da`` by level,
-    ``a[t]`` and ``tails[t]`` one per instance as ``_per_instance`` gives
-    them (see ``_Stack``).  Level t holds numerators over
+    The discounts are the stack's numerators over ``da`` by level, from
+    level ``first`` on (see ``_Stack``).  Level t holds numerators over
     ``da * dx * lam_den * Q[t]`` (all 1.0 in float mode).  Returns, per
     instance, the root's pull payoff and value of each column.
     """
+    arm = stack.rows
+    dx = arm.dx if dx is None else dx
+    a, tails = stack.a[first:], stack.tails[first:]
     Q, start = arm.Q, arm.start
     n, batch = len(a), len(arm.measures)
     rates = np.empty((len(columns), batch, 1, 1), arm.dtype)
@@ -983,7 +979,7 @@ def _stopping_pass(arm: _ArmRows, columns, dx, lam_den, a, tails, da):
             pull += a_t * mean[:, start[t] : start[t + 1]]
         retire = rates * _times(dx * Q[t], tails[t])
         values = np.where(pulls[0] >= retire[0], pulls, retire)
-    den = da * dx * lam_den * Q[0]
+    den = stack.da * dx * lam_den * Q[0]
     if batch == 1:
         return [[(_read(p, den), _read(v, den))
                  for p, v in zip(pulls.ravel().tolist(), values.ravel().tolist())]]
@@ -1000,9 +996,9 @@ def _per_instance(values: list):
 class _Stack:
     """What every stopping pass of a stack of arms shares: the arms' rows,
     each instance's ``scaled`` discount numerators over ``da`` -- its n
-    values, then its n + 1 tails -- the same numbers by level, ``a[t]`` and
-    ``tails[t]``, one per instance as ``_per_instance`` gives them, and the
-    arithmetic."""
+    values, then its n + 1 tails, as its pass table holds them -- the same
+    numbers by level, ``a[t]`` and ``tails[t]``, one per instance as
+    ``_per_instance`` gives them, and the arithmetic."""
 
     def __init__(self, rows: _ArmRows, scaled: list, da, exact: bool):
         self.rows, self.scaled, self.da, self.exact = rows, scaled, da, exact
@@ -1018,30 +1014,18 @@ class _Stack:
         return _Stack(self.rows.take(live), [self.scaled[i] for i in live], self.da, self.exact)
 
 
-def _discount_table(A: DiscountSeq, exact: bool):
-    """``A``'s n values, then its n + 1 tails, over one denominator in the
-    solve's arithmetic, or None where ``A`` is not regular in it: the one
-    regularity check of the stopping form and of ``_values``' routing,
-    exact ones read off :func:`_integer_tails`."""
-    if exact:
-        nums, den, tails = _integer_tails(A.values)
-        return (nums + tails, den) if _regular(tails) else None
-    A = _in_arithmetic(A, exact)
-    return _numerators(A.values + A.tails, exact) if is_regular(A) else None
-
-
 def _stopping_setup(arms, discounts, opts: SolverOptions, rates=None) -> _Stack:
     """What every stopping pass of a stack shares: ``arms`` of one atom count
-    in the solve's arithmetic, under one ``_discount_table`` each, of one
-    length, the budget and, in float mode, the range checked: ``rates``,
-    where given, holds one rate per instance that its passes run at, or
-    that bounds them, where its arm's locations need not.  A table of None
-    raises NotRegularError."""
-    if None in discounts:
+    in the solve's arithmetic, under ``discounts`` of one length, read off
+    their pass tables, the budget and, in float mode, the range checked:
+    ``rates``, where given, holds one rate per instance that its passes run
+    at, or that bounds them, where its arm's locations need not.  A sequence
+    not regular in the solve's arithmetic raises NotRegularError."""
+    scaled, dens, regular = zip(*(_pass_table(A, opts.exact) for A in discounts))
+    if not all(regular):
         raise NotRegularError(
             "the stopping form and break-even quantities require a regular discount sequence"
         )
-    scaled, dens = zip(*discounts)
     n = len(scaled[0]) // 2
     _check_budget(len(arms[0].atoms), n, opts, len(arms))
     if not opts.exact:
@@ -1053,10 +1037,11 @@ def _stopping_setup(arms, discounts, opts: SolverOptions, rates=None) -> _Stack:
     return _Stack(_ArmRows(arms, n, opts.exact), list(scaled), dens[0], opts.exact)
 
 
-def _rate_pass(stack: _Stack, lams, slope=False):
+def _rate_pass(stack: _Stack, lams, slope=False, first=0):
     """The stopping pass of ``stack`` at one rate of ``lams`` per instance, in
-    the solve's arithmetic.  Returns, per instance, the root's (pull payoff,
-    value), or with ``slope`` [(pull, value), (their slopes in the rate)].
+    the solve's arithmetic, from stage ``first`` + 1 on.  Returns, per
+    instance, the root's (pull payoff, value), or with ``slope`` [(pull,
+    value), (their slopes in the rate)].
 
     The slope column pays nothing on a pull, so pulling adds nothing to the
     slope, and retiring at stage t sets it to T_t: the slope of the value
@@ -1064,7 +1049,7 @@ def _rate_pass(stack: _Stack, lams, slope=False):
     rows = stack.rows
     lam, lam_den = _numerators(lams, stack.exact)
     columns = [(rows.means, _per_instance(lam)), (None, lam_den)]
-    roots = _stopping_pass(rows, columns[: 1 + slope], rows.dx, lam_den, stack.a, stack.tails, stack.da)
+    roots = _stopping_pass(stack, columns[: 1 + slope], lam_den, first=first)
     return roots if slope else [root for root, in roots]
 
 
@@ -1101,7 +1086,7 @@ def _observation_pass(stack: _Stack, xs, lams):
     p_new = rows.probs[..., -1:]
     moved = _times(stretch, rows.means) + p_new * _per_instance(x)
     columns = [(moved, _per_instance(lam)), (_times(dx, p_new), 0)]
-    roots = _stopping_pass(rows, columns, dx, lam_den, stack.a, stack.tails, stack.da)
+    roots = _stopping_pass(stack, columns, lam_den, dx)
     return [(p, slope) for (p, _), (slope, _) in roots]
 
 
@@ -1133,5 +1118,5 @@ def stopping_value(
     """
     opts = options or DEFAULT_OPTIONS
     arm = to_exact(arm) if opts.exact else to_float(arm)
-    stack = _stopping_setup([arm], [_discount_table(A, opts.exact)], opts, [lam])
+    stack = _stopping_setup([arm], [A], opts, [lam])
     return _rate_pass(stack, [lam])[0][1]

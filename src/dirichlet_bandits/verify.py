@@ -14,7 +14,7 @@ from its integer grid numerator (k/64; a ratio-built discount's values
 from integer tail products over 64^i).  Past n = 9 a geometric or
 ratio-built discount's values are rounded, and the generator draws it
 again until the rationals of its float values are regular, judged on the
-integer tails ``discount._integer_tails`` gives an exact solve, so exact
+exact pass table an exact solve reads (``discount._pass_table``), so exact
 mode finds every sequence regular that float mode does.  Two margins compute
 in the options' arithmetic themselves: lemma1 mixes its grid there (the
 coefficients k/(GRID_POINTS - 1) need not be dyadic), and lemma4 forms
@@ -53,7 +53,7 @@ from itertools import islice
 
 import numpy as np
 
-from .discount import DiscountSeq, _integer_tails, _regular, drop_first, is_regular, make_uniform
+from .discount import DiscountSeq, _pass_table, drop_first, is_regular, make_discount, make_uniform
 from .errors import GeneratorFailedError, InvalidParameterError
 from .index import DEFAULT_TOL, RESIDUAL_TOL, _lockstep, _observation_search, _value_search
 from .measures import (
@@ -197,13 +197,6 @@ _FAMILIES = {
 }
 
 
-def _dyadic_discount(values) -> tuple[DiscountSeq, bool]:
-    """The float sequence ``values``, its tails rounded once from its
-    ``_integer_tails``, and whether those are regular, as an exact solve finds."""
-    _, den, tails = _integer_tails(values)
-    return DiscountSeq(tuple(values), tuple(t / den for t in tails)), _regular(tails)
-
-
 def _discount_kind(gen, kind, min_n, max_n):
     """The families of discount ``kind`` and the most stages a draw may
     have; refuses a kind or stage range no draw can meet."""
@@ -244,12 +237,12 @@ def random_discount(
     n = int(rng.integers(min_n, hi_n + 1))
     fam = families[int(rng.integers(0, len(families)))]
     if fam == "uniform":
-        return _dyadic_discount([1.0] * n)[0]
+        return make_uniform(n)
     if fam == "arbitrary":
         ks = rng.integers(0, GRID + 1, size=n).tolist()
         if not any(ks):
             ks[int(rng.integers(0, n))] = 1
-        return _dyadic_discount([k / GRID for k in ks])[0]
+        return make_discount([k / GRID for k in ks])
     for _ in range(REDRAWS):
         if fam == "geometric":
             # Powers of beta, each product rounded as make_truncated_geometric's.
@@ -266,8 +259,8 @@ def random_discount(
                 tails.append(tails[-1] * k)
             values = [(GRID * tails[i] - tails[i + 1]) / GRID ** (i + 1) for i in range(n - 1)]
             values.append(tails[-1] / GRID ** (n - 1))
-        A, regular = _dyadic_discount(values)
-        if regular:
+        A = make_discount(values)
+        if _pass_table(A, True)[2]:  # regular as an exact solve reads it
             return A
     raise GeneratorFailedError(
         f"no {fam} discount sequence of {n} stages stayed regular after rounding "

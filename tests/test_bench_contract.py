@@ -6,6 +6,7 @@ tests fail when a change to the package breaks a name or a parameter the
 harness relies on.  ``bench/`` is on ``sys.path`` only while its modules
 are imported.
 """
+import ast
 import importlib
 import inspect
 import sys
@@ -19,6 +20,13 @@ from dirichlet_bandits import BanditState, make_discount, make_measure, point_ma
 from dirichlet_bandits import oracle, solver, verify
 
 BENCH = str(Path(__file__).resolve().parents[1] / "bench")
+
+#: The private package names the harness modules read: a refactor that
+#: renames one fails here before it breaks a benchmark run.
+HARNESS_PRIVATE_NAMES = {"dirichlet_bandits.cli._fmt"}
+
+#: The names the harness modules bind the package to.
+PACKAGE_NAMES = {"dirichlet_bandits", "db", "package"}
 
 
 @pytest.fixture(scope="module")
@@ -91,3 +99,40 @@ def test_counted_parameters_keep_their_names():
     assert _params(verify.simulate_policy) == [
         ("state", positional), ("trials", positional), ("seed", positional), ("options", keyword)
     ]
+
+
+def _private(name: str) -> bool:
+    return name.startswith("_") and not name.startswith("__")
+
+
+def _dotted(node):
+    """The names of an attribute chain ``a.b.c`` as a list, or None."""
+    if isinstance(node, ast.Name):
+        return [node.id]
+    if isinstance(node, ast.Attribute):
+        head = _dotted(node.value)
+        return head and [*head, node.attr]
+    return None
+
+
+def _harness_private_names():
+    """The private package names that the harness modules (``bench/*.py``,
+    not its tests) import or read as attributes of the package."""
+    found = set()
+    for path in sorted(Path(BENCH).glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if isinstance(node, ast.ImportFrom) and (node.module or "").startswith("dirichlet_bandits"):
+                found.update(f"{node.module}.{a.name}" for a in node.names if _private(a.name))
+            elif isinstance(node, ast.Attribute) and _private(node.attr):
+                chain = _dotted(node.value) or []
+                roots = [i for i, name in enumerate(chain) if name in PACKAGE_NAMES]
+                if roots:
+                    found.add(".".join(["dirichlet_bandits", *chain[roots[0] + 1 :], node.attr]))
+    return found
+
+
+def test_the_harness_reads_only_the_pinned_private_names():
+    assert _harness_private_names() == HARNESS_PRIVATE_NAMES
+    for name in HARNESS_PRIVATE_NAMES:
+        module, attr = name.rsplit(".", 1)
+        assert hasattr(importlib.import_module(module), attr), name

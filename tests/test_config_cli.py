@@ -118,11 +118,12 @@ class TestConfig:
         ({"arm1": {}}, "arm1: needs 'atoms' or 'known'"),
         ({"discount": 5}, "discount: expected an object"),
         ({"discount": {"values": []}}, "discount.values must be a nonempty list"),
-        ({"discount": {"family": "uniform"}}, "discount: 'n'"),
+        ({"discount": {"family": "uniform"}}, "discount: missing field 'n'"),
+        ({"discount": {"family": "geometric", "n": 3}}, "discount: missing field 'beta'"),
         ({"options": 5}, "options: expected an object"),
         (None, "top level must be an object"),
     ], ids=["null-location", "arm-number", "arm-empty", "discount-number", "values-empty",
-            "uniform-without-n", "options-number", "top-level-list"])
+            "uniform-without-n", "geometric-without-beta", "options-number", "top-level-list"])
     def test_each_refusal_exits_2_with_its_message(self, patch, message, tmp_path, capsys):
         doc = [] if patch is None else {
             "arm1": {"atoms": [{"location": 0, "weight": 1}, {"location": 1, "weight": 1}]},

@@ -14,7 +14,7 @@ from dirichlet_bandits import (
     make_truncated_geometric,
     make_uniform,
 )
-from dirichlet_bandits.discount import _in_arithmetic
+from dirichlet_bandits.discount import _pass_table
 
 
 def test_tails_match_direct_summation():
@@ -59,23 +59,38 @@ def test_drop_first_to_terminal():
         drop_first(A)
 
 
+def _numbers(A, exact):
+    """The values and tails that ``A``'s pass table holds, as numbers."""
+    scaled, den, _ = _pass_table(A, exact)
+    return [Fraction(x, den) if exact else x / den for x in scaled]
+
+
 @pytest.mark.parametrize("exact", [False, True])
-def test_a_sequence_is_put_into_a_solve_arithmetic(exact):
+def test_a_pass_table_reads_a_sequence_in_a_solve_arithmetic(exact):
     A = make_truncated_geometric(0.9, 12)  # 0.9 ** t rounds
     B = make_discount(A.values, exact=True)
-    assert _in_arithmetic(A, exact) == (A if not exact else B)
-    assert _in_arithmetic(B, exact) == (B if exact else make_discount(B.values))
-    # A sequence already in the arithmetic is returned as it is.
-    assert _in_arithmetic(A, False) is A and _in_arithmetic(B, True) is B
+    # A float table holds a float sequence's own values and tails, an exact
+    # one the rationals of its values, whatever the sequence's own type.
+    want = B if exact else A
+    for C in (A, B):
+        got = _numbers(C, exact)
+        assert got == [*want.values, *want.tails]
+        assert all(isinstance(x, Fraction) == exact for x in got)
+        assert _pass_table(C, exact)[2] is True
+    # Built once per arithmetic and kept on the sequence object.
+    assert _pass_table(A, exact) is _pass_table(A, exact)
+    assert _pass_table(A, not exact) is not _pass_table(A, exact)
+    assert _pass_table(make_discount([1, 0, 1]), exact)[2] is False
     # A sequence's arithmetic is the type of its tails: the terminal suffix
-    # of an exact sequence is exact, and returned as it is.
+    # of an exact sequence is exact.
     E = drop_first(make_discount([1], exact=True))
-    assert E.exact and _in_arithmetic(E, True) is E
+    assert E.exact
     # The terminal sequence and zero-total suffixes are accepted.
     for C in (drop_first(make_discount([1])), drop_first(make_discount([1, 0])), E):
-        got = _in_arithmetic(C, exact)
-        assert got.tails == tuple(Fraction(0) if exact else 0.0 for _ in C.tails)
-        assert all(isinstance(t, Fraction) == exact for t in got.tails)
+        got = _numbers(C, exact)
+        assert got == [0] * (2 * len(C) + 1)
+        assert all(isinstance(x, Fraction) == exact for x in got)
+        assert _pass_table(C, exact)[2] is True
 
 
 def test_uniform_is_regular():
@@ -175,5 +190,5 @@ def test_tails_past_the_float_range_are_refused():
     A = make_discount([1e308, 1e308], exact=True)
     assert A.total == 2 * Fraction(1e308)
     with pytest.raises(InvalidParameterError, match="exceed the float range"):
-        _in_arithmetic(A, False)
+        _pass_table(A, False)
     assert make_discount([1e308, 7e307]).total == 1.7e308

@@ -6,17 +6,20 @@ from fractions import Fraction
 import pytest
 
 from dirichlet_bandits import (
+    BanditState,
     InstanceGen,
     break_even_observation,
     break_even_value,
     index_sweep,
     make_measure,
     make_uniform,
+    point_mass,
     scale,
+    value_one_armed,
 )
-from dirichlet_bandits import index, solver
+from dirichlet_bandits import index
 from dirichlet_bandits.index import DEFAULT_TOL, _lockstep, _observation_search, _value_search
-from dirichlet_bandits.solver import DEFAULT_OPTIONS, EXACT_OPTIONS
+from dirichlet_bandits.solver import DEFAULT_OPTIONS, EXACT_OPTIONS, _values
 from dirichlet_bandits.verify import random_discount, random_measure
 
 HALVES = make_measure([(0, 0.5), (1, 0.5)])
@@ -76,28 +79,37 @@ def test_one_stacked_pass_per_shape_per_round(count_passes):
     assert got == alone
     rounds = max(r.iterations for r in alone)
     assert len(passes) == rounds
-    live = [len(rows.measures) for rows, *_ in passes]
+    live = [len(p.stack.rows.measures) for p in passes]
     assert live == [sum(r.iterations > k for r in alone) for k in range(rounds)]
 
 
-def test_searches_sharing_a_sequence_share_its_table(monkeypatch):
-    # Two shapes over one sequence, and a third search over another: one
-    # discount table per sequence, and the results of the searches alone.
+def test_a_sequence_object_is_tabled_once_across_calls(count_tables):
+    # Known-arm solves and value searches of two shapes over one sequence,
+    # and one of each over another: one table per sequence object, read by
+    # one _values call and one _lockstep call, and the results of each
+    # alone on sequences of their own.
     A, B = make_uniform(5), make_uniform(5)
     arms = [scale(HALVES, 1), scale(HALVES, 2), make_measure([(0, 1), (0.5, 1), (1, 1)])]
-    searches = [_value_search(arm, A, DEFAULT_TOL, DEFAULT_OPTIONS) for arm in arms]
-    searches.append(_value_search(arms[0], B, DEFAULT_TOL, DEFAULT_OPTIONS))
-    alone = [break_even_value(s.arm, s.A) for s in searches]
-    tables = []
-
-    def counted_table(seq, exact):
-        tables.append(seq)
-        return discount_table(seq, exact)
-
-    discount_table = solver._discount_table
-    monkeypatch.setattr(solver, "_discount_table", counted_table)
-    assert _lockstep(searches, DEFAULT_OPTIONS) == alone
-    assert sorted(map(id, tables)) == sorted([id(A), id(B)])
+    pairs = [(arm, A) for arm in arms] + [(arms[0], B)]
+    alone = [break_even_value(arm, make_uniform(5)) for arm, _ in pairs]
+    alone_reports = [value_one_armed(arm, 0.5, make_uniform(5)) for arm, _ in pairs]
+    alone_observation = break_even_observation(arms[0], make_uniform(5))
+    builds = count_tables()
+    states = [BanditState(arm, point_mass(0.5), seq) for arm, seq in pairs]
+    assert _values(states, DEFAULT_OPTIONS) == alone_reports
+    searches = [_value_search(arm, seq, DEFAULT_TOL, DEFAULT_OPTIONS) for arm, seq in pairs]
+    got = _lockstep(searches, DEFAULT_OPTIONS)
+    assert got == alone
+    assert sorted(id(seq) for seq, _ in builds) == sorted([id(A), id(B)])
+    assert {exact for _, exact in builds} == {False}
+    # An observation search runs over a drop_first suffix: one more object,
+    # tabled once by the search and read by its passes.
+    observe = _observation_search(searches[0], got[0].value)
+    assert _lockstep([observe], DEFAULT_OPTIONS) == [alone_observation]
+    assert [seq for seq, _ in builds[2:]] == [observe.A]
+    # The other arithmetic is one more table per object.
+    _values(states, EXACT_OPTIONS)
+    assert sorted(id(seq) for seq, exact in builds if exact) == sorted([id(A), id(B)])
 
 
 def test_a_non_monotone_search_warns_once_and_leaves_the_others_alone():

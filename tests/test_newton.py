@@ -91,7 +91,7 @@ class TestSlopeColumns:
             rng = gen.rng(i)
             arm = to_exact(random_measure(gen, rng))
             A = random_discount(gen, rng, kind="regular")
-            stack = solver._stopping_setup([arm], [solver._discount_table(A, True)], EXACT_OPTIONS)
+            stack = solver._stopping_setup([arm], [A], EXACT_OPTIONS)
             lam = Fraction(int(rng.integers(0, 64)), 64) + Fraction(1, 997)
             ((pull, v), (dpull, dv)), ((pull_eps, v_eps), _) = (
                 solver._rate_pass(stack, [x], slope=True)[0] for x in (lam, lam + self.EPS)
@@ -108,8 +108,7 @@ class TestSlopeColumns:
             rng = gen.rng(i)
             arm = to_exact(random_measure(gen, rng))
             A = random_discount(gen, rng, kind="regular")
-            discounts = [solver._discount_table(A, True)]
-            stack = solver._observation_setup([arm], discounts, EXACT_OPTIONS)
+            stack = solver._observation_setup([arm], [A], EXACT_OPTIONS)
             lam = Fraction(1, 3)
             for x in (arm.locations[0], Fraction(2, 7)):
                 ((p, slope),) = solver._observation_pass(stack, [x], [lam])
@@ -122,7 +121,9 @@ class TestSlopeColumns:
         stopping_value(COIN, 0.5, A2)
         value_one_armed(COIN, 0.5, A2)
         assert len(passes) == 3
-        assert all(len(columns) == 1 for _, columns, *_ in passes)
+        assert all(len(p.columns) == 1 for p in passes)
+        # value_one_armed's second pass runs from stage 2 on.
+        assert [p.first for p in passes] == [0, 0, 1]
 
 
 class TestTrace:

@@ -34,6 +34,7 @@ from dirichlet_bandits import (
     value_one_armed,
 )
 from dirichlet_bandits import solver
+from dirichlet_bandits.discount import _pass_table
 from dirichlet_bandits.solver import (
     MEMO_CAP_ENV,
     BanditSolver,
@@ -385,7 +386,7 @@ class TestKnownArmRoute:
 
     def test_routed_reports_equal_the_two_armed_pass_exactly(self):
         states = self.known_arm_states(100)
-        routed = [solver._discount_table(s.discount, True) is not None for s in states]
+        routed = [_pass_table(s.discount, True)[2] for s in states]
         assert 0 < sum(routed[0::2]) < 50 and 0 < sum(routed[1::2]) < 50
         for state in states:
             assert value(state, EXACT) == lattice_report(state, EXACT)
@@ -448,9 +449,9 @@ class TestStackedStoppingPass:
 
     @staticmethod
     def setups(arms, A, options):
-        tables = [solver._discount_table(A, options.exact)] * len(arms)
-        return (solver._stopping_setup(arms, tables, options),
-                solver._observation_setup(arms, tables, options))
+        discounts = [A] * len(arms)
+        return (solver._stopping_setup(arms, discounts, options),
+                solver._observation_setup(arms, discounts, options))
 
     def test_the_value_column_has_the_bits_of_a_one_column_pass(self):
         for arms, A, lams, _ in self.stacks(80, seed=1):
@@ -486,6 +487,24 @@ class TestStackedStoppingPass:
             for exact, approx in zip((*value, *slope, *observation[0]),
                                      (*fvalue, *fslope, *fobservation)):
                 assert exact == pytest.approx(approx, abs=1e-9)
+
+    def test_a_pass_from_stage_two_is_a_pass_on_the_suffix(self):
+        # first=1 reads the stack's levels from the second on: the float bits
+        # and the exact Fractions of a pass on drop_first(A), whose own exact
+        # table puts the first sequence's suffix over 8, the stack's over 24.
+        lams = [0.3, 0.55, 0.8]
+        for exact, batch in ((False, 1), (False, 3), (True, 1)):
+            options = EXACT if exact else solver.DEFAULT_OPTIONS
+            arms = [make_measure([(-0.5, 1), (0.25 * b, 2), (1, 0.5)], exact=exact)
+                    for b in range(batch)]
+            for A in (make_discount([Fraction(1, 3), Fraction(1, 4), Fraction(1, 8)], exact=exact),
+                      make_truncated_geometric(0.9, 6, exact=exact)):
+                stack = solver._stopping_setup(arms, [A] * batch, options)
+                suffix = solver._stopping_setup(arms, [drop_first(A)] * batch, options)
+                got = solver._rate_pass(stack, lams[:batch], slope=True, first=1)
+                want = solver._rate_pass(suffix, lams[:batch], slope=True)
+                assert repr(got) == repr(want)
+                assert all(isinstance(x, Fraction) == exact for root in got for pair in root for x in pair)
 
     def test_one_gather_per_level_per_pass(self, monkeypatch):
         gathers = []

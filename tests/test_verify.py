@@ -241,9 +241,9 @@ def _ratio_built(ratios):
 
 
 def test_integer_regularity_verdict_matches_the_exact_one():
-    # The integer tails that the draws, is_regular and exact pass tables all
-    # read, against tails and a verdict computed here in Fractions.
-    from dirichlet_bandits.discount import _integer_tails, make_truncated_geometric
+    # The integer tails that exact pass tables, and so the draws and
+    # is_regular, read, against tails and a verdict computed here in Fractions.
+    from dirichlet_bandits.discount import _integer_tails, _pass_table, make_truncated_geometric
 
     rng = np.random.default_rng(20)
     verdicts = []
@@ -253,8 +253,7 @@ def test_integer_regularity_verdict_matches_the_exact_one():
             A = make_truncated_geometric(int(rng.integers(1, verify.GRID)) / verify.GRID, n)
         else:
             A = _ratio_built(rng.integers(1, verify.GRID, size=n - 1).tolist())
-        drawn, regular = verify._dyadic_discount(list(A.values))
-        assert drawn == A  # the same values and tails, bit for bit
+        regular = _pass_table(A, True)[2]
         values = [Fraction(v) for v in A.values]
         tails = [Fraction(0)]
         for v in reversed(values):
@@ -602,6 +601,15 @@ def test_one_stopping_pass_per_shape_per_round(count_passes):
     passes = count_passes()
     assert SUITES["strictness"](gen).trials == trials
     assert len(passes) == sum(slowest.values()) == 35
+
+
+def test_the_battery_tables_each_sequence_once_per_arithmetic(count_tables):
+    # Seed 0 at default trials, in one process: every draw, route, pass and
+    # search reads a sequence object through one pass table per arithmetic.
+    builds = count_tables()
+    run_suites("all", InstanceGen(seed=0))
+    assert len(builds) > 1000
+    assert len({(id(seq), exact) for seq, exact in builds}) == len(builds)
 
 
 def test_parallel_run_starts_no_more_workers_than_instances(inline_pool):

@@ -11,19 +11,21 @@ For an arm with s atoms, level k of its lattice lists the count vectors
 totalling k in rank order, and a child table maps each vector and atom j to
 the rank of the vector with one more count at j.  These tables depend on
 (s, k) only and are built on first use.  One bottom-up pass runs from the
-last stage to the first; stage t of the two-armed pass splits into blocks
+last stage to the first.  Stage t of the two-armed pass is made of blocks
 of k1 counts on arm 1 and t - k1 on arm 2, and pulling either arm is its
-immediate payoff plus a gather from a next-stage block and a weighted sum
-over its atoms (``_pull``).  An exact pass, and a float pass whose arm 2
-has one atom, lays each stage out flat instead: one array over the stage's
-blocks in turn.  An exact pass pulls both arms together through one table
-of both arms' lattice rows, interleaved by level, and each stage's pulls
-with their next-stage indices (``_pull_layout``, which depends on the two
-atom counts only): where the arms have equally many atoms, one gather, one
-matmul and one add a stage serve both; otherwise one each per arm.  A
-float pass whose arm 2 has one atom pulls each arm once a stage over arm
-1's own rows, and one whose arm 2 has more atoms walks blocks, because
-only a one-column block keeps its float bits when laid out flat.
+immediate payoff plus a gather from the next stage and a weighted sum over
+its atoms (``_pull``).  Every two-armed pass lays each stage out flat: one
+array over the stage's blocks in turn, each in row-major order.  An exact
+pass pulls both arms together through one table of both arms' lattice
+rows, interleaved by level, and each stage's pulls with their next-stage
+indices (``_pull_layout``, which depends on the two atom counts only):
+where the arms have equally many atoms, one gather, one matmul and one add
+a stage serve both; otherwise one each per arm.  A float pass whose arm 2
+has one atom pulls each arm once a stage over arm 1's own rows.  One whose
+arm 2 has more atoms makes one (1 x s) @ (s x C) product per arm and block
+row, block by block, since a block wider than one column keeps its float
+bits only so; it writes them into the stage's arrays, and adds arm 1's
+payoffs and takes the larger pull once a stage.
 The one-armed stopping form is the same pass over the unknown arm alone,
 against retirement at ``lam * T_t``.  It runs over columns, each an
 immediate payoff and a retirement rate: the value, and for the Newton steps
@@ -463,8 +465,8 @@ class _ArmRows:
         self._bounds = list(zip(lat.start[:n], lat.start[1 : n + 1]))
         self.probs, self.means = p, p @ X
 
-    # The level views are built on first use: the flat two-armed passes read
-    # only ``probs`` and ``means``.
+    # The level views are built on first use: the two-armed passes read only
+    # ``probs`` and ``means``.
     @cached_property
     def p_row(self) -> list[np.ndarray]:
         return [self.probs[:, i:j, None] for i, j in self._bounds]
@@ -486,10 +488,6 @@ class _ArmRows:
         table = np.concatenate(levels) if levels else np.zeros((0, self.atoms), np.int64)
         table.flags.writeable = False  # policy_tables hands it out
         return table
-
-    def zeros(self, k: int, width: int) -> np.ndarray:
-        """Terminal values of the level-k states, ``width`` columns."""
-        return np.zeros((len(self.measures), self.start[k + 1] - self.start[k], width), self.dtype)
 
 
 def _times(c, x):
@@ -527,14 +525,14 @@ class BanditSolver:
     Da Dx1 Dx2 Q1[k1] Q2[k2], for Da the discounts' least common
     denominator (all 1.0 in float mode): both payoffs of a block share it,
     and the continuation from a child block needs no factor.  Each
-    instance's discounts are one row of a (B, n) table.  An exact pass, and
-    a float pass whose arm 2 has one atom, solves each stage as one flat
-    (B, states, 1) array, and its blocks are reshaped slices of it: an exact
-    pass pulls both arms together (``_exact_stages``), in one ``_pull`` a
-    stage where they have equally many atoms, a float one each arm in turn
-    (``_flat_stages``).  A float pass whose arm 2 has more atoms solves
-    block by block (``_block_stages``).  Float passes keep their arithmetic
-    and bits whatever exact passes do.
+    instance's discounts are one row of a (B, n) table.  Every pass solves
+    each stage as one flat array per payoff, and its blocks are reshaped
+    slices of it: an exact pass pulls both arms together
+    (``_exact_stages``), in one ``_pull`` a stage where they have equally
+    many atoms; a float pass whose arm 2 has one atom pulls each arm in turn
+    (``_flat_stages``); and one whose arm 2 has more atoms writes one
+    product per arm and block into the stage's arrays (``_block_stages``).
+    Float passes keep their arithmetic and bits whatever exact passes do.
 
     The pass keeps the blocks of the first ``keep`` stages only (default:
     every stage, which ``policy_tables`` needs); later stages are dropped as
@@ -582,24 +580,54 @@ class BanditSolver:
 
     def _block_stages(self, a) -> None:
         """The stages of a float pass whose arm 2 has more than one atom,
-        block by block."""
+        laid out flat: stage t is one (B, states) array per arm, its blocks
+        k1 = 0..t in turn, each in row-major order.
+
+        A float block wider than one column rounds otherwise when laid out
+        flat (``_flat_stages``), so each arm still makes one product per
+        block: each of the block's rows times the (s x C) gather of its
+        children, the gemv that the block's ``_pull`` makes, here through
+        ``np.vecmat``, whose bits are matmul's.  Each product is written in
+        place into the block's slice of the stage's array, arm 1's into the
+        block and arm 2's into its transpose.  Arm 2's payoff varies along a
+        block's columns, so it is added block by block; arm 1's is added to
+        the whole stage at once, each row of its level k1 repeated over arm
+        2's level t - k1, and the stage's values are one maximum of the two
+        arrays.
+        """
         rows1, rows2 = self.arms
-        n = self.horizon
+        n, batch = self.horizon, self.batch
         start1, start2 = rows1.start, rows2.start
-        nxt = [rows1.zeros(k1, start2[n - k1 + 1] - start2[n - k1]) for k1 in range(n + 1)]
+        size1, size2 = np.diff(start1[: n + 2]), np.diff(start2[: n + 2])
+        rows1_of, rows2_of = size1.tolist(), size2.tolist()
+        # Each level's predictive probabilities, (B, rows, atoms).
+        p1, p2 = ([rows.probs[:, i:j] for i, j in zip(rows.start, rows.start[1 : n + 1])]
+                  for rows in self.arms)
+        child1, child2 = rows1.child, rows2.child
+
+        def block_ends(t):  # where each of stage t's blocks ends
+            return list(accumulate((size1[: t + 1] * size2[t::-1]).tolist()))
+
+        ends = block_ends(n)
+        nxt = np.zeros((batch, ends[-1]))  # stage n
         for t in reversed(range(n)):
-            # Both arms' means of levels 0..t at this stage's discounts.
+            later, ends = self._blocks(nxt, ends), block_ends(t)
             a_t = a[:, t, None, None]
-            am1, am2 = a_t * rows1.means[:, : start1[t + 1]], a_t * rows2.means[:, : start2[t + 1]]
-            w1 = [_pull(am1[:, start1[k1] : start1[k1 + 1]], rows1.p_row[k1], rows1.child[k1],
-                        nxt[k1 + 1])
-                  for k1 in range(t + 1)]
-            w2 = [_pull(am2[:, start2[k2] : start2[k2 + 1]], rows2.p_row[k2], rows2.child[k2],
-                        nxt[t - k2].mT).mT
-                  for k2 in reversed(range(t + 1))]
-            nxt = list(map(np.maximum, w1, w2))
+            pay2 = a_t * rows2.means[:, : start2[t + 1]]
+            w1, w2 = np.empty((batch, ends[-1])), np.empty((batch, ends[-1]))
+            for k1, (i, j) in enumerate(zip([0, *ends], ends)):
+                k2 = t - k1
+                shape = (batch, rows1_of[k1], rows2_of[k2])
+                np.vecmat(p1[k1], later[k1 + 1].take(child1[k1], axis=-2),
+                          out=w1[:, i:j].reshape(shape))
+                out2 = w2[:, i:j].reshape(shape).mT
+                np.vecmat(p2[k2], later[k1].mT.take(child2[k2], axis=-2), out=out2)
+                out2 += pay2[:, start2[k2] : start2[k2 + 1]]
+            w1 += np.repeat(a_t[..., 0] * rows1.means[:, : start1[t + 1], 0],
+                            np.repeat(size2[t::-1], size1[: t + 1]), axis=1)
+            nxt = np.maximum(w1, w2)
             if t < self.kept:
-                self.w1[t], self.w2[t] = w1, w2
+                self._keep(t, w1, w2, ends)
 
     def _flat_stages(self, a) -> None:
         """The stages of a float pass whose arm 2 has one atom, laid out
@@ -612,8 +640,9 @@ class BanditSolver:
         The pass keeps the blocks' bits: each row of a one-column block is
         the (1 x s) @ (s x 1) product the block computes, and arm 2's 1 x 1
         products are summed from 0.0 as the blocks' matmul does.  A wider
-        float block, (1 x s) @ (s x C), can round otherwise, so it stays a
-        block (``_block_stages``).
+        float block's (1 x s) @ (s x C) product can round otherwise, so a
+        pass whose arm 2 has more atoms still makes one product per block,
+        though it too holds each stage flat (``_block_stages``).
         """
         rows1, rows2 = self.arms
         n = self.horizon
@@ -689,14 +718,16 @@ class BanditSolver:
                 self._keep(t, w1, w2, stage.ends)
 
     def _keep(self, t: int, w1, w2, ends) -> None:
-        """Keep stage t's blocks of a flat pass: block k1 is the reshaped
-        slice of each payoff array that ends at ``ends[k1]``, a Python int."""
+        """Keep stage t's blocks of each payoff array (``_blocks``)."""
+        self.w1[t], self.w2[t] = self._blocks(w1, ends), self._blocks(w2, ends)
+
+    def _blocks(self, w, ends) -> list[np.ndarray]:
+        """The blocks of a stage laid out flat as ``w``, (B, states, ...):
+        block k1 is the reshaped slice that ends at ``ends[k1]``, a Python
+        int, (B, rows, columns)."""
         start1 = self.arms[0].start
-        blocks = list(enumerate(zip([0, *ends], ends)))
-        self.w1[t], self.w2[t] = (
-            [w[:, i:j].reshape(self.batch, start1[k1 + 1] - start1[k1], -1) for k1, (i, j) in blocks]
-            for w in (w1, w2)
-        )
+        return [w[:, i:j].reshape(self.batch, start1[k1 + 1] - start1[k1], -1)
+                for k1, (i, j) in enumerate(zip([0, *ends], ends))]
 
     def den(self, k1: int, k2: int):
         """The denominator of the block with k1 counts on arm 1 and k2 on arm 2."""
@@ -908,11 +939,12 @@ def policy_tree(
                 for j, r in enumerate(rows1.child[k1][r1].tolist()):
                     frontier.append((_bump(c1, j), c2, k1 + 1, r, r2))
     nodes: list[PolicyNode] = []
+    locations = [rows.measures[0].locations for rows in solver.arms]  # arm 1's, arm 2's
     for stage in reversed(range(depth)):
         kids = iter(nodes)
         nodes = []
         for (c1, c2, *_), rep in stages[stage]:
-            locs = solver.arms[1 if rep.action is Action.ARM2 else 0].measures[0].locations
+            locs = locations[1 if rep.action is Action.ARM2 else 0]
             branches = tuple((loc, next(kids)) for loc in locs) if stage + 1 < depth else ()
             nodes.append(PolicyNode(StateKey(c1, c2, stage), rep.action, rep, branches))
     return nodes[0]

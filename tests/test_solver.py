@@ -1,4 +1,5 @@
 """Two-armed lattice pass, one-armed stopping form, policy trees."""
+import copy
 import math
 import time
 import tracemalloc
@@ -528,7 +529,8 @@ class TestStackedStoppingPass:
 
 class TestFlatPass:
     """A pass whose arm 2 has one atom lays each stage out flat; with the
-    known arm as arm 1 a float pass still walks blocks.  Swapping the arms
+    known arm as arm 1 a float pass still makes its products block by
+    block.  Swapping the arms
     swaps the two payoffs, so the flat pass must equal the block pass, bit
     for bit, under the swap."""
 
@@ -623,13 +625,28 @@ class TestFlatPass:
 
     def test_one_pull_per_arm_per_stage(self, monkeypatch):
         # A flat stage pulls arm 1 through one gather and arm 2 through
-        # none; a stage of blocks pulls each arm once per block.
-        pulls = []
+        # none; a stage of blocks makes one product per arm and block, each
+        # written into the stage's arrays, and one maximum.
+        pulls, calls = [], []
         real = solver._pull
 
         def counted(payoff, p_row, child, nxt):
             pulls.append(child is None)
             return real(payoff, p_row, child, nxt)
+
+        class CountedNumpy:
+            """numpy, logging each product and maximum the solver makes."""
+
+            def __getattr__(self, name):
+                return getattr(np, name)
+
+            def vecmat(self, *args, **kwargs):
+                calls.append("product")
+                return np.vecmat(*args, **kwargs)
+
+            def maximum(self, *args, **kwargs):
+                calls.append("maximum")
+                return np.maximum(*args, **kwargs)
 
         monkeypatch.setattr(solver, "_pull", counted)
         A = make_discount([1, 0, 1, 0.5, 0.25, 1])
@@ -637,8 +654,10 @@ class TestFlatPass:
         BanditSolver(BanditState(three, point_mass(0.3), A))
         assert pulls == [False, True] * 6
         pulls.clear()
+        monkeypatch.setattr(solver, "np", CountedNumpy())
         BanditSolver(BanditState(point_mass(0.3), three, A))
-        assert len(pulls) == 2 * sum(t + 1 for t in range(6))
+        assert pulls == []
+        assert calls == [c for t in reversed(range(6)) for c in ["product"] * 2 * (t + 1) + ["maximum"]]
 
     def test_zero_horizon_flat_pass_reports_zero(self):
         empty = DiscountSeq((), (0.0,))
@@ -653,6 +672,77 @@ class TestFlatPass:
         for state in (BanditState(COIN, point_mass(0.5), A), BanditState(point_mass(0.5), COIN, A)):
             with pytest.raises(ResourceBudgetExceededError, match=message):
                 value(state)
+
+
+class TestBlockPass:
+    """A float pass whose arm 2 has more than one atom holds each stage as
+    one array per arm and writes each block's products into it.  Its kept
+    payoffs must have the bits of the pass made block by block, a ``_pull``
+    per arm and block and a maximum per block."""
+
+    @staticmethod
+    def by_blocks(solved, a):
+        """Each stage's (w1, w2) blocks of the pass made block by block."""
+        rows1, rows2 = solved.arms
+        n, start1, start2 = solved.horizon, rows1.start, rows2.start
+        nxt = [np.zeros((solved.batch, start1[k + 1] - start1[k], start2[n - k + 1] - start2[n - k]))
+               for k in range(n + 1)]
+        stages = []
+        for t in reversed(range(n)):
+            am1, am2 = a[:, t, None, None] * rows1.means, a[:, t, None, None] * rows2.means
+            w1 = [solver._pull(am1[:, start1[k1] : start1[k1 + 1]], rows1.p_row[k1], rows1.child[k1],
+                               nxt[k1 + 1])
+                  for k1 in range(t + 1)]
+            w2 = [solver._pull(am2[:, start2[k2] : start2[k2 + 1]], rows2.p_row[k2], rows2.child[k2],
+                               nxt[t - k2].mT).mT
+                  for k2 in reversed(range(t + 1))]
+            nxt = list(map(np.maximum, w1, w2))
+            stages.append((w1, w2))
+        return stages[::-1]
+
+    @staticmethod
+    def stacks(count, seed):
+        # Non-dyadic floats, negative locations and zero discount weights.
+        rng = np.random.default_rng(seed)
+        for _ in range(count):
+            s1, s2 = int(rng.integers(1, 4)), int(rng.integers(2, 5))
+            n, batch = int(rng.integers(1, 9)), int(rng.integers(1, 4))
+            keep = [None, 1, 2, 3][int(rng.integers(0, 4))]
+            states = []
+            for _ in range(batch):
+                arms = []
+                for s in (s1, s2):
+                    locs = np.sort(rng.choice([-1, 1], s) * rng.uniform(0, 1.5, s))
+                    arms.append(make_measure(zip(locs.tolist(), rng.uniform(0.05, 2, s).tolist())))
+                values = rng.uniform(0, 1, n) * (rng.uniform(0, 1, n) > 0.2)
+                values[rng.integers(n)] = rng.uniform(0.1, 1)  # a positive total
+                states.append(BanditState(*arms, make_discount(values.tolist())))
+            yield states, keep
+
+    def test_kept_payoffs_have_the_bits_of_the_block_by_block_pass(self):
+        shapes = set()
+        for states, keep in self.stacks(240, seed=12):
+            solved = BanditSolver(states, keep=keep)
+            n = solved.horizon
+            a = np.array([_pass_table(s.discount, False)[0][:n] for s in states])
+            want = self.by_blocks(solved, a)
+            for t in range(solved.kept):
+                for got, blocks in zip((solved.w1[t], solved.w2[t]), want[t]):
+                    assert len(got) == len(blocks) == t + 1
+                    for g, w in zip(got, blocks):  # as int64, so the signs of zeros too
+                        assert g.shape == w.shape
+                        assert np.array_equal(np.ascontiguousarray(g).view(np.int64),
+                                              np.ascontiguousarray(w).view(np.int64))
+            shapes.add((solved.arms[0].atoms, solved.arms[1].atoms, solved.batch > 1, keep))
+            reference = copy.copy(solved)
+            reference.w1, reference.w2 = map(list, zip(*want[: solved.kept]))
+            assert solved.roots() == reference.roots()
+            if keep is None:
+                (pulls, tables), (want_pulls, want_tables) = solved.policy_tables(), reference.policy_tables()
+                assert np.array_equal(pulls, want_pulls)
+                assert all(np.array_equal(g, w) for got, wanted in zip(tables, want_tables)
+                           for g, w in zip(got, wanted))
+        assert len(shapes) > 60  # most (s1, s2, stacked, keep) combinations
 
 
 class TestExactFlatPass:

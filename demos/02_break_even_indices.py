@@ -73,3 +73,11 @@ values = [row.value for row in sweep.rows]
 print("strictly decreasing:", all(a > b for a, b in zip(values, values[1:])))
 print(f"all above the prior mean {mean(bernoulli):.2f}: "
       f"{all(v > 0.5 for v in values)} (information never hurts)")
+
+# Clayton & Berry's (1985) setting: the same fall at a long uniform horizon,
+# pinned in exact arithmetic (each root a Fraction, residual zero).
+long_run = [break_even_value(scale(bernoulli, M), make_uniform(50), options=exact).value
+            for M in (1, 2, 4)]
+print("\nexact break-even values of the coin at M = 1, 2, 4, fifty uniform stages:")
+print("  " + ", ".join(f"{float(v):.6f}" for v in long_run))
+print("  strictly decreasing:", all(a > b for a, b in zip(long_run, long_run[1:])))

@@ -32,10 +32,12 @@ residual.
 
 The Newton loop is a coroutine (``_newton_steps``): it yields each point it
 needs a pass at and is sent back the objective there and its slope.  So
-many searches can run in lockstep (``_lockstep``): each round groups the
-live searches by shape -- search kind, atom count and horizon -- and makes
-one stacked stopping pass per shape, which gives each search the bits of
-its own pass; a search leaves its stack when it converges.  The public
+many searches can run in lockstep (``_lockstep``): it stacks the searches
+by shape -- search kind, atom count and horizon -- and each Newton round
+makes one stacked stopping pass per shape, which gives each search the
+bits of its own pass.  A stack is fixed when it is set up: a search that has
+converged rides along at its last point until the stack's slowest search
+returns, since shrinking such small stacks saved no time.  The public
 searches are its one-search case, one pass per iteration; ``index_sweep``
 runs its whole grid in one call, and the property suites every search of a
 chunk of instances.
@@ -209,38 +211,37 @@ def _observation_search(value: _Search, lam0) -> _Search:
 
 def _lockstep(searches, opts: SolverOptions, stacklevel: int = 1) -> list[IndexResult]:
     """The results of ``searches``, in order, run in lockstep: the searches
-    of one shape share a stack (``solver._stacks``) and one stacked stopping
-    pass per Newton round, one iterate per search; a search leaves its
-    stack when it converges.  A stacked pass gives each search the bits of
-    its own, so each result equals its search's run alone.  ``stacklevel``
-    points a warning of non-monotone iterates at a frame as
-    ``warnings.warn`` would, called in this function's caller."""
+    of one shape share a stack (``solver._stacks``), built once, and one
+    stacked stopping pass per Newton round, one iterate per search, until
+    every search of the stack has returned.  A returned search rides along
+    at its last point and its roots are ignored: the stacks are small, so a
+    pass's fixed per-level cost outweighs its extra rows, and shrinking
+    them saved no time in the property suites.  A stacked pass gives
+    each search the bits of its own, so each result equals its search's run
+    alone.  ``stacklevel`` points a warning of non-monotone iterates at a
+    frame as ``warnings.warn`` would, called in this function's caller."""
     results = [None] * len(searches)
     for members in solver._stacks([s.shape for s in searches], opts):
         group = [searches[i] for i in members]
         observe = group[0].lam0 is not None
         setup = solver._observation_setup if observe else solver._stopping_setup
         stack = setup([s.arm for s in group], [s.A for s in group], opts)
-        live = [(i, s, _newton_steps(s.start, s.limit, s.bound, s.tol, opts.exact, observe,
-                                     stacklevel + 3)) for i, s in zip(members, group)]
-        points = [next(steps) for *_, steps in live]
-        while live:
+        steps = [_newton_steps(s.start, s.limit, s.bound, s.tol, opts.exact, observe,
+                               stacklevel + 3) for s in group]
+        points = [next(g) for g in steps]
+        running = len(group)
+        while running:
             if observe:
-                roots = solver._observation_pass(stack, points, [s.lam0 for _, s, _ in live])
+                roots = solver._observation_pass(stack, points, [s.lam0 for s in group])
             else:
                 roots = solver._rate_pass(stack, points, slope=True)
-            kept = []
-            for j, ((i, s, steps), x, root) in enumerate(zip(live, points, roots)):
-                try:
-                    points[j] = steps.send(s.objective(x, root))
-                except StopIteration as done:
-                    results[i] = done.value
-                else:
-                    kept.append(j)
-            if len(kept) < len(live):
-                live, points = [live[j] for j in kept], [points[j] for j in kept]
-                if live:
-                    stack = stack.take(kept)
+            for j, (i, s, g) in enumerate(zip(members, group, steps)):
+                if results[i] is None:
+                    try:
+                        points[j] = g.send(s.objective(points[j], roots[j]))
+                    except StopIteration as done:
+                        results[i] = done.value
+                        running -= 1
     return results
 
 

@@ -55,8 +55,11 @@ the horizon, their discounts a (B, n) table, and one rate (or one added
 observation) per instance.  Each level reads a (B, 1, 1) column of them,
 or at B = 1 a plain number, which numpy multiplies faster.  The break-even
 searches run in lockstep on it (``index._lockstep``), one Newton iterate
-per instance a pass; a stack of ``_stopping_setup`` drops the instances
-whose searches have converged (``_Stack.take``).
+per instance a pass.  A stack is fixed at set-up: an instance whose search
+has converged keeps its rows and its last iterate until the stack's
+slowest search is done.  At the stack sizes of the searches (B <= 36,
+n <= 6 in the property suites) a level's fixed cost outweighs the extra
+rows, so rebuilding smaller stacks saved no time.
 
 The two-armed pass keeps only the stages its caller reads; the others are
 dropped as soon as the stage before them is solved.  ``_values`` keeps the
@@ -86,7 +89,6 @@ with the same budget before it solves.
 """
 from __future__ import annotations
 
-import copy
 import os
 from dataclasses import dataclass
 from enum import Enum
@@ -470,14 +472,6 @@ class _ArmRows:
     @cached_property
     def p_row(self) -> list[np.ndarray]:
         return [self.probs[:, i:j, None] for i, j in self._bounds]
-
-    def take(self, live) -> "_ArmRows":
-        """The rows of the stack's instances ``live``, in that order."""
-        rows = copy.copy(self)
-        rows.__dict__.pop("p_row", None)  # the copy's own views come from its own rows
-        rows.measures = [self.measures[i] for i in live]
-        rows.probs, rows.means = self.probs[live], self.means[live]
-        return rows
 
     @cached_property
     def child_rows(self) -> np.ndarray:
@@ -1040,10 +1034,6 @@ class _Stack:
         else:
             levels = list(np.array(scaled, rows.dtype).T[:, :, None, None])
         self.a, self.tails = levels[:n], levels[n:]
-
-    def take(self, live) -> "_Stack":
-        """The stack of the instances ``live``, in that order."""
-        return _Stack(self.rows.take(live), [self.scaled[i] for i in live], self.da, self.exact)
 
 
 def _stopping_setup(arms, discounts, opts: SolverOptions, rates=None) -> _Stack:

@@ -1,4 +1,6 @@
 """Break-even value, break-even observation, and parameter sweeps."""
+from fractions import Fraction
+
 import pytest
 
 from dirichlet_bandits import (
@@ -181,6 +183,28 @@ def test_exact_search_reads_a_float_typed_sequence_as_its_rationals(search):
     got = search(COIN, A, options=EXACT_OPTIONS)
     assert got.value == search(COIN, make_discount(A.values, exact=True), options=EXACT_OPTIONS).value
     assert got.residual == 0
+
+
+@pytest.mark.parametrize(
+    "atoms, n",
+    [
+        ([(0, 0.5), (1, 0.5)], 50),
+        ([(0, 0.5), (1, 0.5)], 200),
+        ([(0, 1), (0.5, 1), (1, 1)], 30),
+        ([(0, 1), (0.5, 1), (1, 1)], 60),
+    ],
+)
+def test_exact_value_falls_strictly_with_prior_weight_at_long_uniform_horizons(atoms, n):
+    # Result (ii), Clayton & Berry's (1985) conjecture, where they posed it:
+    # at a fixed prior mean the break-even value falls as the prior weight
+    # grows, here at uniform horizons far past the suites' max_horizon.  The
+    # coin at n = 50 reads about 0.895848, 0.826197 and 0.738760.
+    F = make_measure(atoms)
+    results = [break_even_value(scale(F, M), make_uniform(n), options=EXACT_OPTIONS)
+               for M in (1, 2, 4)]
+    assert all(isinstance(r.value, Fraction) and r.residual == 0 for r in results)
+    first, second, third = (r.value for r in results)
+    assert first > second > third
 
 
 class TestBreakEvenObservation:

@@ -9,7 +9,8 @@ Results go to stdout, diagnostics to stderr.  Exit codes:
        trial count below 1, --jobs below 1, negative seed, tolerance not
        positive, non-finite number, float solve past the float range,
        unwritable --out file or failed write to it)
-    3  solver resource budget exceeded
+    3  solver resource budget exceeded (a discount family's n is checked
+       when the config is loaded, before its sequence is built)
     4  discount sequence not regular where an index computation needs one
     5  precondition failure (one-armed command on a two-armed config,
        break-even observation with fewer than two stages or non-positive

@@ -28,9 +28,9 @@ from dataclasses import dataclass
 from typing import Optional
 
 from .discount import DiscountSeq, make_discount, make_truncated_geometric, make_uniform
-from .errors import BanditError, ConfigError, InvalidParameterError
+from .errors import BanditError, ConfigError, InvalidParameterError, ResourceBudgetExceededError
 from .measures import DiscreteMeasure, _coerce, _is_int, make_measure, point_mass
-from .solver import DEFAULT_OPTIONS, BanditState, SolverOptions
+from .solver import DEFAULT_OPTIONS, BanditState, SolverOptions, _check_budget, _memo_cap
 
 
 @dataclass(frozen=True)
@@ -87,7 +87,18 @@ def _parse_measure(node, exact: bool, where: str):
         raise ConfigError(f"{where}: {e}") from e
 
 
-def _parse_discount(node, exact: bool):
+def _horizon(node, atoms: int, budget: SolverOptions) -> int:
+    """A family's ``n``, refused with ResourceBudgetExceededError before its
+    sequence is built where the smallest lattice a command walks for the
+    config exceeds ``budget``'s cap.  That lattice is over arm 1's ``atoms``
+    at horizon n, or one atom fewer where a spread sweep can merge a split
+    atom's halves into two others."""
+    n = _integer(node["n"], "discount.n")
+    _check_budget(atoms - (atoms > 2), n, budget)
+    return n
+
+
+def _parse_discount(node, exact: bool, atoms: int, budget: SolverOptions):
     if not isinstance(node, dict):
         raise ConfigError("discount: expected an object")
     try:
@@ -100,14 +111,14 @@ def _parse_discount(node, exact: bool):
             )
         family = node.get("family")
         if family == "uniform":
-            return make_uniform(_integer(node["n"], "discount.n"), exact=exact)
+            return make_uniform(_horizon(node, atoms, budget), exact=exact)
         if family == "geometric":
             return make_truncated_geometric(
                 _number(node["beta"], exact, "discount.beta"),
-                _integer(node["n"], "discount.n"),
+                _horizon(node, atoms, budget),
                 exact=exact,
             )
-    except ConfigError:
+    except (ConfigError, ResourceBudgetExceededError):
         raise
     except KeyError as e:
         raise ConfigError(f"discount: missing field {e}") from e
@@ -143,7 +154,10 @@ def parse_instance(doc: dict, *, force_mode: Optional[str] = None) -> InstanceCo
         arm2, arm2_known = _parse_measure(doc["arm2"], exact, "arm2")
     if "discount" not in doc:
         raise ConfigError("missing 'discount'")
-    discount = _parse_discount(doc["discount"], exact)
+    # Family horizons are budgeted under the larger cap: ``sweep`` solves
+    # under the default one.
+    budget = max(options, DEFAULT_OPTIONS, key=_memo_cap)
+    discount = _parse_discount(doc["discount"], exact, len(arm1), budget)
     return InstanceConfig(arm1, arm2, arm2_known, discount, options)
 
 

@@ -83,13 +83,6 @@ class IndexResult:
     monotone: bool = True
 
 
-def _validated_arm(arm: DiscreteMeasure, tol: float, opts: SolverOptions):
-    # Regularity is checked by the stopping form.
-    if not tol > 0:  # also refuses NaN
-        raise InvalidParameterError(f"tolerance must be positive, got {tol}")
-    return to_exact(arm) if opts.exact else to_float(arm)
-
-
 def _check_weight(A: DiscountSeq) -> None:
     if len(A.values) == 0 or A.tails[0] <= 0:
         raise DegenerateHorizonError("total discount weight must be positive")
@@ -183,14 +176,17 @@ def _head(A: DiscountSeq, exact: bool):
 
 
 def _value_search(arm: DiscreteMeasure, A: DiscountSeq, tol: float, opts: SolverOptions):
-    """The search of ``break_even_value``, the arm and the total weight
-    checked here.
+    """The search of ``break_even_value``: the tolerance, the arm and the
+    total weight are checked here and the arm put in the solve's arithmetic;
+    the stopping form checks regularity.
 
     Newton steps on g up from mean(arm): constant play of the unknown arm
     earns its mean per pull, so the break-even rate is at least the mean;
     it never exceeds the best possible observation per pull, which caps it
     at the top of the support."""
-    arm = _validated_arm(arm, tol, opts)
+    if not tol > 0:  # also refuses NaN
+        raise InvalidParameterError(f"tolerance must be positive, got {tol}")
+    arm = to_exact(arm) if opts.exact else to_float(arm)
     _check_weight(A)
     a1, T1 = _head(A, opts.exact)
     top = arm.max_location
@@ -224,7 +220,7 @@ def _lockstep(searches, opts: SolverOptions, stacklevel: int = 1) -> list[IndexR
     for members in solver._stacks([s.shape for s in searches], opts):
         group = [searches[i] for i in members]
         observe = group[0].lam0 is not None
-        setup = solver._observation_setup if observe else solver._stopping_setup
+        setup = solver._observation_setup if observe else solver._Stack
         stack = setup([s.arm for s in group], [s.A for s in group], opts)
         steps = [_newton_steps(s.start, s.limit, s.bound, s.tol, opts.exact, observe,
                                stacklevel + 3) for s in group]
@@ -258,12 +254,7 @@ def break_even_value(
     default); in exact mode the value is the root as a Fraction.
     """
     opts = options or DEFAULT_OPTIONS
-    return _break_even_value(_value_search(arm, A, tol, opts), opts)
-
-
-def _break_even_value(search: _Search, opts: SolverOptions) -> IndexResult:
-    """The value search ``search``, run alone: one pass per iteration."""
-    (result,) = _lockstep([search], opts, stacklevel=3)
+    (result,) = _lockstep([_value_search(arm, A, tol, opts)], opts, stacklevel=2)
     return result
 
 
@@ -300,8 +291,8 @@ def break_even_observation(
         )
     opts = options or DEFAULT_OPTIONS
     value = _value_search(arm, A, tol, opts)
-    lam0 = _break_even_value(value, opts).value
-    (result,) = _lockstep([_observation_search(value, lam0)], opts, stacklevel=2)
+    (lam0,) = _lockstep([value], opts, stacklevel=2)
+    (result,) = _lockstep([_observation_search(value, lam0.value)], opts, stacklevel=2)
     return result
 
 

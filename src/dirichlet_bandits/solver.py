@@ -53,7 +53,9 @@ built once per sequence object and arithmetic.
 The stopping pass runs over a stack too: B arms sharing an atom count and
 the horizon, their discounts a (B, n) table, and one rate (or one added
 observation) per instance.  Each level reads a (B, 1, 1) column of them,
-or at B = 1 a plain number, which numpy multiplies faster.  The break-even
+or at B = 1 a plain number, which numpy multiplies faster.  A stack sets
+itself up (``_Stack``): it checks regularity, then the budget, then the
+float range, and only then builds the arms' rows.  The break-even
 searches run in lockstep on it (``index._lockstep``), one Newton iterate
 per instance a pass.  A stack is fixed at set-up: an instance whose search
 has converged keeps its rows and its last iterate until the stack's
@@ -863,7 +865,7 @@ def _known_arm_reports(items, opts: SolverOptions) -> list[ValueReport]:
     first earns a_1 times the rate, then the value of the pass from stage 2
     on (``first=1``)."""
     arms, lams, discounts = zip(*items)
-    stack = _stopping_setup(arms, discounts, opts, lams)
+    stack = _Stack(arms, discounts, opts, lams)
     pulls, later = _rate_pass(stack, lams), _rate_pass(stack, lams, first=1)
     retire = (_read(a[0], stack.da) * lam + rest  # a[0] / da is a_1
               for a, lam, (_, rest) in zip(stack.scaled, lams, later))
@@ -1020,43 +1022,40 @@ def _per_instance(values: list):
 
 
 class _Stack:
-    """What every stopping pass of a stack of arms shares: the arms' rows,
-    each instance's ``scaled`` discount numerators over ``da`` -- its n
-    values, then its n + 1 tails, as its pass table holds them -- the same
-    numbers by level, ``a[t]`` and ``tails[t]``, one per instance as
-    ``_per_instance`` gives them, and the arithmetic."""
+    """What every stopping pass of a stack shares, set up from ``arms`` of one
+    atom count in the solve's arithmetic under ``discounts`` of one length:
+    the arms' rows, each instance's ``scaled`` discount numerators over
+    ``da`` -- its n values, then its n + 1 tails, off its pass table -- the
+    same numbers by level, ``a[t]`` and ``tails[t]``, one per instance as
+    ``_per_instance`` gives them, and the arithmetic.
 
-    def __init__(self, rows: _ArmRows, scaled: list, da, exact: bool):
-        self.rows, self.scaled, self.da, self.exact = rows, scaled, da, exact
+    Before it allocates anything it refuses, in this order, a sequence not
+    regular in the solve's arithmetic (NotRegularError), a stack over the
+    lattice budget and, in float mode, one that can leave the float range:
+    ``rates``, where given, holds one rate per instance that its passes run
+    at, or that bounds them, where its arm's locations need not."""
+
+    def __init__(self, arms, discounts, opts: SolverOptions, rates=None):
+        scaled, dens, regular = zip(*(_pass_table(A, opts.exact) for A in discounts))
+        if not all(regular):
+            raise NotRegularError(
+                "the stopping form and break-even quantities require a regular discount sequence"
+            )
         n = len(scaled[0]) // 2
+        _check_budget(len(arms[0].atoms), n, opts, len(arms))
+        if not opts.exact:
+            reaches = map(_reach, arms)
+            if rates is not None:
+                reaches = map(max, reaches, map(abs, _numerators(rates, False)[0]))
+            _check_range(reaches, (t[n] for t in scaled))
+        self.rows = _ArmRows(arms, n, opts.exact)
+        # Float denominators are all 1.0, and an exact stack holds one instance.
+        self.scaled, self.da, self.exact = list(scaled), dens[0], opts.exact
         if len(scaled) == 1:
             levels = scaled[0]
         else:
-            levels = list(np.array(scaled, rows.dtype).T[:, :, None, None])
+            levels = list(np.array(scaled, self.rows.dtype).T[:, :, None, None])
         self.a, self.tails = levels[:n], levels[n:]
-
-
-def _stopping_setup(arms, discounts, opts: SolverOptions, rates=None) -> _Stack:
-    """What every stopping pass of a stack shares: ``arms`` of one atom count
-    in the solve's arithmetic, under ``discounts`` of one length, read off
-    their pass tables, the budget and, in float mode, the range checked:
-    ``rates``, where given, holds one rate per instance that its passes run
-    at, or that bounds them, where its arm's locations need not.  A sequence
-    not regular in the solve's arithmetic raises NotRegularError."""
-    scaled, dens, regular = zip(*(_pass_table(A, opts.exact) for A in discounts))
-    if not all(regular):
-        raise NotRegularError(
-            "the stopping form and break-even quantities require a regular discount sequence"
-        )
-    n = len(scaled[0]) // 2
-    _check_budget(len(arms[0].atoms), n, opts, len(arms))
-    if not opts.exact:
-        reaches = map(_reach, arms)
-        if rates is not None:
-            reaches = map(max, reaches, map(abs, _numerators(rates, False)[0]))
-        _check_range(reaches, (t[n] for t in scaled))
-    # Float denominators are all 1.0, and an exact stack holds one instance.
-    return _Stack(_ArmRows(arms, n, opts.exact), list(scaled), dens[0], opts.exact)
 
 
 def _rate_pass(stack: _Stack, lams, slope=False, first=0):
@@ -1087,7 +1086,7 @@ def _observation_setup(arms, discounts, opts: SolverOptions) -> _Stack:
     tables = [DiscreteMeasure(arm.atoms + ((0 * one, one),), arm.total_mass + one) for arm in arms]
     # A table's last atom is the new one, so its reach misses the arm's top,
     # which bounds every x a search observes.
-    return _stopping_setup(tables, discounts, opts, [arm.max_location for arm in arms])
+    return _Stack(tables, discounts, opts, [arm.max_location for arm in arms])
 
 
 def _observation_pass(stack: _Stack, xs, lams):
@@ -1140,5 +1139,5 @@ def stopping_value(
     """
     opts = options or DEFAULT_OPTIONS
     arm = to_exact(arm) if opts.exact else to_float(arm)
-    stack = _stopping_setup([arm], [A], opts, [lam])
+    stack = _Stack([arm], [A], opts, [lam])
     return _rate_pass(stack, [lam])[0][1]

@@ -17,7 +17,7 @@ from dirichlet_bandits import (
     point_mass,
     value_one_armed,
 )
-from dirichlet_bandits import cli
+from dirichlet_bandits import cli, config
 from dirichlet_bandits.cli import main
 from dirichlet_bandits.solver import (
     MEMO_CAP_ENV,
@@ -476,6 +476,117 @@ class TestCliFloatRange:
         captured = capsys.readouterr()
         assert captured.out.splitlines()[0] == "lambda = 8.684566588e+305"
         assert captured.err == ""
+
+
+class TestCliRefusalOrder:
+    """A stopping solve checks regularity, then the lattice budget, then the
+    float range: a config with several faults exits with the first one's code."""
+
+    HUGE = TestCliFloatRange.HUGE
+
+    @pytest.mark.parametrize("command", ["lambda", "breakeven"])
+    def test_non_regular_over_the_cap_and_out_of_range_exits_4(
+        self, command, tmp_path, capsys, monkeypatch
+    ):
+        monkeypatch.setenv(MEMO_CAP_ENV, "1")
+        doc = {"arm1": self.HUGE, "discount": {"values": [28, 1, 1]}}
+        assert main([command, write(tmp_path, "nr.json", doc)]) == 4
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            "error: the stopping form and break-even quantities require a regular "
+            "discount sequence\n"
+        )
+
+    @pytest.mark.parametrize("argv, arm2", [
+        (["lambda"], None), (["breakeven"], None), (["value"], {"known": "1/2"}),
+    ], ids=["lambda", "breakeven", "value"])
+    def test_over_the_cap_and_out_of_range_exits_3_and_within_the_cap_2(
+        self, argv, arm2, tmp_path, capsys, monkeypatch
+    ):
+        doc = {"arm1": self.HUGE, "discount": {"values": [1] * 30}}
+        if arm2 is not None:
+            doc["arm2"] = arm2
+        path = write(tmp_path, "huge.json", doc)
+        monkeypatch.setenv(MEMO_CAP_ENV, "1")
+        assert main(argv + [path]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "solver resource error: lattice of 465 states exceeds the cap of 1\n"
+        monkeypatch.delenv(MEMO_CAP_ENV)
+        assert main(argv + [path]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            "error: a float solve with |locations| up to 1e+307 under discounts totalling "
+            "30 leaves the float range; solve it in exact mode\n"
+        )
+
+
+class TestCliFamilyHorizonBudget:
+    """A family's horizon is budgeted when the config is loaded, before its
+    sequence is built, against the smallest lattice a command walks."""
+
+    COIN = TestCliFloatRange.COIN
+
+    @pytest.mark.parametrize("family", [{"family": "uniform"},
+                                        {"family": "geometric", "beta": "9/10"}],
+                             ids=["uniform", "geometric"])
+    @pytest.mark.parametrize("argv", [
+        ["value"], ["lambda"], ["breakeven"], ["sweep", "--param", "mass", "--grid", "1,2"],
+    ], ids=["value", "lambda", "breakeven", "sweep"])
+    def test_a_horizon_far_past_the_budget_exits_3_before_building_it(
+        self, argv, family, tmp_path, capsys, monkeypatch
+    ):
+        def refuse(*args, **kwargs):
+            raise AssertionError("the sequence was built before the budget check")
+
+        monkeypatch.setattr(config, "make_uniform", refuse)
+        monkeypatch.setattr(config, "make_truncated_geometric", refuse)
+        doc = {"arm1": self.COIN, "arm2": {"known": "1/2"},
+               "discount": {**family, "n": 10**12}}
+        assert main(argv[:1] + [write(tmp_path, "huge_n.json", doc)] + argv[1:]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            "solver resource error: lattice of 500000000000500000000000 states exceeds "
+            "the cap of 50000000\n"
+        )
+
+    def test_the_larger_of_the_config_and_default_caps_applies(self, tmp_path, capsys):
+        # sweep solves under the default cap, so a config cap of 1 loads the
+        # coin at n = 100 (5050 states); lambda then refuses it when it solves.
+        doc = {"arm1": self.COIN, "discount": {"family": "uniform", "n": 100},
+               "options": {"memo_cap": 1}}
+        path = write(tmp_path, "small_cap.json", doc)
+        assert main(["sweep", path, "--param", "mass", "--grid", "1,2"]) == 0
+        capsys.readouterr()
+        assert main(["lambda", path]) == 3
+        assert capsys.readouterr().err == (
+            "solver resource error: lattice of 5050 states exceeds the cap of 1\n"
+        )
+
+    def test_a_spread_sweep_that_merges_atoms_still_solves(self, tmp_path, capsys, monkeypatch):
+        # Splitting the middle atom by 1/2 lands its halves on the other two:
+        # the sweep walks a 2-atom lattice (210 states at n = 20) where lambda
+        # walks arm 1's 3-atom one (1540).
+        monkeypatch.setenv(MEMO_CAP_ENV, "1000")
+        atoms = [{"location": 0, "weight": 1}, {"location": "1/2", "weight": 2},
+                 {"location": 1, "weight": 1}]
+        doc = {"arm1": {"atoms": atoms}, "discount": {"family": "uniform", "n": 20}}
+        path = write(tmp_path, "spread.json", doc)
+        assert main(["sweep", path, "--param", "spread", "--grid", "0.5"]) == 0
+        capsys.readouterr()
+        assert main(["lambda", path]) == 3
+        assert capsys.readouterr().err == (
+            "solver resource error: lattice of 1540 states exceeds the cap of 1000\n"
+        )
+        doc["discount"]["n"] = 50
+        assert main(["sweep", write(tmp_path, "spread.json", doc),
+                     "--param", "spread", "--grid", "0.5"]) == 3
+        assert capsys.readouterr().err == (
+            "solver resource error: lattice of 1275 states exceeds the cap of 1000\n"
+        )
 
 
 class TestCliVerify:

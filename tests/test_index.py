@@ -225,12 +225,13 @@ class TestBreakEvenObservation:
     def test_one_value_search_and_one_pass_per_probe(self, arm, A, monkeypatch, count_passes):
         values = []
 
-        def counted_value(*args):
-            values.append(value_search(*args))
-            return values[-1]
+        def counted_lockstep(searches, *args, **kwargs):
+            results = lockstep(searches, *args, **kwargs)
+            values.extend(r for s, r in zip(searches, results) if s.lam0 is None)
+            return results
 
-        value_search = index._break_even_value
-        monkeypatch.setattr(index, "_break_even_value", counted_value)
+        lockstep = index._lockstep
+        monkeypatch.setattr(index, "_lockstep", counted_lockstep)
         passes = count_passes()
         res = break_even_observation(arm, A)
         assert len(values) == 1
@@ -311,8 +312,8 @@ class TestBreakEvenObservation:
             calls.append(args)
             return validated(*args)
 
-        validated = index._validated_arm
-        monkeypatch.setattr(index, "_validated_arm", counted)
+        validated = index._value_search
+        monkeypatch.setattr(index, "_value_search", counted)
         break_even_observation(COIN, A2)
         assert len(calls) == 1
 

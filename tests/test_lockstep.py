@@ -1,6 +1,7 @@
 """Break-even searches run in lockstep: each result equals its search run
 alone, a stack makes one pass per Newton round, and sweeps go through the
 runner."""
+import sys
 from fractions import Fraction
 
 import pytest
@@ -132,6 +133,27 @@ def test_a_non_monotone_search_warns_once_and_leaves_the_others_alone():
     assert not got[1].monotone
     others = [0, 2, 3]
     assert [got[i] for i in others] == [break_even_value(arms[i], A) for i in others]
+
+
+def test_a_public_search_warns_once_at_its_callers_line(monkeypatch):
+    class Rising(index._Search):
+        """A value search whose objective jumps up after its start."""
+
+        def objective(self, x, root):
+            g, slope = super().objective(x, root)
+            return (g if x == self.start else g + 1.0), slope
+
+    value_search = index._value_search
+    monkeypatch.setattr(index, "_value_search", lambda *args: Rising(*value_search(*args)))
+    A = make_uniform(4)
+    for search, args in ((break_even_value, (HALVES, A)),
+                         (break_even_observation, (HALVES, A)),
+                         (index_sweep, (lambda M: scale(HALVES, M), A, [1]))):
+        with pytest.warns(RuntimeWarning, match="Newton iterates") as caught:
+            search(*args)
+            line = sys._getframe().f_lineno - 1
+        assert len(caught) == 1
+        assert (caught[0].filename, caught[0].lineno) == (__file__, line), search.__name__
 
 
 class TestSweep:

@@ -91,7 +91,7 @@ class TestSlopeColumns:
             rng = gen.rng(i)
             arm = to_exact(random_measure(gen, rng))
             A = random_discount(gen, rng, kind="regular")
-            stack = solver._stopping_setup([arm], [A], EXACT_OPTIONS)
+            stack = solver._Stack([arm], [A], EXACT_OPTIONS)
             lam = Fraction(int(rng.integers(0, 64)), 64) + Fraction(1, 997)
             ((pull, v), (dpull, dv)), ((pull_eps, v_eps), _) = (
                 solver._rate_pass(stack, [x], slope=True)[0] for x in (lam, lam + self.EPS)

@@ -451,7 +451,7 @@ class TestStackedStoppingPass:
     @staticmethod
     def setups(arms, A, options):
         discounts = [A] * len(arms)
-        return (solver._stopping_setup(arms, discounts, options),
+        return (solver._Stack(arms, discounts, options),
                 solver._observation_setup(arms, discounts, options))
 
     def test_the_value_column_has_the_bits_of_a_one_column_pass(self):
@@ -500,8 +500,8 @@ class TestStackedStoppingPass:
                     for b in range(batch)]
             for A in (make_discount([Fraction(1, 3), Fraction(1, 4), Fraction(1, 8)], exact=exact),
                       make_truncated_geometric(0.9, 6, exact=exact)):
-                stack = solver._stopping_setup(arms, [A] * batch, options)
-                suffix = solver._stopping_setup(arms, [drop_first(A)] * batch, options)
+                stack = solver._Stack(arms, [A] * batch, options)
+                suffix = solver._Stack(arms, [drop_first(A)] * batch, options)
                 got = solver._rate_pass(stack, lams[:batch], slope=True, first=1)
                 want = solver._rate_pass(suffix, lams[:batch], slope=True)
                 assert repr(got) == repr(want)

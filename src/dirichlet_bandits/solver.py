@@ -31,10 +31,14 @@ against retirement at ``lam * T_t``.  It runs over columns, each an
 immediate payoff and a retirement rate: the value, and for the Newton steps
 of the break-even searches one more, the slope of each value in ``lam`` or
 in the location of an added atom.  The columns share each level: they lie
-along a leading axis of one array, so a level makes one gather, one product
-and one choice between pulling and retiring for all of them.  The product
-broadcasts each state's probabilities over the columns and still takes one
-dot per state and column, so no column's float bits depend on the others.
+along a leading axis of one (columns, B, rows) array, so a level makes one
+gather, one product, one payoff add per paid column and one choice between
+pulling and retiring for all of them.  The product broadcasts each state's
+probabilities over the columns and still takes one dot per state and
+column -- ``np.vecdot`` in float mode, ``np.matmul`` on exact object arrays
+-- so no column's float bits depend on the others.  A pass builds its
+payoffs and retirement terms for every level before its first, and a float
+stack keeps its rate passes' value payoffs, which do not depend on the rate.
 
 The two-armed pass runs over a stack of B instances that share both arms'
 atom counts and the horizon: every array carries a leading batch axis, the
@@ -52,8 +56,8 @@ built once per sequence object and arithmetic.
 
 The stopping pass runs over a stack too: B arms sharing an atom count and
 the horizon, their discounts a (B, n) table, and one rate (or one added
-observation) per instance.  Each level reads a (B, 1, 1) column of them,
-or at B = 1 a plain number, which numpy multiplies faster.  A stack sets
+observation) per instance, a (B, 1) column, or at B = 1 a plain number,
+which numpy multiplies faster.  A stack sets
 itself up (``_Stack``): it checks regularity, then the budget, then the
 float range, and only then builds the arms' rows.  The break-even
 searches run in lockstep on it (``index._lockstep``), one Newton iterate
@@ -425,10 +429,10 @@ class _ArmRows:
     predictive probabilities of each count vector, shape (B, rows, atoms)
     with one row per rank, level k in rows ``start[k]:start[k + 1]``, and
     ``means`` the posterior means, shape (B, rows, 1), a level's rows over
-    its one denominator ``q[k]``, and over ``dx`` too for the means;
-    ``p_row[k]`` is level k of ``probs`` as one row vector per state,
-    (B, rows, 1, atoms); ``measures`` lists the stack, and ``start`` and
-    ``child`` come from the lattice.
+    its one denominator ``q[k]``, and over ``dx`` too for the means; a pass
+    reads level k as the view ``probs[:, start[k]:start[k + 1]]``.
+    ``measures`` lists the stack, and ``start`` and ``child`` come from the
+    lattice.
 
     In exact mode the stack holds one measure and these are integers.  With
     the weights W_j over their least common denominator Dw and the
@@ -466,21 +470,14 @@ class _ArmRows:
         self.atoms = p.shape[2]
         self.start = lat.start
         self.child = lat.child
-        self._bounds = list(zip(lat.start[:n], lat.start[1 : n + 1]))
         self.probs, self.means = p, p @ X
-
-    # The level views are built on first use: the two-armed passes read only
-    # ``probs`` and ``means``.
-    @cached_property
-    def p_row(self) -> list[np.ndarray]:
-        return [self.probs[:, i:j, None] for i, j in self._bounds]
 
     @cached_property
     def child_rows(self) -> np.ndarray:
         """The whole-lattice child table: row r of levels 0..n-1 and atom j
         map to the row of levels 0..n that adds a count at j,
         ``start[k + 1] + child[k]`` stacked over the levels k."""
-        levels = [self.start[k + 1] + c for k, c in enumerate(self.child[: len(self._bounds)])]
+        levels = [self.start[k + 1] + c for k, c in enumerate(self.child[: len(self.q)])]
         table = np.concatenate(levels) if levels else np.zeros((0, self.atoms), np.int64)
         table.flags.writeable = False  # policy_tables hands it out
         return table
@@ -492,20 +489,17 @@ def _times(c, x):
 
 
 def _pull(payoff, p_row, child, nxt: np.ndarray) -> np.ndarray:
-    """Payoff of pulling an arm at some of its states and continuing
-    optimally: the immediate ``payoff``, a column over those states, a
-    scalar or None for none, plus the predictive expectation of the
-    next-stage values ``nxt``.  ``child`` maps each state and atom to a row
-    of ``nxt`` (axis -2), whose columns are states of the other arm (one
-    column in a stopping pass), or is None where ``nxt`` is gathered
-    already, (..., B, states, atoms, columns); ``p_row`` holds each state's
-    predictive probabilities as a row, (B, states, 1, atoms), broadcast
-    over any axes of ``nxt`` before the stack's.  In exact mode these are
-    numerators: the caller puts ``payoff`` over the denominator that
-    ``p_row`` gives the expectation."""
-    gathered = nxt if child is None else nxt.take(child, axis=-2)  # (..., B, P, s, columns)
-    expected = np.matmul(p_row, gathered)[..., 0, :]
-    return expected if payoff is None else payoff + expected
+    """Payoff of pulling an arm at some of the states of a two-armed stage
+    and continuing optimally: the immediate ``payoff``, a column over those
+    states, plus the predictive expectation of the next-stage values
+    ``nxt``.  ``child`` maps each state and atom to a row of ``nxt`` (axis
+    -2), whose columns are states of the other arm, or is None where ``nxt``
+    is gathered already, (B, states, atoms, columns); ``p_row`` holds each
+    state's predictive probabilities as a row, (B, states, 1, atoms).  In
+    exact mode these are numerators: the caller puts ``payoff`` over the
+    denominator that ``p_row`` gives the expectation."""
+    gathered = nxt if child is None else nxt.take(child, axis=-2)  # (B, P, s, columns)
+    return payoff + np.matmul(p_row, gathered)[..., 0, :]
 
 
 class BanditSolver:
@@ -962,72 +956,86 @@ def _stopping_pass(stack: _Stack, columns, lam_den, dx=None, first=0):
     value equals ``lam * T_1`` bit for bit -- the property the break-even
     search relies on.
 
-    ``columns`` lists (mean, rate) pairs, one column of the pass each:
-    ``mean`` gives the posterior means over ``dx`` (default: the rows') of
-    the lattice's levels 0..n-1, a (B, rows, 1) array like the rows' means,
-    paid at rate a_t on a pull (a ``mean`` of None pays nothing), and
-    ``rate`` over ``lam_den``, a scalar or one per instance as a (B, 1, 1)
+    ``columns`` lists (payoff, rate) pairs, one column of the pass each:
+    ``payoff`` is what a pull pays at each state of the pass's levels, a
+    (B, rows) table over them (``_Stack.pay``), or None for nothing, and
+    ``rate`` over ``lam_den``, a scalar or one per instance as a (B, 1)
     array, is paid at T_t on retirement.  The first column is the value,
     and its choice of pull or retire is every column's: a column of the
     slopes of the means and of the rate in some parameter thus carries the
     slope of an optimal policy's payoff in it.
 
     The columns share each level: the pass holds them as one (columns, B,
-    rows, 1) array, and a level makes one gather of the children, one
-    product -- each state's probabilities broadcast over the column axis --
-    and one choice between pulling and retiring.  The product is still one
-    (1 x s) @ (s x 1) dot per row and column, and a column's payoff is added
-    to its own dots only, so each column keeps the float bits of a
-    one-column pass, as each instance keeps those of a one-instance pass.
-    (One (1 x s) @ (s x C) product over the columns would round otherwise.)
+    rows) array.  Before its levels it builds every level's retirement
+    terms, (n, columns, B, 1), in one multiply; a level then makes one
+    gather of the children, one product of each state's probabilities --
+    a (B, rows, atoms) view of the rows' ``probs`` -- with its gathered
+    values, broadcast over the columns, one payoff add per paid column and
+    one choice between pulling and retiring.  The product is one
+    (1 x s) @ (s x 1) dot per row and column, ``np.vecdot`` in float mode
+    and ``np.matmul`` on object arrays, and a column's payoff is added to
+    its own dots only, so each column keeps the float bits of a one-column
+    pass, as each instance keeps those of a one-instance pass.  (One
+    (1 x s) @ (s x C) product over the columns would round otherwise.)
 
-    The discounts are the stack's numerators over ``da`` by level, from
-    level ``first`` on (see ``_Stack``).  Level t holds numerators over
+    The discounts are the stack's numerators over ``da``, from level
+    ``first`` on (see ``_Stack``).  Level t holds numerators over
     ``da * dx * lam_den * Q[t]`` (all 1.0 in float mode).  Returns, per
     instance, the root's pull payoff and value of each column.
     """
     arm = stack.rows
     dx = arm.dx if dx is None else dx
-    a, tails = stack.a[first:], stack.tails[first:]
-    Q, start = arm.Q, arm.start
-    n, batch = len(a), len(arm.measures)
-    rates = np.empty((len(columns), batch, 1, 1), arm.dtype)
+    Q, start, probs, child = arm.Q, arm.start, arm.probs, arm.child
+    tails = stack.tails[:, first:]
+    batch, n = tails.shape
+    if stack.exact:
+        tails = tails * np.array([dx * Q[t] for t in range(n)], object)
+    rates = np.empty((len(columns), batch, 1), arm.dtype)
     for c, (_, rate) in enumerate(columns):
         rates[c] = rate
+    retire = rates * tails.T[:, None, :, None]
     # Adding a zero payoff would turn a -0.0 into +0.0: only columns with a
-    # mean are paid.
-    paid = [(c, mean) for c, (mean, _) in enumerate(columns) if mean is not None]
-    values = np.zeros((len(columns), batch, start[n + 1] - start[n], 1), arm.dtype)
+    # payoff are paid.
+    paid = [(c, pay) for c, (pay, _) in enumerate(columns) if pay is not None]
+    dot = _object_dot if stack.exact else np.vecdot
+    values = np.zeros((len(columns), batch, start[n + 1] - start[n]), arm.dtype)
     pulls = values
     for t in reversed(range(n)):
-        a_t = _times(lam_den * Q[t + 1], a[t])
-        pulls = _pull(None, arm.p_row[t], arm.child[t], values)
-        for c, mean in paid:
-            pull = pulls[c]
-            pull += a_t * mean[:, start[t] : start[t + 1]]
-        retire = rates * _times(dx * Q[t], tails[t])
-        values = np.where(pulls[0] >= retire[0], pulls, retire)
+        i, j = start[t], start[t + 1]
+        pulls = dot(probs[:, i:j], values.take(child[t], axis=-1))
+        for c, pay in paid:
+            pulls[c] += pay[:, i:j]
+        values = np.where(pulls[0] >= retire[t, 0], pulls, retire[t])
     den = stack.da * dx * lam_den * Q[0]
     if batch == 1:
         return [[(_read(p, den), _read(v, den))
                  for p, v in zip(pulls.ravel().tolist(), values.ravel().tolist())]]
-    roots = zip(*((x[:, :, 0, 0] / den).T.tolist() for x in (pulls, values)))
+    roots = zip(*((x[:, :, 0] / den).T.tolist() for x in (pulls, values)))
     return [list(zip(p, v)) for p, v in roots]
 
 
+def _object_dot(p, g):
+    """``np.vecdot(p, g)`` of object arrays, as one (1 x s) @ (s x 1)
+    ``np.matmul`` product a row: object ``vecdot`` conjugates every
+    element, which made the product ~2.5x slower on big integers."""
+    return np.matmul(p[..., None, :], g[..., None])[..., 0, 0]
+
+
 def _per_instance(values: list):
-    """One number per instance of a stack as a (B, 1, 1) column, or for one
+    """One number per instance of a stack as a (B, 1) column, or for one
     instance the number itself, which numpy multiplies faster."""
-    return values[0] if len(values) == 1 else np.array(values)[:, None, None]
+    return values[0] if len(values) == 1 else np.array(values)[:, None]
 
 
 class _Stack:
     """What every stopping pass of a stack shares, set up from ``arms`` of one
     atom count in the solve's arithmetic under ``discounts`` of one length:
     the arms' rows, each instance's ``scaled`` discount numerators over
-    ``da`` -- its n values, then its n + 1 tails, off its pass table -- the
-    same numbers by level, ``a[t]`` and ``tails[t]``, one per instance as
-    ``_per_instance`` gives them, and the arithmetic.
+    ``da`` -- its n values, then its n + 1 tails, off its pass table -- each
+    level's a_t and T_t as (B, n) tables ``a`` and ``tails`` in the pass's
+    dtype, and the arithmetic.  A float stack keeps the value
+    column's payoffs of its rate passes (``rate_pay``), one table per first
+    level, for as long as it lives.
 
     Before it allocates anything it refuses, in this order, a sequence not
     regular in the solve's arithmetic (NotRegularError), a stack over the
@@ -1051,11 +1059,33 @@ class _Stack:
         self.rows = _ArmRows(arms, n, opts.exact)
         # Float denominators are all 1.0, and an exact stack holds one instance.
         self.scaled, self.da, self.exact = list(scaled), dens[0], opts.exact
-        if len(scaled) == 1:
-            levels = scaled[0]
-        else:
-            levels = list(np.array(scaled, self.rows.dtype).T[:, :, None, None])
-        self.a, self.tails = levels[:n], levels[n:]
+        table = np.array(scaled, self.rows.dtype)
+        self.a, self.tails = table[:, :n], table[:, n:-1]
+        self._rate_pays = {}
+
+    def pay(self, mean, lam_den, first=0):
+        """What a pull pays at each state of a pass from level ``first`` on,
+        for a column of posterior means ``mean``, (B, rows) over levels
+        0..n-1: level t's rows of ``mean`` times a_t, and in exact mode times
+        ``lam_den`` Q[t + 1] too, which puts them over the level's
+        denominator.  One (B, rows) table over the pass's levels."""
+        rows = self.rows
+        a = self.a[:, first:]
+        n = a.shape[1]
+        if self.exact:
+            a = a * np.array([lam_den * rows.Q[t + 1] for t in range(n)], object)
+        return np.repeat(a, np.diff(rows.start[: n + 1]), axis=1) * mean[:, : rows.start[n]]
+
+    def rate_pay(self, lam_den, first):
+        """The value column's payoffs of a rate pass from level ``first`` on:
+        ``pay`` of the rows' means.  A float stack builds them once per
+        ``first`` and keeps them, since they do not depend on the rate;
+        ``lam_den`` enters an exact pass's, so each builds its own."""
+        if self.exact:
+            return self.pay(self.rows.means[..., 0], lam_den, first)
+        if first not in self._rate_pays:
+            self._rate_pays[first] = self.pay(self.rows.means[..., 0], lam_den, first)
+        return self._rate_pays[first]
 
 
 def _rate_pass(stack: _Stack, lams, slope=False, first=0):
@@ -1067,9 +1097,8 @@ def _rate_pass(stack: _Stack, lams, slope=False, first=0):
     The slope column pays nothing on a pull, so pulling adds nothing to the
     slope, and retiring at stage t sets it to T_t: the slope of the value
     is the expected discounted tail at retirement."""
-    rows = stack.rows
     lam, lam_den = _numerators(lams, stack.exact)
-    columns = [(rows.means, _per_instance(lam)), (None, lam_den)]
+    columns = [(stack.rate_pay(lam_den, first), _per_instance(lam)), (None, lam_den)]
     roots = _stopping_pass(stack, columns[: 1 + slope], lam_den, first=first)
     return roots if slope else [root for root, in roots]
 
@@ -1104,9 +1133,10 @@ def _observation_pass(stack: _Stack, xs, lams):
     # Locations over dx: the table's over rows.dx, x over x_den.
     dx = lcm(rows.dx, x_den) if exact else 1.0
     stretch, x = (dx // rows.dx, [v * (dx // x_den) for v in x]) if exact else (1.0, x)
-    p_new = rows.probs[..., -1:]
-    moved = _times(stretch, rows.means) + p_new * _per_instance(x)
-    columns = [(moved, _per_instance(lam)), (_times(dx, p_new), 0)]
+    p_new = rows.probs[..., -1]
+    moved = _times(stretch, rows.means[..., 0]) + p_new * _per_instance(x)
+    columns = [(stack.pay(moved, lam_den), _per_instance(lam)),
+               (stack.pay(_times(dx, p_new), lam_den), 0)]
     roots = _stopping_pass(stack, columns, lam_den, dx)
     return [(p, slope) for (p, _), (slope, _) in roots]
 

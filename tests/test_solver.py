@@ -508,14 +508,21 @@ class TestStackedStoppingPass:
                 assert all(isinstance(x, Fraction) == exact for root in got for pair in root for x in pair)
 
     def test_one_gather_per_level_per_pass(self, monkeypatch):
+        # A level's one product reads its one gather of the next level's
+        # values, which holds every column.
         gathers = []
-        real = solver._pull
 
-        def counted(payoff, p_row, child, nxt):
-            gathers.append(nxt.shape[0])  # the columns share one gather
-            return real(payoff, p_row, child, nxt)
+        class CountedNumpy:
+            """numpy, logging the columns of each gather the pass's product reads."""
 
-        monkeypatch.setattr(solver, "_pull", counted)
+            def __getattr__(self, name):
+                return getattr(np, name)
+
+            def vecdot(self, p, gathered):
+                gathers.append(gathered.shape[0])
+                return np.vecdot(p, gathered)
+
+        monkeypatch.setattr(solver, "np", CountedNumpy())
         for arms, A, lams, xs in self.stacks(10, seed=4):
             n = len(A.values)
             stack, observed = self.setups(arms, A, solver.DEFAULT_OPTIONS)
@@ -525,6 +532,167 @@ class TestStackedStoppingPass:
                 gathers.clear()
                 run()
                 assert gathers == [columns] * n
+
+
+def _reference_pass(stack, columns, lam_den, dx=None, first=0):
+    """The stopping pass level by level, as a reference for its bits:
+    ``columns`` are (mean, rate) pairs, ``mean`` (B, rows, 1) or None and
+    ``rate`` a scalar or (B, 1, 1).  Each level gathers the next level's
+    values, makes one (1 x s) @ (s x 1) matmul a row and column, adds
+    a_t * mean to each paid column and chooses with one ``np.where``.
+    Returns each instance's root (pull, value) per column."""
+    arm = stack.rows
+    dx = arm.dx if dx is None else dx
+    start, Q = arm.start, arm.Q
+    batch = len(arm.measures)
+    levels = np.array(stack.scaled, arm.dtype).T[:, :, None, None]  # (2n + 1, B, 1, 1)
+    n = len(levels) // 2 - first
+    a, tails = levels[first : first + n], levels[len(levels) // 2 + first :]
+    rates = np.empty((len(columns), batch, 1, 1), arm.dtype)
+    for c, (_, rate) in enumerate(columns):
+        rates[c] = rate
+    paid = [(c, mean) for c, (mean, _) in enumerate(columns) if mean is not None]
+    values = np.zeros((len(columns), batch, start[n + 1] - start[n], 1), arm.dtype)
+    pulls = values
+    for t in reversed(range(n)):
+        a_t = solver._times(lam_den * Q[t + 1], a[t])
+        p_row = arm.probs[:, start[t] : start[t + 1], None]  # (B, rows, 1, atoms)
+        pulls = np.matmul(p_row, values.take(arm.child[t], axis=-2))[..., 0, :]
+        for c, mean in paid:
+            pulls[c] += a_t * mean[:, start[t] : start[t + 1]]
+        retire = rates * solver._times(dx * Q[t], tails[t])
+        values = np.where(pulls[0] >= retire[0], pulls, retire)
+    den = stack.da * dx * lam_den * Q[0]
+    return [[(solver._read(p, den), solver._read(v, den))
+             for p, v in zip(pulls[:, b].ravel().tolist(), values[:, b].ravel().tolist())]
+            for b in range(batch)]
+
+
+def _column(values, exact):
+    """One number per instance as a (B, 1, 1) column in the pass's dtype."""
+    return np.array(values, object if exact else np.float64)[:, None, None]
+
+
+def _reference_rate_pass(stack, lams, slope=False, first=0):
+    """``solver._rate_pass`` through ``_reference_pass``."""
+    lam, lam_den = solver._numerators(lams, stack.exact)
+    columns = [(stack.rows.means, _column(lam, stack.exact)), (None, lam_den)]
+    roots = _reference_pass(stack, columns[: 1 + slope], lam_den, first=first)
+    return roots if slope else [root for root, in roots]
+
+
+def _reference_observation_pass(stack, xs, lams):
+    """``solver._observation_pass`` through ``_reference_pass``."""
+    rows, exact = stack.rows, stack.exact
+    lam, lam_den = solver._numerators(lams, exact)
+    x, x_den = solver._numerators(xs, exact)
+    dx = math.lcm(rows.dx, x_den) if exact else 1.0
+    stretch, x = (dx // rows.dx, [v * (dx // x_den) for v in x]) if exact else (1.0, x)
+    p_new = rows.probs[..., -1:]
+    moved = solver._times(stretch, rows.means) + p_new * _column(x, exact)
+    columns = [(moved, _column(lam, exact)), (solver._times(dx, p_new), 0)]
+    return [(p, s) for (p, _), (s, _) in _reference_pass(stack, columns, lam_den, dx)]
+
+
+def _bits(roots):
+    """The float64 bits of every number in nested pass results."""
+    return np.array(roots, np.float64).ravel().view(np.int64)
+
+
+class TestStoppingPassBits:
+    """The stopping pass keeps the bits of the pass made level by level with
+    ``np.matmul``, a_t * mean added per level and one ``np.where``
+    (``_reference_pass``): its products, payoff tables and retirement
+    tables change no float bit and no exact number."""
+
+    @staticmethod
+    def stacks(count, seed, exact=False):
+        """``count`` random (arms, sequence, rates, observations) stacks: 1 to
+        5 atoms at non-dyadic locations, negative ones among them, 1 to 10
+        stages, 1 to 5 instances (one when exact), uniform, geometric or
+        zero-tailed sequences -- a geometric head, then zero weights, so a
+        pass from stage two may see no weight at all -- and rates of either
+        sign, zeros of both signs among them."""
+        rng = np.random.default_rng(seed)
+        for i in range(count):
+            s, n = int(rng.integers(1, 6)), int(rng.integers(1, 11))
+            batch = 1 if exact else int(rng.integers(1, 6))
+            beta = float(rng.uniform(0.3, 0.95))
+            if i % 3 == 0:
+                A = make_uniform(n, exact=exact)
+            elif i % 3 == 1:
+                A = make_truncated_geometric(Fraction(beta).limit_denominator(97), n, exact=exact)
+            else:
+                head = int(rng.integers(1, n + 1))
+                A = make_discount([Fraction(beta).limit_denominator(97) ** t if t < head else 0
+                                   for t in range(n)], exact=exact)
+            arms = []
+            for _ in range(batch):
+                locs = np.sort(rng.uniform(-1.5, 1.5, s))
+                weights = rng.uniform(0.05, 2, s)
+                if exact:
+                    locs = [Fraction(v).limit_denominator(1000) for v in locs]
+                    weights = [Fraction(v).limit_denominator(1000) for v in weights]
+                else:
+                    locs, weights = locs.tolist(), weights.tolist()
+                arms.append(make_measure(zip(locs, weights), exact=exact))
+            lams = [float(rng.choice([0.0, -0.0, rng.uniform(-1.5, 1.5)])) for _ in range(batch)]
+            xs = rng.uniform(-1.5, 1.5, batch).tolist()
+            if exact:
+                lams, xs = ([Fraction(v).limit_denominator(1000) for v in vs] for vs in (lams, xs))
+            yield arms, A, lams, xs
+
+    @staticmethod
+    def passes(arms, A, lams, xs, options):
+        """Each rate pass -- slope off and on, from stage one and two -- and
+        the observation pass, run by the solver and by the reference."""
+        stack, observed = TestStackedStoppingPass.setups(arms, A, options)
+        for slope in (False, True):
+            for first in (0, 1):
+                yield (solver._rate_pass(stack, lams, slope, first),
+                       _reference_rate_pass(stack, lams, slope, first))
+        yield (solver._observation_pass(observed, xs, lams),
+               _reference_observation_pass(observed, xs, lams))
+
+    def test_float_passes_have_the_reference_bits(self):
+        signed_zeros = 0
+        for arms, A, lams, xs in self.stacks(200, seed=31):
+            for got, want in self.passes(arms, A, lams, xs, solver.DEFAULT_OPTIONS):
+                got, want = _bits(got), _bits(want)
+                assert np.array_equal(got, want)
+                signed_zeros += int((got == _bits([-0.0])[0]).sum())
+        assert signed_zeros > 0
+
+    def test_exact_passes_are_the_reference_fractions(self):
+        for arms, A, lams, xs in self.stacks(60, seed=32, exact=True):
+            for got, want in self.passes(arms, A, lams, xs, EXACT):
+                assert got == want
+                assert all(isinstance(x, Fraction) for x in np.ravel(np.array(got, object)))
+
+    def test_kept_payoffs_never_leak_between_passes(self):
+        # Interleaved passes on one float stack, each equal, by repr, to the
+        # same pass on a fresh stack: different rates, both first levels,
+        # slope on and off, and an observation stack over the same arms.
+        rng = np.random.default_rng(33)
+        for arms, A, _, xs in self.stacks(30, seed=34):
+            stack, observed = TestStackedStoppingPass.setups(arms, A, solver.DEFAULT_OPTIONS)
+            for _ in range(6):
+                lams = rng.uniform(-1.5, 1.5, len(arms)).tolist()
+                slope, first = bool(rng.integers(2)), int(rng.integers(2))
+                fresh, fresh_observed = TestStackedStoppingPass.setups(arms, A, solver.DEFAULT_OPTIONS)
+                assert repr(solver._rate_pass(stack, lams, slope, first)) == repr(
+                    solver._rate_pass(fresh, lams, slope, first))
+                assert repr(solver._observation_pass(observed, xs, lams)) == repr(
+                    solver._observation_pass(fresh_observed, xs, lams))
+        # An exact pass's payoffs are over its rate's denominator: rates
+        # over 3, 7 and 1 on one stack, each equal to a fresh stack's pass.
+        for arms, A, _, _ in self.stacks(10, seed=35, exact=True):
+            stack, _ = TestStackedStoppingPass.setups(arms, A, EXACT)
+            for lam in (Fraction(1, 3), Fraction(-2, 7), Fraction(1), Fraction(5, 21)):
+                for first in (0, 1):
+                    fresh, _ = TestStackedStoppingPass.setups(arms, A, EXACT)
+                    assert solver._rate_pass(stack, [lam], True, first) == solver._rate_pass(
+                        fresh, [lam], True, first)
 
 
 class TestFlatPass:
@@ -690,10 +858,12 @@ class TestBlockPass:
         stages = []
         for t in reversed(range(n)):
             am1, am2 = a[:, t, None, None] * rows1.means, a[:, t, None, None] * rows2.means
-            w1 = [solver._pull(am1[:, start1[k1] : start1[k1 + 1]], rows1.p_row[k1], rows1.child[k1],
+            w1 = [solver._pull(am1[:, start1[k1] : start1[k1 + 1]],
+                               rows1.probs[:, start1[k1] : start1[k1 + 1], None], rows1.child[k1],
                                nxt[k1 + 1])
                   for k1 in range(t + 1)]
-            w2 = [solver._pull(am2[:, start2[k2] : start2[k2 + 1]], rows2.p_row[k2], rows2.child[k2],
+            w2 = [solver._pull(am2[:, start2[k2] : start2[k2 + 1]],
+                               rows2.probs[:, start2[k2] : start2[k2 + 1], None], rows2.child[k2],
                                nxt[t - k2].mT).mT
                   for k2 in reversed(range(t + 1))]
             nxt = list(map(np.maximum, w1, w2))

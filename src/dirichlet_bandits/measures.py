@@ -4,7 +4,10 @@ A measure is a sorted tuple of atoms ``(location, weight)`` with strictly
 positive weights and a cached total mass.  Two arithmetic backends coexist:
 plain floats (default) and exact rationals (`fractions.Fraction`).  A measure
 is *exact* when its numbers are Fractions; constructors coerce inputs to one
-backend, never mixing them inside a single measure.
+backend, never mixing them inside a single measure.  A measure builds its
+locations and weights as integer numerators over their least common
+denominators once, on first use, and keeps them (``_integer_table``): an
+exact solve reads its arm tables from them.
 
 Order predicates compare probability measures at finitely many points.  This
 is exact for finite-support distributions: a step CDF is determined by its
@@ -84,6 +87,19 @@ def _over_lcm(values):
     return [num * (den // d) for num, d in ratios], den
 
 
+def _integer_table(m: DiscreteMeasure):
+    """``m``'s locations and weights, each as integer numerators over their
+    least common denominator (``_over_lcm``), in atom order: ((location
+    numerators, Dx), (weight numerators, Dw)).  Built on first use and kept
+    in ``m``'s ``__dict__``, as ``discount._pass_table`` keeps a sequence's
+    table, so the exact solves that share a measure object derive its
+    integers once."""
+    table = m.__dict__.get("_integers")
+    if table is None:
+        table = m.__dict__["_integers"] = tuple(map(_over_lcm, zip(*m.atoms)))
+    return table
+
+
 def _numerators(values, exact: bool):
     """``values`` over one denominator: in exact mode their integer
     numerators over their least common denominator, in float mode the
@@ -102,7 +118,9 @@ class DiscreteMeasure:
 
     ``atoms`` is sorted by location with strictly positive weights;
     ``total_mass`` caches the weight sum.  Instances are immutable and safe
-    to share; every operation returns a new measure.
+    to share; every operation returns a new measure.  An exact solve keeps
+    the measure's integer numerators in its ``__dict__``
+    (``_integer_table``).
     """
 
     atoms: tuple[tuple[Numeric, Numeric], ...]

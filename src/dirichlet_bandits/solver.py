@@ -38,7 +38,8 @@ probabilities over the columns and still takes one dot per state and
 column -- ``np.vecdot`` in float mode, ``np.matmul`` on exact object arrays
 -- so no column's float bits depend on the others.  A pass builds its
 payoffs and retirement terms for every level before its first, and a float
-stack keeps its rate passes' value payoffs, which do not depend on the rate.
+stack keeps its rate passes' value payoffs and its observation passes'
+slope payoffs, which depend on neither the rate nor the observation.
 
 The two-armed pass runs over a stack of B instances that share both arms'
 atom counts and the horizon: every array carries a leading batch axis, the
@@ -78,11 +79,14 @@ one child-table lookup and a report one block lookup.
 Float mode runs on float64 arrays.  Exact mode runs the same code on object
 arrays of Python-int numerators: the weights, locations, discounts and
 ``lam`` are scaled to integers once, and every state of a lattice block
-shares one integer denominator.  Ties are decided on the numerators
-(``_tie_terms``), so a Fraction is built only for a value that is reported:
-a report's two payoffs and a stopping-form root.  Float mode is the same
-arithmetic with every scale equal to 1.0, which changes no bit; the passes
-skip multiplying by such a unit scale.
+shares one integer denominator.  A measure keeps its numerators
+(``measures._integer_table``), and an arm's table of them is built in
+int64 wherever a bound on its entries proves that exact, then converted
+once to Python ints (``_ArmRows``), so no pass can wrap.  Ties are decided
+on the numerators (``_tie_terms``), so a Fraction is built only for a
+value that is reported: a report's two payoffs and a stopping-form root.
+Float mode is the same arithmetic with every scale equal to 1.0, which
+changes no bit; the passes skip multiplying by such a unit scale.
 
 Stages with zero discount weight still consume a stage and still update the
 posterior of the pulled arm: with general nonnegative discounting the
@@ -113,8 +117,8 @@ from .measures import (
     DiscreteMeasure,
     Numeric,
     _is_int,
+    _integer_table,
     _numerators,
-    _over_lcm,
     point_mass,
     to_exact,
     to_float,
@@ -434,26 +438,37 @@ class _ArmRows:
     ``measures`` lists the stack, and ``start`` and ``child`` come from the
     lattice.
 
-    In exact mode the stack holds one measure and these are integers.  With
-    the weights W_j over their least common denominator Dw and the
-    locations over Dx, level k of ``probs`` holds the numerators
-    W_j + c_j Dw, ``q[k]`` is (M + k) Dw for total prior mass M, and
-    ``means`` holds P @ X for the scaled locations X.  In float mode
-    ``probs`` and ``means`` are the probabilities and means themselves and
-    every scale is 1.0.  ``Q[k]``,
+    In exact mode the stack holds one measure and these are Python ints.
+    With the weights W_j over their least common denominator Dw and the
+    locations over Dx, as the measure keeps them (``_integer_table``), level
+    k of ``probs`` holds the numerators W_j + c_j Dw, ``q[k]`` is (M + k) Dw
+    for total prior mass M, and ``means`` holds P @ X for the scaled
+    locations X.  In float mode ``probs`` and ``means`` are the
+    probabilities and means themselves and every scale is 1.0.  ``Q[k]``,
     the product of ``q`` over levels k..n-1, is the arm's factor in the
     denominators of a pass (``Q[n]`` is 1)."""
 
     def __init__(self, measures, n: int, exact: bool):
         lat = _lattice(len(measures[0]), n)
         counts = lat.counts[: lat.start[n]]
-        if exact:  # Python ints throughout: numpy int64 would wrap silently
+        if exact:
             (measure,) = measures  # in exact arithmetic: its numbers are read, not coerced
-            (locs, self.dx), (weights, dw) = map(_over_lcm, zip(*measure.atoms))
+            (locs, self.dx), (weights, dw) = _integer_table(measure)
+            mass = sum(weights)
+            # A row's counts total at most n - 1, so every entry of probs and
+            # every partial sum of means is below (n + M) Dw max(1, |X_j|),
+            # and Dw itself (at n = 0 too) below (1 + M) Dw.  Below 2**63 the
+            # table is exact in int64; past it int64 would wrap silently, so
+            # it is built on Python ints.  The pass reads Python ints either
+            # way.
+            fits = (max(n, 1) * dw + mass) * max(1, *map(abs, locs)) < 1 << 63
+            dtype = np.int64 if fits else object
+            p = counts.astype(dtype, copy=False) * dw + np.array(weights, dtype)
+            means = p.dot(np.array(locs, dtype))
+            self.probs = p.astype(object, copy=False)[None]
+            self.means = means.astype(object, copy=False)[None, :, None]
             self.dtype = object
-            p = (counts.astype(object) * dw + np.array(weights, object))[None]
-            X = np.array([locs], dtype=object)[:, :, None]
-            self.q = [sum(weights) + k * dw for k in range(n)]
+            self.q = [mass + k * dw for k in range(n)]
             self.Q = [1] * (n + 1)
             for k in reversed(range(n)):
                 self.Q[k] = self.q[k] * self.Q[k + 1]
@@ -463,14 +478,13 @@ class _ArmRows:
             mass = np.array([m.total_mass for m in measures])[:, None, None]
             # A row's count total is its level.
             totals = np.repeat(np.arange(n, dtype=np.float64), np.diff(lat.start[: n + 1]))
-            p = (atoms[:, None, :, 1] + counts) / (mass + totals[:, None])
-            X = np.ascontiguousarray(atoms[:, :, :1])
+            self.probs = (atoms[:, None, :, 1] + counts) / (mass + totals[:, None])
+            self.means = self.probs @ np.ascontiguousarray(atoms[:, :, :1])
             self.dx, self.q, self.Q = 1.0, [1.0] * n, [1.0] * (n + 1)
         self.measures = measures
-        self.atoms = p.shape[2]
+        self.atoms = self.probs.shape[2]
         self.start = lat.start
         self.child = lat.child
-        self.probs, self.means = p, p @ X
 
     @cached_property
     def child_rows(self) -> np.ndarray:
@@ -493,12 +507,11 @@ def _pull(payoff, p_row, child, nxt: np.ndarray) -> np.ndarray:
     and continuing optimally: the immediate ``payoff``, a column over those
     states, plus the predictive expectation of the next-stage values
     ``nxt``.  ``child`` maps each state and atom to a row of ``nxt`` (axis
-    -2), whose columns are states of the other arm, or is None where ``nxt``
-    is gathered already, (B, states, atoms, columns); ``p_row`` holds each
+    -2), whose columns are states of the other arm; ``p_row`` holds each
     state's predictive probabilities as a row, (B, states, 1, atoms).  In
     exact mode these are numerators: the caller puts ``payoff`` over the
     denominator that ``p_row`` gives the expectation."""
-    gathered = nxt if child is None else nxt.take(child, axis=-2)  # (B, P, s, columns)
+    gathered = nxt.take(child, axis=-2)  # (B, states, atoms, columns)
     return payoff + np.matmul(p_row, gathered)[..., 0, :]
 
 
@@ -624,29 +637,29 @@ class BanditSolver:
         flat: stage t is one (B, states, 1) array over arm 1's rows of
         levels 0..t, block k1 being their level k1.  Arm 1 gathers nothing
         but the next stage, through ``child_rows``, and arm 2, at level t -
-        k1, is pulled at each row's own index, its payoff and probability
-        repeated over a level's rows.
+        k1, is pulled at each row's own index, its payoff repeated over a
+        level's rows.
 
         The pass keeps the blocks' bits: each row of a one-column block is
-        the (1 x s) @ (s x 1) product the block computes, and arm 2's 1 x 1
-        products are summed from 0.0 as the blocks' matmul does.  A wider
-        float block's (1 x s) @ (s x C) product can round otherwise, so a
-        pass whose arm 2 has more atoms still makes one product per block,
-        though it too holds each stage flat (``_block_stages``).
+        the (1 x s) @ (s x 1) product the block computes.  Arm 2's one atom
+        has probability (w + k) / (w + k), exactly 1.0, so its 1 x 1 product
+        is the next value itself summed from 0.0, as the blocks' matmul sums
+        it (a -0.0 comes out +0.0): the pass adds the next stage's values to
+        0.0 and makes no product for arm 2.  A wider float block's
+        (1 x s) @ (s x C) product can round otherwise, so a pass whose arm 2
+        has more atoms still makes one product per block, though it too
+        holds each stage flat (``_block_stages``).
         """
         rows1, rows2 = self.arms
         n = self.horizon
         size1 = np.diff(rows1.start[: n + 1])
-        p_row1, p_row2 = rows1.probs[:, :, None], rows2.probs[:, :, None]
         nxt = np.zeros((self.batch, rows1.start[n + 1], 1), rows1.dtype)
         for t in reversed(range(n)):
             end1 = rows1.start[t + 1]
             a_t = a[:, t, None, None]  # arm 2's levels 0..t are its first t + 1 rows
             pay1, pay2 = rows1.means[:, :end1] * a_t, rows2.means[:, : t + 1] * a_t
-            sizes = size1[: t + 1]
-            w1 = _pull(pay1, p_row1[:, :end1], rows1.child_rows[:end1], nxt)
-            w2 = _pull(np.repeat(pay2[:, ::-1], sizes, axis=1),
-                       np.repeat(p_row2[:, t::-1], sizes, axis=1), None, nxt[:, :end1, None])
+            w1 = _pull(pay1, rows1.probs[:, :end1, None], rows1.child_rows[:end1], nxt)
+            w2 = np.repeat(pay2[:, ::-1], size1[: t + 1], axis=1) + (0.0 + nxt[:, :end1])
             nxt = np.maximum(w1, w2)
             if t < self.kept:
                 self._keep(t, w1, w2, rows1.start[1 : t + 2])
@@ -1033,9 +1046,10 @@ class _Stack:
     the arms' rows, each instance's ``scaled`` discount numerators over
     ``da`` -- its n values, then its n + 1 tails, off its pass table -- each
     level's a_t and T_t as (B, n) tables ``a`` and ``tails`` in the pass's
-    dtype, and the arithmetic.  A float stack keeps the value
-    column's payoffs of its rate passes (``rate_pay``), one table per first
-    level, for as long as it lives.
+    dtype, and the arithmetic.  A float stack keeps the payoff tables that
+    do not depend on a pass's rate or observation (``kept_pay``): its rate
+    passes' value payoffs, one table per first level, and its observation
+    passes' slope payoffs, for as long as it lives.
 
     Before it allocates anything it refuses, in this order, a sequence not
     regular in the solve's arithmetic (NotRegularError), a stack over the
@@ -1061,7 +1075,7 @@ class _Stack:
         self.scaled, self.da, self.exact = list(scaled), dens[0], opts.exact
         table = np.array(scaled, self.rows.dtype)
         self.a, self.tails = table[:, :n], table[:, n:-1]
-        self._rate_pays = {}
+        self._kept_pays = {}
 
     def pay(self, mean, lam_den, first=0):
         """What a pull pays at each state of a pass from level ``first`` on,
@@ -1076,16 +1090,18 @@ class _Stack:
             a = a * np.array([lam_den * rows.Q[t + 1] for t in range(n)], object)
         return np.repeat(a, np.diff(rows.start[: n + 1]), axis=1) * mean[:, : rows.start[n]]
 
-    def rate_pay(self, lam_den, first):
-        """The value column's payoffs of a rate pass from level ``first`` on:
-        ``pay`` of the rows' means.  A float stack builds them once per
-        ``first`` and keeps them, since they do not depend on the rate;
-        ``lam_den`` enters an exact pass's, so each builds its own."""
+    def kept_pay(self, key, mean, lam_den, first=0):
+        """``pay(mean, lam_den, first)`` for a column of means that does not
+        depend on the pass's rate or observation: the rows' means of a rate
+        pass (``key`` its ``first``), or an observation pass's slope means
+        (``key`` "slope").  A float stack builds each table once per ``key``
+        and keeps it; ``lam_den``, and an observation's denominator in
+        ``mean``, enter an exact pass's, so each builds its own."""
         if self.exact:
-            return self.pay(self.rows.means[..., 0], lam_den, first)
-        if first not in self._rate_pays:
-            self._rate_pays[first] = self.pay(self.rows.means[..., 0], lam_den, first)
-        return self._rate_pays[first]
+            return self.pay(mean, lam_den, first)
+        if key not in self._kept_pays:
+            self._kept_pays[key] = self.pay(mean, lam_den, first)
+        return self._kept_pays[key]
 
 
 def _rate_pass(stack: _Stack, lams, slope=False, first=0):
@@ -1098,7 +1114,8 @@ def _rate_pass(stack: _Stack, lams, slope=False, first=0):
     slope, and retiring at stage t sets it to T_t: the slope of the value
     is the expected discounted tail at retirement."""
     lam, lam_den = _numerators(lams, stack.exact)
-    columns = [(stack.rate_pay(lam_den, first), _per_instance(lam)), (None, lam_den)]
+    columns = [(stack.kept_pay(first, stack.rows.means[..., 0], lam_den, first),
+                _per_instance(lam)), (None, lam_den)]
     roots = _stopping_pass(stack, columns[: 1 + slope], lam_den, first=first)
     return roots if slope else [root for root, in roots]
 
@@ -1125,7 +1142,9 @@ def _observation_pass(stack: _Stack, xs, lams):
 
     A pass rewrites the mean column, base + x * p_new, and carries a slope
     column with means p_new and rate zero, so each pull adds p_new to the
-    slope and retiring sets it to zero.
+    slope and retiring sets it to zero.  A float stack keeps the slope
+    column's payoffs (``_Stack.kept_pay``), which depend on neither x nor
+    the rate.
     """
     rows, exact = stack.rows, stack.exact
     lam, lam_den = _numerators(lams, exact)
@@ -1136,7 +1155,7 @@ def _observation_pass(stack: _Stack, xs, lams):
     p_new = rows.probs[..., -1]
     moved = _times(stretch, rows.means[..., 0]) + p_new * _per_instance(x)
     columns = [(stack.pay(moved, lam_den), _per_instance(lam)),
-               (stack.pay(_times(dx, p_new), lam_den), 0)]
+               (stack.kept_pay("slope", _times(dx, p_new), lam_den), 0)]
     roots = _stopping_pass(stack, columns, lam_den, dx)
     return [(p, slope) for (p, _), (slope, _) in roots]
 

@@ -672,12 +672,14 @@ class TestStoppingPassBits:
     def test_kept_payoffs_never_leak_between_passes(self):
         # Interleaved passes on one float stack, each equal, by repr, to the
         # same pass on a fresh stack: different rates, both first levels,
-        # slope on and off, and an observation stack over the same arms.
+        # slope on and off, and an observation stack over the same arms,
+        # which keeps its slope payoffs, at different observations and rates.
         rng = np.random.default_rng(33)
-        for arms, A, _, xs in self.stacks(30, seed=34):
+        for arms, A, _, _ in self.stacks(30, seed=34):
             stack, observed = TestStackedStoppingPass.setups(arms, A, solver.DEFAULT_OPTIONS)
             for _ in range(6):
                 lams = rng.uniform(-1.5, 1.5, len(arms)).tolist()
+                xs = rng.choice([0.0, -0.0, rng.uniform(-1.5, 1.5)], len(arms)).tolist()
                 slope, first = bool(rng.integers(2)), int(rng.integers(2))
                 fresh, fresh_observed = TestStackedStoppingPass.setups(arms, A, solver.DEFAULT_OPTIONS)
                 assert repr(solver._rate_pass(stack, lams, slope, first)) == repr(
@@ -685,14 +687,19 @@ class TestStoppingPassBits:
                 assert repr(solver._observation_pass(observed, xs, lams)) == repr(
                     solver._observation_pass(fresh_observed, xs, lams))
         # An exact pass's payoffs are over its rate's denominator: rates
-        # over 3, 7 and 1 on one stack, each equal to a fresh stack's pass.
+        # over 3, 7 and 1 on one stack, each equal to a fresh stack's pass,
+        # and an observation pass's over its observation's denominator too.
         for arms, A, _, _ in self.stacks(10, seed=35, exact=True):
-            stack, _ = TestStackedStoppingPass.setups(arms, A, EXACT)
+            stack, observed = TestStackedStoppingPass.setups(arms, A, EXACT)
             for lam in (Fraction(1, 3), Fraction(-2, 7), Fraction(1), Fraction(5, 21)):
                 for first in (0, 1):
                     fresh, _ = TestStackedStoppingPass.setups(arms, A, EXACT)
                     assert solver._rate_pass(stack, [lam], True, first) == solver._rate_pass(
                         fresh, [lam], True, first)
+                for x in (Fraction(1, 2), Fraction(-3, 5), Fraction(2)):
+                    _, fresh = TestStackedStoppingPass.setups(arms, A, EXACT)
+                    assert solver._observation_pass(observed, [x], [lam]) == (
+                        solver._observation_pass(fresh, [x], [lam]))
 
 
 class TestFlatPass:
@@ -792,15 +799,16 @@ class TestFlatPass:
                 assert abs(m - w) <= 5 * se + 1e-12
 
     def test_one_pull_per_arm_per_stage(self, monkeypatch):
-        # A flat stage pulls arm 1 through one gather and arm 2 through
-        # none; a stage of blocks makes one product per arm and block, each
-        # written into the stage's arrays, and one maximum.
+        # A flat stage pulls arm 1 through one gather and product, and arm
+        # 2, whose one atom has probability one, through neither; a stage of
+        # blocks makes one product per arm and block, each written into the
+        # stage's arrays, and one maximum.
         pulls, calls = [], []
         real = solver._pull
 
-        def counted(payoff, p_row, child, nxt):
-            pulls.append(child is None)
-            return real(payoff, p_row, child, nxt)
+        def counted(*args):
+            pulls.append(1)
+            return real(*args)
 
         class CountedNumpy:
             """numpy, logging each product and maximum the solver makes."""
@@ -820,7 +828,7 @@ class TestFlatPass:
         A = make_discount([1, 0, 1, 0.5, 0.25, 1])
         three = make_measure([(-0.5, 1), (0.25, 2), (1, 1)])
         BanditSolver(BanditState(three, point_mass(0.3), A))
-        assert pulls == [False, True] * 6
+        assert len(pulls) == 6
         pulls.clear()
         monkeypatch.setattr(solver, "np", CountedNumpy())
         BanditSolver(BanditState(point_mass(0.3), three, A))
@@ -1396,6 +1404,109 @@ class TestExactArithmetic:
         rep = value(BanditState(self.ARM1, self.ARM2, A), EXACT)
         assert time.perf_counter() - t0 < 1.5
         assert type(rep.w) is Fraction
+
+
+class TestExactArmTables:
+    """An exact arm table (``_ArmRows``) holds Python ints: built in int64
+    where (max(n, 1) + M) Dw max(1, |X_j|) < 2**63 bounds every entry,
+    partial sum and Dw, on Python ints otherwise, from the numerators the
+    measure keeps."""
+
+    @staticmethod
+    def reference(measure, n):
+        """``probs`` and ``means`` of an exact arm over n levels, row by row
+        from the measure's Fractions, on Python ints."""
+        locs, weights = measure.locations, measure.weights
+        dx = math.lcm(*(x.denominator for x in locs))
+        dw = math.lcm(*(w.denominator for w in weights))
+        X = [int(x * dx) for x in locs]
+        W = [int(w * dw) for w in weights]
+        lat = _lattice(len(locs), n)
+        probs = [[w + c * dw for w, c in zip(W, counts)]
+                 for counts in lat.counts[: lat.start[n]].tolist()]
+        return probs, [[sum(p * x for p, x in zip(row, X))] for row in probs], dx
+
+    @staticmethod
+    def fits(measure, n):
+        """Whether the bound puts the table in int64."""
+        (locs, _), (weights, dw) = solver._integer_table(measure)
+        return (max(n, 1) * dw + sum(weights)) * max(1, *map(abs, locs)) < 1 << 63
+
+    def assert_reference(self, measure, n):
+        rows = solver._ArmRows([measure], n, True)
+        probs, means, dx = self.reference(measure, n)
+        assert rows.probs.dtype == rows.means.dtype == object
+        assert rows.probs[0].tolist() == probs and rows.means[0].tolist() == means
+        assert rows.dx == dx
+        # Python ints, never numpy integers, so nothing downstream can wrap.
+        for x in (*rows.probs.ravel(), *rows.means.ravel(), rows.dx, *rows.q, *rows.Q):
+            assert type(x) is int
+
+    def test_both_dtypes_give_the_python_int_table(self):
+        # 1 to 5 atoms, negative locations, n up to 40 (fewer levels for
+        # more atoms, to keep the reference small), grid numerators k/64 and
+        # numerators of non-dyadic floats, whose denominators near 2**55 put
+        # the longer tables past the int64 bound.
+        rng = np.random.default_rng(41)
+        paths = set()
+        for i in range(120):
+            s = int(rng.integers(1, 6))
+            n = int(rng.integers(1, (41, 41, 41, 21, 13)[s - 1]))
+            if i % 2:
+                grid = rng.choice(np.arange(-128, 129), s, replace=False)
+                locs = [Fraction(int(k), 64) for k in grid]
+                weights = [Fraction(int(k), 64) for k in rng.integers(1, 129, s)]
+            else:
+                locs = [Fraction(float(v)) for v in rng.uniform(-2, 2, s)]
+                weights = [Fraction(float(v)) for v in rng.uniform(0.05, 2, s)]
+            measure = make_measure(zip(locs, weights), exact=True)
+            paths.add(self.fits(measure, n))
+            self.assert_reference(measure, n)
+        assert paths == {True, False}
+
+    def test_arms_at_the_int64_bound(self):
+        # Locations -1 and 1, weights 1 and W, n = 3: the bound is n + 1 + W
+        # and the largest entry W + 2.  Just under the bound the table is
+        # int64 with entries up to 2**63 - 3; just over it an entry is
+        # 2**63, which int64 would wrap.
+        for W, fits in ((2**63 - 5, True), (2**63 - 2, False)):
+            measure = make_measure([(-1, 1), (1, W)], exact=True)
+            assert self.fits(measure, 3) is fits
+            self.assert_reference(measure, 3)
+            assert solver._ArmRows([measure], 3, True).probs.max() == W + 2
+        # With no levels, Dw alone past int64: weights 1/2**70 and 3/2**70.
+        tiny = make_measure([(0, Fraction(1, 2**70)), (1, Fraction(3, 2**70))], exact=True)
+        assert not self.fits(tiny, 0)
+        self.assert_reference(tiny, 0)
+        empty = drop_first(make_discount([1], exact=True))
+        assert value(BanditState(tiny, tiny, empty), EXACT) == ValueReport(0, 0, 0, Action.TIE)
+
+    def test_a_measure_derives_its_integers_once(self, monkeypatch):
+        # Repeated exact solves over the same measure objects derive each
+        # object's location and weight numerators once (``_over_lcm``, kept
+        # in the measure); an equal measure of its own derives its own.
+        from dirichlet_bandits import measures
+
+        calls = []
+        over_lcm = measures._over_lcm
+
+        def counted(values):
+            calls.append(tuple(values))
+            return over_lcm(values)
+
+        arm1, arm2 = (solver.DiscreteMeasure(m.atoms, m.total_mass)
+                      for m in (TestExactArithmetic.ARM1, TestExactArithmetic.ARM2))
+        twin = solver.DiscreteMeasure(arm1.atoms, arm1.total_mass)
+        monkeypatch.setattr(measures, "_over_lcm", counted)
+        A = make_uniform(4, exact=True)
+        for lam in (Fraction(1, 3), Fraction(2, 7), Fraction(5, 8)):
+            stopping_value(arm1, lam, A, EXACT)
+            value_one_armed(arm1, lam, A, EXACT)
+            value(BanditState(arm1, arm2, A), EXACT)
+            stopping_value(twin, lam, A, EXACT)
+        for m, objects in ((arm1, 2), (arm2, 1)):
+            assert calls.count(m.locations) == calls.count(m.weights) == objects
+        assert solver._integer_table(arm1) is solver._integer_table(arm1)
 
 
 class TestStackedPasses:

@@ -7,7 +7,8 @@ Results go to stdout, diagnostics to stderr.  Exit codes:
     1  verify found violations
     2  configuration/usage errors (bad config, unknown suite, bad grid,
        trial count below 1, --jobs below 1, negative seed, tolerance not
-       positive, non-finite number, float solve past the float range,
+       positive and finite, non-finite number, sweep mass that takes a
+       weight out of the float range, float solve past the float range,
        unwritable --out file or failed write to it)
     3  solver resource budget exceeded (a discount family's n is checked
        when the config is loaded, before its sequence is built)

@@ -184,8 +184,8 @@ def _value_search(arm: DiscreteMeasure, A: DiscountSeq, tol: float, opts: Solver
     earns its mean per pull, so the break-even rate is at least the mean;
     it never exceeds the best possible observation per pull, which caps it
     at the top of the support."""
-    if not tol > 0:  # also refuses NaN
-        raise InvalidParameterError(f"tolerance must be positive, got {tol}")
+    if not 0 < tol < float("inf"):  # also refuses NaN
+        raise InvalidParameterError(f"tolerance must be positive and finite, got {tol}")
     arm = to_exact(arm) if opts.exact else to_float(arm)
     _check_weight(A)
     a1, T1 = _head(A, opts.exact)

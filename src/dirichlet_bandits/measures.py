@@ -267,12 +267,19 @@ def predictive(m: DiscreteMeasure) -> DiscreteMeasure:
 
 
 def scale(m: DiscreteMeasure, c) -> DiscreteMeasure:
-    """Multiply every weight by ``c > 0`` (e.g. attach a prior weight to F)."""
+    """Multiply every weight by ``c > 0`` (e.g. attach a prior weight to F).
+    A float factor that underflows a weight or the total to zero, or
+    overflows one, raises InvalidParameterError."""
     c = _coerce(c, m.exact)
     if c <= 0:
         raise InvalidParameterError(f"scale factor must be positive, got {c}")
     atoms = tuple((x, w * c) for x, w in m.atoms)
-    return DiscreteMeasure(atoms, m.total_mass * c)
+    total = m.total_mass * c
+    if not all(0 < w < math.inf for _, w in atoms) or not 0 < total < math.inf:
+        raise InvalidParameterError(
+            f"scale factor {c!r} takes a weight or the total mass out of the float range"
+        )
+    return DiscreteMeasure(atoms, total)
 
 
 def shift(m: DiscreteMeasure, t) -> DiscreteMeasure:

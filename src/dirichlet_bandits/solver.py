@@ -11,21 +11,26 @@ For an arm with s atoms, level k of its lattice lists the count vectors
 totalling k in rank order, and a child table maps each vector and atom j to
 the rank of the vector with one more count at j.  These tables depend on
 (s, k) only and are built on first use.  One bottom-up pass runs from the
-last stage to the first.  Stage t of the two-armed pass is made of blocks
-of k1 counts on arm 1 and t - k1 on arm 2, and pulling either arm is its
-immediate payoff plus a gather from the next stage and a weighted sum over
-its atoms (``_pull``).  Every two-armed pass lays each stage out flat: one
-array over the stage's blocks in turn, each in row-major order.  An exact
-pass pulls both arms together through one table of both arms' lattice
-rows, interleaved by level, and each stage's pulls with their next-stage
-indices (``_pull_layout``, which depends on the two atom counts only):
-where the arms have equally many atoms, one gather, one matmul and one add
-a stage serve both; otherwise one each per arm.  A float pass whose arm 2
-has one atom pulls each arm once a stage over arm 1's own rows.  One whose
-arm 2 has more atoms makes one (1 x s) @ (s x C) product per arm and block
-row, block by block, since a block wider than one column keeps its float
-bits only so; it writes them into the stage's arrays, and adds arm 1's
-payoffs and takes the larger pull once a stage.
+last stage to the first.  Pulling an arm at a state pays its immediate
+payoff plus the predictive expectation of the next stage's values: a
+gather of the state's children, then one (1 x s) . (s x 1) dot of its
+probabilities with them.  Every pass takes that one dot per state --
+``np.vecdot`` in float mode, ``_object_dot`` on exact object arrays --
+but one: a float two-armed pass whose arm 2 has more than one atom, whose
+blocks are wider than one column and keep their float bits only as one
+(1 x s) @ (s x C) product per block row (``_block_stages``).
+
+Stage t of the two-armed pass is made of blocks of k1 counts on arm 1 and
+t - k1 on arm 2.  Every two-armed pass lays each stage out flat: one
+(B, states) array over the stage's blocks in turn, each in row-major
+order.  An exact pass pulls both arms together through one table of both
+arms' lattice rows, interleaved by level, and each stage's pulls with
+their next-stage indices (``_pull_layout``, which depends on the two atom
+counts only): where the arms have equally many atoms, one gather, one
+product and one add a stage serve both; otherwise one each per arm.  A
+float pass whose arm 2 has one atom pulls each arm once a stage over arm
+1's own rows; one whose arm 2 has more writes its block products into the
+stage's arrays, and takes the larger pull once a stage.
 The one-armed stopping form is the same pass over the unknown arm alone,
 against retirement at ``lam * T_t``.  It runs over columns, each an
 immediate payoff and a retirement rate: the value, and for the Newton steps
@@ -35,8 +40,7 @@ along a leading axis of one (columns, B, rows) array, so a level makes one
 gather, one product, one payoff add per paid column and one choice between
 pulling and retiring for all of them.  The product broadcasts each state's
 probabilities over the columns and still takes one dot per state and
-column -- ``np.vecdot`` in float mode, ``np.matmul`` on exact object arrays
--- so no column's float bits depend on the others.  A pass builds its
+column, so no column's float bits depend on the others.  A pass builds its
 payoffs and retirement terms for every level before its first, and a float
 stack keeps its rate passes' value payoffs and its observation passes'
 slope payoffs, which depend on neither the rate nor the observation.
@@ -359,7 +363,7 @@ class _PullLayout(NamedTuple):
     1, and so on -- so that both arms' levels 0..t are its first
     ``start1[t + 1] + start2[t + 1]`` rows.  ``pos1`` and ``pos2`` give the
     table row of each arm's lattice rows, and ``factor`` each table row's
-    factor index, as a column: 2k for arm 1's level k, 2k + 1 for arm 2's.
+    factor index: 2k for arm 1's level k, 2k + 1 for arm 2's.
     ``stages`` lists stages 0..depth-1."""
 
     pos1: np.ndarray
@@ -410,7 +414,7 @@ def _pull_layout(s1: int, s2: int, n: int) -> _PullLayout:
         layout = _LAYOUTS[s1, s2] = _PullLayout(
             np.arange(start1[n]) + np.repeat(np.array(start2[:n], np.int64), size1[:n]),
             np.arange(start2[n]) + np.repeat(np.array(start1[1 : n + 1], np.int64), size2[:n]),
-            np.repeat(np.arange(2 * n), np.stack((size1[:n], size2[:n]), 1).ravel())[:, None],
+            np.repeat(np.arange(2 * n), np.stack((size1[:n], size2[:n]), 1).ravel()),
             tuple(stages),
         )
         for table in (layout.pos1, layout.pos2, layout.factor, *(
@@ -432,7 +436,7 @@ class _ArmRows:
     arithmetic (``to_exact`` or ``to_float``): ``probs`` holds the
     predictive probabilities of each count vector, shape (B, rows, atoms)
     with one row per rank, level k in rows ``start[k]:start[k + 1]``, and
-    ``means`` the posterior means, shape (B, rows, 1), a level's rows over
+    ``means`` the posterior means, shape (B, rows), a level's rows over
     its one denominator ``q[k]``, and over ``dx`` too for the means; a pass
     reads level k as the view ``probs[:, start[k]:start[k + 1]]``.
     ``measures`` lists the stack, and ``start`` and ``child`` come from the
@@ -466,7 +470,7 @@ class _ArmRows:
             p = counts.astype(dtype, copy=False) * dw + np.array(weights, dtype)
             means = p.dot(np.array(locs, dtype))
             self.probs = p.astype(object, copy=False)[None]
-            self.means = means.astype(object, copy=False)[None, :, None]
+            self.means = means.astype(object, copy=False)[None]
             self.dtype = object
             self.q = [mass + k * dw for k in range(n)]
             self.Q = [1] * (n + 1)
@@ -479,7 +483,7 @@ class _ArmRows:
             # A row's count total is its level.
             totals = np.repeat(np.arange(n, dtype=np.float64), np.diff(lat.start[: n + 1]))
             self.probs = (atoms[:, None, :, 1] + counts) / (mass + totals[:, None])
-            self.means = self.probs @ np.ascontiguousarray(atoms[:, :, :1])
+            self.means = (self.probs @ np.ascontiguousarray(atoms[:, :, :1]))[..., 0]
             self.dx, self.q, self.Q = 1.0, [1.0] * n, [1.0] * (n + 1)
         self.measures = measures
         self.atoms = self.probs.shape[2]
@@ -502,19 +506,6 @@ def _times(c, x):
     return x if c == 1 else c * x
 
 
-def _pull(payoff, p_row, child, nxt: np.ndarray) -> np.ndarray:
-    """Payoff of pulling an arm at some of the states of a two-armed stage
-    and continuing optimally: the immediate ``payoff``, a column over those
-    states, plus the predictive expectation of the next-stage values
-    ``nxt``.  ``child`` maps each state and atom to a row of ``nxt`` (axis
-    -2), whose columns are states of the other arm; ``p_row`` holds each
-    state's predictive probabilities as a row, (B, states, 1, atoms).  In
-    exact mode these are numerators: the caller puts ``payoff`` over the
-    denominator that ``p_row`` gives the expectation."""
-    gathered = nxt.take(child, axis=-2)  # (B, states, atoms, columns)
-    return payoff + np.matmul(p_row, gathered)[..., 0, :]
-
-
 class BanditSolver:
     """One bottom-up pass over the count lattice of a two-armed instance, or
     of a stack of B instances that share both arms' atom counts and the
@@ -531,10 +522,11 @@ class BanditSolver:
     instance's discounts are one row of a (B, n) table.  Every pass solves
     each stage as one flat array per payoff, and its blocks are reshaped
     slices of it: an exact pass pulls both arms together
-    (``_exact_stages``), in one ``_pull`` a stage where they have equally
+    (``_exact_stages``), in one product a stage where they have equally
     many atoms; a float pass whose arm 2 has one atom pulls each arm in turn
-    (``_flat_stages``); and one whose arm 2 has more atoms writes one
-    product per arm and block into the stage's arrays (``_block_stages``).
+    (``_flat_stages``); both take one dot per state.  A float pass whose arm
+    2 has more atoms writes one product per arm and block into the stage's
+    arrays (``_block_stages``).
     Float passes keep their arithmetic and bits whatever exact passes do.
 
     The pass keeps the blocks of the first ``keep`` stages only (default:
@@ -586,17 +578,17 @@ class BanditSolver:
         laid out flat: stage t is one (B, states) array per arm, its blocks
         k1 = 0..t in turn, each in row-major order.
 
-        A float block wider than one column rounds otherwise when laid out
-        flat (``_flat_stages``), so each arm still makes one product per
-        block: each of the block's rows times the (s x C) gather of its
-        children, the gemv that the block's ``_pull`` makes, here through
-        ``np.vecmat``, whose bits are matmul's.  Each product is written in
-        place into the block's slice of the stage's array, arm 1's into the
-        block and arm 2's into its transpose.  Arm 2's payoff varies along a
-        block's columns, so it is added block by block; arm 1's is added to
-        the whole stage at once, each row of its level k1 repeated over arm
-        2's level t - k1, and the stage's values are one maximum of the two
-        arrays.
+        This is the one pass that does not take one dot per state: the
+        (1 x s) @ (s x C) gemv of a block row rounds otherwise than its C
+        states' dots (``_flat_stages``) for C >= 4, so each arm still makes
+        one product per block: each of the block's rows times the (s x C)
+        gather of its children, through ``np.vecmat``, whose bits are
+        matmul's.  Each product is written in place into the block's slice
+        of the stage's array, arm 1's into the block and arm 2's into its
+        transpose.  Arm 2's payoff varies along a block's columns, so it is
+        added block by block; arm 1's is added to the whole stage at once,
+        each row of its level k1 repeated over arm 2's level t - k1, and the
+        stage's values are one maximum of the two arrays.
         """
         rows1, rows2 = self.arms
         n, batch = self.horizon, self.batch
@@ -615,8 +607,8 @@ class BanditSolver:
         nxt = np.zeros((batch, ends[-1]))  # stage n
         for t in reversed(range(n)):
             later, ends = self._blocks(nxt, ends), block_ends(t)
-            a_t = a[:, t, None, None]
-            pay2 = a_t * rows2.means[:, : start2[t + 1]]
+            a_t = a[:, t, None]
+            pay2 = (a_t * rows2.means[:, : start2[t + 1]])[..., None]
             w1, w2 = np.empty((batch, ends[-1])), np.empty((batch, ends[-1]))
             for k1, (i, j) in enumerate(zip([0, *ends], ends)):
                 k2 = t - k1
@@ -626,7 +618,7 @@ class BanditSolver:
                 out2 = w2[:, i:j].reshape(shape).mT
                 np.vecmat(p2[k2], later[k1].mT.take(child2[k2], axis=-2), out=out2)
                 out2 += pay2[:, start2[k2] : start2[k2 + 1]]
-            w1 += np.repeat(a_t[..., 0] * rows1.means[:, : start1[t + 1], 0],
+            w1 += np.repeat(a_t * rows1.means[:, : start1[t + 1]],
                             np.repeat(size2[t::-1], size1[: t + 1]), axis=1)
             nxt = np.maximum(w1, w2)
             if t < self.kept:
@@ -634,31 +626,28 @@ class BanditSolver:
 
     def _flat_stages(self, a) -> None:
         """The stages of a float pass whose arm 2 has one atom, laid out
-        flat: stage t is one (B, states, 1) array over arm 1's rows of
-        levels 0..t, block k1 being their level k1.  Arm 1 gathers nothing
-        but the next stage, through ``child_rows``, and arm 2, at level t -
-        k1, is pulled at each row's own index, its payoff repeated over a
-        level's rows.
+        flat: stage t is one (B, states) array over arm 1's rows of levels
+        0..t, block k1 being their level k1.  Arm 1 gathers nothing but the
+        next stage, through ``child_rows``, and takes one ``np.vecdot`` a
+        row; arm 2, at level t - k1, is pulled at each row's own index, its
+        payoff repeated over a level's rows.
 
-        The pass keeps the blocks' bits: each row of a one-column block is
-        the (1 x s) @ (s x 1) product the block computes.  Arm 2's one atom
+        The pass keeps the blocks' bits: a row's dot is the (1 x s) @
+        (s x 1) product its one-column block computes.  Arm 2's one atom
         has probability (w + k) / (w + k), exactly 1.0, so its 1 x 1 product
         is the next value itself summed from 0.0, as the blocks' matmul sums
         it (a -0.0 comes out +0.0): the pass adds the next stage's values to
-        0.0 and makes no product for arm 2.  A wider float block's
-        (1 x s) @ (s x C) product can round otherwise, so a pass whose arm 2
-        has more atoms still makes one product per block, though it too
-        holds each stage flat (``_block_stages``).
+        0.0 and makes no product for arm 2.
         """
         rows1, rows2 = self.arms
         n = self.horizon
         size1 = np.diff(rows1.start[: n + 1])
-        nxt = np.zeros((self.batch, rows1.start[n + 1], 1), rows1.dtype)
+        nxt = np.zeros((self.batch, rows1.start[n + 1]), rows1.dtype)
         for t in reversed(range(n)):
             end1 = rows1.start[t + 1]
-            a_t = a[:, t, None, None]  # arm 2's levels 0..t are its first t + 1 rows
+            a_t = a[:, t, None]  # arm 2's levels 0..t are its first t + 1 rows
             pay1, pay2 = rows1.means[:, :end1] * a_t, rows2.means[:, : t + 1] * a_t
-            w1 = _pull(pay1, rows1.probs[:, :end1, None], rows1.child_rows[:end1], nxt)
+            w1 = pay1 + np.vecdot(rows1.probs[:, :end1], nxt.take(rows1.child_rows[:end1], axis=-1))
             w2 = np.repeat(pay2[:, ::-1], size1[: t + 1], axis=1) + (0.0 + nxt[:, :end1])
             nxt = np.maximum(w1, w2)
             if t < self.kept:
@@ -668,7 +657,7 @@ class BanditSolver:
         """The stages of an exact pass, whatever its shape, laid out flat,
         both arms pulled together.
 
-        Stage t is one (1, states, 1) array: its blocks k1 = 0..t in turn,
+        Stage t is one (1, states) array: its blocks k1 = 0..t in turn,
         each in row-major order, rows ranking arm 1's count vector and
         columns arm 2's.  Both arms' rows of levels 0..t are the first rows
         of one table (``_pull_layout``), with their means and probabilities.
@@ -676,10 +665,11 @@ class BanditSolver:
         a_t dx_other Q_me[k_me + 1] Q_other[k_other], which puts it over its
         block's denominator (``den``): a stage builds its 2(t + 1) factors
         and multiplies the table's rows by them.  Where the arms have
-        equally many atoms, one ``_pull`` then gathers the payoffs and
+        equally many atoms, one group then gathers the payoffs and
         probabilities of all the stage's pulls -- arm 1's at each state, then
-        arm 2's -- and the next stage through their next indices.  Otherwise
-        each arm has its own ``_pull``: padding the arm with fewer atoms with
+        arm 2's -- and the next stage through their next indices, and one
+        ``_object_dot`` takes a dot per pull.  Otherwise each arm has its own
+        gather and product: padding the arm with fewer atoms with
         zero-probability atoms would multiply by those too, which made the
         exact suites slower.  The stage's values are the larger of the two
         pulls at each state.  The layout changes no number, and the pass
@@ -691,16 +681,16 @@ class BanditSolver:
         start1, start2, Q1, Q2 = rows1.start, rows2.start, rows1.Q, rows2.Q
         layout = _pull_layout(s1, s2, n)
         table = start1[n] + start2[n]
-        means = np.empty((1, table, 1), object)
-        probs = np.empty((1, table, 1, max(s1, s2)), object)
+        means = np.empty((1, table), object)
+        probs = np.empty((1, table, max(s1, s2)), object)
         for rows, pos in ((rows1, layout.pos1), (rows2, layout.pos2)):
             pos = pos[: rows.start[n]]
             means[0, pos] = rows.means[0]
-            probs[0, pos, 0, : rows.atoms] = rows.probs[0]
+            probs[0, pos, : rows.atoms] = rows.probs[0]
         # Each arm's probabilities: a row of the arm with fewer atoms leaves
         # the last entries unread.
         probs1, probs2 = probs[..., :s1], probs[..., :s2]
-        nxt = np.zeros((1, comb(n + s1 + s2 - 1, n), 1), object)  # stage n
+        nxt = np.zeros((1, comb(n + s1 + s2 - 1, n)), object)  # stage n
         for t in reversed(range(n)):
             stage = layout.stages[t]
             a1, a2 = a[0, t] * rows2.dx, a[0, t] * rows1.dx
@@ -709,13 +699,11 @@ class BanditSolver:
                                object)
             end = start1[t + 1] + start2[t + 1]
             pay = means[:, :end] * factors.take(layout.factor[:end])
-            if s1 == s2:  # one pull serves both arms
-                ((rows, child),) = stage.groups
-                w = _pull(pay.take(rows, 1), probs.take(rows, 1), child, nxt)
-                w1, w2 = w[:, : stage.ends[-1]], w[:, stage.ends[-1] :]
-            else:
-                w1, w2 = (_pull(pay.take(rows, 1), p.take(rows, 1), child, nxt)
-                          for (rows, child), p in zip(stage.groups, (probs1, probs2)))
+            pulls = [pay.take(rows, 1) + _object_dot(p.take(rows, 1), nxt.take(child, axis=-1))
+                     for (rows, child), p in zip(stage.groups, (probs1, probs2))]
+            if s1 == s2:  # one group holds both arms' pulls
+                pulls = pulls[0][:, : stage.ends[-1]], pulls[0][:, stage.ends[-1] :]
+            w1, w2 = pulls
             nxt = np.maximum(w1, w2)
             if t < self.kept:
                 self._keep(t, w1, w2, stage.ends)
@@ -725,7 +713,7 @@ class BanditSolver:
         self.w1[t], self.w2[t] = self._blocks(w1, ends), self._blocks(w2, ends)
 
     def _blocks(self, w, ends) -> list[np.ndarray]:
-        """The blocks of a stage laid out flat as ``w``, (B, states, ...):
+        """The blocks of a stage laid out flat as ``w``, (B, states):
         block k1 is the reshaped slice that ends at ``ends[k1]``, a Python
         int, (B, rows, columns)."""
         start1 = self.arms[0].start
@@ -986,7 +974,7 @@ def _stopping_pass(stack: _Stack, columns, lam_den, dx=None, first=0):
     values, broadcast over the columns, one payoff add per paid column and
     one choice between pulling and retiring.  The product is one
     (1 x s) @ (s x 1) dot per row and column, ``np.vecdot`` in float mode
-    and ``np.matmul`` on object arrays, and a column's payoff is added to
+    and ``_object_dot`` on object arrays, and a column's payoff is added to
     its own dots only, so each column keeps the float bits of a one-column
     pass, as each instance keeps those of a one-instance pass.  (One
     (1 x s) @ (s x C) product over the columns would round otherwise.)
@@ -1028,9 +1016,10 @@ def _stopping_pass(stack: _Stack, columns, lam_den, dx=None, first=0):
 
 
 def _object_dot(p, g):
-    """``np.vecdot(p, g)`` of object arrays, as one (1 x s) @ (s x 1)
-    ``np.matmul`` product a row: object ``vecdot`` conjugates every
-    element, which made the product ~2.5x slower on big integers."""
+    """``np.vecdot(p, g)`` of object arrays, the product of every exact
+    pass, as one (1 x s) @ (s x 1) ``np.matmul`` product a row: object
+    ``vecdot`` conjugates every element, which made the product ~2.5x
+    slower on big integers."""
     return np.matmul(p[..., None, :], g[..., None])[..., 0, 0]
 
 
@@ -1114,7 +1103,7 @@ def _rate_pass(stack: _Stack, lams, slope=False, first=0):
     slope, and retiring at stage t sets it to T_t: the slope of the value
     is the expected discounted tail at retirement."""
     lam, lam_den = _numerators(lams, stack.exact)
-    columns = [(stack.kept_pay(first, stack.rows.means[..., 0], lam_den, first),
+    columns = [(stack.kept_pay(first, stack.rows.means, lam_den, first),
                 _per_instance(lam)), (None, lam_den)]
     roots = _stopping_pass(stack, columns[: 1 + slope], lam_den, first=first)
     return roots if slope else [root for root, in roots]
@@ -1153,7 +1142,7 @@ def _observation_pass(stack: _Stack, xs, lams):
     dx = lcm(rows.dx, x_den) if exact else 1.0
     stretch, x = (dx // rows.dx, [v * (dx // x_den) for v in x]) if exact else (1.0, x)
     p_new = rows.probs[..., -1]
-    moved = _times(stretch, rows.means[..., 0]) + p_new * _per_instance(x)
+    moved = _times(stretch, rows.means) + p_new * _per_instance(x)
     columns = [(stack.pay(moved, lam_den), _per_instance(lam)),
                (stack.kept_pay("slope", _times(dx, p_new), lam_den), 0)]
     roots = _stopping_pass(stack, columns, lam_den, dx)

@@ -410,10 +410,13 @@ class TestCliIndices:
 
     @pytest.mark.parametrize("command", ["lambda", "breakeven"])
     def test_nan_tolerance_exits_2(self, command, capsys):
-        assert main([command, ONE_ARMED, "--tol", "nan"]) == 2
-        captured = capsys.readouterr()
-        assert captured.out == ""
-        assert captured.err.count("\n") == 1 and "tolerance" in captured.err
+        # An infinite tolerance once ended the search after one pass, far
+        # from the root.
+        for tol in ("nan", "inf"):
+            assert main([command, ONE_ARMED, "--tol", tol]) == 2
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert captured.err.count("\n") == 1 and "tolerance" in captured.err
 
     def test_two_armed_config_exits_5(self, capsys):
         assert main(["lambda", THREE_ATOM]) == 5
@@ -686,6 +689,15 @@ class TestCliSweep:
         assert lines[0] == "param,lambda,residual,iterations"
         lams = [float(l.split(",")[1]) for l in lines[1:]]
         assert all(a > b for a, b in zip(lams, lams[1:]))
+
+    def test_a_mass_that_underflows_a_weight_exits_2(self, capsys):
+        # At 5e-324 every weight of the predictive underflowed to 0.0 and the
+        # sweep printed a break-even value of 0.
+        argv = ["sweep", THREE_ATOM, "--param", "mass", "--grid", "5e-324,1e-320"]
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.count("\n") == 1 and "out of the float range" in captured.err
 
     def test_shift_sweep_moves_lambda_by_one(self, capsys):
         assert main(["sweep", ONE_ARMED, "--param", "shift", "--grid", "0,1"]) == 0

@@ -379,7 +379,7 @@ class TestSweep:
             index_sweep(lambda M: scale(COIN, M), A2, [1.0], expected="increasing")
 
 
-@pytest.mark.parametrize("tol", [0.0, -1e-9, float("nan")])
+@pytest.mark.parametrize("tol", [0.0, -1e-9, float("nan"), float("inf")])
 def test_tolerance_must_be_positive(tol):
     with pytest.raises(InvalidParameterError):
         break_even_value(COIN, A2, tol)

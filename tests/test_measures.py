@@ -367,6 +367,19 @@ class TestBackendsAndSerialization:
         assert shift(m, 0.5).locations == (0.5, 1.5)
         assert mean(shift(m, 0.5)) == pytest.approx(1.0)
 
+    def test_scale_refuses_weights_out_of_the_float_range(self):
+        # A weight underflowed to 0.0 under the old total once gave a
+        # break-even value of 0.0 where the small-mass limit is 5/7.
+        F = make_measure([(0, 0.25), (0.5, 0.5), (1, 0.25)])
+        huge = make_measure([(0, 1e300), (1, 1e300)])
+        for m, c in ((F, 5e-324), (F, 1e-323), (huge, 1e10), (huge, 1.5e8)):
+            with pytest.raises(InvalidParameterError, match="out of the float range"):
+                scale(m, c)
+        # Subnormal weights that stay positive, and every exact factor, scale.
+        assert scale(F, 1e-322).weights == (2.5e-323, 5e-323, 2.5e-323)
+        tiny = scale(to_exact(F), Fraction(5e-324))
+        assert tiny.total_mass == Fraction(5e-324) and min(tiny.weights) > 0
+
     def test_mix_drops_zero_coefficients(self):
         m = mix([(0, point_mass(0)), (1, point_mass(1))])
         assert m.atoms == ((1.0, 1.0),)

@@ -576,7 +576,7 @@ def _column(values, exact):
 def _reference_rate_pass(stack, lams, slope=False, first=0):
     """``solver._rate_pass`` through ``_reference_pass``."""
     lam, lam_den = solver._numerators(lams, stack.exact)
-    columns = [(stack.rows.means, _column(lam, stack.exact)), (None, lam_den)]
+    columns = [(stack.rows.means[..., None], _column(lam, stack.exact)), (None, lam_den)]
     roots = _reference_pass(stack, columns[: 1 + slope], lam_den, first=first)
     return roots if slope else [root for root, in roots]
 
@@ -589,7 +589,7 @@ def _reference_observation_pass(stack, xs, lams):
     dx = math.lcm(rows.dx, x_den) if exact else 1.0
     stretch, x = (dx // rows.dx, [v * (dx // x_den) for v in x]) if exact else (1.0, x)
     p_new = rows.probs[..., -1:]
-    moved = solver._times(stretch, rows.means) + p_new * _column(x, exact)
+    moved = solver._times(stretch, rows.means[..., None]) + p_new * _column(x, exact)
     columns = [(moved, _column(lam, exact)), (solver._times(dx, p_new), 0)]
     return [(p, s) for (p, _), (s, _) in _reference_pass(stack, columns, lam_den, dx)]
 
@@ -799,22 +799,21 @@ class TestFlatPass:
                 assert abs(m - w) <= 5 * se + 1e-12
 
     def test_one_pull_per_arm_per_stage(self, monkeypatch):
-        # A flat stage pulls arm 1 through one gather and product, and arm
+        # A flat stage pulls arm 1 through one gather and dot a state, and arm
         # 2, whose one atom has probability one, through neither; a stage of
         # blocks makes one product per arm and block, each written into the
         # stage's arrays, and one maximum.
         pulls, calls = [], []
-        real = solver._pull
-
-        def counted(*args):
-            pulls.append(1)
-            return real(*args)
 
         class CountedNumpy:
             """numpy, logging each product and maximum the solver makes."""
 
             def __getattr__(self, name):
                 return getattr(np, name)
+
+            def vecdot(self, *args, **kwargs):
+                pulls.append(1)
+                return np.vecdot(*args, **kwargs)
 
             def vecmat(self, *args, **kwargs):
                 calls.append("product")
@@ -824,13 +823,13 @@ class TestFlatPass:
                 calls.append("maximum")
                 return np.maximum(*args, **kwargs)
 
-        monkeypatch.setattr(solver, "_pull", counted)
+        monkeypatch.setattr(solver, "np", CountedNumpy())
         A = make_discount([1, 0, 1, 0.5, 0.25, 1])
         three = make_measure([(-0.5, 1), (0.25, 2), (1, 1)])
         BanditSolver(BanditState(three, point_mass(0.3), A))
         assert len(pulls) == 6
         pulls.clear()
-        monkeypatch.setattr(solver, "np", CountedNumpy())
+        calls.clear()
         BanditSolver(BanditState(point_mass(0.3), three, A))
         assert pulls == []
         assert calls == [c for t in reversed(range(6)) for c in ["product"] * 2 * (t + 1) + ["maximum"]]
@@ -850,11 +849,21 @@ class TestFlatPass:
                 value(state)
 
 
+def _block_pull(payoff, p_row, child, nxt):
+    """Payoff of pulling an arm at each state of a block and continuing
+    optimally: the immediate ``payoff``, a column over the block's rows,
+    plus each row's (1 x s) @ (s x C) product of its predictive
+    probabilities ``p_row``, (B, rows, 1, atoms), with the next-stage rows
+    ``child`` maps it to, axis -2 of ``nxt``, whose C columns are states of
+    the other arm."""
+    return payoff + np.matmul(p_row, nxt.take(child, axis=-2))[..., 0, :]
+
+
 class TestBlockPass:
     """A float pass whose arm 2 has more than one atom holds each stage as
     one array per arm and writes each block's products into it.  Its kept
-    payoffs must have the bits of the pass made block by block, a ``_pull``
-    per arm and block and a maximum per block."""
+    payoffs must have the bits of the pass made block by block, a
+    ``_block_pull`` per arm and block and a maximum per block."""
 
     @staticmethod
     def by_blocks(solved, a):
@@ -865,14 +874,14 @@ class TestBlockPass:
                for k in range(n + 1)]
         stages = []
         for t in reversed(range(n)):
-            am1, am2 = a[:, t, None, None] * rows1.means, a[:, t, None, None] * rows2.means
-            w1 = [solver._pull(am1[:, start1[k1] : start1[k1 + 1]],
-                               rows1.probs[:, start1[k1] : start1[k1 + 1], None], rows1.child[k1],
-                               nxt[k1 + 1])
+            am1, am2 = (a[:, t, None, None] * rows.means[..., None] for rows in solved.arms)
+            w1 = [_block_pull(am1[:, start1[k1] : start1[k1 + 1]],
+                              rows1.probs[:, start1[k1] : start1[k1 + 1], None], rows1.child[k1],
+                              nxt[k1 + 1])
                   for k1 in range(t + 1)]
-            w2 = [solver._pull(am2[:, start2[k2] : start2[k2 + 1]],
-                               rows2.probs[:, start2[k2] : start2[k2 + 1], None], rows2.child[k2],
-                               nxt[t - k2].mT).mT
+            w2 = [_block_pull(am2[:, start2[k2] : start2[k2 + 1]],
+                              rows2.probs[:, start2[k2] : start2[k2 + 1], None], rows2.child[k2],
+                              nxt[t - k2].mT).mT
                   for k2 in reversed(range(t + 1))]
             nxt = list(map(np.maximum, w1, w2))
             stages.append((w1, w2))
@@ -1031,13 +1040,13 @@ class TestExactFlatPass:
         # Both arms share a pull where their atom counts agree; an arm with
         # fewer atoms is pulled on its own rather than padded.
         pulls = []
-        real = solver._pull
+        real = solver._object_dot
 
         def counted(*args):
             pulls.append(1)
             return real(*args)
 
-        monkeypatch.setattr(solver, "_pull", counted)
+        monkeypatch.setattr(solver, "_object_dot", counted)
         rng = np.random.default_rng(5)
         for s1, s2 in self.SHAPES:
             for n in (0, 1, 4):
@@ -1424,7 +1433,7 @@ class TestExactArmTables:
         lat = _lattice(len(locs), n)
         probs = [[w + c * dw for w, c in zip(W, counts)]
                  for counts in lat.counts[: lat.start[n]].tolist()]
-        return probs, [[sum(p * x for p, x in zip(row, X))] for row in probs], dx
+        return probs, [sum(p * x for p, x in zip(row, X)) for row in probs], dx
 
     @staticmethod
     def fits(measure, n):
